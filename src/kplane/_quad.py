@@ -76,15 +76,17 @@ class SegmentedInterp:
         self.h = h
         self.n = len(theta)
         self.degree = degree
-        splits = sorted(t for t in split_thetas if theta[0] < t < theta[-1])
-        self.splits = np.asarray(splits)
-        # node j belongs to the segment left of a split when theta_j <= split
-        bounds = [0]
-        for t in splits:
+        # node j belongs to the segment left of a split when theta_j <= split;
+        # a split in the same cell as the previous one opens no segment, so
+        # only the splits that do are kept and segment_of counts those
+        bounds, cuts = [0], []
+        for t in sorted(t for t in split_thetas if theta[0] < t < theta[-1]):
             j = int(np.searchsorted(theta, t * (1 + 1e-15), side="right"))
             if bounds[-1] < j < self.n:
                 bounds.append(j)
+                cuts.append(t)
         bounds.append(self.n)
+        self.splits = np.asarray(cuts)
         self.bounds = np.asarray(bounds)
 
     def segment_of(self, thq: np.ndarray) -> np.ndarray:
@@ -97,7 +99,6 @@ class SegmentedInterp:
         """Stencil node indices and weights for query angles thq (flat array)."""
         if seg is None:
             seg = self.segment_of(thq)
-        seg = np.minimum(seg, len(self.bounds) - 2)
         lo = self.bounds[seg]
         hi = self.bounds[seg + 1]
         size = hi - lo

@@ -16,86 +16,259 @@ integrated cell-by-cell with Gauss-Legendre rules; the cell adjacent to the
 kernel edge u = r uses the substitution s = sqrt(u^2-r^2), which removes the
 k = 1 singularity exactly. On half-line grids the region beyond the last node
 is covered by a cos-power tail model fitted to the last three samples.
+
+One dense matrix M0 per (grid, k, degree) for the forward operator, and per
+(grid, k, d, degree) for the adjoint, is built without splits and memoized.
+Split radii change only the interpolation stencils within INTERP_DEGREE
+cells of a split and the subdivision of the cell that holds it, so a profile
+with splits is applied as M0 f + C f[cols], where the correction C is
+re-integrated over those few cells alone.
 """
 from __future__ import annotations
 
 import math
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, vstack
 
 from . import _quad
 from ._quad import GL_CELL, GL_EDGE, GL_TAIL, SegmentedInterp, kernel_power
-from .core import (IntervalSet, NumericalError, ParameterError, Params,
-                   RadialGrid, RadialProfile, make_grid, weighted_signed_integral)
+from .core import (ConfigurationError, IntervalSet, NumericalError, ParameterError,
+                   Params, RadialGrid, RadialProfile, make_grid,
+                   weighted_signed_integral)
 
 _TAIL_TOL = 1e-6
+#: largest dense operator matrix, in bytes, that a build may allocate
+DENSE_BUDGET_BYTES = 2 * 1024 ** 3
 _MATRIX_CACHE: OrderedDict = OrderedDict()
 _MATRIX_CACHE_MAX = 6
+_CACHE_LOCK = threading.Lock()
+_BUILD_LOCKS: dict = {}
 
 
-def _cache_get(key):
-    if key in _MATRIX_CACHE:
-        _MATRIX_CACHE.move_to_end(key)
-        return _MATRIX_CACHE[key]
-    return None
+def _cached(key, build):
+    """Memoized build(); concurrent callers with one key wait for one build."""
+    with _CACHE_LOCK:
+        if key in _MATRIX_CACHE:
+            _MATRIX_CACHE.move_to_end(key)
+            return _MATRIX_CACHE[key]
+        key_lock = _BUILD_LOCKS.setdefault(key, threading.Lock())
+    with key_lock:
+        with _CACHE_LOCK:
+            if key in _MATRIX_CACHE:
+                return _MATRIX_CACHE[key]
+        value = build()
+        with _CACHE_LOCK:
+            _MATRIX_CACHE[key] = value
+            while len(_MATRIX_CACHE) > _MATRIX_CACHE_MAX:
+                _MATRIX_CACHE.popitem(last=False)
+            _BUILD_LOCKS.pop(key, None)
+    return value
 
 
-def _cache_put(key, value):
-    _MATRIX_CACHE[key] = value
-    _MATRIX_CACHE.move_to_end(key)
-    while len(_MATRIX_CACHE) > _MATRIX_CACHE_MAX:
-        _MATRIX_CACHE.popitem(last=False)
-
-
-def _split_key(splits: tuple[float, ...]) -> tuple:
-    return tuple(round(s, 14) for s in splits)
+def _dense(n: int) -> np.ndarray:
+    """Zeroed n x n matrix, refused before allocation beyond DENSE_BUDGET_BYTES."""
+    if 8 * n * n > DENSE_BUDGET_BYTES:
+        raise ConfigurationError(
+            f"a dense operator on {n} grid points needs {8 * n * n / 2 ** 30:.1f} GiB, "
+            f"above the {DENSE_BUDGET_BYTES / 2 ** 30:.1f} GiB budget; use a smaller grid")
+    return np.zeros((n, n))
 
 
 # ---------------------------------------------------------------------------
-# refined integration cells
+# local quadrature: cells c0..c1, optionally refined at split radii
 
-def _subdivided_cells(grid: RadialGrid, splits_r: tuple[float, ...]):
-    """Grid cells [theta_i, theta_{i+1}] refined at split angles.
+def _refine(x: np.ndarray, c0: int, c1: int, cuts):
+    """Cells [x_c, x_{c+1}], c0 <= c <= c1, cut at the points of `cuts` inside
+    them: (lo, hi, owning cell) per piece."""
+    edges = np.union1d(x[c0:c1 + 2], [t for t in cuts if x[c0] < t < x[c1 + 1]])
+    lo, hi = edges[:-1], edges[1:]
+    return lo, hi, np.searchsorted(x, 0.5 * (lo + hi)) - 1
 
-    Returns (a, b, parent, seg): theta bounds, owning grid cell (0-based),
-    and interpolation segment index of each sub-cell.
+
+def _gl(lo, hi, rule):
+    """Gauss-Legendre points and weights of `rule` on each [lo_j, hi_j]."""
+    x, w = rule
+    half = (hi - lo) / 2
+    return ((lo + hi) / 2)[:, None] + half[:, None] * x, half[:, None] * w
+
+
+def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
+                c0: int, c1: int, splits_r, adjoint: bool) -> dict:
+    """Product-integration nodes of the operator over grid cells c0..c1.
+
+    Interior: GL points (t^2, kernel-free weight, owning cell, basis matrix);
+    a row integrates them against |t^2 - r^2|^{k/2-1} over the cells it sees.
+    Edge: (row, node index, weight) triplets of the cell at each row's kernel
+    edge, integrated in s = sqrt(|u^2 - r_row^2|). For the adjoint with
+    c0 == 0 the head strip [0, theta_1] joins the interior as cell -1, and
+    row 0's own range [0, r_0] joins the edge terms.
     """
-    th = grid.theta_nodes
-    split_t = np.asarray(sorted(math.atan(s) for s in splits_r
-                                if th[0] < math.atan(s) < th[-1]))
-    a_list, b_list, parent = [], [], []
-    for c in range(grid.n - 1):
-        lo, hi = th[c], th[c + 1]
-        cuts = split_t[(split_t > lo) & (split_t < hi)]
-        pts = np.concatenate([[lo], cuts, [hi]])
-        for j in range(len(pts) - 1):
-            a_list.append(pts[j])
-            b_list.append(pts[j + 1])
-            parent.append(c)
-    a = np.asarray(a_list)
-    b = np.asarray(b_list)
-    parent = np.asarray(parent, dtype=int)
-    mid = 0.5 * (a + b)
-    seg = np.searchsorted(split_t, mid) if len(split_t) else np.zeros(len(a), dtype=int)
-    return a, b, parent, seg, split_t
-
-
-def _basis_matrix(grid: RadialGrid, interp: SegmentedInterp, a, b, seg):
-    """GL points per sub-cell and the sparse basis matrix (points x nodes)."""
-    xg, wg = GL_CELL
-    G = len(xg)
-    thg = ((a + b) / 2)[:, None] + ((b - a) / 2)[:, None] * xg[None, :]
-    wgt = ((b - a) / 2)[:, None] * wg[None, :]
-    segq = np.repeat(seg, G)
-    idx, bw = interp.plan(thg.ravel(), segq)
-    width = idx.shape[-1]
-    B = csr_matrix((bw.ravel(),
-                    (np.repeat(np.arange(thg.size), width), idx.ravel())),
+    th, r = grid.theta_nodes, grid.nodes
+    split_t = [math.atan(s) for s in splits_r]
+    lo, hi, cell = _refine(th, c0, c1, split_t)
+    thg, wg = _gl(lo, hi, GL_CELL)
+    seg = np.repeat(interp.segment_of(0.5 * (lo + hi)), GL_CELL[0].size)
+    cell = np.repeat(cell, GL_CELL[0].size)
+    thg, wg = thg.ravel(), wg.ravel()
+    head = adjoint and c0 == 0
+    if head:
+        th_h, w_h = _gl(np.zeros(1), th[:1], GL_EDGE)
+        thg, wg = np.concatenate([th_h[0], thg]), np.concatenate([w_h[0], wg])
+        seg = np.concatenate([np.zeros(GL_EDGE[0].size, dtype=int), seg])
+        cell = np.concatenate([np.full(GL_EDGE[0].size, -1), cell])
+    tg = np.tan(thg)
+    base = (tg ** (d - k - 1) if adjoint else tg) * (1.0 + tg * tg) * wg
+    idx, bw = interp.plan(thg, seg)
+    B = csr_matrix((bw.ravel(), (np.repeat(np.arange(thg.size), idx.shape[1]), idx.ravel())),
                    shape=(thg.size, grid.n))
-    return thg, wgt, B
+
+    lo, hi, cell_r = _refine(r, c0, c1, splits_r)
+    rows = cell_r + 1 if adjoint else cell_r
+    if head:
+        # row 0: [r_0/2, r_0] in s here, [0, r_0/2] in w directly below
+        lo, hi = np.concatenate([[r[0] / 2], lo]), np.concatenate([[r[0]], hi])
+        rows = np.concatenate([[0], rows])
+    ri = r[rows]
+    sign = -1.0 if adjoint else 1.0
+    s_lo = np.sqrt(np.maximum(sign * (lo * lo - ri * ri), 0.0))
+    s_hi = np.sqrt(np.maximum(sign * (hi * hi - ri * ri), 0.0))
+    if adjoint:
+        s_lo, s_hi = s_hi, s_lo
+    sg, wsg = _gl(s_lo, s_hi, GL_EDGE)
+    xq = np.sqrt(np.maximum((ri * ri)[:, None] + sign * sg * sg, 1e-300))
+    wts = wsg * sg ** (k - 1) * (xq ** (d - k - 2) if adjoint else 1.0)
+    thq = np.arctan(xq)
+    segq = np.repeat(interp.segment_of(np.arctan(0.5 * (lo + hi))), GL_EDGE[0].size)
+    rows = np.repeat(rows, GL_EDGE[0].size)
+    thq, wts = thq.ravel(), wts.ravel()
+    if head:
+        wq, wgt = _gl(np.zeros(1), r[:1] / 2, GL_EDGE)
+        wq, wgt = wq[0], wgt[0]
+        w0 = kernel_power(np.maximum(r[0] ** 2 - wq * wq, 1e-300), k) * wq ** (d - k - 1) * wgt
+        thq, wts = np.concatenate([thq, np.arctan(wq)]), np.concatenate([wts, w0])
+        segq = np.concatenate([segq, np.zeros(wq.size, dtype=int)])
+        rows = np.concatenate([rows, np.zeros(wq.size, dtype=int)])
+    eidx, ebw = interp.plan(thq, segq)
+    return {"t2": tg * tg, "base": base, "cell": cell, "B": B,
+            "rows": rows, "idx": eidx, "w": wts[:, None] * ebw}
+
+
+def _accumulate(out: np.ndarray, row0: int, cols: np.ndarray, grid: RadialGrid,
+                k: int, quad: dict, adjoint: bool) -> None:
+    """out[i - row0, j] += operator row i at node cols[j], integrated by `quad`
+    (interior points sorted by cell).
+
+    Forward row i integrates the interior cells c >= i+1, adjoint row i the
+    cells c <= i-2; the edge triplets supply the cell at each row's kernel edge.
+    """
+    rows = np.arange(row0, row0 + out.shape[0])
+    cell, base = quad["cell"], quad["base"]
+    B = quad["B"][:, cols]
+    if k == 2:
+        # the kernel is 1: rows are prefix (adjoint) or suffix (forward) sums
+        # of per-cell integrals, one O(n^2) pass with no kernel and no matmul
+        cells, inv = np.unique(cell, return_inverse=True)
+        P = np.zeros((cells.size + 1, cols.size))
+        agg = csr_matrix((base, (inv, np.arange(base.size))), shape=(cells.size, base.size))
+        (agg @ B).toarray(out=P[:-1])
+        if adjoint:
+            np.cumsum(P[:-1], axis=0, out=P[:-1])
+            pick = np.searchsorted(cells, rows - 2, side="right") - 1
+        else:
+            np.cumsum(P[-2::-1], axis=0, out=P[-2::-1])
+            pick = np.searchsorted(cells, rows + 1)
+        out += P[pick]
+    else:
+        r2 = grid.nodes[rows] ** 2
+        t2 = quad["t2"]
+        block = max(16, int(2e7 // max(t2.size, 1)))
+        for i0 in range(0, rows.size, block):
+            sl = slice(i0, i0 + block)
+            rs = rows[sl, None]
+            # skip the points that no row of the block sees
+            if adjoint:
+                p = slice(0, np.searchsorted(cell, rs[-1, 0] - 2, side="right"))
+                ker = r2[sl, None] - t2[None, p]
+                unseen = cell[None, p] > rs - 2
+            else:
+                p = slice(np.searchsorted(cell, rs[0, 0] + 1), None)
+                ker = t2[None, p] - r2[sl, None]
+                unseen = cell[None, p] < rs + 1
+            np.maximum(ker, 1e-300, out=ker)
+            A = kernel_power(ker, k)
+            A *= base[p]
+            A[unseen] = 0.0
+            out[sl] += A @ B[p]
+    np.add.at(out, (quad["rows"][:, None] - row0, np.searchsorted(cols, quad["idx"])),
+              quad["w"])
+
+
+def _assemble(grid: RadialGrid, k: int, d: int, degree: int, adjoint: bool) -> np.ndarray:
+    """Dense operator matrix without splits (adjoint rows scaled by r^{2-d})."""
+    n = grid.n
+    M = _dense(n)
+    interp = SegmentedInterp(grid.theta_nodes, grid.h, degree=degree)
+    quad = _quadrature(grid, k, d, interp, 0, n - 2, (), adjoint)
+    _accumulate(M, 0, np.arange(n), grid, k, quad, adjoint)
+    if adjoint:
+        M *= (grid.nodes ** (2.0 - d))[:, None]
+    return M
+
+
+def _split_correction(grid: RadialGrid, k: int, d: int, splits_r, degree: int,
+                      adjoint: bool) -> list:
+    """Blocks (row0, cols, C): the operator of a profile with splits `splits_r`
+    is M0 plus C on rows row0.. and columns cols of each block.
+
+    A split moves the stencils of the GL points within `degree` cells of its
+    own (the stencil spans degree + 1 nodes) and refines that cell, so each
+    block integrates one cluster of such windows with the splits, minus the
+    same cells without them.
+    """
+    n, th = grid.n, grid.theta_nodes
+    split_t = sorted(math.atan(s) for s in splits_r if th[0] < math.atan(s) < th[-1])
+    if not split_t:
+        return []
+    with_splits = SegmentedInterp(th, grid.h, split_t, degree=degree)
+    plain = SegmentedInterp(th, grid.h, degree=degree)
+    clusters = []
+    for c in np.searchsorted(th, split_t) - 1:
+        lo, hi = max(c - degree, 0), min(c + degree, n - 2)
+        if clusters and lo <= clusters[-1][1] + 1:
+            clusters[-1][1] = hi
+        else:
+            clusters.append([lo, hi])
+    blocks = []
+    for c0, c1 in clusters:
+        q_split = _quadrature(grid, k, d, with_splits, c0, c1, splits_r, adjoint)
+        q_plain = _quadrature(grid, k, d, plain, c0, c1, (), adjoint)
+        q_plain["base"], q_plain["w"] = -q_plain["base"], -q_plain["w"]
+        diff = {key: (vstack if key == "B" else np.concatenate)([q_split[key], q_plain[key]])
+                for key in q_split}
+        order = np.argsort(diff["cell"], kind="stable")
+        for key in ("t2", "base", "cell", "B"):
+            diff[key] = diff[key][order]
+        cols = np.unique(np.concatenate([diff["B"].indices, diff["idx"].ravel()]))
+        row0, row1 = ((0 if c0 == 0 else c0 + 1), n) if adjoint else (0, c1 + 1)
+        C = np.zeros((row1 - row0, cols.size))
+        _accumulate(C, row0, cols, grid, k, diff, adjoint)
+        if adjoint:
+            C *= (grid.nodes[row0:row1] ** (2.0 - d))[:, None]
+        blocks.append((row0, cols, C))
+    return blocks
+
+
+def _apply(M: np.ndarray, f: RadialProfile, k: int, d: int, adjoint: bool) -> np.ndarray:
+    """M0 f plus the split correction of f's splits."""
+    out = M @ f.values
+    for row0, cols, C in _split_correction(f.grid, k, d, f.splits,
+                                           _quad.INTERP_DEGREE, adjoint):
+        out[row0:row0 + C.shape[0]] += C @ f.values[cols]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -132,108 +305,20 @@ def _tail_rows(grid: RadialGrid, k: int, shift: int = 0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # forward operator
 
-def _edge_cells_forward(grid: RadialGrid, k: int, interp: SegmentedInterp,
-                        splits_r: tuple[float, ...]):
-    """Per-row contribution of the first cell [r_i, r_{i+1}] via s = sqrt(u^2-r_i^2).
-
-    Returns (rows, idx, contrib) triplets to scatter into the matrix.
-    """
-    r = grid.nodes
-    n = grid.n
-    xs, ws = GL_EDGE
-    pieces = []   # (row, w_lo, w_hi)
-    inner_splits = [s for s in splits_r if r[0] < s < r[-1]]
-    for i in range(n - 1):
-        cuts = [s for s in inner_splits if r[i] < s < r[i + 1]]
-        bounds = [r[i]] + cuts + [r[i + 1]]
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            pieces.append((i, a, b))
-    rows = np.asarray([p[0] for p in pieces], dtype=int)
-    wlo = np.asarray([p[1] for p in pieces])
-    whi = np.asarray([p[2] for p in pieces])
-    ri = r[rows]
-    slo = np.sqrt(np.maximum(wlo * wlo - ri * ri, 0.0))
-    shi = np.sqrt(np.maximum(whi * whi - ri * ri, 0.0))
-    sg = ((slo + shi) / 2)[:, None] + ((shi - slo) / 2)[:, None] * xs[None, :]
-    wsg = ((shi - slo) / 2)[:, None] * ws[None, :]
-    ug = np.sqrt((ri * ri)[:, None] + sg * sg)
-    thq = np.arctan(ug)
-    segq = interp.segment_of(np.arctan(0.5 * (wlo + whi)))
-    idx, bw = interp.plan(thq.ravel(), np.repeat(segq, len(xs)))
-    contrib = (wsg * sg ** (k - 1)).ravel()[:, None] * bw
-    return np.repeat(rows, len(xs)), idx, contrib
-
-
-def _build_forward(grid: RadialGrid, k: int, splits_r: tuple[float, ...],
-                   degree: int) -> dict:
-    key = ("fwd", grid.fingerprint(), k, _split_key(splits_r), degree)
-    hit = _cache_get(key)
-    if hit is not None:
-        return hit
-    n = grid.n
-    r = grid.nodes
-    split_t = tuple(math.atan(s) for s in splits_r)
-    interp = SegmentedInterp(grid.theta_nodes, grid.h, split_t, degree=degree)
-    a, b, parent, seg, _ = _subdivided_cells(grid, splits_r)
-    thg, wgt, B = _basis_matrix(grid, interp, a, b, seg)
-    tg = np.tan(thg)
-    sec2 = 1.0 + tg * tg
-    base = (tg * sec2 * wgt).ravel()
-    t2 = (tg * tg).ravel()
-    cellof = np.repeat(parent, thg.shape[1])
-    M = np.zeros((n, n))
-    block = max(1, min(n, int(2e7 // max(base.size, 1)) or 1))
-    block = max(block, 16)
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        rr = r[i0:i1]
-        ker = t2[None, :] - (rr * rr)[:, None]
-        np.maximum(ker, 1e-300, out=ker)
-        A2 = kernel_power(ker, k) * base[None, :]
-        mask = cellof[None, :] >= (np.arange(i0, i1) + 1)[:, None]
-        A2[~mask] = 0.0
-        M[i0:i1] = A2 @ B
-    rows, idx, contrib = _edge_cells_forward(grid, k, interp, splits_r)
-    for jj in range(idx.shape[-1]):
-        np.add.at(M, (rows, idx[:, jj]), contrib[:, jj])
-    tail3 = None
-    tail3_alt = None
+def _assemble_forward(grid: RadialGrid, k: int, degree: int) -> dict:
+    M = _assemble(grid, k, 0, degree, adjoint=False)
+    tail3 = tail3_alt = None
     if grid.halfline:
         tail3 = _tail_rows(grid, k, shift=0)
         tail3_alt = _tail_rows(grid, k, shift=3)
         M[:, -3:] += tail3
-    out = {"M": M, "tail3": tail3, "tail3_alt": tail3_alt}
-    _cache_put(key, out)
-    return out
+    return {"M": M, "tail3": tail3, "tail3_alt": tail3_alt}
 
 
-def _apply_forward_k2(grid: RadialGrid, values: np.ndarray,
-                      splits_r: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """k = 2 fast path: the kernel (u^2-r^2)^0 u du is row-independent, so the
-    interior reduces to suffix sums of per-cell integrals."""
-    n = grid.n
-    r = grid.nodes
-    split_t = tuple(math.atan(s) for s in splits_r)
-    interp = SegmentedInterp(grid.theta_nodes, grid.h, split_t)
-    a, b, parent, seg, _ = _subdivided_cells(grid, splits_r)
-    thg, wgt, B = _basis_matrix(grid, interp, a, b, seg)
-    tg = np.tan(thg)
-    Fg = (B @ values).reshape(thg.shape)
-    cellint = (Fg * tg * (1 + tg * tg) * wgt).sum(axis=1)
-    by_parent = np.zeros(n - 1)
-    np.add.at(by_parent, parent, cellint)
-    suffix = np.concatenate([np.cumsum(by_parent[::-1])[::-1], [0.0]])
-    out = np.zeros(n)
-    out[:n - 1] = suffix[1:n]
-    rows, idx, contrib = _edge_cells_forward(grid, 2, interp, splits_r)
-    vals_at = (contrib * values[idx]).sum(axis=1)
-    np.add.at(out, rows, vals_at)
-    tail3 = tail3_alt = None
-    if grid.halfline:
-        tail3 = _tail_rows(grid, 2, shift=0)
-        tail3_alt = _tail_rows(grid, 2, shift=3)
-        out += tail3 @ values[-3:]
-    return out, tail3, tail3_alt
+def _forward_matrix(grid: RadialGrid, k: int, degree: int) -> dict:
+    """Memoized M0 of (grid, k, degree) with the tail-model rows it contains."""
+    return _cached(("fwd", grid.fingerprint(), k, degree),
+                   lambda: _assemble_forward(grid, k, degree))
 
 
 def _tail_metadata(values: np.ndarray, out: np.ndarray, tail3, tail3_alt,
@@ -265,13 +350,9 @@ def apply_T(params: Params, f: RadialProfile) -> RadialProfile:
         out = apply_T_indicator(params, F, f.grid)
         return out.scaled(amp) if amp != 1.0 else out
     grid = f.grid
-    if k == 2:
-        out, tail3, tail3_alt = _apply_forward_k2(grid, f.values, f.splits)
-    else:
-        built = _build_forward(grid, k, f.splits, _quad.INTERP_DEGREE)
-        out = built["M"] @ f.values
-        tail3, tail3_alt = built["tail3"], built["tail3_alt"]
-    meta = _tail_metadata(f.values, out, tail3, tail3_alt, grid.halfline)
+    built = _forward_matrix(grid, k, _quad.INTERP_DEGREE)
+    out = _apply(built["M"], f, k, 0, adjoint=False)
+    meta = _tail_metadata(f.values, out, built["tail3"], built["tail3_alt"], grid.halfline)
     if not grid.halfline:
         # tails beyond r_max are dropped by design; estimate what was lost
         t_est = _tail_rows(grid, k, shift=0)[0] @ f.values[-3:]
@@ -303,95 +384,10 @@ def apply_T_indicator(params: Params, F: IntervalSet,
 # ---------------------------------------------------------------------------
 # adjoint
 
-def _build_adjoint(grid: RadialGrid, k: int, d: int, splits_r: tuple[float, ...],
-                   degree: int) -> np.ndarray:
-    key = ("adj", grid.fingerprint(), k, d, _split_key(splits_r), degree)
-    hit = _cache_get(key)
-    if hit is not None:
-        return hit
-    n = grid.n
-    r = grid.nodes
-    th = grid.theta_nodes
-    split_t = tuple(math.atan(s) for s in splits_r)
-    interp = SegmentedInterp(th, grid.h, split_t, degree=degree)
-    a, b, parent, seg, _ = _subdivided_cells(grid, splits_r)
-    thg, wgt, B = _basis_matrix(grid, interp, a, b, seg)
-    tg = np.tan(thg)
-    sec2 = 1.0 + tg * tg
-    base = (tg ** (d - k - 1) * sec2 * wgt).ravel()
-    t2 = (tg * tg).ravel()
-    cellof = np.repeat(parent, thg.shape[1])
-    M = np.zeros((n, n))
-    block = max(16, min(n, int(2e7 // max(base.size, 1)) or 16))
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        rr = r[i0:i1]
-        ker = (rr * rr)[:, None] - t2[None, :]
-        np.maximum(ker, 1e-300, out=ker)
-        A2 = kernel_power(ker, k) * base[None, :]
-        # row i integrates w < r_{i-1}: grid cells with parent <= i-2
-        mask = cellof[None, :] <= (np.arange(i0, i1) - 2)[:, None]
-        A2[~mask] = 0.0
-        M[i0:i1] = A2 @ B
-    # edge cell [r_{i-1}, r_i] per row i >= 1: w = sqrt(r_i^2 - s^2)
-    xs, ws = GL_EDGE
-    inner_splits = [s for s in splits_r if r[0] < s < r[-1]]
-    pieces = []
-    for i in range(1, n):
-        cuts = [s for s in inner_splits if r[i - 1] < s < r[i]]
-        bounds = [r[i - 1]] + cuts + [r[i]]
-        for wa, wb in zip(bounds[:-1], bounds[1:]):
-            pieces.append((i, wa, wb))
-    rows = np.asarray([p[0] for p in pieces], dtype=int)
-    wlo = np.asarray([p[1] for p in pieces])
-    whi = np.asarray([p[2] for p in pieces])
-    ri = r[rows]
-    slo = np.sqrt(np.maximum(ri * ri - whi * whi, 0.0))
-    shi = np.sqrt(np.maximum(ri * ri - wlo * wlo, 0.0))
-    sg = ((slo + shi) / 2)[:, None] + ((shi - slo) / 2)[:, None] * xs[None, :]
-    wsg = ((shi - slo) / 2)[:, None] * ws[None, :]
-    wq = np.sqrt(np.maximum((ri * ri)[:, None] - sg * sg, 1e-300))
-    segq = interp.segment_of(np.arctan(0.5 * (wlo + whi)))
-    idx, bw = interp.plan(np.arctan(wq).ravel(), np.repeat(segq, len(xs)))
-    contrib = (wsg * sg ** (k - 1) * wq ** (d - k - 2)).ravel()[:, None] * bw
-    rowrep = np.repeat(rows, len(xs))
-    for jj in range(idx.shape[-1]):
-        np.add.at(M, (rowrep, idx[:, jj]), contrib[:, jj])
-    # head strip [0, theta_1] for rows i >= 1 (regular there; s-cell covers the edge)
-    xh, wh = GL_EDGE
-    t0 = th[0]
-    tgh = (t0 / 2) * (xh + 1.0)
-    wgh = (t0 / 2) * wh
-    tq = np.tan(tgh)
-    idxh, bwh = interp.plan(tgh, np.zeros(len(xh), dtype=int))
-    for i in range(1, n):
-        ker = np.maximum(r[i] ** 2 - tq * tq, 1e-300)
-        con = (kernel_power(ker, k) * tq ** (d - k - 1) * (1 + tq * tq) * wgh)[:, None] * bwh
-        for jj in range(idxh.shape[-1]):
-            np.add.at(M, (np.full(len(xh), i), idxh[:, jj]), con[:, jj])
-    # row 0: whole range [0, r_0]; split at r_0/2, s-substitution on the outer part
-    mid0 = r[0] / 2
-    tgm = np.arctan(mid0 / 2 * (xh + 1.0))
-    # left part [0, mid0] in w directly
-    wq0 = mid0 / 2 * (xh + 1.0)
-    wgt0 = mid0 / 2 * wh
-    ker = np.maximum(r[0] ** 2 - wq0 * wq0, 1e-300)
-    idx0, bw0 = interp.plan(np.arctan(wq0), np.zeros(len(xh), dtype=int))
-    con = (kernel_power(ker, k) * wq0 ** (d - k - 1) * wgt0)[:, None] * bw0
-    for jj in range(idx0.shape[-1]):
-        np.add.at(M, (np.full(len(xh), 0), idx0[:, jj]), con[:, jj])
-    # outer part [mid0, r_0] via s
-    shi0 = math.sqrt(max(r[0] ** 2 - mid0 * mid0, 0.0))
-    sg0 = shi0 / 2 * (xh + 1.0)
-    wsg0 = shi0 / 2 * wh
-    wq1 = np.sqrt(np.maximum(r[0] ** 2 - sg0 * sg0, 1e-300))
-    idx1, bw1 = interp.plan(np.arctan(wq1), np.zeros(len(xh), dtype=int))
-    con = (wsg0 * sg0 ** (k - 1) * wq1 ** (d - k - 2))[:, None] * bw1
-    for jj in range(idx1.shape[-1]):
-        np.add.at(M, (np.full(len(xh), 0), idx1[:, jj]), con[:, jj])
-    M *= (r ** (2.0 - d))[:, None]
-    _cache_put(key, M)
-    return M
+def _adjoint_matrix(grid: RadialGrid, k: int, d: int, degree: int) -> np.ndarray:
+    """Memoized adjoint M0 of (grid, k, d, degree)."""
+    return _cached(("adj", grid.fingerprint(), k, d, degree),
+                   lambda: _assemble(grid, k, d, degree, adjoint=True))
 
 
 def apply_T_adjoint(params: Params, g: RadialProfile) -> RadialProfile:
@@ -405,8 +401,8 @@ def apply_T_adjoint(params: Params, g: RadialProfile) -> RadialProfile:
     if g.indicator is not None:
         F, amp = g.indicator
         return _adjoint_indicator(params, F, grid).scaled(amp)
-    M = _build_adjoint(grid, k, d, g.splits, _quad.INTERP_DEGREE)
-    out = M @ g.values
+    M = _adjoint_matrix(grid, k, d, _quad.INTERP_DEGREE)
+    out = _apply(M, g, k, d, adjoint=True)
     if g.nonnegative:
         out = np.maximum(out, 0.0)
     return RadialProfile(grid, out)
@@ -463,7 +459,7 @@ def discretize_T_R(params: Params, R: float, n: int) -> OperatorMatrix:
     if n < 16:
         raise ParameterError(f"need n >= 16, got {n}")
     grid = make_grid(n, R)
-    built = _build_forward(grid, params.k, (), degree=1)
+    built = _forward_matrix(grid, params.k, degree=1)
     M = np.maximum(built["M"], 0.0)
     return OperatorMatrix(entries=M, R=float(R), grid=grid, params=params)
 

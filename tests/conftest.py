@@ -24,3 +24,12 @@ def smooth_decaying(params, grid, rng, n_terms=3, decay_boost=0):
     vals = sum(ci * li ** params.scale_exp_f * (1 + (li * grid.nodes) ** 2) ** (-power)
                for ci, li in zip(c, lam))
     return K.RadialProfile(grid, vals)
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """An empty operator cache for one test; the shared cache is restored after."""
+    from collections import OrderedDict
+    from kplane import transform
+    monkeypatch.setattr(transform, "_MATRIX_CACHE", OrderedDict())
+    return transform

@@ -33,6 +33,14 @@ class TestTransformCommand:
     def test_missing_required_flag_exits_2(self):
         assert run(["constant", "--k", "1", "--d", "2"]) == 2
 
+    def test_grid_over_dense_budget_exits_2(self, fresh_cache, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(fresh_cache, "DENSE_BUDGET_BYTES", 8 * 512 * 512)
+        code = run(["transform", "--k", "1", "--d", "3", "--preset", "extremizer",
+                    "--grid-n", "1024", "--out", str(tmp_path / "tf.csv")])
+        assert code == 2
+        assert "budget" in capsys.readouterr().err
+        assert not (tmp_path / "tf.csv").exists()
+
 
 class TestConstantCommand:
     def test_b24(self, capsys):

@@ -219,3 +219,54 @@ class TestEquicontinuity:
         params = K.make_params(k, 4)
         vals = [K.equicontinuity_modulus(params, 1.0, h) for h in (1e-1, 1e-2, 1e-3)]
         assert vals[0] > vals[1] > vals[2] > 0
+
+
+class TestOperatorCache:
+    def test_concurrent_cold_callers_build_once(self, fresh_cache, monkeypatch):
+        import sys
+        import threading
+        import time
+        T = fresh_cache
+        builds = []
+        assemble = T._assemble_forward
+
+        def slow_assemble(grid, k, degree):
+            builds.append((grid.n, k, degree))
+            time.sleep(0.05)   # hold the build open while the others arrive
+            return assemble(grid, k, degree)
+
+        monkeypatch.setattr(T, "_assemble_forward", slow_assemble)
+        params = K.make_params(1, 3)
+        f = K.extremizer_profile(params, 1.0, K.make_halfline_grid(256))
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def worker(i):
+            barrier.wait(timeout=30)
+            results[i] = K.apply_T(params, f).values
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert builds == [(256, 1, T._quad.INTERP_DEGREE)]
+        assert all(np.array_equal(v, results[0]) for v in results)
+
+    def test_dense_size_guard_refuses_before_building(self, fresh_cache, monkeypatch):
+        T = fresh_cache
+        monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", 8 * 100 * 100)
+        params = K.make_params(1, 3)
+        f = K.extremizer_profile(params, 1.0, K.make_halfline_grid(101))
+        with pytest.raises(K.ConfigurationError, match="budget"):
+            K.apply_T(params, f)
+        with pytest.raises(K.ConfigurationError, match="budget"):
+            K.apply_T_adjoint(params, f)
+        small = K.extremizer_profile(params, 1.0, K.make_halfline_grid(100))
+        assert K.apply_T(params, small).values.shape == (100,)
