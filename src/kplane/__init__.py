@@ -1,6 +1,17 @@
 """Radial k-plane transform: the sharp L^p -> L^q inequality, extremizers,
 and numerical verifiers for its quantitative bounds."""
 
+import os as _os
+
+__version__ = "0.1.0"
+
+# KPLANE_THREADS caps the BLAS/OpenMP thread pools. Those libraries read their
+# variables once, when numpy loads, so the cap is set here, before this
+# package imports numpy; a variable the caller set explicitly wins.
+if _os.environ.get("KPLANE_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, _os.environ["KPLANE_THREADS"])
+
 from .core import (ConfigurationError, DataError, DomainError, IntervalSet,
                    IterationAnomalyError, KplaneError, NumericalError,
                    ParameterError, Params, PreconditionError, RadialGrid,
@@ -20,5 +31,3 @@ from .cc import (TrichotomyReport, classify_trichotomy, concentration_function,
 from .verify import (BoundReport, check_compactness, check_concentration_k1,
                      check_concentration_k2, check_slide_monotonicity,
                      check_superadditivity, check_truncation_pipeline, run_suite)
-
-__version__ = "0.1.0"

@@ -151,14 +151,14 @@ def strip_extrapolation_integral(theta3: np.ndarray, g_last3: np.ndarray) -> flo
     return float(a * i0 + b * i1 + c * i2)
 
 
-def kernel_power(x: np.ndarray, k: int) -> np.ndarray:
-    """(x)^{k/2-1} with the small integer cases short-circuited."""
+def scaled_kernel_power(x: np.ndarray, k: int, scale) -> np.ndarray:
+    """x <- scale * x^{k/2-1} in place, with no temporaries (scale broadcasts);
+    the small integer k are short-circuited."""
     if k == 1:
-        return 1.0 / np.sqrt(x)
-    if k == 2:
-        return np.ones_like(x)
+        np.sqrt(x, out=x)
+        return np.divide(scale, x, out=x)
     if k == 3:
-        return np.sqrt(x)
-    if k == 4:
-        return x
-    return x ** (k / 2.0 - 1.0)
+        np.sqrt(x, out=x)
+    elif k != 4:
+        np.power(x, k / 2.0 - 1.0, out=x)
+    return np.multiply(x, scale, out=x)

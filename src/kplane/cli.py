@@ -9,18 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-__version__ = "0.1.0"
-
-
-def _limit_threads():
-    """KPLANE_THREADS caps BLAS/OpenMP pools (best effort, set before use)."""
-    cap = os.environ.get("KPLANE_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
+from . import __version__
 
 
 def _header_meta(args, grid_n, extra=None) -> dict:
@@ -300,7 +291,6 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    _limit_threads()
     ap = _build_parser()
     try:
         args = ap.parse_args(argv)

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.sparse import csr_matrix, vstack
 
 from . import _quad
-from ._quad import GL_CELL, GL_EDGE, GL_TAIL, SegmentedInterp, kernel_power
+from ._quad import GL_CELL, GL_EDGE, GL_TAIL, SegmentedInterp, scaled_kernel_power
 from .core import (ConfigurationError, IntervalSet, NumericalError, ParameterError,
                    Params, RadialGrid, RadialProfile, make_grid,
                    weighted_signed_integral)
@@ -43,14 +43,26 @@ from .core import (ConfigurationError, IntervalSet, NumericalError, ParameterErr
 _TAIL_TOL = 1e-6
 #: largest dense operator matrix, in bytes, that a build may allocate
 DENSE_BUDGET_BYTES = 2 * 1024 ** 3
+#: tile of the transposed kernel matrix: rows x GL points (4 MiB, cache-sized)
+_TILE_ROWS, _TILE_POINTS = 256, 2048
 _MATRIX_CACHE: OrderedDict = OrderedDict()
-_MATRIX_CACHE_MAX = 6
 _CACHE_LOCK = threading.Lock()
 _BUILD_LOCKS: dict = {}
 
 
+def _nbytes(value) -> int:
+    """Bytes held by a cached operator: a matrix, or a dict of matrices."""
+    if isinstance(value, dict):
+        return sum(v.nbytes for v in value.values() if v is not None)
+    return value.nbytes
+
+
 def _cached(key, build):
-    """Memoized build(); concurrent callers with one key wait for one build."""
+    """Memoized build(); concurrent callers with one key wait for one build.
+
+    Least recently used entries are evicted while the cache holds more than
+    DENSE_BUDGET_BYTES, except the entry just built.
+    """
     with _CACHE_LOCK:
         if key in _MATRIX_CACHE:
             _MATRIX_CACHE.move_to_end(key)
@@ -63,8 +75,9 @@ def _cached(key, build):
         value = build()
         with _CACHE_LOCK:
             _MATRIX_CACHE[key] = value
-            while len(_MATRIX_CACHE) > _MATRIX_CACHE_MAX:
-                _MATRIX_CACHE.popitem(last=False)
+            held = sum(_nbytes(v) for v in _MATRIX_CACHE.values())
+            while held > DENSE_BUDGET_BYTES and len(_MATRIX_CACHE) > 1:
+                held -= _nbytes(_MATRIX_CACHE.popitem(last=False)[1])
             _BUILD_LOCKS.pop(key, None)
     return value
 
@@ -148,7 +161,8 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
     if head:
         wq, wgt = _gl(np.zeros(1), r[:1] / 2, GL_EDGE)
         wq, wgt = wq[0], wgt[0]
-        w0 = kernel_power(np.maximum(r[0] ** 2 - wq * wq, 1e-300), k) * wq ** (d - k - 1) * wgt
+        w0 = scaled_kernel_power(np.maximum(r[0] ** 2 - wq * wq, 1e-300), k,
+                                 wq ** (d - k - 1) * wgt)
         thq, wts = np.concatenate([thq, np.arctan(wq)]), np.concatenate([wts, w0])
         segq = np.concatenate([segq, np.zeros(wq.size, dtype=int)])
         rows = np.concatenate([rows, np.zeros(wq.size, dtype=int)])
@@ -159,8 +173,8 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
 
 def _accumulate(out: np.ndarray, row0: int, cols: np.ndarray, grid: RadialGrid,
                 k: int, quad: dict, adjoint: bool) -> None:
-    """out[i - row0, j] += operator row i at node cols[j], integrated by `quad`
-    (interior points sorted by cell).
+    """out[i - row0, j] = operator row i at node cols[j], integrated by `quad`
+    (interior points sorted by cell); `out` is zero on entry.
 
     Forward row i integrates the interior cells c >= i+1, adjoint row i the
     cells c <= i-2; the edge triplets supply the cell at each row's kernel edge.
@@ -169,40 +183,63 @@ def _accumulate(out: np.ndarray, row0: int, cols: np.ndarray, grid: RadialGrid,
     cell, base = quad["cell"], quad["base"]
     B = quad["B"][:, cols]
     if k == 2:
-        # the kernel is 1: rows are prefix (adjoint) or suffix (forward) sums
-        # of per-cell integrals, one O(n^2) pass with no kernel and no matmul
-        cells, inv = np.unique(cell, return_inverse=True)
-        P = np.zeros((cells.size + 1, cols.size))
-        agg = csr_matrix((base, (inv, np.arange(base.size))), shape=(cells.size, base.size))
-        (agg @ B).toarray(out=P[:-1])
+        # the kernel is 1: rows are suffix (forward) or prefix (adjoint) sums
+        # of per-cell integrals. Each point's term enters out at the first
+        # row of the sum that sees it, then one in-place cumulative sum runs
+        # over the rows: an O(n^2) pass with no kernel and no n x n temporary.
+        last = row0 + out.shape[0] - 1
         if adjoint:
-            np.cumsum(P[:-1], axis=0, out=P[:-1])
-            pick = np.searchsorted(cells, rows - 2, side="right") - 1
+            keep = cell + 2 <= last
+            enter = np.maximum(cell[keep] + 2, row0) - row0
         else:
-            np.cumsum(P[-2::-1], axis=0, out=P[-2::-1])
-            pick = np.searchsorted(cells, rows + 1)
-        out += P[pick]
+            keep = cell - 1 >= row0
+            enter = np.minimum(cell[keep] - 1, last) - row0
+        E = csr_matrix((base[keep], (enter, np.flatnonzero(keep))),
+                       shape=(out.shape[0], base.size)) @ B
+        E.toarray(out=out)
+        acc = out if adjoint else out[::-1]
+        np.cumsum(acc, axis=0, out=acc)
     else:
-        r2 = grid.nodes[rows] ** 2
-        t2 = quad["t2"]
-        block = max(16, int(2e7 // max(t2.size, 1)))
-        for i0 in range(0, rows.size, block):
-            sl = slice(i0, i0 + block)
-            rs = rows[sl, None]
-            # skip the points that no row of the block sees
+        # A^T (points x rows), A^T[j, i] = base_j |t_j^2 - r_i^2|^{k/2-1}, is
+        # evaluated in place one cache-sized tile at a time. Each chunk of
+        # points keeps the CSC of its stencil columns, so a tile's share of
+        # out is the CSC product B_chunk^T A^T, which streams A^T's rows.
+        t2, r2 = quad["t2"], grid.nodes[rows] ** 2
+        if adjoint:
+            t2, r2 = -t2, -r2
+        chunks = []
+        for q0 in range(0, t2.size, _TILE_POINTS):
+            Bq = B[q0:q0 + _TILE_POINTS]
+            c0, c1 = Bq.indices.min(), Bq.indices.max() + 1
+            chunks.append((q0, q0 + Bq.shape[0], c0, c1, Bq[:, c0:c1].T))
+        buf = np.empty(_TILE_ROWS * _TILE_POINTS)
+        for i0 in range(0, rows.size, _TILE_ROWS):
+            rs = rows[i0:i0 + _TILE_ROWS]
+            # some row of the block sees points [p0, p1), not all of them [s0, s1)
             if adjoint:
-                p = slice(0, np.searchsorted(cell, rs[-1, 0] - 2, side="right"))
-                ker = r2[sl, None] - t2[None, p]
-                unseen = cell[None, p] > rs - 2
+                p0, p1 = 0, np.searchsorted(cell, rs[-1] - 2, side="right")
+                s0, s1 = np.searchsorted(cell, rs[0] - 2, side="right"), p1
             else:
-                p = slice(np.searchsorted(cell, rs[0, 0] + 1), None)
-                ker = t2[None, p] - r2[sl, None]
-                unseen = cell[None, p] < rs + 1
-            np.maximum(ker, 1e-300, out=ker)
-            A = kernel_power(ker, k)
-            A *= base[p]
-            A[unseen] = 0.0
-            out[sl] += A @ B[p]
+                p0, p1 = np.searchsorted(cell, rs[0] + 1), cell.size
+                s0, s1 = p0, np.searchsorted(cell, rs[-1], side="right")
+            for q0, q1, c0, c1, BqT in chunks:
+                a, b = max(p0, q0), min(p1, q1)
+                if a >= b:
+                    continue
+                At = buf[:(q1 - q0) * rs.size].reshape(q1 - q0, rs.size)
+                At[:a - q0] = 0.0
+                At[b - q0:] = 0.0
+                seen = At[a - q0:b - q0]
+                np.subtract.outer(t2[a:b], r2[i0:i0 + rs.size], out=seen)
+                # t^2 - r^2 <= 0 occurs only in the staircase, and is masked there
+                lo = max(s0, a)
+                hi = max(lo, min(s1, b))
+                stair = At[lo - q0:hi - q0]
+                np.maximum(stair, 1e-300, out=stair)
+                scaled_kernel_power(seen, k, base[a:b, None])
+                unseen = (cell[lo:hi, None] > rs - 2) if adjoint else (cell[lo:hi, None] <= rs)
+                stair[unseen] = 0.0
+                out[i0:i0 + rs.size, c0:c1] += (BqT @ At).T
     np.add.at(out, (quad["rows"][:, None] - row0, np.searchsorted(cols, quad["idx"])),
               quad["w"])
 
@@ -298,7 +335,7 @@ def _tail_rows(grid: RadialGrid, k: int, shift: int = 0) -> np.ndarray:
     du_fac = rn * rn * sec * sec * tan * wc
     gap = rn * rn - r * r
     kerarg = gap[:, None] + (rn * tan)[None, :] ** 2
-    T3 = (kernel_power(kerarg, k) * du_fac[None, :]) @ pw
+    T3 = scaled_kernel_power(kerarg, k, du_fac[None, :]) @ pw
     return T3 @ C
 
 

@@ -142,3 +142,34 @@ class TestVerifyCommand:
         assert code == 0
         assert elapsed < 600.0
         assert (tmp_path / "all.csv").read_text().startswith("name,passed")
+
+
+class TestVersionAndThreads:
+    def test_one_version_everywhere(self, tmp_path, capsys):
+        assert run(["--version"]) == 0
+        assert capsys.readouterr().out.strip() == K.__version__
+        out = tmp_path / "tf.csv"
+        assert run(["transform", "--k", "1", "--d", "3", "--preset", "extremizer",
+                    "--grid-n", "64", "--out", str(out)]) == 0
+        assert K.read_profile_csv(out)[2]["version"] == K.__version__
+
+    @pytest.mark.parametrize("explicit,expected", [(None, "1"), ("2", "2")])
+    def test_kplane_threads_caps_blas_at_import(self, explicit, expected):
+        # the BLAS pools read their variable once, when numpy loads, so the
+        # cap must be in place once `import kplane` has finished
+        import os
+        import pathlib
+        import subprocess
+        import sys
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["KPLANE_THREADS"] = "1"
+        env["PYTHONPATH"] = str(pathlib.Path(K.__file__).parents[1])
+        if explicit is not None:
+            env["OPENBLAS_NUM_THREADS"] = explicit
+        probe = ("import os, sys, kplane; assert 'numpy' in sys.modules; "
+                 "print(os.environ['OPENBLAS_NUM_THREADS'])")
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == expected

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kplane as K
+from kplane._quad import SegmentedInterp
 from kplane.transform import pairing
 
 from conftest import smooth_decaying
@@ -270,3 +271,97 @@ class TestOperatorCache:
             K.apply_T_adjoint(params, f)
         small = K.extremizer_profile(params, 1.0, K.make_halfline_grid(100))
         assert K.apply_T(params, small).values.shape == (100,)
+
+    def test_cache_bounded_by_bytes_in_lru_order(self, fresh_cache, monkeypatch):
+        T = fresh_cache
+        a, b, c, d = (K.make_halfline_grid(n) for n in (100, 110, 120, 130))
+        size = {g.n: T._nbytes(T._assemble_forward(g, 1, 7)) for g in (a, b, c, d)}
+
+        def held():
+            return [key[1] for key in T._MATRIX_CACHE]
+
+        monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", size[100] + size[120])
+        T._forward_matrix(a, 1, 7)
+        T._forward_matrix(b, 1, 7)
+        T._forward_matrix(a, 1, 7)           # a becomes the most recently used
+        assert held() == [b.fingerprint(), a.fingerprint()]
+        T._forward_matrix(c, 1, 7)           # evicts b, the least recently used
+        assert held() == [a.fingerprint(), c.fingerprint()]
+        assert sum(map(T._nbytes, T._MATRIX_CACHE.values())) == size[100] + size[120]
+        monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", size[130])
+        T._forward_matrix(d, 1, 7)           # over budget with anything else held
+        assert held() == [d.fingerprint()]
+        monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", size[130] - 1)
+        T._MATRIX_CACHE.clear()
+        M = T._forward_matrix(d, 1, 7)       # the entry just built is never evicted
+        assert held() == [d.fingerprint()] and T._forward_matrix(d, 1, 7) is M
+
+
+class TestBlockedAssembly:
+    """The tiled assembly against a dense reference, across tile boundaries,
+    and within its memory bound."""
+
+    @staticmethod
+    def _reference(grid, k, d, adjoint):
+        # every row against every GL point with an explicit visibility mask,
+        # one dense matmul with the basis matrix, then the edge triplets
+        T = K.transform
+        q = T._quadrature(grid, k, d, SegmentedInterp(grid.theta_nodes, grid.h),
+                          0, grid.n - 2, (), adjoint)
+        i = np.arange(grid.n)[:, None]
+        cell = q["cell"][None, :]
+        seen = (cell <= i - 2) if adjoint else (cell >= i + 1)
+        x = np.where(seen, np.abs(q["t2"][None, :] - grid.nodes[:, None] ** 2), 1.0)
+        A = np.where(seen, x ** (k / 2 - 1) * q["base"], 0.0)
+        M = A @ q["B"].toarray()
+        np.add.at(M, (q["rows"][:, None], q["idx"]), q["w"])
+        return M, q
+
+    @pytest.mark.parametrize("hint", [float("inf"), 8.0])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_dense_reference(self, k, adjoint, hint):
+        grid = K.make_grid(64, hint)
+        ref, q = self._reference(grid, k, k + 2, adjoint)
+        M = np.zeros((64, 64))
+        K.transform._accumulate(M, 0, np.arange(64), grid, k, q, adjoint)
+        assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_tile_boundaries_do_not_change_the_operator(self, monkeypatch, k, adjoint):
+        T = K.transform
+        grid = K.make_halfline_grid(300)
+        splits = (0.4, 1.7, 1.7001, 6.0)
+
+        def build():
+            # the operator without splits, and with them as one dense matrix
+            plain = T._assemble(grid, k, k + 2, 7, adjoint)
+            split = plain.copy()
+            blocks = T._split_correction(grid, k, k + 2, splits, 7, adjoint)
+            for row0, cols, C in blocks:
+                split[row0:row0 + C.shape[0], cols] += C
+            return plain, split, len(blocks)
+
+        *default, n_blocks = build()
+        assert n_blocks > 1
+        # tiles that end inside a cell and inside a row's staircase
+        monkeypatch.setattr(T, "_TILE_ROWS", 5)
+        monkeypatch.setattr(T, "_TILE_POINTS", 7)
+        for got, want in zip(build()[:2], default):
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_cold_build_peaks_below_twice_the_matrix(self, fresh_cache, k):
+        import tracemalloc
+        T = fresh_cache
+        grid = K.make_halfline_grid(2048)
+        for build in (lambda: T._forward_matrix(grid, k, 7)["M"],
+                      lambda: T._adjoint_matrix(grid, k, k + 2, 7)):
+            tracemalloc.start()
+            try:
+                M = build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * M.nbytes, peak / M.nbytes
