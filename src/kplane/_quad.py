@@ -25,6 +25,12 @@ INTERP_DEGREE = 7
 GL_CELL = leggauss(6)    # per-cell rule for kernel product integration
 GL_EDGE = leggauss(8)    # singular-edge cells (after desingularizing substitution)
 GL_TAIL = leggauss(16)   # tail region beyond the last node
+# per-interval mass of an interpolant (dilation median): 5-point Gauss-Legendre
+# as 16-digit decimals, which differ from leggauss(5) in the weights' last bit
+GL_MASS = (np.array([-0.9061798459386640, -0.5384693101056831, 0.0,
+                     0.5384693101056831, 0.9061798459386640]),
+           np.array([0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
+                     0.4786286704993665, 0.2369268850561891]))
 
 
 def composite_weights(n: int, h: float) -> np.ndarray:
@@ -130,9 +136,16 @@ class SegmentedInterp:
         return out.reshape(u.shape)
 
 
+def tail_basis(u2, k: int) -> np.ndarray:
+    """The tail model's basis cos^{k+1}, cos^{k+3}, cos^{k+5} at radii u
+    (cos = (1+u^2)^{-1/2}), given u^2; stacked along a new last axis."""
+    return np.stack([(1.0 + u2) ** (-(k + 1 + 2 * j) / 2.0) for j in (0, 1, 2)], axis=-1)
+
+
 def tail_power_fit(theta: np.ndarray, k: int) -> np.ndarray:
-    """3x3 matrix mapping the last three node values to coefficients of
-    cos^{k+1}, cos^{k+3}, cos^{k+5}: the natural decay basis of p-critical tails."""
+    """3x3 matrix mapping the node values at the last three angles of `theta`
+    to the coefficients of tail_basis: the natural decay basis of p-critical
+    tails."""
     c3 = np.cos(theta[-3:])
     a = np.stack([c3 ** (k + 1), c3 ** (k + 3), c3 ** (k + 5)], axis=1)
     return np.linalg.inv(a)

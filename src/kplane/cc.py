@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (DomainError, IntervalSet, ParameterError, Params,
-                   PreconditionError, RadialProfile, weighted_integral,
-                   weighted_lp_norm)
+                   PreconditionError, RadialProfile, _cell_masses, _window_integral,
+                   restricted_mass, weighted_integral, weighted_lp_norm)
 from .transform import apply_T, pairing
 
 #: cells contributing less than this fraction of total mass are not support
@@ -67,9 +67,7 @@ def _cumulative_mass(params: Params, f: RadialProfile):
             return scale * out
 
         return at_exact, total
-    mu = grid.cell_measure(params.a_domain)
-    masses = np.abs(f.values) ** params.pf * mu
-    cum = np.concatenate([[0.0], np.cumsum(masses)])
+    cum = np.concatenate([[0.0], np.cumsum(_cell_masses(params, f))])
     edges_d = grid.cell_edges_r ** params.d
 
     def at(r):
@@ -109,8 +107,7 @@ def dichotomy_split(params: Params, f: RadialProfile, floor: float):
     if not math.isclose(total_mass, 1.0, rel_tol=100 * _NORMALIZATION_TOL):
         raise DomainError(f"profile must be L^p-normalized, got mass {total_mass:.6g}")
     grid = f.grid
-    mu = grid.cell_measure(params.a_domain)
-    masses = np.abs(f.values) ** params.pf * mu
+    masses = _cell_masses(params, f)
     essential = masses > NEGLIGIBLE_MASS * masses.sum()
     idx = np.nonzero(essential)[0]
     if len(idx) == 0:
@@ -182,7 +179,6 @@ def classify_trichotomy(params: Params, seq: list[RadialProfile], eps: float,
 
 
 def _part_mass(params: Params, f: RadialProfile, part: IntervalSet) -> float:
-    from .core import restricted_mass
     a, b = part.intervals[0][0], part.intervals[-1][1]
     return restricted_mass(params, f, a, b)
 
@@ -216,11 +212,7 @@ def interaction_bound_check(params: Params, R: float, delta: float,
         raise PreconditionError(
             f"psi must be supported in [R+delta, inf); support starts at {support_lo:.6g}")
     tpsi = apply_T(params, psi).values
-    grid = psi.grid
-    from .core import _cell_mask_fraction
-    frac = _cell_mask_fraction(grid, 0.0, R, params.a_target)
-    g = tpsi ** m * grid.nodes ** params.a_target * frac
-    lhs = float(np.dot(grid.base_weights, g))
+    lhs = _window_integral(psi.grid, tpsi ** m, params.a_target, 0.0, R)
     psi_p = weighted_lp_norm(psi, params.a_domain, params.pf)
     rhs_shape = R ** (params.d - params.k) * (R + delta) ** (-m / params.p_conj_f) * psi_p ** m
     return lhs, rhs_shape

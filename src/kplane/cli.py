@@ -8,10 +8,22 @@ Exit codes: 0 success, 2 usage or input error, 3 success criterion not met
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
+import numpy as np
+
 from . import __version__
+from .cc import classify_trichotomy
+from .core import (DataError, DomainError, IntervalSet, KplaneError, RadialProfile,
+                   indicator_profile, make_halfline_grid, make_params,
+                   read_profile_csv, resample_values, weighted_integral,
+                   weighted_lp_norm, write_profile_csv)
+from .extremal import (constant_A, constant_B_with_error, extremizer_profile,
+                       search_extremizer)
+from .transform import apply_T
+from .verify import run_suite
 
 
 def _header_meta(args, grid_n, extra=None) -> dict:
@@ -91,15 +103,11 @@ def _write_text(path: str, text: str):
 
 
 def _load_profile(path, grid):
-    from .core import RadialProfile, read_profile_csv, resample_values
     r, v, _meta = read_profile_csv(path)
     return RadialProfile(grid, resample_values(grid, r, v))
 
 
 def _preset_profile(text: str, params, grid):
-    from .core import DataError, IntervalSet, indicator_profile
-    from .extremal import extremizer_profile
-    import numpy as np
     name, _, rest = text.partition(":")
     if name == "extremizer":
         return extremizer_profile(params, 1.0, grid)
@@ -116,15 +124,11 @@ def _preset_profile(text: str, params, grid):
         if w <= 0:
             raise DataError("bump width must be positive")
         vals = np.exp(-4.0 * ((grid.nodes - c) / w) ** 2)
-        from .core import RadialProfile
         return RadialProfile(grid, vals)
     raise DataError(f"unknown preset {text!r}")
 
 
 def _cmd_transform(args) -> int:
-    from .core import make_halfline_grid, write_profile_csv
-    from .core import make_params
-    from .transform import apply_T
     params = make_params(args.k, args.d)
     grid = make_halfline_grid(args.grid_n)
     if args.input:
@@ -139,7 +143,6 @@ def _cmd_transform(args) -> int:
                         {"rmax": args.rmax, "source": source,
                          "tail_fraction": f"{tf.meta.get('tail_fraction', 0.0):.3e}",
                          "tail_warning": tf.meta.get("tail_warning", False)})
-    import io
     buf = io.StringIO()
     write_profile_csv(buf, grid.nodes[mask], tf.values[mask], meta)
     _write_text(args.out, buf.getvalue())
@@ -147,8 +150,6 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_constant(args) -> int:
-    from .core import make_params
-    from .extremal import constant_A, constant_B_with_error
     params = make_params(args.k, args.d)
     if args.which == "A":
         value, err = constant_A(params), 1e-15
@@ -161,10 +162,6 @@ def _cmd_constant(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    import numpy as np
-    from .core import (DataError, IntervalSet, RadialProfile, indicator_profile,
-                       make_halfline_grid, make_params, write_profile_csv)
-    from .extremal import search_extremizer
     params = make_params(args.k, args.d)
     grid = make_halfline_grid(args.grid_n)
     kind, _, rest = args.init.partition(":")
@@ -205,10 +202,6 @@ def _cmd_search(args) -> int:
 
 
 def _synthetic_sequence(text: str, params, grid):
-    import numpy as np
-    from .core import DataError, IntervalSet, RadialProfile, indicator_profile, weighted_integral
-    from .extremal import extremizer_profile
-    from .core import weighted_lp_norm
     name, _, rest = text.partition(":")
 
     def normalized(f):
@@ -244,8 +237,6 @@ def _synthetic_sequence(text: str, params, grid):
 
 
 def _cmd_diagnose(args) -> int:
-    from .core import DomainError, make_halfline_grid, make_params, weighted_integral
-    from .cc import classify_trichotomy
     params = make_params(args.k, args.d)
     grid = make_halfline_grid(args.grid_n)
     if args.synthetic:
@@ -275,7 +266,6 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_suite
     reports = run_suite(args.suite, seed=args.seed, trials=args.trials,
                         k=args.k, d=args.d)
     lines = [json.dumps(r.to_json_dict(), sort_keys=True) for r in reports]
@@ -297,7 +287,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
-    from .core import KplaneError
     handlers = {"transform": _cmd_transform, "constant": _cmd_constant,
                 "search": _cmd_search, "diagnose": _cmd_diagnose,
                 "verify": _cmd_verify}

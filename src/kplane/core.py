@@ -346,6 +346,37 @@ def _strip_tail(grid: RadialGrid, g: np.ndarray, nonneg: bool) -> float:
     return val
 
 
+def _node_sum(grid: RadialGrid, g: np.ndarray, nonneg: bool) -> float:
+    """int_0^inf g dr from the samples g_i: the node sum plus, on half-line
+    grids, the strip beyond the last node (clamped at 0 when nonneg)."""
+    out = float(np.dot(grid.base_weights, g))
+    return out + _strip_tail(grid, g * (1.0 + grid.nodes ** 2), nonneg)
+
+
+def _window_integral(grid: RadialGrid, values: np.ndarray, a_exp: int,
+                     r_lo: float, r_hi: float) -> float:
+    """int_{r_lo}^{r_hi} values r^{a_exp} dr: each cell counts with the
+    fraction of its r^{a_exp} dr measure inside the window; the strip beyond
+    the last node (clamped at 0) is added only when r_hi = inf."""
+    e = grid.cell_edges_r
+    m = a_exp + 1
+    lo = np.maximum(e[:-1], r_lo)
+    hi = np.minimum(e[1:], r_hi)
+    num = np.maximum(hi ** m - np.maximum(lo, 0.0) ** m, 0.0)
+    num[hi <= lo] = 0.0
+    g = values * grid.nodes ** a_exp
+    out = float(np.dot(grid.base_weights, g * (num / (e[1:] ** m - e[:-1] ** m))))
+    if math.isinf(r_hi) and r_lo < grid.r_max:
+        out += _strip_tail(grid, g * (1.0 + grid.nodes ** 2), True)
+    return out
+
+
+def _cell_masses(params: Params, f: RadialProfile) -> np.ndarray:
+    """Per-cell p-mass |f_i|^p mu(cell_i), mu = r^{d-1} dr: the
+    cellwise-constant view of the profile."""
+    return np.abs(f.values) ** params.pf * f.grid.cell_measure(params.a_domain)
+
+
 def weighted_integral(f: RadialProfile, a_exp: int, power: float = 1.0) -> float:
     """int_0^inf |f|^power r^{a_exp} dr by grid quadrature (exact for
     indicator-backed profiles)."""
@@ -353,18 +384,12 @@ def weighted_integral(f: RadialProfile, a_exp: int, power: float = 1.0) -> float
         F, amp = f.indicator
         return abs(amp) ** power * F.weighted_measure(a_exp)
     vals = np.abs(f.values) ** power if power != 1.0 else np.abs(f.values)
-    g = vals * f.grid.nodes ** a_exp
-    out = float(np.dot(f.grid.base_weights, g))
-    g_theta = g * (1.0 + f.grid.nodes ** 2)
-    return out + _strip_tail(f.grid, g_theta, True)
+    return _node_sum(f.grid, vals * f.grid.nodes ** a_exp, True)
 
 
 def weighted_signed_integral(f_values: np.ndarray, grid: RadialGrid, a_exp: int) -> float:
     """Signed version of weighted_integral on raw values (pairings, cross terms)."""
-    g = f_values * grid.nodes ** a_exp
-    out = float(np.dot(grid.base_weights, g))
-    g_theta = g * (1.0 + grid.nodes ** 2)
-    return out + _strip_tail(grid, g_theta, False)
+    return _node_sum(grid, f_values * grid.nodes ** a_exp, False)
 
 
 def weighted_lp_norm(f: RadialProfile, a: int, p: float) -> float:
@@ -376,18 +401,6 @@ def weighted_lp_norm(f: RadialProfile, a: int, p: float) -> float:
     return weighted_integral(f, a, p) ** (1.0 / p)
 
 
-def _cell_mask_fraction(grid: RadialGrid, r_lo: float, r_hi: float, a_exp: int) -> np.ndarray:
-    """Per-node fraction (in r^{a_exp} dr measure) of each cell inside [r_lo, r_hi]."""
-    e = grid.cell_edges_r
-    m = a_exp + 1
-    lo = np.maximum(e[:-1], r_lo)
-    hi = np.minimum(e[1:], r_hi)
-    num = np.maximum(hi ** m - np.maximum(lo, 0.0) ** m, 0.0)
-    num[hi <= lo] = 0.0
-    den = e[1:] ** m - e[:-1] ** m
-    return num / den
-
-
 def restricted_mass(params: Params, f: RadialProfile, r_lo: float, r_hi: float) -> float:
     """int_{r_lo}^{r_hi} |f|^p r^{d-1} dr with sub-cell boundary correction."""
     if f.indicator is not None:
@@ -396,15 +409,8 @@ def restricted_mass(params: Params, f: RadialProfile, r_lo: float, r_hi: float) 
         if not math.isinf(r_hi):
             clipped = clipped.clip_right(r_hi)
         return abs(amp) ** params.pf * clipped.weighted_measure(params.a_domain)
-    a = params.a_domain
-    frac = _cell_mask_fraction(f.grid, r_lo, r_hi, a)
-    vals = np.abs(f.values) ** params.pf
-    g = vals * f.grid.nodes ** a * frac
-    out = float(np.dot(f.grid.base_weights, g))
-    if math.isinf(r_hi) and r_lo < f.grid.r_max:
-        g_theta = vals * f.grid.nodes ** a * (1.0 + f.grid.nodes ** 2)
-        out += _strip_tail(f.grid, g_theta, True)
-    return out
+    return _window_integral(f.grid, np.abs(f.values) ** params.pf, params.a_domain,
+                            r_lo, r_hi)
 
 
 def mass_tail(params: Params, f: RadialProfile, R: float) -> float:
@@ -423,13 +429,8 @@ def mass_above_level(params: Params, f: RadialProfile, m: float) -> float:
         if abs(amp) > m:
             return abs(amp) ** params.pf * F.weighted_measure(params.a_domain)
         return 0.0
-    a = params.a_domain
-    mask = np.abs(f.values) > m
-    vals = np.where(mask, np.abs(f.values) ** params.pf, 0.0)
-    g = vals * f.grid.nodes ** a
-    out = float(np.dot(f.grid.base_weights, g))
-    g_theta = g * (1.0 + f.grid.nodes ** 2)
-    return out + _strip_tail(f.grid, g_theta, True)
+    vals = np.where(np.abs(f.values) > m, np.abs(f.values) ** params.pf, 0.0)
+    return _node_sum(f.grid, vals * f.grid.nodes ** params.a_domain, True)
 
 
 # ---------------------------------------------------------------------------

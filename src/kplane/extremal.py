@@ -9,11 +9,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (DomainError, ParameterError, Params, RadialGrid, RadialProfile,
-                   IterationAnomalyError, make_halfline_grid, weighted_lp_norm)
-from .symmetry import dilate_profile, normalize_dilation
+                   IterationAnomalyError, make_halfline_grid, make_params,
+                   weighted_lp_norm)
+from .symmetry import _median_radius, dilate_profile
 from .transform import apply_T, apply_T_adjoint
-
-DEFAULT_RESOLUTION = 2048
 
 #: relative per-step tolerance for monotone ascent of the search functional
 ASCENT_TOL = 1e-9
@@ -56,7 +55,6 @@ def functional_ratio(params: Params, f: RadialProfile) -> float:
 
 @functools.lru_cache(maxsize=64)
 def _constant_B_cached(k: int, d: int, resolution: int) -> tuple[float, float]:
-    from .core import make_params
     params = make_params(k, d)
     vals = []
     for n in (resolution // 2, resolution):
@@ -111,7 +109,7 @@ def search_extremizer(params: Params, init: RadialProfile, max_iter: int = 500,
         f  <-  normalize( [T*((T f)^{q-1})]^{1/(p-1)} )
 
     which preserves positivity and ascends Phi. Iterates whose mass median has
-    drifted beyond a factor e^0.35 are re-centered by dilation normalization
+    drifted beyond a factor e^0.35 are dilated to move the median back to r = 1
     (the orbit is Phi-invariant, so re-centering is ascent-neutral). Stops when
     the relative change of Phi stays below tol for 5 consecutive iterations.
     """
@@ -136,7 +134,7 @@ def search_extremizer(params: Params, init: RadialProfile, max_iter: int = 500,
         grad = apply_T_adjoint(params, powered)
         cand_vals = np.maximum(grad.values, 0.0) ** exp_update
         cand = RadialProfile(f.grid, cand_vals)
-        lam, _ = normalize_dilation(params, cand)
+        lam = _median_radius(params, cand)
         if abs(math.log(lam)) > 0.35:
             cand = dilate_profile(params, cand, lam)
             trace.recentered_steps.append(it)

@@ -6,14 +6,9 @@ import math
 
 import numpy as np
 
+from ._quad import GL_MASS, tail_basis, tail_power_fit
 from .core import (DomainError, IntervalSet, ParameterError, Params, RadialProfile,
-                   indicator_profile, weighted_integral)
-
-
-def _cell_masses(params: Params, f: RadialProfile) -> np.ndarray:
-    """Per-cell p-mass |f_i|^p mu(cell_i), mu = r^{d-1} dr, cellwise-constant view."""
-    mu = f.grid.cell_measure(params.a_domain)
-    return np.abs(f.values) ** params.pf * mu
+                   indicator_profile, weighted_integral, weighted_lp_norm)
 
 
 def rearrange(params: Params, f: RadialProfile) -> RadialProfile:
@@ -66,8 +61,8 @@ def rearrange(params: Params, f: RadialProfile) -> RadialProfile:
 def _median_radius(params: Params, f: RadialProfile) -> float:
     """Radius splitting the p-mass in half (mu-mass median).
 
-    The sampled branch accumulates the mass of the piecewise-linear-in-theta
-    interpolant per node interval (Gauss rule), then inverts within the
+    The sampled branch accumulates the mass of the profile's interpolant in
+    theta per node interval (Gauss rule), then inverts within the
     located interval by dense sub-sampling; the cell-constant view would bias
     the median by a fraction of a cell, which is too coarse for orbit
     alignment."""
@@ -102,11 +97,8 @@ def _median_radius(params: Params, f: RadialProfile) -> float:
     # leading strip [0, theta_1]: f ~ v_1 there
     r1 = grid.nodes[0]
     head = vals[0] ** p * r1 ** (a_exp + 1) / (a_exp + 1)
-    # per-interval masses of the linear interpolant (5-point Gauss)
-    xg = np.array([-0.9061798459386640, -0.5384693101056831, 0.0,
-                   0.5384693101056831, 0.9061798459386640])
-    wg = np.array([0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
-                   0.4786286704993665, 0.2369268850561891])
+    # per-interval masses of the interpolant (5-point Gauss)
+    xg, wg = GL_MASS
     interp = f.interpolator()
     a_t, b_t = th[:-1], th[1:]
     mid = (a_t + b_t) / 2
@@ -135,9 +127,10 @@ def _median_radius(params: Params, f: RadialProfile) -> float:
 def dilate_profile(params: Params, f: RadialProfile, lam: float) -> RadialProfile:
     """f_lam(r) = lam^{d/p} f(lam r), resampled onto f's own grid.
 
-    Sampled profiles are resampled by monotone cubic interpolation in theta;
-    radii thrown beyond the last node are evaluated with the cos-power tail
-    model fitted to the last three samples, so no tail mass is dropped.
+    Sampled profiles are resampled by the profile's own degree-7 local
+    Lagrange interpolant in theta (segment-aware across splits); radii thrown
+    beyond the last node are evaluated with the cos-power tail model fitted to
+    the last three samples, so no tail mass is dropped.
     Indicator-backed profiles stay exact.
     """
     if not (lam > 0):
@@ -154,12 +147,10 @@ def dilate_profile(params: Params, f: RadialProfile, lam: float) -> RadialProfil
     vals = f.interpolator().eval(f.values, u)
     beyond = u > grid.r_max
     if beyond.any():
-        from ._quad import tail_power_fit
         coef = tail_power_fit(grid.theta_nodes, params.k) @ f.values[-3:]
         ub = u[beyond]
-        ext = sum(c * (1.0 + ub * ub) ** (-(params.k + 1 + 2 * j) / 2.0)
-                  for j, c in enumerate(coef))
-        vals[beyond] = ext
+        basis = tail_basis(ub * ub, params.k)
+        vals[beyond] = sum(c * basis[:, j] for j, c in enumerate(coef))
     vals = np.nan_to_num(vals, nan=0.0)
     if f.nonnegative:
         vals = np.maximum(vals, 0.0)
@@ -178,8 +169,8 @@ def normalize_dilation(params: Params, f: RadialProfile) -> tuple[float, RadialP
     lam = _median_radius(params, f)
     g = dilate_profile(params, f, lam)
     if g is not f:
-        n_f = weighted_integral(f, params.a_domain, params.pf) ** (1.0 / params.pf)
-        n_g = weighted_integral(g, params.a_domain, params.pf) ** (1.0 / params.pf)
+        n_f = weighted_lp_norm(f, params.a_domain, params.pf)
+        n_g = weighted_lp_norm(g, params.a_domain, params.pf)
         if n_g > 0:
             g = g.scaled(n_f / n_g)
     return lam, g

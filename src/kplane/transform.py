@@ -35,7 +35,8 @@ import numpy as np
 from scipy.sparse import csr_matrix, vstack
 
 from . import _quad
-from ._quad import GL_CELL, GL_EDGE, GL_TAIL, SegmentedInterp, scaled_kernel_power
+from ._quad import (GL_CELL, GL_EDGE, GL_TAIL, SegmentedInterp, scaled_kernel_power,
+                    tail_basis, tail_power_fit)
 from .core import (ConfigurationError, IntervalSet, NumericalError, ParameterError,
                    Params, RadialGrid, RadialProfile, make_grid,
                    weighted_signed_integral)
@@ -57,11 +58,22 @@ def _nbytes(value) -> int:
     return value.nbytes
 
 
-def _cached(key, build):
-    """Memoized build(); concurrent callers with one key wait for one build.
+def _evict(need: int, keep: int) -> None:
+    """Drop least recently used entries, all but the `keep` newest, while the
+    held bytes plus `need` exceed DENSE_BUDGET_BYTES (caller holds the lock)."""
+    held = sum(_nbytes(v) for v in _MATRIX_CACHE.values())
+    while held + need > DENSE_BUDGET_BYTES and len(_MATRIX_CACHE) > keep:
+        held -= _nbytes(_MATRIX_CACHE.popitem(last=False)[1])
 
-    Least recently used entries are evicted while the cache holds more than
-    DENSE_BUDGET_BYTES, except the entry just built.
+
+def _cached(key, build, n: int):
+    """Memoized build() of an operator on n grid points; concurrent callers
+    with one key wait for one build.
+
+    Before the n x n matrix is allocated, least recently used entries are
+    evicted until it fits in DENSE_BUDGET_BYTES beside what stays; after the
+    build the cache is trimmed to the budget again, never evicting the entry
+    just built.
     """
     with _CACHE_LOCK:
         if key in _MATRIX_CACHE:
@@ -72,12 +84,11 @@ def _cached(key, build):
         with _CACHE_LOCK:
             if key in _MATRIX_CACHE:
                 return _MATRIX_CACHE[key]
+            _evict(8 * n * n, 0)
         value = build()
         with _CACHE_LOCK:
             _MATRIX_CACHE[key] = value
-            held = sum(_nbytes(v) for v in _MATRIX_CACHE.values())
-            while held > DENSE_BUDGET_BYTES and len(_MATRIX_CACHE) > 1:
-                held -= _nbytes(_MATRIX_CACHE.popitem(last=False)[1])
+            _evict(0, 1)
             _BUILD_LOCKS.pop(key, None)
     return value
 
@@ -321,55 +332,55 @@ def _tail_rows(grid: RadialGrid, k: int, shift: int = 0) -> np.ndarray:
     """
     r = grid.nodes
     rn = r[-1]
-    sl = slice(grid.n - 3 - shift, grid.n - shift)
-    c3 = np.cos(grid.theta_nodes[sl])
-    A = np.stack([c3 ** (k + 1), c3 ** (k + 3), c3 ** (k + 5)], axis=1)
-    C = np.linalg.inv(A)
     xt, wt = GL_TAIL
     cg = (np.pi / 4) * (xt + 1.0)
     wc = (np.pi / 4) * wt
     sec = 1.0 / np.cos(cg)
     tan = np.tan(cg)
-    u2 = rn * rn * sec * sec
-    pw = np.stack([(1.0 + u2) ** (-(k + 1 + 2 * j) / 2.0) for j in (0, 1, 2)], axis=1)
+    pw = tail_basis(rn * rn * sec * sec, k)
     du_fac = rn * rn * sec * sec * tan * wc
     gap = rn * rn - r * r
     kerarg = gap[:, None] + (rn * tan)[None, :] ** 2
     T3 = scaled_kernel_power(kerarg, k, du_fac[None, :]) @ pw
-    return T3 @ C
+    return T3 @ tail_power_fit(grid.theta_nodes[:grid.n - shift], k)
 
 
 # ---------------------------------------------------------------------------
 # forward operator
 
 def _assemble_forward(grid: RadialGrid, k: int, degree: int) -> dict:
+    """M0 with, on half-line grids, the tail model's rows added to its last
+    three columns; row 0 of the tail model (and, on half-line grids, of the
+    fit through the three nodes before) is kept for the tail metadata."""
     M = _assemble(grid, k, 0, degree, adjoint=False)
-    tail3 = tail3_alt = None
+    tail3 = _tail_rows(grid, k, shift=0)
+    tail0_alt = None
     if grid.halfline:
-        tail3 = _tail_rows(grid, k, shift=0)
-        tail3_alt = _tail_rows(grid, k, shift=3)
+        tail0_alt = _tail_rows(grid, k, shift=3)[0].copy()
         M[:, -3:] += tail3
-    return {"M": M, "tail3": tail3, "tail3_alt": tail3_alt}
+    return {"M": M, "tail0": tail3[0].copy(), "tail0_alt": tail0_alt}
 
 
 def _forward_matrix(grid: RadialGrid, k: int, degree: int) -> dict:
-    """Memoized M0 of (grid, k, degree) with the tail-model rows it contains."""
+    """Memoized M0 of (grid, k, degree) with row 0 of its tail model."""
     return _cached(("fwd", grid.fingerprint(), k, degree),
-                   lambda: _assemble_forward(grid, k, degree))
+                   lambda: _assemble_forward(grid, k, degree), grid.n)
 
 
-def _tail_metadata(values: np.ndarray, out: np.ndarray, tail3, tail3_alt,
-                   halfline: bool) -> dict:
+def _tail_metadata(values: np.ndarray, out: np.ndarray, tail0, tail0_alt) -> dict:
+    """Share of the answer supplied by the tail model, and whether to distrust
+    it. A truncated grid (no tail0_alt) drops the tail beyond r_max by design,
+    so there the share is an estimate of what was lost."""
+    t_primary = float(tail0 @ values[-3:])
+    scale = float(np.max(np.abs(out)))
+    if tail0_alt is None:
+        fraction = abs(t_primary) / (scale or 1.0)
+        return {"tail_fraction": fraction, "tail_warning": fraction > _TAIL_TOL}
     meta = {"tail_fraction": 0.0, "tail_warning": False}
-    if tail3 is None:
-        return meta
-    t_primary = float(tail3[0] @ values[-3:])
-    t_alt = float(tail3_alt[0] @ values[-6:-3])
-    scale = float(np.max(np.abs(out))) if out.size else 0.0
     if scale > 0:
+        t_alt = float(tail0_alt @ values[-6:-3])
         meta["tail_fraction"] = abs(t_primary) / scale
-        discrepancy = abs(t_primary - t_alt) / scale
-        meta["tail_warning"] = discrepancy > _TAIL_TOL
+        meta["tail_warning"] = abs(t_primary - t_alt) / scale > _TAIL_TOL
     return meta
 
 
@@ -389,13 +400,7 @@ def apply_T(params: Params, f: RadialProfile) -> RadialProfile:
     grid = f.grid
     built = _forward_matrix(grid, k, _quad.INTERP_DEGREE)
     out = _apply(built["M"], f, k, 0, adjoint=False)
-    meta = _tail_metadata(f.values, out, built["tail3"], built["tail3_alt"], grid.halfline)
-    if not grid.halfline:
-        # tails beyond r_max are dropped by design; estimate what was lost
-        t_est = _tail_rows(grid, k, shift=0)[0] @ f.values[-3:]
-        scale = float(np.max(np.abs(out))) or 1.0
-        meta["tail_fraction"] = abs(float(t_est)) / scale
-        meta["tail_warning"] = meta["tail_fraction"] > _TAIL_TOL
+    meta = _tail_metadata(f.values, out, built["tail0"], built["tail0_alt"])
     if f.nonnegative:
         out = np.maximum(out, 0.0)
     return RadialProfile(grid, out, meta=meta)
@@ -424,7 +429,7 @@ def apply_T_indicator(params: Params, F: IntervalSet,
 def _adjoint_matrix(grid: RadialGrid, k: int, d: int, degree: int) -> np.ndarray:
     """Memoized adjoint M0 of (grid, k, d, degree)."""
     return _cached(("adj", grid.fingerprint(), k, d, degree),
-                   lambda: _assemble(grid, k, d, degree, adjoint=True))
+                   lambda: _assemble(grid, k, d, degree, adjoint=True), grid.n)
 
 
 def apply_T_adjoint(params: Params, g: RadialProfile) -> RadialProfile:

@@ -150,3 +150,24 @@ class TestSearch:
         init = K.extremizer_profile(params, 1.0, g)
         with pytest.raises(K.IterationAnomalyError):
             extremal.search_extremizer(params, init, max_iter=10, tol=1e-10)
+
+    def test_dilates_only_to_recenter(self, grids, monkeypatch):
+        # the search reads the mass median to decide on re-centering; the only
+        # dilation it makes is the re-centering itself
+        import kplane.extremal as extremal
+        import kplane.symmetry as symmetry
+        calls = []
+        dilate = symmetry.dilate_profile
+
+        def counting_dilate(params, f, lam):
+            calls.append(lam)
+            return dilate(params, f, lam)
+
+        monkeypatch.setattr(symmetry, "dilate_profile", counting_dilate)
+        monkeypatch.setattr(extremal, "dilate_profile", counting_dilate)
+        params = K.make_params(1, 3)
+        g = grids["half1024"]
+        init = K.RadialProfile(g, np.exp(-g.nodes ** 2 / 30.0))
+        trace = K.search_extremizer(params, init, max_iter=60)
+        assert trace.converged and trace.recentered_steps
+        assert len(calls) == len(trace.recentered_steps)

@@ -296,6 +296,29 @@ class TestOperatorCache:
         M = T._forward_matrix(d, 1, 7)       # the entry just built is never evicted
         assert held() == [d.fingerprint()] and T._forward_matrix(d, 1, 7) is M
 
+    def test_cache_evicts_before_allocating(self, fresh_cache, monkeypatch):
+        T = fresh_cache
+        grids = [K.make_halfline_grid(n) for n in (100, 110, 120, 130)]
+        size = {g.n: T._nbytes(T._assemble_forward(g, 1, 7)) for g in grids}
+        budget = size[100] + size[120]
+        monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", budget)
+        allocations = []
+        dense = T._dense
+
+        def recording_dense(n):
+            held = sum(map(T._nbytes, T._MATRIX_CACHE.values()))
+            allocations.append((n, held))
+            return dense(n)
+
+        monkeypatch.setattr(T, "_dense", recording_dense)
+        for g in grids:
+            T._forward_matrix(g, 1, 7)
+        T._adjoint_matrix(grids[0], 1, 3, 7)
+        assert [n for n, _ in allocations] == [100, 110, 120, 130, 100]
+        # the cache and the matrix being allocated fit the budget together
+        assert all(held + 8 * n * n <= budget for n, held in allocations)
+        assert sum(map(T._nbytes, T._MATRIX_CACHE.values())) <= budget
+
 
 class TestBlockedAssembly:
     """The tiled assembly against a dense reference, across tile boundaries,
