@@ -309,11 +309,11 @@ def indicator_profile(grid: RadialGrid, intervals: IntervalSet,
                       amplitude: float = 1.0) -> RadialProfile:
     """Sample amp * 1_F with sub-cell correction: a partially covered grid cell
     contributes its exact covered-length fraction."""
-    e = grid.cell_edges_r
-    vals = np.empty(grid.n)
-    for i in range(grid.n):
-        lo, hi = e[i], e[i + 1]
-        vals[i] = intervals.covered_length(lo, hi) / (hi - lo)
+    lo, hi = grid.cell_edges_r[:-1], grid.cell_edges_r[1:]
+    covered = np.zeros(grid.n)
+    for a, b in intervals.intervals:
+        covered += np.maximum(np.minimum(b, hi) - np.maximum(a, lo), 0.0)
+    vals = covered / (hi - lo)
     splits = tuple(x for ab in intervals.intervals for x in ab)
     return RadialProfile(grid, amplitude * vals, indicator=(intervals, amplitude),
                          splits=splits)

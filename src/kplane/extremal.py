@@ -108,10 +108,14 @@ def search_extremizer(params: Params, init: RadialProfile, max_iter: int = 500,
 
         f  <-  normalize( [T*((T f)^{q-1})]^{1/(p-1)} )
 
-    which preserves positivity and ascends Phi. Iterates whose mass median has
-    drifted beyond a factor e^0.35 are dilated to move the median back to r = 1
-    (the orbit is Phi-invariant, so re-centering is ascent-neutral). Stops when
-    the relative change of Phi stays below tol for 5 consecutive iterations.
+    which preserves positivity and ascends Phi. The ascent check (and the
+    damping it may trigger) compares each candidate with the previous iterate
+    in one dilation frame. An accepted iterate whose mass median has drifted
+    beyond a factor e^0.35 is then dilated to move the median back to r = 1
+    and its Phi re-measured: the orbit is Phi-invariant, but the quadrature
+    error is not, so Phi read at a new scale may differ by more than
+    ASCENT_TOL. Stops when the relative change of Phi (within one frame)
+    stays below tol for 5 consecutive iterations.
     """
     if not init.nonnegative:
         raise DomainError("search requires a nonnegative initial profile")
@@ -133,12 +137,7 @@ def search_extremizer(params: Params, init: RadialProfile, max_iter: int = 500,
         powered = RadialProfile(f.grid, np.maximum(tf.values, 0.0) ** (qf - 1.0))
         grad = apply_T_adjoint(params, powered)
         cand_vals = np.maximum(grad.values, 0.0) ** exp_update
-        cand = RadialProfile(f.grid, cand_vals)
-        lam = _median_radius(params, cand)
-        if abs(math.log(lam)) > 0.35:
-            cand = dilate_profile(params, cand, lam)
-            trace.recentered_steps.append(it)
-        cand = _normalized(params, cand)
+        cand = _normalized(params, RadialProfile(f.grid, cand_vals))
         phi_c, tf_c = phi_of(cand)
         if phi_c < phi * (1.0 - ASCENT_TOL):
             # damping: geometric mean with the previous iterate in log space
@@ -151,6 +150,11 @@ def search_extremizer(params: Params, init: RadialProfile, max_iter: int = 500,
                     f"Phi decreased at step {it}: {phi:.12g} -> {phi_c:.12g}; "
                     "adjoint or quadrature inconsistency")
         rel_change = abs(phi_c - phi) / max(phi_c, 1e-300)
+        lam = _median_radius(params, cand)
+        if abs(math.log(lam)) > 0.35:
+            cand = _normalized(params, dilate_profile(params, cand, lam))
+            phi_c, tf_c = phi_of(cand)
+            trace.recentered_steps.append(it)
         f, phi, tf = cand, phi_c, tf_c
         trace.iterates.append(phi)
         stagnant = stagnant + 1 if rel_change < tol else 0

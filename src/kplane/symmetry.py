@@ -2,13 +2,14 @@
 dilation normalization, and the height/radius truncation decomposition."""
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from ._quad import GL_MASS, tail_basis, tail_power_fit
-from .core import (DomainError, IntervalSet, ParameterError, Params, RadialProfile,
-                   indicator_profile, weighted_integral, weighted_lp_norm)
+from .core import (DomainError, IntervalSet, ParameterError, Params, RadialGrid,
+                   RadialProfile, indicator_profile, weighted_integral, weighted_lp_norm)
 
 
 def rearrange(params: Params, f: RadialProfile) -> RadialProfile:
@@ -58,14 +59,27 @@ def rearrange(params: Params, f: RadialProfile) -> RadialProfile:
     return RadialProfile(grid, out)
 
 
+@functools.lru_cache(maxsize=16)
+def _mass_rule(grid: RadialGrid) -> tuple:
+    """The per-interval 5-point Gauss rule of _median_radius on `grid`:
+    half-widths (n-1,), query radii tan(theta_q) (n-1, 5), and the stencil
+    (idx, w) of the grid's split-free interpolant at those queries, planned
+    once per grid as SegmentedInterp.eval would plan it on every call."""
+    th = grid.theta_nodes
+    hw = (th[1:] - th[:-1]) / 2
+    tq = ((th[:-1] + th[1:]) / 2)[:, None] + hw[:, None] * GL_MASS[0][None, :]
+    rq = np.tan(tq)
+    return hw, rq, grid._interp_plain.plan(np.arctan(rq).ravel())
+
+
 def _median_radius(params: Params, f: RadialProfile) -> float:
     """Radius splitting the p-mass in half (mu-mass median).
 
     The sampled branch accumulates the mass of the profile's interpolant in
-    theta per node interval (Gauss rule), then inverts within the
-    located interval by dense sub-sampling; the cell-constant view would bias
-    the median by a fraction of a cell, which is too coarse for orbit
-    alignment."""
+    theta per node interval (Gauss rule, cached per grid by _mass_rule for
+    profiles without splits), then inverts within the located interval by
+    dense sub-sampling; the cell-constant view would bias the median by a
+    fraction of a cell, which is too coarse for orbit alignment."""
     if f.indicator is not None:
         F, amp = f.indicator
         d = params.d
@@ -85,27 +99,24 @@ def _median_radius(params: Params, f: RadialProfile) -> float:
     p = params.pf
     a_exp = params.a_domain
     th = grid.theta_nodes
-    vals = np.abs(f.values)
     total = weighted_integral(f, a_exp, p)
     if total <= 0:
         raise DomainError("zero profile has no dilation normalization")
 
-    def density(theta, v):
-        r = np.tan(theta)
+    def density(r, v):
         return v ** p * r ** a_exp * (1.0 + r * r)
 
     # leading strip [0, theta_1]: f ~ v_1 there
     r1 = grid.nodes[0]
-    head = vals[0] ** p * r1 ** (a_exp + 1) / (a_exp + 1)
+    head = abs(f.values[0]) ** p * r1 ** (a_exp + 1) / (a_exp + 1)
     # per-interval masses of the interpolant (5-point Gauss)
-    xg, wg = GL_MASS
     interp = f.interpolator()
-    a_t, b_t = th[:-1], th[1:]
-    mid = (a_t + b_t) / 2
-    hw = (b_t - a_t) / 2
-    tq = mid[:, None] + hw[:, None] * xg[None, :]
-    vq = np.abs(interp.eval(f.values, np.tan(tq)))
-    cell_mass = (density(tq, vq) * wg[None, :]).sum(axis=1) * hw
+    hw, rq, (stencil, weights) = _mass_rule(grid)
+    if f.splits:
+        vq = interp.eval(f.values, rq)
+    else:
+        vq = (f.values[stencil] * weights).sum(axis=-1).reshape(rq.shape)
+    cell_mass = (density(rq, np.abs(vq)) * GL_MASS[1]).sum(axis=1) * hw
     cum = head + np.concatenate([[0.0], np.cumsum(cell_mass)])
     half = total / 2
     if half <= head:
@@ -114,8 +125,8 @@ def _median_radius(params: Params, f: RadialProfile) -> float:
     j = min(max(j, 0), grid.n - 2)
     # dense inversion inside interval j
     ts = np.linspace(th[j], th[j + 1], 513)
-    vq = np.abs(interp.eval(f.values, np.tan(ts)))
-    dens = density(ts, vq)
+    rs = np.tan(ts)
+    dens = density(rs, np.abs(interp.eval(f.values, rs)))
     seg = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * np.diff(ts))])
     target = half - cum[j]
     idx = int(np.searchsorted(seg, target, side="right")) - 1

@@ -22,7 +22,8 @@ One dense matrix M0 per (grid, k, degree) for the forward operator, and per
 Split radii change only the interpolation stencils within INTERP_DEGREE
 cells of a split and the subdivision of the cell that holds it, so a profile
 with splits is applied as M0 f + C f[cols], where the correction C is
-re-integrated over those few cells alone.
+re-integrated over those few cells alone. M0 is triangular but for a band
+of INTERP_DEGREE columns, and M0 f reads only that triangle and band.
 """
 from __future__ import annotations
 
@@ -310,9 +311,35 @@ def _split_correction(grid: RadialGrid, k: int, d: int, splits_r, degree: int,
     return blocks
 
 
+def _band(n: int, degree: int, i0: int, i1: int, adjoint: bool,
+          halfline: bool) -> tuple[int, int]:
+    """Columns [c0, c1) that hold every nonzero of M0's rows [i0, i1).
+
+    Forward row i integrates the cells c >= i, whose stencils start at node
+    min(c - degree // 2, n - 1 - degree) >= i - degree; adjoint row i
+    integrates the cells c <= i - 1 (and the head strip), whose stencils end
+    at or before node i + degree. The half-line forward operator also carries
+    the tail model in its last three columns.
+    """
+    if adjoint:
+        return 0, min(i1 + degree, n)
+    c0 = max(i0 - degree, 0)
+    return (min(c0, n - 3) if halfline else c0), n
+
+
 def _apply(M: np.ndarray, f: RadialProfile, k: int, d: int, adjoint: bool) -> np.ndarray:
-    """M0 f plus the split correction of f's splits."""
-    out = M @ f.values
+    """M0 f plus the split correction of f's splits.
+
+    M0 is triangular but for a band of INTERP_DEGREE columns (upper for the
+    forward operator, lower for the adjoint), so each block of _TILE_ROWS
+    rows reads only the columns `_band` gives and skips the zero triangle.
+    """
+    n, v = f.grid.n, f.values
+    out = np.empty(n)
+    for i0 in range(0, n, _TILE_ROWS):
+        i1 = min(i0 + _TILE_ROWS, n)
+        c0, c1 = _band(n, _quad.INTERP_DEGREE, i0, i1, adjoint, f.grid.halfline)
+        out[i0:i1] = M[i0:i1, c0:c1] @ v[c0:c1]
     for row0, cols, C in _split_correction(f.grid, k, d, f.splits,
                                            _quad.INTERP_DEGREE, adjoint):
         out[row0:row0 + C.shape[0]] += C @ f.values[cols]

@@ -187,6 +187,20 @@ class TestIntervalSet:
         assert s.weighted_measure(2) == pytest.approx(7 / 3, rel=1e-15)
 
 
+    @pytest.mark.parametrize("pairs", [((0.0, 1.0),), ((0.2, 0.9), (1.3, 4.0)),
+                                       ((0.5, 30.0),), ((0.01, 0.011), (7.0, 1e6))])
+    def test_indicator_profile_is_covered_fraction(self, pairs):
+        # each sample is the covered share of its cell, as covered_length gives it
+        g = K.make_halfline_grid(512)
+        F = K.IntervalSet(pairs)
+        e = g.cell_edges_r
+        want = [1.7 * (F.covered_length(e[i], e[i + 1]) / (e[i + 1] - e[i]))
+                for i in range(g.n)]
+        f = K.indicator_profile(g, F, 1.7)
+        assert f.values.tolist() == want
+        assert f.indicator == (F, 1.7) and f.splits == tuple(sorted(set(sum(pairs, ()))))
+
+
 class TestCsv:
     def test_roundtrip(self, grids):
         g = grids["half1024"]

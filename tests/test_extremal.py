@@ -171,3 +171,15 @@ class TestSearch:
         trace = K.search_extremizer(params, init, max_iter=60)
         assert trace.converged and trace.recentered_steps
         assert len(calls) == len(trace.recentered_steps)
+
+    @pytest.mark.parametrize("k,d,phi", [(1, 3, PHI_ORACLE[(1, 3)]), (1, 2, math.pi / 2)])
+    def test_converges_from_dilated_start(self, k, d, phi):
+        # the start's median sits far from r = 1, so step 1 re-centres it; the
+        # ascent check must compare the candidate in the previous iterate's
+        # dilation frame, where the scale-dependent quadrature error cancels
+        params = K.make_params(k, d)
+        init = K.extremizer_profile(params, 4.0, K.make_halfline_grid(512))
+        trace = K.search_extremizer(params, init)
+        assert trace.converged and 1 in trace.recentered_steps
+        assert not trace.damped_steps
+        assert trace.iterates[-1] == pytest.approx(phi, rel=1e-6)

@@ -97,6 +97,55 @@ class TestNormalizeDilation:
             K.normalize_dilation(params, z)
 
 
+
+class TestMassRule:
+    """The mass median's Gauss rule and its interpolation plan are built once
+    per grid; the medians they give are those of the per-call plan."""
+
+    def test_plan_built_once_per_search(self, monkeypatch):
+        from kplane import symmetry
+        from kplane._quad import SegmentedInterp
+        grid = K.make_halfline_grid(512)
+        rule_points = 5 * (grid.n - 1)
+        sizes, medians = [], []
+        plan, median = SegmentedInterp.plan, symmetry._median_radius
+
+        def counting_plan(self, thq, seg=None):
+            sizes.append(np.size(thq))
+            return plan(self, thq, seg)
+
+        def counting_median(params, f):
+            medians.append(f)
+            return median(params, f)
+
+        monkeypatch.setattr(SegmentedInterp, "plan", counting_plan)
+        monkeypatch.setattr(K.extremal, "_median_radius", counting_median)
+        symmetry._mass_rule.cache_clear()
+        params = K.make_params(1, 3)
+        init = K.RadialProfile(grid, np.exp(-grid.nodes ** 2 / 30.0))
+        trace = K.search_extremizer(params, init, max_iter=60)
+        assert trace.converged and len(medians) == trace.iterations_used > 5
+        assert sizes.count(rule_points) == 1
+
+    @pytest.mark.parametrize("hint", [float("inf"), 50.0])
+    @pytest.mark.parametrize("n", [1024, 2048])
+    def test_bitwise_equal_to_uncached(self, n, hint):
+        # a split beyond the last node changes no stencil, but sends the
+        # profile down the per-call plan of SegmentedInterp.eval
+        from kplane import symmetry
+        grid = K.make_grid(n, hint)
+        rng = np.random.default_rng(n)
+        for k, d in ((1, 3), (2, 4), (3, 4)):
+            params = K.make_params(k, d)
+            profiles = [K.extremizer_profile(params, lam, grid) for lam in (0.3, 1.0, 3.0)]
+            profiles.append(smooth_decaying(params, grid, rng))
+            for f in profiles:
+                inert = K.RadialProfile(grid, f.values, splits=(1e9,))
+                assert inert.interpolator().bounds.tolist() == [0, n]
+                assert symmetry._median_radius(params, f) == \
+                    symmetry._median_radius(params, inert)
+
+
 class TestTruncate:
     def test_large_level_inactive(self, grids):
         params = K.make_params(1, 3)

@@ -388,3 +388,49 @@ class TestBlockedAssembly:
             finally:
                 tracemalloc.stop()
             assert peak <= 2 * M.nbytes, peak / M.nbytes
+
+
+class TestBandedApply:
+    """The warm apply reads only the columns `_band` gives for each row block;
+    every entry it skips is exactly zero."""
+
+    @staticmethod
+    def _matrix(grid, k, degree, adjoint):
+        T = K.transform
+        if adjoint:
+            return T._assemble(grid, k, k + 2, degree, adjoint=True)
+        return T._assemble_forward(grid, k, degree)["M"]
+
+    @pytest.mark.parametrize("hint", [float("inf"), 8.0])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("degree", [1, 3, 7])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_skipped_entries_are_zero(self, k, degree, adjoint, hint):
+        grid = K.make_grid(67, hint)
+        M = self._matrix(grid, k, degree, adjoint)
+        # row by row: a block's columns are the union of its rows' columns
+        for i in range(grid.n):
+            c0, c1 = K.transform._band(grid.n, degree, i, i + 1, adjoint, grid.halfline)
+            assert not M[i, :c0].any() and not M[i, c1:].any(), (i, c0, c1)
+        # and the band is tight enough to matter
+        kept = sum(np.subtract(*K.transform._band(grid.n, degree, i, i + 1, adjoint,
+                                                  grid.halfline)[::-1])
+                   for i in range(grid.n))
+        assert kept < 0.65 * grid.n ** 2
+
+    @pytest.mark.parametrize("splits", [(), (0.4, 1.7, 6.0)])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_full_matvec(self, k, adjoint, splits):
+        # 600 rows: two full row blocks of _TILE_ROWS and a partial one
+        T = K.transform
+        grid = K.make_halfline_grid(600)
+        params = K.make_params(k, k + 2)
+        f = K.RadialProfile(grid, smooth_decaying(params, grid, np.random.default_rng(k)).values,
+                            splits=splits)
+        M = self._matrix(grid, k, 7, adjoint)
+        want = M @ f.values
+        for row0, cols, C in T._split_correction(grid, k, k + 2, splits, 7, adjoint):
+            want[row0:row0 + C.shape[0]] += C @ f.values[cols]
+        got = T._apply(M, f, k, k + 2, adjoint)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
