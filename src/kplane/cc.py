@@ -146,11 +146,15 @@ def classify_trichotomy(params: Params, seq: list[RadialProfile], eps: float,
     """
     if not seq:
         raise ParameterError("need at least one profile")
+    r_max = seq[0].grid.r_max
+    if not r_max > R_EVIDENCE[0]:
+        raise DomainError(f"grid r_max = {r_max:.6g} is not above the smallest evidence "
+                          f"radius {R_EVIDENCE[0]:.6g}; use a grid that reaches further")
     for f in seq:
         m = weighted_integral(f, params.a_domain, params.pf)
         if abs(m - 1.0) > 100 * _NORMALIZATION_TOL:
             raise DomainError(f"profiles must satisfy ||f||_p^p = 1, got {m:.6g}")
-    radii = [R for R in R_EVIDENCE if R < seq[0].grid.r_max]
+    radii = [R for R in R_EVIDENCE if R < r_max]
     Q = np.array([[concentration_function(params, f, R) for R in radii] for f in seq])
     evidence = {"R": list(map(float, radii)), "Q": Q.tolist()}
 

@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from ._quad import SegmentedInterp, composite_weights, strip_extrapolation_integral
 
@@ -319,18 +318,57 @@ def indicator_profile(grid: RadialGrid, intervals: IntervalSet,
                          splits=splits)
 
 
+def _pchip_end_slope(h0, h1, m0, m1) -> float:
+    """One-sided three-point slope at an end of the data, limited so the
+    cubic keeps the data's shape."""
+    e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(e) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(e) > 3 * abs(m0):
+        return 3 * m0
+    return e
+
+
+def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Node slopes of the Fritsch-Carlson monotone cubic through data with
+    interval widths h and secants m: the weighted harmonic mean of the two
+    secants at an interior node where they share a sign, else 0; the secant
+    itself for 2 points, which makes the cubic linear."""
+    if m.size == 1:
+        return np.repeat(m, 2)
+    d = np.zeros(m.size + 1)
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    i = np.flatnonzero((np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0))
+    d[i + 1] = 1.0 / ((w1[i] / m[i] + w2[i] / m[i + 1]) / (w1[i] + w2[i]))
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
 def resample_values(grid: RadialGrid, radii: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Resample (radii, values) onto grid nodes by monotone cubic interpolation
-    in theta; zero outside the input's radial range."""
+    """Resample (radii, values) onto grid nodes by monotone cubic (PCHIP)
+    interpolation in theta; zero outside the input's radial range."""
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
     if radii.ndim != 1 or radii.shape != values.shape or len(radii) < 2:
         raise DataError("need matching 1-d radii/values with at least 2 samples")
+    if not (np.isfinite(radii).all() and np.isfinite(values).all()):
+        raise DataError("radii and values must be finite")
     if not (np.diff(radii) > 0).all():
         raise DataError("radii must be strictly increasing")
-    ip = PchipInterpolator(np.arctan(radii), values, extrapolate=False)
-    out = ip(grid.theta_nodes)
-    return np.nan_to_num(out, nan=0.0)
+    x = np.arctan(radii)
+    h = np.diff(x)
+    m = np.diff(values) / h
+    d = _pchip_slopes(h, m)
+    th = grid.theta_nodes
+    inside = (th >= x[0]) & (th <= x[-1])
+    j = np.clip(np.searchsorted(x, th[inside], side="right") - 1, 0, h.size - 1)
+    s, h, m = th[inside] - x[j], h[j], m[j]
+    t = (d[j] + d[j + 1] - 2 * m) / h
+    out = np.zeros(grid.n)
+    # the Hermite cubic on [x_j, x_j+1] in powers of s = theta - x_j
+    out[inside] = values[j] + s * (d[j] + s * ((m - d[j]) / h - t + s * (t / h)))
+    return out
 
 
 # ---------------------------------------------------------------------------

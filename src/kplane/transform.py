@@ -16,6 +16,11 @@ integrated cell-by-cell with Gauss-Legendre rules; the cell adjacent to the
 kernel edge u = r uses the substitution s = sqrt(u^2-r^2), which removes the
 k = 1 singularity exactly. On half-line grids the region beyond the last node
 is covered by a cos-power tail model fitted to the last three samples.
+Every quadrature point carries its interpolation stencil as SegmentedInterp.plan
+gives it: (idx, w), the indices of its degree + 1 nodes and their Lagrange
+weights, with no basis matrix formed. A build multiplies each kernel tile by
+small dense blocks of these stencils; for k = 2, whose kernel is 1, it
+scatters them and takes one cumulative sum over the rows.
 
 One dense matrix M0 per (grid, k, degree) for the forward operator, and per
 (grid, k, d, degree) for the adjoint, is built without splits and memoized.
@@ -33,7 +38,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, vstack
 
 from . import _quad
 from ._quad import (GL_CELL, GL_EDGE, GL_TAIL, SegmentedInterp, scaled_kernel_power,
@@ -47,6 +51,8 @@ _TAIL_TOL = 1e-6
 DENSE_BUDGET_BYTES = 2 * 1024 ** 3
 #: tile of the transposed kernel matrix: rows x GL points (4 MiB, cache-sized)
 _TILE_ROWS, _TILE_POINTS = 256, 2048
+#: GL points per dense stencil block within a tile
+_BLOCK_POINTS = 96
 _MATRIX_CACHE: OrderedDict = OrderedDict()
 _CACHE_LOCK = threading.Lock()
 _BUILD_LOCKS: dict = {}
@@ -125,10 +131,12 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
                 c0: int, c1: int, splits_r, adjoint: bool) -> dict:
     """Product-integration nodes of the operator over grid cells c0..c1.
 
-    Interior: GL points (t^2, kernel-free weight, owning cell, basis matrix);
-    a row integrates them against |t^2 - r^2|^{k/2-1} over the cells it sees.
-    Edge: (row, node index, weight) triplets of the cell at each row's kernel
-    edge, integrated in s = sqrt(|u^2 - r_row^2|). For the adjoint with
+    Interior: GL points (t^2, kernel-free weight, owning cell) with their
+    interpolation stencils (sidx, sw), one row of node indices and weights per
+    point as SegmentedInterp.plan gives them; a row integrates the points
+    against |t^2 - r^2|^{k/2-1} over the cells it sees. Edge: stencils (idx,
+    w) of the GL points of the cell at each row's kernel edge, integrated in
+    s = sqrt(|u^2 - r_row^2|), with the row each one enters. For the adjoint with
     c0 == 0 the head strip [0, theta_1] joins the interior as cell -1, and
     row 0's own range [0, r_0] joins the edge terms.
     """
@@ -147,9 +155,7 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
         cell = np.concatenate([np.full(GL_EDGE[0].size, -1), cell])
     tg = np.tan(thg)
     base = (tg ** (d - k - 1) if adjoint else tg) * (1.0 + tg * tg) * wg
-    idx, bw = interp.plan(thg, seg)
-    B = csr_matrix((bw.ravel(), (np.repeat(np.arange(thg.size), idx.shape[1]), idx.ravel())),
-                   shape=(thg.size, grid.n))
+    sidx, sw = interp.plan(thg, seg)
 
     lo, hi, cell_r = _refine(r, c0, c1, splits_r)
     rows = cell_r + 1 if adjoint else cell_r
@@ -179,8 +185,22 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
         segq = np.concatenate([segq, np.zeros(wq.size, dtype=int)])
         rows = np.concatenate([rows, np.zeros(wq.size, dtype=int)])
     eidx, ebw = interp.plan(thq, segq)
-    return {"t2": tg * tg, "base": base, "cell": cell, "B": B,
+    return {"t2": tg * tg, "base": base, "cell": cell, "sidx": sidx, "sw": sw,
             "rows": rows, "idx": eidx, "w": wts[:, None] * ebw}
+
+
+def _stencil_blocks(sj: np.ndarray, sw: np.ndarray, q0: int, q1: int) -> list:
+    """Points q0..q1 as dense stencil blocks of _BLOCK_POINTS points: (b0, b1,
+    c0, c1, D) with D[p, c - c0] the weight of point b0 + p at column c."""
+    blocks = []
+    for b0 in range(q0, q1, _BLOCK_POINTS):
+        b1 = min(b0 + _BLOCK_POINTS, q1)
+        js = sj[b0:b1]
+        c0, c1 = js.min(), js.max() + 1
+        D = np.zeros((b1 - b0, c1 - c0))
+        np.add.at(D, (np.arange(b1 - b0)[:, None], js - c0), sw[b0:b1])
+        blocks.append((b0, b1, c0, c1, D))
+    return blocks
 
 
 def _accumulate(out: np.ndarray, row0: int, cols: np.ndarray, grid: RadialGrid,
@@ -189,14 +209,14 @@ def _accumulate(out: np.ndarray, row0: int, cols: np.ndarray, grid: RadialGrid,
     (interior points sorted by cell); `out` is zero on entry.
 
     Forward row i integrates the interior cells c >= i+1, adjoint row i the
-    cells c <= i-2; the edge triplets supply the cell at each row's kernel edge.
+    cells c <= i-2; the edge stencils supply the cell at each row's kernel edge.
     """
     rows = np.arange(row0, row0 + out.shape[0])
     cell, base = quad["cell"], quad["base"]
-    B = quad["B"][:, cols]
+    sj, sw = np.searchsorted(cols, quad["sidx"]), quad["sw"]
     if k == 2:
         # the kernel is 1: rows are suffix (forward) or prefix (adjoint) sums
-        # of per-cell integrals. Each point's term enters out at the first
+        # of per-cell integrals. Each point's stencil enters out at the first
         # row of the sum that sees it, then one in-place cumulative sum runs
         # over the rows: an O(n^2) pass with no kernel and no n x n temporary.
         last = row0 + out.shape[0] - 1
@@ -206,24 +226,19 @@ def _accumulate(out: np.ndarray, row0: int, cols: np.ndarray, grid: RadialGrid,
         else:
             keep = cell - 1 >= row0
             enter = np.minimum(cell[keep] - 1, last) - row0
-        E = csr_matrix((base[keep], (enter, np.flatnonzero(keep))),
-                       shape=(out.shape[0], base.size)) @ B
-        E.toarray(out=out)
+        np.add.at(out, (enter[:, None], sj[keep]), base[keep, None] * sw[keep])
         acc = out if adjoint else out[::-1]
         np.cumsum(acc, axis=0, out=acc)
     else:
         # A^T (points x rows), A^T[j, i] = base_j |t_j^2 - r_i^2|^{k/2-1}, is
-        # evaluated in place one cache-sized tile at a time. Each chunk of
-        # points keeps the CSC of its stencil columns, so a tile's share of
-        # out is the CSC product B_chunk^T A^T, which streams A^T's rows.
+        # evaluated in place one cache-sized tile at a time. A tile's share of
+        # out is a sum of small products A^T[block]^T D over its dense stencil
+        # blocks, each spanning the few columns its points' stencils reach.
         t2, r2 = quad["t2"], grid.nodes[rows] ** 2
         if adjoint:
             t2, r2 = -t2, -r2
-        chunks = []
-        for q0 in range(0, t2.size, _TILE_POINTS):
-            Bq = B[q0:q0 + _TILE_POINTS]
-            c0, c1 = Bq.indices.min(), Bq.indices.max() + 1
-            chunks.append((q0, q0 + Bq.shape[0], c0, c1, Bq[:, c0:c1].T))
+        tiles = [(q0, min(q0 + _TILE_POINTS, t2.size)) for q0 in range(0, t2.size, _TILE_POINTS)]
+        tiles = [(q0, q1, _stencil_blocks(sj, sw, q0, q1)) for q0, q1 in tiles]
         buf = np.empty(_TILE_ROWS * _TILE_POINTS)
         for i0 in range(0, rows.size, _TILE_ROWS):
             rs = rows[i0:i0 + _TILE_ROWS]
@@ -234,7 +249,7 @@ def _accumulate(out: np.ndarray, row0: int, cols: np.ndarray, grid: RadialGrid,
             else:
                 p0, p1 = np.searchsorted(cell, rs[0] + 1), cell.size
                 s0, s1 = p0, np.searchsorted(cell, rs[-1], side="right")
-            for q0, q1, c0, c1, BqT in chunks:
+            for q0, q1, blocks in tiles:
                 a, b = max(p0, q0), min(p1, q1)
                 if a >= b:
                     continue
@@ -251,7 +266,9 @@ def _accumulate(out: np.ndarray, row0: int, cols: np.ndarray, grid: RadialGrid,
                 scaled_kernel_power(seen, k, base[a:b, None])
                 unseen = (cell[lo:hi, None] > rs - 2) if adjoint else (cell[lo:hi, None] <= rs)
                 stair[unseen] = 0.0
-                out[i0:i0 + rs.size, c0:c1] += (BqT @ At).T
+                for b0, b1, c0, c1, D in blocks:
+                    if a < b1 and b0 < b:
+                        out[i0:i0 + rs.size, c0:c1] += At[b0 - q0:b1 - q0].T @ D
     np.add.at(out, (quad["rows"][:, None] - row0, np.searchsorted(cols, quad["idx"])),
               quad["w"])
 
@@ -296,12 +313,11 @@ def _split_correction(grid: RadialGrid, k: int, d: int, splits_r, degree: int,
         q_split = _quadrature(grid, k, d, with_splits, c0, c1, splits_r, adjoint)
         q_plain = _quadrature(grid, k, d, plain, c0, c1, (), adjoint)
         q_plain["base"], q_plain["w"] = -q_plain["base"], -q_plain["w"]
-        diff = {key: (vstack if key == "B" else np.concatenate)([q_split[key], q_plain[key]])
-                for key in q_split}
+        diff = {key: np.concatenate([q_split[key], q_plain[key]]) for key in q_split}
         order = np.argsort(diff["cell"], kind="stable")
-        for key in ("t2", "base", "cell", "B"):
+        for key in ("t2", "base", "cell", "sidx", "sw"):
             diff[key] = diff[key][order]
-        cols = np.unique(np.concatenate([diff["B"].indices, diff["idx"].ravel()]))
+        cols = np.unique(np.concatenate([diff["sidx"].ravel(), diff["idx"].ravel()]))
         row0, row1 = ((0 if c0 == 0 else c0 + 1), n) if adjoint else (0, c1 + 1)
         C = np.zeros((row1 - row0, cols.size))
         _accumulate(C, row0, cols, grid, k, diff, adjoint)

@@ -154,6 +154,7 @@ def check_superadditivity(params: Params, alpha_grid) -> BoundReport:
     """Strict superadditivity backing S_1 > S_alpha + S_{1-alpha}:
     alpha^{k+1} + (1-alpha)^{k+1} < 1 in exact rational arithmetic, plus the
     q-homogeneity ||T(c f)||_q^q = c^q ||T f||_q^q that reduces S_alpha to it."""
+    alpha_grid = list(alpha_grid)
     worst = Fraction(0)
     for alpha in alpha_grid:
         fa = Fraction(alpha).limit_denominator(10 ** 9)
@@ -171,7 +172,7 @@ def check_superadditivity(params: Params, alpha_grid) -> BoundReport:
     passed = worst < 1 and hom_err < 1e-10
     return BoundReport("superadditivity", lhs=float(worst), rhs=1.0,
                        passed=passed, tol=0.0,
-                       inputs={"k": params.k, "alphas": len(list(alpha_grid)),
+                       inputs={"k": params.k, "alphas": len(alpha_grid),
                                "homogeneity_rel_err": hom_err})
 
 

@@ -110,6 +110,14 @@ class TestClassifier:
         rep = K.classify_trichotomy(params, seq, eps=0.05, separation_min=8.0)
         assert rep.verdict == "Dichotomy"
 
+    def test_grid_below_every_evidence_radius_rejected(self):
+        params = K.make_params(1, 3)
+        grid = K.make_grid(64, 0.2)
+        f = K.extremizer_profile(params, 1.0, grid)
+        f = f.scaled(K.weighted_integral(f, params.a_domain, params.pf) ** (-1 / params.pf))
+        with pytest.raises(K.DomainError, match="r_max = 0.2.*0.25"):
+            K.classify_trichotomy(params, [f, f, f], eps=0.05, separation_min=8.0)
+
 
 class TestInteraction:
     def test_zero_far_profile(self, grids):

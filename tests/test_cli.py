@@ -173,3 +173,39 @@ class TestVersionAndThreads:
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == expected
+
+
+class TestNumpyOnly:
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        # scipy is a test-only extra: a blocked import must not matter to the CLI
+        import os
+        import pathlib
+        import subprocess
+        import sys
+        grid = K.make_halfline_grid(300)
+        f = K.extremizer_profile(K.make_params(1, 3), 1.0, grid)
+        with open(tmp_path / "prof.csv", "w") as fh:
+            K.write_profile_csv(fh, grid.nodes, f.values)
+        kd = ["--k", "1", "--d", "3"]
+        commands = [
+            ["constant", *kd, "--which", "B", "--grid-n", "256"],
+            ["transform", *kd, "--preset", "extremizer", "--grid-n", "256", "--out", "a.csv"],
+            ["transform", *kd, "--input", "prof.csv", "--grid-n", "256", "--out", "b.csv"],
+            ["search", *kd, "--max-iter", "200", "--grid-n", "256", "--out-prefix", "s"],
+            ["diagnose", *kd, "--synthetic", "dichotomy:0.4", "--grid-n", "512",
+             "--out", "diag.json"],
+            ["verify", "--suite", "slide", "--trials", "5", "--out", "v.jsonl"],
+        ]
+        probe = ("import json, sys\n"
+                 "sys.modules['scipy'] = None\n"
+                 "from kplane.cli import main\n"
+                 f"codes = [main(c) for c in {commands!r}]\n"
+                 "assert not [m for m in sys.modules if m.startswith('scipy.')]\n"
+                 "print(json.dumps(codes))\n")
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(K.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.strip().splitlines()[-1]) == [0] * len(commands)
+        assert json.loads((tmp_path / "diag.json").read_text())["verdict"] == "Dichotomy"
+        assert K.read_profile_csv(tmp_path / "b.csv")[1].size > 0

@@ -218,3 +218,66 @@ class TestCsv:
             K.read_profile_csv(io.StringIO("x,y\n1,2\n"))
         with pytest.raises(K.DataError):
             K.read_profile_csv(io.StringIO("r,value\n1,abc\n"))
+
+
+class TestResample:
+    @pytest.mark.parametrize("bad", ["radius_nan", "radius_inf", "value_nan", "value_inf"])
+    def test_non_finite_rejected(self, bad):
+        g = K.make_halfline_grid(64)
+        r, v = np.array([0.5, 1.0, 2.0]), np.array([1.0, 0.5, 0.25])
+        which, kind = bad.split("_")
+        (r if which == "radius" else v)[-1] = np.nan if kind == "nan" else np.inf
+        with pytest.raises(K.DataError, match="finite"):
+            K.resample_values(g, r, v)
+
+    def test_exact_at_input_nodes(self):
+        g = K.make_halfline_grid(128)
+        rng = np.random.default_rng(3)
+        r = g.nodes[10:100:9]
+        v = rng.normal(size=r.size)
+        out = K.resample_values(g, r, v)
+        assert np.abs(out[10:100:9] - v).max() <= 1e-14 * np.abs(v).max()
+
+    def test_zero_outside_input_range(self):
+        g = K.make_halfline_grid(128)
+        r = np.array([0.7, 1.3, 2.9])
+        out = K.resample_values(g, r, np.array([2.0, 1.0, 3.0]))
+        outside = (g.nodes < 0.7) | (g.nodes > 2.9)
+        assert outside.any() and not out[outside].any()
+        assert (out[~outside] > 0).all()
+
+    def test_two_samples_are_linear_in_theta(self):
+        g = K.make_halfline_grid(128)
+        out = K.resample_values(g, np.array([0.5, 2.0]), np.array([1.0, 3.0]))
+        t0, t1 = math.atan(0.5), math.atan(2.0)
+        inside = (g.theta_nodes >= t0) & (g.theta_nodes <= t1)
+        want = 1.0 + 2.0 * (g.theta_nodes[inside] - t0) / (t1 - t0)
+        assert np.abs(out[inside] - want).max() <= 1e-14
+
+    def test_matches_scipy_pchip(self):
+        # the reference implementation of Fritsch-Carlson PCHIP (test-only extra)
+        interpolate = pytest.importorskip("scipy.interpolate")
+        g = K.make_grid(96, 6.0)
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for trial in range(1200):
+            m = int(rng.integers(2, 13))
+            r = np.sort(rng.uniform(0.02, 7.0, m))
+            if not (np.diff(r) > 0).all():
+                continue
+            v = rng.normal(size=m)
+            if trial % 4 == 1:
+                v = np.round(v)                     # flat runs
+            elif trial % 4 == 2:
+                v = np.cumsum(np.abs(v))            # monotone
+            elif trial % 4 == 3:
+                v[rng.random(m) < 0.4] = 0.0        # zero runs and sign changes
+            want = interpolate.PchipInterpolator(np.arctan(r), v, extrapolate=False)(
+                g.theta_nodes)
+            got = K.resample_values(g, r, v)
+            outside = np.isnan(want)
+            assert np.array_equal(outside, (g.nodes < r[0]) | (g.nodes > r[-1]))
+            assert not got[outside].any()
+            scale = np.abs(v).max() or 1.0
+            worst = max(worst, np.abs(got[~outside] - want[~outside]).max(initial=0.0) / scale)
+        assert worst <= 1e-14, worst

@@ -325,18 +325,20 @@ class TestBlockedAssembly:
     and within its memory bound."""
 
     @staticmethod
-    def _reference(grid, k, d, adjoint):
+    def _reference(grid, k, d, adjoint, splits=()):
         # every row against every GL point with an explicit visibility mask,
-        # one dense matmul with the basis matrix, then the edge triplets
+        # one dense matmul with the stencils as a dense basis, then the edge terms
         T = K.transform
-        q = T._quadrature(grid, k, d, SegmentedInterp(grid.theta_nodes, grid.h),
-                          0, grid.n - 2, (), adjoint)
+        interp = SegmentedInterp(grid.theta_nodes, grid.h, [math.atan(s) for s in splits])
+        q = T._quadrature(grid, k, d, interp, 0, grid.n - 2, splits, adjoint)
         i = np.arange(grid.n)[:, None]
         cell = q["cell"][None, :]
         seen = (cell <= i - 2) if adjoint else (cell >= i + 1)
         x = np.where(seen, np.abs(q["t2"][None, :] - grid.nodes[:, None] ** 2), 1.0)
         A = np.where(seen, x ** (k / 2 - 1) * q["base"], 0.0)
-        M = A @ q["B"].toarray()
+        basis = np.zeros((q["t2"].size, grid.n))
+        np.add.at(basis, (np.arange(q["t2"].size)[:, None], q["sidx"]), q["sw"])
+        M = A @ basis
         np.add.at(M, (q["rows"][:, None], q["idx"]), q["w"])
         return M, q
 
@@ -348,6 +350,21 @@ class TestBlockedAssembly:
         ref, q = self._reference(grid, k, k + 2, adjoint)
         M = np.zeros((64, 64))
         K.transform._accumulate(M, 0, np.arange(64), grid, k, q, adjoint)
+        assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_split_correction_matches_dense_reference(self, k, adjoint):
+        # the split at 7.9 leaves a last segment shorter than a stencil, whose
+        # padded stencil entries repeat the last node with zero weight
+        T = K.transform
+        grid, d, splits = K.make_grid(64, 8.0), k + 2, (2.0, 7.9)
+        ref = self._reference(grid, k, d, adjoint, splits)[0]
+        M = T._assemble(grid, k, d, 7, adjoint)
+        if adjoint:
+            ref *= (grid.nodes ** (2.0 - d))[:, None]
+        for row0, cols, C in T._split_correction(grid, k, d, splits, 7, adjoint):
+            M[row0:row0 + C.shape[0], cols] += C
         assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("adjoint", [False, True])
@@ -368,9 +385,10 @@ class TestBlockedAssembly:
 
         *default, n_blocks = build()
         assert n_blocks > 1
-        # tiles that end inside a cell and inside a row's staircase
+        # tiles and stencil blocks that end inside a cell and inside a row's staircase
         monkeypatch.setattr(T, "_TILE_ROWS", 5)
         monkeypatch.setattr(T, "_TILE_POINTS", 7)
+        monkeypatch.setattr(T, "_BLOCK_POINTS", 3)
         for got, want in zip(build()[:2], default):
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
@@ -388,6 +406,27 @@ class TestBlockedAssembly:
             finally:
                 tracemalloc.stop()
             assert peak <= 2 * M.nbytes, peak / M.nbytes
+
+
+class TestProfileMeta:
+    def test_each_key_has_one_producer(self):
+        params = K.make_params(1, 3)
+        f = K.extremizer_profile(params, 1.0, K.make_halfline_grid(256))
+        ball = K.indicator_profile(f.grid, K.IntervalSet(((0.0, 1.0),)))
+        assert f.meta == {} and ball.meta == {}
+        # apply_T of a sampled profile: the tail model's share and its warning
+        assert set(K.apply_T(params, f).meta) == {"tail_fraction", "tail_warning"}
+        trunc = K.extremizer_profile(params, 1.0, K.make_grid(256, 8.0))
+        assert set(K.apply_T(params, trunc).meta) == {"tail_fraction", "tail_warning"}
+        # an indicator's closed-form transform, also when scaled
+        assert K.apply_T(params, ball).meta == {"exact": True}
+        assert K.apply_T(params, ball.scaled(2.0)).meta == {"exact": True}
+        # both halves of a truncation
+        g, eps = K.truncate(params, f, 2.0)
+        assert g.meta == eps.meta == {"truncation_level": 2.0}
+        # and nothing else sets one
+        assert K.apply_T_adjoint(params, f).meta == {}
+        assert K.dilate_profile(params, f, 2.0).meta == {}
 
 
 class TestBandedApply:

@@ -104,6 +104,12 @@ class TestSuperadditivity:
         with pytest.raises(K.ParameterError):
             K.check_superadditivity(params, [0.0])
 
+    def test_generator_grid_counted(self):
+        params = K.make_params(1, 3)
+        rep = K.check_superadditivity(params, (j / 10 for j in range(1, 10)))
+        assert rep.inputs["alphas"] == 9
+        assert rep.lhs == pytest.approx(0.1 ** 2 + 0.9 ** 2, rel=1e-12)
+
 
 class TestCompactness:
     def test_trends(self):
