@@ -105,26 +105,42 @@ class SegmentedInterp:
         """Stencil node indices and weights for query angles thq (flat array)."""
         if seg is None:
             seg = self.segment_of(thq)
+        pos = thq / self.h                   # node i (0-based) sits at (i+1)h
+        start, L = self._starts(np.rint(pos).astype(int) - 1, seg)
+        return self._weights(start, L, pos - (start + 1))
+
+    def plan_interval(self, j: int, u: np.ndarray, seg: np.ndarray):
+        """Stencils at the angles theta_j + u h, 0 <= u <= 1, of the interval
+        between nodes j and j + 1, in segments seg. The weights are those of
+        `plan` but for the rounding of the angles: they depend on j only
+        through each stencil's start, so away from the grid's ends and its
+        splits they are the same for every j up to a shift of the indices."""
+        start, L = self._starts(j + np.rint(u).astype(int), seg)
+        return self._weights(start, L, u + (j - start))
+
+    def _starts(self, anchor: np.ndarray, seg: np.ndarray):
+        """First node and length of the stencil around each anchor node,
+        kept within its segment."""
         lo = self.bounds[seg]
         hi = self.bounds[seg + 1]
-        size = hi - lo
-        L = np.minimum(self.degree + 1, size)
+        L = np.minimum(self.degree + 1, hi - lo)
+        j = np.clip(anchor, 0, self.n - 1)
+        return np.clip(j - (L - 1) // 2, lo, np.maximum(hi - L, lo)), L
+
+    def _weights(self, start: np.ndarray, L: np.ndarray, x: np.ndarray):
+        """Node indices and Lagrange weights of stencils of length L from
+        `start`, at offsets x from their first node, padded to degree + 1
+        entries with zero weights."""
         width = self.degree + 1
-        idx_out = np.zeros(thq.shape + (width,), dtype=int)
-        w_out = np.zeros(thq.shape + (width,))
-        # nearest node (0-based) to anchor the stencil
-        j = np.clip(np.rint(thq / self.h).astype(int) - 1, 0, self.n - 1)
-        start = np.clip(j - (L - 1) // 2, lo, np.maximum(hi - L, lo))
+        idx_out = np.zeros(x.shape + (width,), dtype=int)
+        w_out = np.zeros(x.shape + (width,))
         for Lv in np.unique(L):
             m = L == Lv
             if Lv <= 0:
                 continue
-            x = thq[m] / self.h - (start[m] + 1)   # node i (0-based) sits at (i+1)h
-            w = lagrange_weights(x, int(Lv))
             idx = start[m][:, None] + np.arange(width)[None, :]
-            idx = np.minimum(idx, self.n - 1)
-            idx_out[m] = idx
-            w_out[m, :int(Lv)] = w
+            idx_out[m] = np.minimum(idx, self.n - 1)
+            w_out[m, :int(Lv)] = lagrange_weights(x[m], int(Lv))
         return idx_out, w_out
 
     def eval(self, values: np.ndarray, u) -> np.ndarray:

@@ -361,7 +361,8 @@ def resample_values(grid: RadialGrid, radii: np.ndarray, values: np.ndarray) -> 
     m = np.diff(values) / h
     d = _pchip_slopes(h, m)
     th = grid.theta_nodes
-    inside = (th >= x[0]) & (th <= x[-1])
+    # by radius: arctan(tan(theta)) may round a node on an end sample outside
+    inside = (grid.nodes >= radii[0]) & (grid.nodes <= radii[-1])
     j = np.clip(np.searchsorted(x, th[inside], side="right") - 1, 0, h.size - 1)
     s, h, m = th[inside] - x[j], h[j], m[j]
     t = (d[j] + d[j + 1] - 2 * m) / h

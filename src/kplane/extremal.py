@@ -76,8 +76,16 @@ def constant_B_with_error(params: Params, resolution: int = 4096) -> tuple[float
 
 @dataclass
 class SearchTrace:
-    """Per-iteration record of the extremizer search."""
+    """Per-iteration record of the extremizer search.
+
+    iterates   Phi of the start and of each accepted iterate
+    residuals  the Euler-Lagrange residual ||f - N[(T*((T f)^{q-1}))^{1/(p-1)}]||_p
+               of the iterate f each step starts from, N the p-normalization;
+               it vanishes exactly at a fixed point, where a stagnating Phi
+               alone does not certify one
+    """
     iterates: list[float] = field(default_factory=list)
+    residuals: list[float] = field(default_factory=list)
     final_profile: RadialProfile | None = None
     converged: bool = False
     iterations_used: int = 0
@@ -88,6 +96,7 @@ class SearchTrace:
         return {
             "schema": 1,
             "phi": self.iterates,
+            "residual": self.residuals,
             "converged": self.converged,
             "iterations_used": self.iterations_used,
             "damped_steps": self.damped_steps,
@@ -138,6 +147,8 @@ def search_extremizer(params: Params, init: RadialProfile, max_iter: int = 500,
         grad = apply_T_adjoint(params, powered)
         cand_vals = np.maximum(grad.values, 0.0) ** exp_update
         cand = _normalized(params, RadialProfile(f.grid, cand_vals))
+        trace.residuals.append(weighted_lp_norm(
+            RadialProfile(f.grid, f.values - cand.values), params.a_domain, pf))
         phi_c, tf_c = phi_of(cand)
         if phi_c < phi * (1.0 - ASCENT_TOL):
             # damping: geometric mean with the previous iterate in log space

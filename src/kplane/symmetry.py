@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from ._quad import GL_MASS, tail_basis, tail_power_fit
+from ._quad import GL_MASS, INTERP_DEGREE, tail_basis, tail_power_fit
 from .core import (DomainError, IntervalSet, ParameterError, Params, RadialGrid,
                    RadialProfile, indicator_profile, weighted_integral, weighted_lp_norm)
 
@@ -59,27 +59,41 @@ def rearrange(params: Params, f: RadialProfile) -> RadialProfile:
     return RadialProfile(grid, out)
 
 
+#: points of the dense inversion of the mass median within one interval
+_INVERSION_POINTS = 513
+
+
 @functools.lru_cache(maxsize=16)
 def _mass_rule(grid: RadialGrid) -> tuple:
-    """The per-interval 5-point Gauss rule of _median_radius on `grid`:
-    half-widths (n-1,), query radii tan(theta_q) (n-1, 5), and the stencil
-    (idx, w) of the grid's split-free interpolant at those queries, planned
-    once per grid as SegmentedInterp.eval would plan it on every call."""
+    """What _median_radius plans once per grid for profiles without splits.
+
+    The per-interval 5-point Gauss rule: half-widths (n-1,), query radii
+    tan(theta_q) (n-1, 5), and the stencil (idx, w) of the split-free
+    interpolant at those queries, as SegmentedInterp.eval would plan it. And
+    the dense inversion within one interval j: its _INVERSION_POINTS offsets
+    u, and the stencil (idx - j, w) at theta_j + u h, the same for every j
+    from INTERP_DEGREE to n - 2 - INTERP_DEGREE, whose stencils meet neither
+    end of the grid."""
     th = grid.theta_nodes
     hw = (th[1:] - th[:-1]) / 2
     tq = ((th[:-1] + th[1:]) / 2)[:, None] + hw[:, None] * GL_MASS[0][None, :]
     rq = np.tan(tq)
-    return hw, rq, grid._interp_plain.plan(np.arctan(rq).ravel())
+    interp = grid._interp_plain
+    u = np.linspace(0.0, 1.0, _INVERSION_POINTS)
+    idx, w = interp.plan_interval(INTERP_DEGREE, u, np.zeros(u.size, dtype=int))
+    return hw, rq, interp.plan(np.arctan(rq).ravel()), (u, idx - INTERP_DEGREE, w)
 
 
 def _median_radius(params: Params, f: RadialProfile) -> float:
     """Radius splitting the p-mass in half (mu-mass median).
 
     The sampled branch accumulates the mass of the profile's interpolant in
-    theta per node interval (Gauss rule, cached per grid by _mass_rule for
-    profiles without splits), then inverts within the located interval by
-    dense sub-sampling; the cell-constant view would bias the median by a
-    fraction of a cell, which is too coarse for orbit alignment."""
+    theta per node interval (Gauss rule), then inverts within the located
+    interval by dense sub-sampling; the cell-constant view would bias the
+    median by a fraction of a cell, which is too coarse for orbit alignment.
+    For profiles without splits both interpolation plans come from
+    _mass_rule, cached per grid, but for the inversion in the first and last
+    INTERP_DEGREE intervals."""
     if f.indicator is not None:
         F, amp = f.indicator
         d = params.d
@@ -111,7 +125,7 @@ def _median_radius(params: Params, f: RadialProfile) -> float:
     head = abs(f.values[0]) ** p * r1 ** (a_exp + 1) / (a_exp + 1)
     # per-interval masses of the interpolant (5-point Gauss)
     interp = f.interpolator()
-    hw, rq, (stencil, weights) = _mass_rule(grid)
+    hw, rq, (stencil, weights), (u, offsets, u_weights) = _mass_rule(grid)
     if f.splits:
         vq = interp.eval(f.values, rq)
     else:
@@ -124,9 +138,13 @@ def _median_radius(params: Params, f: RadialProfile) -> float:
     j = int(np.searchsorted(cum, half, side="right")) - 1
     j = min(max(j, 0), grid.n - 2)
     # dense inversion inside interval j
-    ts = np.linspace(th[j], th[j + 1], 513)
+    ts = np.linspace(th[j], th[j + 1], u.size)
+    if f.splits or not INTERP_DEGREE <= j <= grid.n - 2 - INTERP_DEGREE:
+        u_idx, u_weights = interp.plan_interval(j, u, interp.segment_of(ts))
+    else:
+        u_idx = j + offsets
     rs = np.tan(ts)
-    dens = density(rs, np.abs(interp.eval(f.values, rs)))
+    dens = density(rs, np.abs((f.values[u_idx] * u_weights).sum(axis=-1)))
     seg = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * np.diff(ts))])
     target = half - cum[j]
     idx = int(np.searchsorted(seg, target, side="right")) - 1

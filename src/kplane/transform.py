@@ -18,17 +18,23 @@ k = 1 singularity exactly. On half-line grids the region beyond the last node
 is covered by a cos-power tail model fitted to the last three samples.
 Every quadrature point carries its interpolation stencil as SegmentedInterp.plan
 gives it: (idx, w), the indices of its degree + 1 nodes and their Lagrange
-weights, with no basis matrix formed. A build multiplies each kernel tile by
-small dense blocks of these stencils; for k = 2, whose kernel is 1, it
-scatters them and takes one cumulative sum over the rows.
+weights, with no basis matrix formed.
 
-One dense matrix M0 per (grid, k, degree) for the forward operator, and per
+One operator M0 per (grid, k, degree) for the forward operator, and per
 (grid, k, d, degree) for the adjoint, is built without splits and memoized.
+For k = 2 the kernel (u^2 - r^2)^0 is 1: T f(r) = int_r^inf f(u) u du is a
+suffix integral and T* g(u) = u^{2-d} int_0^u g(w) w^{d-3} dw a prefix
+integral, so M0 is kept as _PrefixSums: per-cell and per-row node weights and
+one cumulative sum, O(n) memory and an O(n) apply. Only discretize_T_R
+densifies it. For every other k M0 is a dense matrix, built by multiplying
+each kernel tile by small dense blocks of the stencils.
+
 Split radii change only the interpolation stencils within INTERP_DEGREE
 cells of a split and the subdivision of the cell that holds it, so a profile
 with splits is applied as M0 f + C f[cols], where the correction C is
-re-integrated over those few cells alone. M0 is triangular but for a band
-of INTERP_DEGREE columns, and M0 f reads only that triangle and band.
+re-integrated over those few cells alone; for k = 2 the apply re-integrates
+those cells and edge rows in place of M0's. A dense M0 is triangular but for
+a band of INTERP_DEGREE columns, and M0 f reads only that triangle and band.
 """
 from __future__ import annotations
 
@@ -53,13 +59,16 @@ DENSE_BUDGET_BYTES = 2 * 1024 ** 3
 _TILE_ROWS, _TILE_POINTS = 256, 2048
 #: GL points per dense stencil block within a tile
 _BLOCK_POINTS = 96
+#: cells per quadrature block of a prefix-sum (k = 2) build
+_BUILD_CELLS = 256
 _MATRIX_CACHE: OrderedDict = OrderedDict()
 _CACHE_LOCK = threading.Lock()
 _BUILD_LOCKS: dict = {}
 
 
 def _nbytes(value) -> int:
-    """Bytes held by a cached operator: a matrix, or a dict of matrices."""
+    """Bytes held by a cached operator: a matrix or prefix sums, or a dict
+    of them."""
     if isinstance(value, dict):
         return sum(v.nbytes for v in value.values() if v is not None)
     return value.nbytes
@@ -73,14 +82,13 @@ def _evict(need: int, keep: int) -> None:
         held -= _nbytes(_MATRIX_CACHE.popitem(last=False)[1])
 
 
-def _cached(key, build, n: int):
-    """Memoized build() of an operator on n grid points; concurrent callers
-    with one key wait for one build.
+def _cached(key, build, need: int):
+    """Memoized build() of an operator that holds `need` bytes; concurrent
+    callers with one key wait for one build.
 
-    Before the n x n matrix is allocated, least recently used entries are
-    evicted until it fits in DENSE_BUDGET_BYTES beside what stays; after the
-    build the cache is trimmed to the budget again, never evicting the entry
-    just built.
+    Before the build, least recently used entries are evicted until `need`
+    fits in DENSE_BUDGET_BYTES beside what stays; after the build the cache
+    is trimmed to the budget again, never evicting the entry just built.
     """
     with _CACHE_LOCK:
         if key in _MATRIX_CACHE:
@@ -91,13 +99,22 @@ def _cached(key, build, n: int):
         with _CACHE_LOCK:
             if key in _MATRIX_CACHE:
                 return _MATRIX_CACHE[key]
-            _evict(8 * n * n, 0)
+            _evict(need, 0)
         value = build()
         with _CACHE_LOCK:
             _MATRIX_CACHE[key] = value
             _evict(0, 1)
             _BUILD_LOCKS.pop(key, None)
     return value
+
+
+def _operator_bytes(n: int, k: int, degree: int) -> int:
+    """Bytes held by M0 on n nodes: n x n, or for k = 2 its prefix-sum form,
+    two node-weight bands of degree + 2 weights and nodes per row, the tail
+    model's three columns and the adjoint's row scaling."""
+    if k == 2:
+        return 8 * n * (4 * (degree + 2) + 4)
+    return 8 * n * n
 
 
 def _dense(n: int) -> np.ndarray:
@@ -214,67 +231,52 @@ def _accumulate(out: np.ndarray, row0: int, cols: np.ndarray, grid: RadialGrid,
     rows = np.arange(row0, row0 + out.shape[0])
     cell, base = quad["cell"], quad["base"]
     sj, sw = np.searchsorted(cols, quad["sidx"]), quad["sw"]
-    if k == 2:
-        # the kernel is 1: rows are suffix (forward) or prefix (adjoint) sums
-        # of per-cell integrals. Each point's stencil enters out at the first
-        # row of the sum that sees it, then one in-place cumulative sum runs
-        # over the rows: an O(n^2) pass with no kernel and no n x n temporary.
-        last = row0 + out.shape[0] - 1
+    # A^T (points x rows), A^T[j, i] = base_j |t_j^2 - r_i^2|^{k/2-1}, is
+    # evaluated in place one cache-sized tile at a time. A tile's share of
+    # out is a sum of small products A^T[block]^T D over its dense stencil
+    # blocks, each spanning the few columns its points' stencils reach.
+    t2, r2 = quad["t2"], grid.nodes[rows] ** 2
+    if adjoint:
+        t2, r2 = -t2, -r2
+    tiles = [(q0, min(q0 + _TILE_POINTS, t2.size)) for q0 in range(0, t2.size, _TILE_POINTS)]
+    tiles = [(q0, q1, _stencil_blocks(sj, sw, q0, q1)) for q0, q1 in tiles]
+    buf = np.empty(_TILE_ROWS * _TILE_POINTS)
+    for i0 in range(0, rows.size, _TILE_ROWS):
+        rs = rows[i0:i0 + _TILE_ROWS]
+        # some row of the block sees points [p0, p1), not all of them [s0, s1)
         if adjoint:
-            keep = cell + 2 <= last
-            enter = np.maximum(cell[keep] + 2, row0) - row0
+            p0, p1 = 0, np.searchsorted(cell, rs[-1] - 2, side="right")
+            s0, s1 = np.searchsorted(cell, rs[0] - 2, side="right"), p1
         else:
-            keep = cell - 1 >= row0
-            enter = np.minimum(cell[keep] - 1, last) - row0
-        np.add.at(out, (enter[:, None], sj[keep]), base[keep, None] * sw[keep])
-        acc = out if adjoint else out[::-1]
-        np.cumsum(acc, axis=0, out=acc)
-    else:
-        # A^T (points x rows), A^T[j, i] = base_j |t_j^2 - r_i^2|^{k/2-1}, is
-        # evaluated in place one cache-sized tile at a time. A tile's share of
-        # out is a sum of small products A^T[block]^T D over its dense stencil
-        # blocks, each spanning the few columns its points' stencils reach.
-        t2, r2 = quad["t2"], grid.nodes[rows] ** 2
-        if adjoint:
-            t2, r2 = -t2, -r2
-        tiles = [(q0, min(q0 + _TILE_POINTS, t2.size)) for q0 in range(0, t2.size, _TILE_POINTS)]
-        tiles = [(q0, q1, _stencil_blocks(sj, sw, q0, q1)) for q0, q1 in tiles]
-        buf = np.empty(_TILE_ROWS * _TILE_POINTS)
-        for i0 in range(0, rows.size, _TILE_ROWS):
-            rs = rows[i0:i0 + _TILE_ROWS]
-            # some row of the block sees points [p0, p1), not all of them [s0, s1)
-            if adjoint:
-                p0, p1 = 0, np.searchsorted(cell, rs[-1] - 2, side="right")
-                s0, s1 = np.searchsorted(cell, rs[0] - 2, side="right"), p1
-            else:
-                p0, p1 = np.searchsorted(cell, rs[0] + 1), cell.size
-                s0, s1 = p0, np.searchsorted(cell, rs[-1], side="right")
-            for q0, q1, blocks in tiles:
-                a, b = max(p0, q0), min(p1, q1)
-                if a >= b:
-                    continue
-                At = buf[:(q1 - q0) * rs.size].reshape(q1 - q0, rs.size)
-                At[:a - q0] = 0.0
-                At[b - q0:] = 0.0
-                seen = At[a - q0:b - q0]
-                np.subtract.outer(t2[a:b], r2[i0:i0 + rs.size], out=seen)
-                # t^2 - r^2 <= 0 occurs only in the staircase, and is masked there
-                lo = max(s0, a)
-                hi = max(lo, min(s1, b))
-                stair = At[lo - q0:hi - q0]
-                np.maximum(stair, 1e-300, out=stair)
-                scaled_kernel_power(seen, k, base[a:b, None])
-                unseen = (cell[lo:hi, None] > rs - 2) if adjoint else (cell[lo:hi, None] <= rs)
-                stair[unseen] = 0.0
-                for b0, b1, c0, c1, D in blocks:
-                    if a < b1 and b0 < b:
-                        out[i0:i0 + rs.size, c0:c1] += At[b0 - q0:b1 - q0].T @ D
+            p0, p1 = np.searchsorted(cell, rs[0] + 1), cell.size
+            s0, s1 = p0, np.searchsorted(cell, rs[-1], side="right")
+        for q0, q1, blocks in tiles:
+            a, b = max(p0, q0), min(p1, q1)
+            if a >= b:
+                continue
+            At = buf[:(q1 - q0) * rs.size].reshape(q1 - q0, rs.size)
+            At[:a - q0] = 0.0
+            At[b - q0:] = 0.0
+            seen = At[a - q0:b - q0]
+            np.subtract.outer(t2[a:b], r2[i0:i0 + rs.size], out=seen)
+            # t^2 - r^2 <= 0 occurs only in the staircase, and is masked there
+            lo = max(s0, a)
+            hi = max(lo, min(s1, b))
+            stair = At[lo - q0:hi - q0]
+            np.maximum(stair, 1e-300, out=stair)
+            scaled_kernel_power(seen, k, base[a:b, None])
+            unseen = (cell[lo:hi, None] > rs - 2) if adjoint else (cell[lo:hi, None] <= rs)
+            stair[unseen] = 0.0
+            for b0, b1, c0, c1, D in blocks:
+                if a < b1 and b0 < b:
+                    out[i0:i0 + rs.size, c0:c1] += At[b0 - q0:b1 - q0].T @ D
     np.add.at(out, (quad["rows"][:, None] - row0, np.searchsorted(cols, quad["idx"])),
               quad["w"])
 
 
 def _assemble(grid: RadialGrid, k: int, d: int, degree: int, adjoint: bool) -> np.ndarray:
-    """Dense operator matrix without splits (adjoint rows scaled by r^{2-d})."""
+    """Dense operator matrix without splits (adjoint rows scaled by r^{2-d})
+    and without the tail model."""
     n = grid.n
     M = _dense(n)
     interp = SegmentedInterp(grid.theta_nodes, grid.h, degree=degree)
@@ -285,22 +287,19 @@ def _assemble(grid: RadialGrid, k: int, d: int, degree: int, adjoint: bool) -> n
     return M
 
 
-def _split_correction(grid: RadialGrid, k: int, d: int, splits_r, degree: int,
-                      adjoint: bool) -> list:
-    """Blocks (row0, cols, C): the operator of a profile with splits `splits_r`
-    is M0 plus C on rows row0.. and columns cols of each block.
+def _split_clusters(grid: RadialGrid, splits_r, degree: int):
+    """The interpolant of a profile with splits `splits_r`, and the ranges
+    [c0, c1] of cells whose quadrature those splits change.
 
     A split moves the stencils of the GL points within `degree` cells of its
-    own (the stencil spans degree + 1 nodes) and refines that cell, so each
-    block integrates one cluster of such windows with the splits, minus the
-    same cells without them.
+    own (the stencil spans degree + 1 nodes) and refines that cell; windows
+    that meet or touch form one range. (None, []) without a split inside
+    the grid.
     """
     n, th = grid.n, grid.theta_nodes
     split_t = sorted(math.atan(s) for s in splits_r if th[0] < math.atan(s) < th[-1])
     if not split_t:
-        return []
-    with_splits = SegmentedInterp(th, grid.h, split_t, degree=degree)
-    plain = SegmentedInterp(th, grid.h, degree=degree)
+        return None, []
     clusters = []
     for c in np.searchsorted(th, split_t) - 1:
         lo, hi = max(c - degree, 0), min(c + degree, n - 2)
@@ -308,6 +307,22 @@ def _split_correction(grid: RadialGrid, k: int, d: int, splits_r, degree: int,
             clusters[-1][1] = hi
         else:
             clusters.append([lo, hi])
+    return SegmentedInterp(th, grid.h, split_t, degree=degree), clusters
+
+
+def _split_correction(grid: RadialGrid, k: int, d: int, splits_r, degree: int,
+                      adjoint: bool) -> list:
+    """Blocks (row0, cols, C): the dense operator of a profile with splits
+    `splits_r` is M0 plus C on rows row0.. and columns cols of each block.
+
+    Each block integrates one range of _split_clusters with the splits, minus
+    the same cells without them.
+    """
+    n = grid.n
+    with_splits, clusters = _split_clusters(grid, splits_r, degree)
+    if not clusters:
+        return []
+    plain = SegmentedInterp(grid.theta_nodes, grid.h, degree=degree)
     blocks = []
     for c0, c1 in clusters:
         q_split = _quadrature(grid, k, d, with_splits, c0, c1, splits_r, adjoint)
@@ -343,13 +358,16 @@ def _band(n: int, degree: int, i0: int, i1: int, adjoint: bool,
     return (min(c0, n - 3) if halfline else c0), n
 
 
-def _apply(M: np.ndarray, f: RadialProfile, k: int, d: int, adjoint: bool) -> np.ndarray:
+def _apply(M, f: RadialProfile, k: int, d: int, adjoint: bool) -> np.ndarray:
     """M0 f plus the split correction of f's splits.
 
-    M0 is triangular but for a band of INTERP_DEGREE columns (upper for the
-    forward operator, lower for the adjoint), so each block of _TILE_ROWS
-    rows reads only the columns `_band` gives and skips the zero triangle.
+    A dense M0 is triangular but for a band of INTERP_DEGREE columns (upper
+    for the forward operator, lower for the adjoint), so each block of
+    _TILE_ROWS rows reads only the columns `_band` gives and skips the zero
+    triangle. Prefix sums (k = 2) apply themselves.
     """
+    if isinstance(M, _PrefixSums):
+        return M.apply(f)
     n, v = f.grid.n, f.values
     out = np.empty(n)
     for i0 in range(0, n, _TILE_ROWS):
@@ -360,6 +378,122 @@ def _apply(M: np.ndarray, f: RadialProfile, k: int, d: int, adjoint: bool) -> np
                                            _quad.INTERP_DEGREE, adjoint):
         out[row0:row0 + C.shape[0]] += C @ f.values[cols]
     return out
+
+
+# ---------------------------------------------------------------------------
+# k = 2: the kernel is 1, so M0 is prefix sums of per-cell integrals
+
+def _add_stencils(band: tuple[np.ndarray, np.ndarray], keys: np.ndarray,
+                  idx: np.ndarray, w: np.ndarray, n: int) -> None:
+    """Sum stencils (idx, w), one row per entry, into the rows `keys` of a
+    band (lo, W) over n nodes: W[key, m] is the weight of node lo[key] + m.
+    Each key takes all its stencils in one call, which sets its lo."""
+    lo, W = band
+    first = np.full(lo.size, n)
+    np.minimum.at(first, keys, idx.min(axis=1))
+    present = first < n
+    lo[present] = np.minimum(first[present], n - W.shape[1])
+    np.add.at(W, (keys[:, None], idx - lo[keys, None]), w)
+
+
+def _gather(band: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
+    """sum_m W[key, m] v[cols[key, m]] for every key of a band (cols, W)."""
+    cols, W = band
+    return np.einsum("ij,ij->i", W, v[cols])
+
+
+def _patch(sums: np.ndarray, keys: np.ndarray, terms: np.ndarray) -> None:
+    """sums[key] <- the sum of the terms of that key, for the keys present."""
+    present = np.unique(keys)
+    sums[present] = np.bincount(keys, weights=terms, minlength=sums.size)[present]
+
+
+class _PrefixSums:
+    """M0 of k = 2, whose kernel (u^2 - r^2)^0 is 1, as what its apply reads.
+
+    Forward row i is the suffix sum over the cells c >= i + 1 of each cell's
+    integral, adjoint row i the prefix sum over the cells c <= i - 2 (the
+    head strip is cell -1), plus the row's kernel-edge cell. So M0 f takes
+    the per-cell node weights (`cells`, a band of about degree + 2 nodes per
+    cell), the per-row edge weights (`edge`, as many per row), one cumulative
+    sum, the tail model's n x 3 rows on half-line grids (forward) and the
+    rows' r^{2-d} scaling (adjoint): O(n) memory and an O(n) apply. The
+    build integrates _BUILD_CELLS cells at a time, so it holds O(n) too.
+
+    A profile with splits recomputes the cell integrals and edge rows of the
+    _split_clusters ranges from their split quadrature.
+    """
+
+    def __init__(self, grid: RadialGrid, d: int, degree: int, adjoint: bool,
+                 tail: np.ndarray | None = None):
+        n = grid.n
+        self.grid, self.d, self.degree, self.adjoint = grid, d, degree, adjoint
+        interp = SegmentedInterp(grid.theta_nodes, grid.h, degree=degree)
+        # the GL points of a cell, and of a row's edge cell, fall on two
+        # neighbouring stencil anchors: degree + 2 nodes at most
+        width = degree + 2
+        # cell c at position c + 1 for the adjoint, whose cells start at -1
+        cells = (np.zeros(n - 1 + adjoint, dtype=int), np.zeros((n - 1 + adjoint, width)))
+        edge = (np.zeros(n, dtype=int), np.zeros((n, width)))
+        for c0 in range(0, n - 1, _BUILD_CELLS):
+            q = _quadrature(grid, 2, d, interp, c0, min(c0 + _BUILD_CELLS, n - 1) - 1, (),
+                            adjoint)
+            _add_stencils(cells, q["cell"] + adjoint, q["sidx"], q["base"][:, None] * q["sw"], n)
+            _add_stencils(edge, q["rows"], q["idx"], q["w"], n)
+        # kept as (cols, W), the node of every weight, for the apply's gather
+        self.cells, self.edge = ((lo[:, None] + np.arange(width), W) for lo, W in (cells, edge))
+        self.tail = tail
+        self.scale = grid.nodes ** (2.0 - d) if adjoint else None
+
+    @property
+    def nbytes(self) -> int:
+        held = [*self.cells, *self.edge, self.tail, self.scale]
+        return sum(a.nbytes for a in held if a is not None)
+
+    def apply(self, f: RadialProfile) -> np.ndarray:
+        v, n = f.values, self.grid.n
+        cells, edge = _gather(self.cells, v), _gather(self.edge, v)
+        interp, clusters = _split_clusters(self.grid, f.splits, self.degree)
+        for c0, c1 in clusters:
+            q = _quadrature(self.grid, 2, self.d, interp, c0, c1, f.splits, self.adjoint)
+            _patch(cells, q["cell"] + self.adjoint,
+                   q["base"] * np.einsum("ij,ij->i", q["sw"], v[q["sidx"]]))
+            _patch(edge, q["rows"], np.einsum("ij,ij->i", q["w"], v[q["idx"]]))
+        out = np.zeros(n)
+        if self.adjoint:
+            np.cumsum(cells[:n - 1], out=out[1:])
+        else:
+            out[:n - 2] = np.cumsum(cells[:0:-1])[::-1]
+        out += edge
+        if self.tail is not None:
+            out += self.tail @ v[-3:]
+        if self.scale is not None:
+            out *= self.scale
+        return out
+
+    def dense(self) -> np.ndarray:
+        """M0 as an n x n matrix: each cell's weights enter the first row
+        whose sum sees it, then each row adds its predecessor in the sum."""
+        n = self.grid.n
+        M = _dense(n)
+        cols, W = self.cells
+        pos = np.arange(W.shape[0])
+        rows = pos + 1 if self.adjoint else pos - 1
+        keep = (rows >= 0) & (rows < n)
+        M[rows[keep, None], cols[keep]] = W[keep]
+        if self.adjoint:
+            for i in range(1, n):
+                M[i] += M[i - 1]
+        else:
+            for i in range(n - 2, -1, -1):
+                M[i] += M[i + 1]
+        cols, W = self.edge
+        M[np.arange(n)[:, None], cols] += W
+        if self.tail is not None:
+            M[:, -3:] += self.tail
+        if self.scale is not None:
+            M *= self.scale[:, None]
+        return M
 
 
 # ---------------------------------------------------------------------------
@@ -392,22 +526,27 @@ def _tail_rows(grid: RadialGrid, k: int, shift: int = 0) -> np.ndarray:
 # forward operator
 
 def _assemble_forward(grid: RadialGrid, k: int, degree: int) -> dict:
-    """M0 with, on half-line grids, the tail model's rows added to its last
-    three columns; row 0 of the tail model (and, on half-line grids, of the
-    fit through the three nodes before) is kept for the tail metadata."""
-    M = _assemble(grid, k, 0, degree, adjoint=False)
+    """M0 (prefix sums for k = 2, else dense) with, on half-line grids, the
+    tail model's rows in its last three columns; row 0 of the tail model
+    (and, on half-line grids, of the fit through the three nodes before) is
+    kept for the tail metadata."""
     tail3 = _tail_rows(grid, k, shift=0)
-    tail0_alt = None
-    if grid.halfline:
-        tail0_alt = _tail_rows(grid, k, shift=3)[0].copy()
-        M[:, -3:] += tail3
+    tail = tail3 if grid.halfline else None
+    if k == 2:
+        M = _PrefixSums(grid, 0, degree, adjoint=False, tail=tail)
+    else:
+        M = _assemble(grid, k, 0, degree, adjoint=False)
+        if tail is not None:
+            M[:, -3:] += tail
+    tail0_alt = _tail_rows(grid, k, shift=3)[0].copy() if grid.halfline else None
     return {"M": M, "tail0": tail3[0].copy(), "tail0_alt": tail0_alt}
 
 
 def _forward_matrix(grid: RadialGrid, k: int, degree: int) -> dict:
     """Memoized M0 of (grid, k, degree) with row 0 of its tail model."""
     return _cached(("fwd", grid.fingerprint(), k, degree),
-                   lambda: _assemble_forward(grid, k, degree), grid.n)
+                   lambda: _assemble_forward(grid, k, degree),
+                   _operator_bytes(grid.n, k, degree))
 
 
 def _tail_metadata(values: np.ndarray, out: np.ndarray, tail0, tail0_alt) -> dict:
@@ -469,10 +608,18 @@ def apply_T_indicator(params: Params, F: IntervalSet,
 # ---------------------------------------------------------------------------
 # adjoint
 
-def _adjoint_matrix(grid: RadialGrid, k: int, d: int, degree: int) -> np.ndarray:
+def _assemble_adjoint(grid: RadialGrid, k: int, d: int, degree: int):
+    """Adjoint M0: prefix sums for k = 2, else dense."""
+    if k == 2:
+        return _PrefixSums(grid, d, degree, adjoint=True)
+    return _assemble(grid, k, d, degree, adjoint=True)
+
+
+def _adjoint_matrix(grid: RadialGrid, k: int, d: int, degree: int):
     """Memoized adjoint M0 of (grid, k, d, degree)."""
     return _cached(("adj", grid.fingerprint(), k, d, degree),
-                   lambda: _assemble(grid, k, d, degree, adjoint=True), grid.n)
+                   lambda: _assemble_adjoint(grid, k, d, degree),
+                   _operator_bytes(grid.n, k, degree))
 
 
 def apply_T_adjoint(params: Params, g: RadialProfile) -> RadialProfile:
@@ -544,8 +691,12 @@ def discretize_T_R(params: Params, R: float, n: int) -> OperatorMatrix:
     if n < 16:
         raise ParameterError(f"need n >= 16, got {n}")
     grid = make_grid(n, R)
-    built = _forward_matrix(grid, params.k, degree=1)
-    M = np.maximum(built["M"], 0.0)
+    M = _forward_matrix(grid, params.k, degree=1)["M"]
+    if isinstance(M, _PrefixSums):
+        M = M.dense()
+        np.maximum(M, 0.0, out=M)
+    else:
+        M = np.maximum(M, 0.0)
     return OperatorMatrix(entries=M, R=float(R), grid=grid, params=params)
 
 

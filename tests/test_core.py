@@ -254,6 +254,33 @@ class TestResample:
         want = 1.0 + 2.0 * (g.theta_nodes[inside] - t0) / (t1 - t0)
         assert np.abs(out[inside] - want).max() <= 1e-14
 
+    def test_keeps_end_samples_on_grid_nodes(self):
+        # arctan(tan(theta_j)) rounds outside the input's angle range at some
+        # nodes; the range is decided by radius, so no end sample is lost
+        g = K.make_halfline_grid(2048)
+        v = K.extremizer_profile(K.make_params(1, 3), 1.0, g).values
+        for i in range(g.n - 1):
+            first = K.resample_values(g, g.nodes[i:], v[i:])
+            last = K.resample_values(g, g.nodes[:i + 2], v[:i + 2])
+            assert first[i] == pytest.approx(v[i], rel=1e-13), i
+            assert last[i + 1] == pytest.approx(v[i + 1], rel=1e-13), i + 1
+            assert not first[:i].any() and not last[i + 2:].any()
+
+    def test_csv_round_trip_keeps_every_sample(self):
+        # samples from the first node whose angle rounds up through
+        # arctan(tan(.)) to the first that rounds down: both ends at risk
+        g = K.make_halfline_grid(2048)
+        v = K.extremizer_profile(K.make_params(1, 3), 1.0, g).values
+        i = np.flatnonzero(np.arctan(g.nodes) > g.theta_nodes)[0]
+        j = np.flatnonzero(np.arctan(g.nodes[i:]) < g.theta_nodes[i:])[0] + i
+        buf = io.StringIO()
+        K.write_profile_csv(buf, g.nodes[i:j + 1], v[i:j + 1])
+        buf.seek(0)
+        r, w, _ = K.read_profile_csv(buf)
+        out = K.resample_values(g, r, w)
+        assert np.abs(out[i:j + 1] - v[i:j + 1]).max() <= 1e-13 * v[i]
+        assert not out[:i].any() and not out[j + 1:].any()
+
     def test_matches_scipy_pchip(self):
         # the reference implementation of Fritsch-Carlson PCHIP (test-only extra)
         interpolate = pytest.importorskip("scipy.interpolate")

@@ -127,6 +127,19 @@ class TestSearch:
         diffs = np.diff(trace.iterates)
         assert (diffs >= -1e-9 * np.array(trace.iterates[1:])).all()
 
+    def test_residual_certifies_the_fixed_point(self):
+        # Phi is stationary at the fixed point, so its change falls as the
+        # square of the Euler-Lagrange residual: a tight tol drives the
+        # residual itself below 1e-6
+        params = K.make_params(1, 3)
+        g = K.make_halfline_grid(512)
+        init = K.indicator_profile(g, K.IntervalSet(((0.0, 1.0),)))
+        trace = K.search_extremizer(params, init, max_iter=200, tol=1e-12)
+        assert trace.converged
+        assert len(trace.residuals) == trace.iterations_used
+        assert trace.residuals[-1] < 1e-6 < trace.residuals[0]
+        assert trace.to_json_dict()["residual"] == trace.residuals
+
     def test_signed_init_rejected(self, grids):
         params = K.make_params(1, 3)
         g = grids["half1024"]

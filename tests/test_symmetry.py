@@ -146,6 +146,33 @@ class TestMassRule:
                     symmetry._median_radius(params, inert)
 
 
+    @pytest.mark.parametrize("hint", [float("inf"), 50.0])
+    def test_inversion_plan_matches_per_call_plan(self, hint):
+        # the cached inversion stencil of the interior intervals, at both ends
+        # of its range and in the middle, and the per-call plan just beyond
+        from kplane import symmetry
+        from kplane._quad import INTERP_DEGREE as D
+        grid = K.make_grid(1024, hint)
+        n, th = grid.n, grid.theta_nodes
+        for k, d in ((1, 3), (2, 4)):
+            params = K.make_params(k, d)
+            for j in (D - 1, D, n // 2, n - 2 - D, n - 1 - D):
+                # a bump whose mass median lies in interval j, centred by bisection
+                lo, hi = th[j] - 16 * grid.h, th[j] + 2 * grid.h
+                for _ in range(50):
+                    centre = (lo + hi) / 2
+                    f = K.RadialProfile(grid, np.exp(-((th - centre) / (4 * grid.h)) ** 2))
+                    median = symmetry._median_radius(params, f)
+                    hit = np.searchsorted(grid.nodes, median) - 1
+                    if hit == j:
+                        break
+                    lo, hi = (centre, hi) if hit < j else (lo, centre)
+                assert hit == j
+                inert = K.RadialProfile(grid, f.values, splits=(1e9,))
+                assert median == pytest.approx(symmetry._median_radius(params, inert),
+                                               rel=1e-14, abs=0)
+
+
 class TestTruncate:
     def test_large_level_inactive(self, grids):
         params = K.make_params(1, 3)

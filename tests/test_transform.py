@@ -325,11 +325,12 @@ class TestBlockedAssembly:
     and within its memory bound."""
 
     @staticmethod
-    def _reference(grid, k, d, adjoint, splits=()):
+    def _reference(grid, k, d, adjoint, splits=(), degree=7):
         # every row against every GL point with an explicit visibility mask,
         # one dense matmul with the stencils as a dense basis, then the edge terms
         T = K.transform
-        interp = SegmentedInterp(grid.theta_nodes, grid.h, [math.atan(s) for s in splits])
+        interp = SegmentedInterp(grid.theta_nodes, grid.h, [math.atan(s) for s in splits],
+                                 degree=degree)
         q = T._quadrature(grid, k, d, interp, 0, grid.n - 2, splits, adjoint)
         i = np.arange(grid.n)[:, None]
         cell = q["cell"][None, :]
@@ -392,7 +393,7 @@ class TestBlockedAssembly:
         for got, want in zip(build()[:2], default):
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 3])
     def test_cold_build_peaks_below_twice_the_matrix(self, fresh_cache, k):
         import tracemalloc
         T = fresh_cache
@@ -406,6 +407,92 @@ class TestBlockedAssembly:
             finally:
                 tracemalloc.stop()
             assert peak <= 2 * M.nbytes, peak / M.nbytes
+
+    def test_k2_build_allocates_no_matrix(self, fresh_cache):
+        # 2048^2 doubles are 32 MiB: the prefix sums of k = 2 allocate none
+        import tracemalloc
+        T = fresh_cache
+        grid = K.make_halfline_grid(2048)
+        tracemalloc.start()
+        try:
+            ops = [T._forward_matrix(grid, 2, 7), T._adjoint_matrix(grid, 2, 4, 7)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, peak / 2 ** 20
+        for op in ops:
+            assert T._nbytes(op) < 2 ** 20
+            assert T._nbytes(op) <= T._operator_bytes(grid.n, 2, 7)
+
+
+class TestPrefixSums:
+    """The k = 2 operator as prefix sums against the dense reference."""
+
+    @staticmethod
+    def _columns(op, grid, splits):
+        # the operator a profile with `splits` sees, one unit vector at a time
+        return np.column_stack([K.transform._apply(op, K.RadialProfile(grid, e, splits=splits),
+                                                   2, 4, op.adjoint)
+                                for e in np.eye(grid.n)])
+
+    @pytest.mark.parametrize("splits", [(), (2.0, 7.9), (0.4, 1.7, 1.7001, 6.0)])
+    @pytest.mark.parametrize("degree", [1, 7])
+    @pytest.mark.parametrize("hint", [float("inf"), 8.0])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_matches_dense_reference(self, fresh_cache, adjoint, hint, degree, splits):
+        T = fresh_cache
+        grid, d = K.make_grid(64, hint), 4
+        ref = TestBlockedAssembly._reference(grid, 2, d, adjoint, splits, degree)[0]
+        if adjoint:
+            op = T._adjoint_matrix(grid, 2, d, degree)
+            ref *= (grid.nodes ** (2.0 - d))[:, None]
+        else:
+            op = T._forward_matrix(grid, 2, degree)["M"]
+            if grid.halfline:
+                ref[:, -3:] += T._tail_rows(grid, 2)
+        assert isinstance(op, T._PrefixSums)
+        got = self._columns(op, grid, splits)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        if not splits:
+            assert np.abs(op.dense() - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("splits", [(), (0.4, 1.7, 6.0)])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_apply_matches_dense_matvec(self, adjoint, splits):
+        # the cumulative sum over 600 rows against the densified operator
+        # and the dense split correction
+        T = K.transform
+        grid = K.make_halfline_grid(600)
+        params = K.make_params(2, 4)
+        f = K.RadialProfile(grid, smooth_decaying(params, grid, np.random.default_rng(2)).values,
+                            splits=splits)
+        op = T._assemble_adjoint(grid, 2, 4, 7) if adjoint else T._assemble_forward(grid, 2, 7)["M"]
+        want = op.dense() @ f.values
+        for row0, cols, C in T._split_correction(grid, 2, 4, splits, 7, adjoint):
+            want[row0:row0 + C.shape[0]] += C @ f.values[cols]
+        got = T._apply(op, f, 2, 4, adjoint)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_discretized_matches_dense_assembly(self, n):
+        T = K.transform
+        op = K.discretize_T_R(K.make_params(2, 3), 2.0, n)
+        ref = np.maximum(T._assemble(op.grid, 2, 0, 1, adjoint=False), 0.0)
+        assert np.abs(op.entries - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_apply_holds_no_matrix_and_build_reserves_what_it_holds(self, fresh_cache,
+                                                                    monkeypatch):
+        T = fresh_cache
+        grid = K.make_halfline_grid(300)
+        need = T._operator_bytes(grid.n, 2, 7)
+        monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", 2 * need)
+        monkeypatch.setattr(T, "_dense", None)   # any dense allocation fails
+        params = K.make_params(2, 4)
+        f = K.extremizer_profile(params, 1.0, grid)
+        K.apply_T(params, f)
+        K.apply_T_adjoint(params, K.RadialProfile(grid, f.values, splits=(0.5, 2.0)))
+        assert [key[0] for key in T._MATRIX_CACHE] == ["fwd", "adj"]
+        assert sum(map(T._nbytes, T._MATRIX_CACHE.values())) <= 2 * need
 
 
 class TestProfileMeta:
@@ -435,10 +522,13 @@ class TestBandedApply:
 
     @staticmethod
     def _matrix(grid, k, degree, adjoint):
+        # M0 as a dense matrix; prefix sums (k = 2) densified
         T = K.transform
         if adjoint:
-            return T._assemble(grid, k, k + 2, degree, adjoint=True)
-        return T._assemble_forward(grid, k, degree)["M"]
+            M = T._assemble_adjoint(grid, k, k + 2, degree)
+        else:
+            M = T._assemble_forward(grid, k, degree)["M"]
+        return M.dense() if isinstance(M, T._PrefixSums) else M
 
     @pytest.mark.parametrize("hint", [float("inf"), 8.0])
     @pytest.mark.parametrize("adjoint", [False, True])
