@@ -43,16 +43,13 @@ def composite_weights(n: int, h: float) -> np.ndarray:
     w = np.zeros(n)
     w[0] += 1.5 * h
     w[1] += -0.5 * h
-    i = 0
     rem = (n - 1) % 6
     if rem:
-        c = np.asarray(_NC_COEF[rem], dtype=float) * (rem / _NC_DEN[rem]) * h
-        w[i:i + rem + 1] += c
-        i += rem
+        w[:rem + 1] += np.asarray(_NC_COEF[rem], dtype=float) * (rem / _NC_DEN[rem]) * h
     c6 = np.asarray(_NC_COEF[6], dtype=float) * (6.0 / _NC_DEN[6]) * h
-    while i < n - 1:
-        w[i:i + 7] += c6
-        i += 6
+    w[rem + 6::6] += c6[6]                  # the right end of every panel
+    panels = w[rem:n - 1].reshape(-1, 6)    # every panel's other nodes
+    panels += c6[:6]
     return w
 
 

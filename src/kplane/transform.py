@@ -32,15 +32,19 @@ each kernel tile by small dense blocks of the stencils.
 Split radii change only the interpolation stencils within INTERP_DEGREE
 cells of a split and the subdivision of the cell that holds it, so a profile
 with splits is applied as M0 f + C f[cols], where the correction C is
-re-integrated over those few cells alone; for k = 2 the apply re-integrates
-those cells and edge rows in place of M0's. A dense M0 is triangular but for
-a band of INTERP_DEGREE columns, and M0 f reads only that triangle and band.
+integrated over those few cells alone. For a dense M0, C is built once per
+(grid, k, d, splits inside the grid, degree) and held in the same byte-bounded
+LRU as M0, so a repeated split set costs one small product. For k = 2 every
+apply re-integrates those cells and edge rows in place of M0's. A dense M0 is
+triangular but for a band of INTERP_DEGREE columns, and M0 f reads only that
+triangle and band. cache_info() counts the cache's entries, bytes, builds,
+hits and evictions per entry kind.
 """
 from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,13 +68,17 @@ _BUILD_CELLS = 256
 _MATRIX_CACHE: OrderedDict = OrderedDict()
 _CACHE_LOCK = threading.Lock()
 _BUILD_LOCKS: dict = {}
+#: (entry kind, "builds" | "hits" | "evictions") -> count, under _CACHE_LOCK
+_CACHE_COUNTS: Counter = Counter()
 
 
 def _nbytes(value) -> int:
-    """Bytes held by a cached operator: a matrix or prefix sums, or a dict
-    of them."""
+    """Bytes held by a cached entry: a matrix or prefix sums, a dict of
+    them, or a list of split correction blocks (row0, cols, C)."""
     if isinstance(value, dict):
         return sum(v.nbytes for v in value.values() if v is not None)
+    if isinstance(value, list):
+        return sum(cols.nbytes + C.nbytes for _, cols, C in value)
     return value.nbytes
 
 
@@ -79,33 +87,60 @@ def _evict(need: int, keep: int) -> None:
     held bytes plus `need` exceed DENSE_BUDGET_BYTES (caller holds the lock)."""
     held = sum(_nbytes(v) for v in _MATRIX_CACHE.values())
     while held + need > DENSE_BUDGET_BYTES and len(_MATRIX_CACHE) > keep:
-        held -= _nbytes(_MATRIX_CACHE.popitem(last=False)[1])
+        key, value = _MATRIX_CACHE.popitem(last=False)
+        held -= _nbytes(value)
+        _CACHE_COUNTS[key[0], "evictions"] += 1
 
 
 def _cached(key, build, need: int):
-    """Memoized build() of an operator that holds `need` bytes; concurrent
-    callers with one key wait for one build.
+    """Memoized build() of an entry that holds at most `need` bytes;
+    concurrent callers with one key wait for one build.
 
     Before the build, least recently used entries are evicted until `need`
     fits in DENSE_BUDGET_BYTES beside what stays; after the build the cache
-    is trimmed to the budget again, never evicting the entry just built.
+    is trimmed to the budget again, never evicting the entry just built. A
+    build that raises stores nothing, and the next caller builds again.
     """
+    kind = key[0]
     with _CACHE_LOCK:
         if key in _MATRIX_CACHE:
             _MATRIX_CACHE.move_to_end(key)
+            _CACHE_COUNTS[kind, "hits"] += 1
             return _MATRIX_CACHE[key]
         key_lock = _BUILD_LOCKS.setdefault(key, threading.Lock())
     with key_lock:
-        with _CACHE_LOCK:
-            if key in _MATRIX_CACHE:
-                return _MATRIX_CACHE[key]
-            _evict(need, 0)
-        value = build()
-        with _CACHE_LOCK:
-            _MATRIX_CACHE[key] = value
-            _evict(0, 1)
-            _BUILD_LOCKS.pop(key, None)
+        try:
+            with _CACHE_LOCK:
+                if key in _MATRIX_CACHE:
+                    _CACHE_COUNTS[kind, "hits"] += 1
+                    return _MATRIX_CACHE[key]
+                _evict(need, 0)
+            value = build()
+            with _CACHE_LOCK:
+                _MATRIX_CACHE[key] = value
+                _CACHE_COUNTS[kind, "builds"] += 1
+                _evict(0, 1)
+        finally:
+            with _CACHE_LOCK:
+                if _BUILD_LOCKS.get(key) is key_lock:
+                    del _BUILD_LOCKS[key]
     return value
+
+
+def cache_info() -> dict:
+    """The operator cache per entry kind: "fwd" and "adj" (M0 of the forward
+    operator and of the adjoint) and "split" (a dense M0's split correction).
+    Each maps to the entries and bytes held now and the builds, hits and
+    evictions since the process started."""
+    with _CACHE_LOCK:
+        info = {kind: {"entries": 0, "bytes": 0, "builds": 0, "hits": 0, "evictions": 0}
+                for kind in ("fwd", "adj", "split")}
+        for key, value in _MATRIX_CACHE.items():
+            info[key[0]]["entries"] += 1
+            info[key[0]]["bytes"] += _nbytes(value)
+        for (kind, event), count in _CACHE_COUNTS.items():
+            info[kind][event] += count
+    return info
 
 
 def _operator_bytes(n: int, k: int, degree: int) -> int:
@@ -120,9 +155,13 @@ def _operator_bytes(n: int, k: int, degree: int) -> int:
 def _dense(n: int) -> np.ndarray:
     """Zeroed n x n matrix, refused before allocation beyond DENSE_BUDGET_BYTES."""
     if 8 * n * n > DENSE_BUDGET_BYTES:
+        need, budget = 8 * n * n / 2 ** 20, DENSE_BUDGET_BYTES / 2 ** 20
+        digits = 1
+        while f"{need:.{digits}f}" == f"{budget:.{digits}f}":
+            digits += 1
         raise ConfigurationError(
-            f"a dense operator on {n} grid points needs {8 * n * n / 2 ** 30:.1f} GiB, "
-            f"above the {DENSE_BUDGET_BYTES / 2 ** 30:.1f} GiB budget; use a smaller grid")
+            f"a dense operator on {n} grid points needs {need:.{digits}f} MiB, "
+            f"above the {budget:.{digits}f} MiB budget; use a smaller grid")
     return np.zeros((n, n))
 
 
@@ -288,26 +327,46 @@ def _assemble(grid: RadialGrid, k: int, d: int, degree: int, adjoint: bool) -> n
 
 
 def _split_clusters(grid: RadialGrid, splits_r, degree: int):
-    """The interpolant of a profile with splits `splits_r`, and the ranges
-    [c0, c1] of cells whose quadrature those splits change.
+    """The split radii inside the grid, sorted, and the ranges [c0, c1] of
+    cells whose quadrature those splits change.
 
     A split moves the stencils of the GL points within `degree` cells of its
     own (the stencil spans degree + 1 nodes) and refines that cell; windows
-    that meet or touch form one range. (None, []) without a split inside
-    the grid.
+    that meet or touch form one range. The quadrature cuts cells in theta
+    and in r, so a radius inside the grid by either test is kept; only
+    those inside in theta open a range. No range without one.
     """
-    n, th = grid.n, grid.theta_nodes
-    split_t = sorted(math.atan(s) for s in splits_r if th[0] < math.atan(s) < th[-1])
-    if not split_t:
-        return None, []
+    n, th, r = grid.n, grid.theta_nodes, grid.nodes
+    kept = tuple(s for s in sorted(set(splits_r))
+                 if th[0] < math.atan(s) < th[-1] or r[0] < s < r[-1])
     clusters = []
-    for c in np.searchsorted(th, split_t) - 1:
+    for t in (math.atan(s) for s in kept):
+        if not th[0] < t < th[-1]:
+            continue
+        c = int(np.searchsorted(th, t)) - 1
         lo, hi = max(c - degree, 0), min(c + degree, n - 2)
         if clusters and lo <= clusters[-1][1] + 1:
             clusters[-1][1] = hi
         else:
             clusters.append([lo, hi])
-    return SegmentedInterp(th, grid.h, split_t, degree=degree), clusters
+    return kept, clusters
+
+
+def _split_interp(grid: RadialGrid, kept, degree: int) -> SegmentedInterp:
+    """The interpolant of a profile with the split radii `kept`."""
+    return SegmentedInterp(grid.theta_nodes, grid.h, [math.atan(s) for s in kept],
+                           degree=degree)
+
+
+def _correction_bytes(n: int, clusters, degree: int, adjoint: bool) -> int:
+    """Upper bound on the bytes of _split_correction's blocks for `clusters`:
+    a range [c0, c1] reads nodes c0 - degree .. c1 + 1 + degree at most."""
+    total = 0
+    for c0, c1 in clusters:
+        rows = n - (0 if c0 == 0 else c0 + 1) if adjoint else c1 + 1
+        cols = min(n, c1 - c0 + 2 * degree + 2)
+        total += 8 * cols * (rows + 1)
+    return total
 
 
 def _split_correction(grid: RadialGrid, k: int, d: int, splits_r, degree: int,
@@ -319,13 +378,14 @@ def _split_correction(grid: RadialGrid, k: int, d: int, splits_r, degree: int,
     the same cells without them.
     """
     n = grid.n
-    with_splits, clusters = _split_clusters(grid, splits_r, degree)
+    kept, clusters = _split_clusters(grid, splits_r, degree)
     if not clusters:
         return []
+    with_splits = _split_interp(grid, kept, degree)
     plain = SegmentedInterp(grid.theta_nodes, grid.h, degree=degree)
     blocks = []
     for c0, c1 in clusters:
-        q_split = _quadrature(grid, k, d, with_splits, c0, c1, splits_r, adjoint)
+        q_split = _quadrature(grid, k, d, with_splits, c0, c1, kept, adjoint)
         q_plain = _quadrature(grid, k, d, plain, c0, c1, (), adjoint)
         q_plain["base"], q_plain["w"] = -q_plain["base"], -q_plain["w"]
         diff = {key: np.concatenate([q_split[key], q_plain[key]]) for key in q_split}
@@ -340,6 +400,26 @@ def _split_correction(grid: RadialGrid, k: int, d: int, splits_r, degree: int,
             C *= (grid.nodes[row0:row1] ** (2.0 - d))[:, None]
         blocks.append((row0, cols, C))
     return blocks
+
+
+def _split_blocks(grid: RadialGrid, k: int, d: int, splits_r, degree: int,
+                  adjoint: bool) -> list:
+    """_split_correction memoized beside M0, keyed on the split radii inside
+    the grid (d is 0 for the forward operator); [] and no entry when no
+    split lies inside the grid. The blocks are shared, so read-only."""
+    kept, clusters = _split_clusters(grid, splits_r, degree)
+    if not clusters:
+        return []
+
+    def build():
+        blocks = _split_correction(grid, k, d, kept, degree, adjoint)
+        for _, cols, C in blocks:
+            cols.setflags(write=False)
+            C.setflags(write=False)
+        return blocks
+
+    return _cached(("split", grid.fingerprint(), k, d, kept, degree, adjoint), build,
+                   _correction_bytes(grid.n, clusters, degree, adjoint))
 
 
 def _band(n: int, degree: int, i0: int, i1: int, adjoint: bool,
@@ -364,7 +444,10 @@ def _apply(M, f: RadialProfile, k: int, d: int, adjoint: bool) -> np.ndarray:
     A dense M0 is triangular but for a band of INTERP_DEGREE columns (upper
     for the forward operator, lower for the adjoint), so each block of
     _TILE_ROWS rows reads only the columns `_band` gives and skips the zero
-    triangle. Prefix sums (k = 2) apply themselves.
+    triangle. Its split correction is built once per (grid, k, d, splits)
+    and held in the operator cache beside M0, so a repeat adds C f[cols]
+    alone. Prefix sums (k = 2) apply themselves and re-integrate the split
+    cells on every apply.
     """
     if isinstance(M, _PrefixSums):
         return M.apply(f)
@@ -374,8 +457,8 @@ def _apply(M, f: RadialProfile, k: int, d: int, adjoint: bool) -> np.ndarray:
         i1 = min(i0 + _TILE_ROWS, n)
         c0, c1 = _band(n, _quad.INTERP_DEGREE, i0, i1, adjoint, f.grid.halfline)
         out[i0:i1] = M[i0:i1, c0:c1] @ v[c0:c1]
-    for row0, cols, C in _split_correction(f.grid, k, d, f.splits,
-                                           _quad.INTERP_DEGREE, adjoint):
+    for row0, cols, C in _split_blocks(f.grid, k, d, f.splits, _quad.INTERP_DEGREE,
+                                       adjoint):
         out[row0:row0 + C.shape[0]] += C @ f.values[cols]
     return out
 
@@ -453,9 +536,10 @@ class _PrefixSums:
     def apply(self, f: RadialProfile) -> np.ndarray:
         v, n = f.values, self.grid.n
         cells, edge = _gather(self.cells, v), _gather(self.edge, v)
-        interp, clusters = _split_clusters(self.grid, f.splits, self.degree)
+        kept, clusters = _split_clusters(self.grid, f.splits, self.degree)
+        interp = _split_interp(self.grid, kept, self.degree) if clusters else None
         for c0, c1 in clusters:
-            q = _quadrature(self.grid, 2, self.d, interp, c0, c1, f.splits, self.adjoint)
+            q = _quadrature(self.grid, 2, self.d, interp, c0, c1, kept, self.adjoint)
             _patch(cells, q["cell"] + self.adjoint,
                    q["base"] * np.einsum("ij,ij->i", q["sw"], v[q["sidx"]]))
             _patch(edge, q["rows"], np.einsum("ij,ij->i", q["w"], v[q["idx"]]))

@@ -28,8 +28,10 @@ def smooth_decaying(params, grid, rng, n_terms=3, decay_boost=0):
 
 @pytest.fixture
 def fresh_cache(monkeypatch):
-    """An empty operator cache for one test; the shared cache is restored after."""
-    from collections import OrderedDict
+    """An empty operator cache with zeroed counters for one test; the shared
+    cache is restored after."""
+    from collections import Counter, OrderedDict
     from kplane import transform
     monkeypatch.setattr(transform, "_MATRIX_CACHE", OrderedDict())
+    monkeypatch.setattr(transform, "_CACHE_COUNTS", Counter())
     return transform
