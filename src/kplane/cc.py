@@ -146,6 +146,10 @@ def classify_trichotomy(params: Params, seq: list[RadialProfile], eps: float,
     """
     if not seq:
         raise ParameterError("need at least one profile")
+    if not 0 < eps < 1:
+        raise ParameterError(f"need 0 < eps < 1, got {eps}")
+    if not separation_min > 0:
+        raise ParameterError(f"need separation_min > 0, got {separation_min}")
     r_max = seq[0].grid.r_max
     if not r_max > R_EVIDENCE[0]:
         raise DomainError(f"grid r_max = {r_max:.6g} is not above the smallest evidence "

@@ -169,7 +169,10 @@ def _cmd_search(args) -> int:
     if kind == "indicator":
         init = indicator_profile(grid, IntervalSet(((0.0, 1.0),)))
     elif kind == "random":
-        seed = int(rest or 0)
+        text = rest or "0"
+        if not (text.isascii() and text.isdigit()):
+            raise DataError(f"random init needs a nonnegative integer seed, got {rest!r}")
+        seed = int(text)
         rng = np.random.default_rng(seed)
         lam = rng.uniform(0.3, 3.0, size=4)
         c = rng.uniform(0.1, 1.0, size=4)

@@ -20,21 +20,24 @@ Every quadrature point carries its interpolation stencil as SegmentedInterp.plan
 gives it: (idx, w), the indices of its degree + 1 nodes and their Lagrange
 weights, with no basis matrix formed.
 
-One operator M0 per (grid, k, degree) for the forward operator, and per
-(grid, k, d, degree) for the adjoint, is built without splits and memoized.
-For k = 2 the kernel (u^2 - r^2)^0 is 1: T f(r) = int_r^inf f(u) u du is a
-suffix integral and T* g(u) = u^{2-d} int_0^u g(w) w^{d-3} dw a prefix
-integral, so M0 is kept as _PrefixSums: per-cell and per-row node weights and
-one cumulative sum, O(n) memory and an O(n) apply. Only discretize_T_R
-densifies it. For every other k M0 is a dense matrix, built by multiplying
-each kernel tile by small dense blocks of the stencils.
+Every cached operator interpolates at INTERP_DEGREE. One operator M0 per
+(grid, k) for the forward operator, and per (grid, k, d) for the adjoint, is
+built without splits and memoized. For k = 2 the kernel (u^2 - r^2)^0 is 1:
+T f(r) = int_r^inf f(u) u du is a suffix integral and T* g(u) = u^{2-d}
+int_0^u g(w) w^{d-3} dw a prefix integral, so M0 is kept as _PrefixSums:
+per-cell and per-row node weights and one cumulative sum, O(n) memory and an
+O(n) apply. For every other k M0 is a dense matrix, built by multiplying each
+kernel tile by small dense blocks of the stencils. discretize_T_R assembles
+its own dense matrix at degree 1, for every k and uncached.
 
 Split radii change only the interpolation stencils within INTERP_DEGREE
 cells of a split and the subdivision of the cell that holds it, so a profile
 with splits is applied as M0 f + C f[cols], where the correction C is
-integrated over those few cells alone. For a dense M0, C is built once per
-(grid, k, d, splits inside the grid, degree) and held in the same byte-bounded
-LRU as M0, so a repeated split set costs one small product. For k = 2 every
+integrated over those few cells alone. A split is inside the grid when its
+angle lies strictly between the first and last node angles, one test for the
+interpolant and the quadrature alike. For a dense M0, C is built once per
+(grid, k, d, splits inside the grid) and held in the same byte-bounded LRU as
+M0, so a repeated split set costs one small product. For k = 2 every
 apply re-integrates those cells and edge rows in place of M0's. A dense M0 is
 triangular but for a band of INTERP_DEGREE columns, and M0 f reads only that
 triangle and band. cache_info() counts the cache's entries, bytes, builds,
@@ -143,12 +146,12 @@ def cache_info() -> dict:
     return info
 
 
-def _operator_bytes(n: int, k: int, degree: int) -> int:
+def _operator_bytes(n: int, k: int) -> int:
     """Bytes held by M0 on n nodes: n x n, or for k = 2 its prefix-sum form,
-    two node-weight bands of degree + 2 weights and nodes per row, the tail
-    model's three columns and the adjoint's row scaling."""
+    two node-weight bands of INTERP_DEGREE + 2 weights and nodes per row, the
+    tail model's three columns and the adjoint's row scaling."""
     if k == 2:
-        return 8 * n * (4 * (degree + 2) + 4)
+        return 8 * n * (4 * (_quad.INTERP_DEGREE + 2) + 4)
     return 8 * n * n
 
 
@@ -326,25 +329,22 @@ def _assemble(grid: RadialGrid, k: int, d: int, degree: int, adjoint: bool) -> n
     return M
 
 
-def _split_clusters(grid: RadialGrid, splits_r, degree: int):
+def _split_clusters(grid: RadialGrid, splits_r):
     """The split radii inside the grid, sorted, and the ranges [c0, c1] of
     cells whose quadrature those splits change.
 
-    A split moves the stencils of the GL points within `degree` cells of its
-    own (the stencil spans degree + 1 nodes) and refines that cell; windows
-    that meet or touch form one range. The quadrature cuts cells in theta
-    and in r, so a radius inside the grid by either test is kept; only
-    those inside in theta open a range. No range without one.
+    A radius is inside when its angle is, th[0] < atan(s) < th[-1]: the test
+    SegmentedInterp applies, so a split the interpolant ignores cuts no cell
+    either. A split moves the stencils of the GL points within INTERP_DEGREE
+    cells of its own (the stencil spans INTERP_DEGREE + 1 nodes) and refines
+    that cell; windows that meet or touch form one range.
     """
-    n, th, r = grid.n, grid.theta_nodes, grid.nodes
-    kept = tuple(s for s in sorted(set(splits_r))
-                 if th[0] < math.atan(s) < th[-1] or r[0] < s < r[-1])
+    n, th, reach = grid.n, grid.theta_nodes, _quad.INTERP_DEGREE
+    kept = tuple(s for s in sorted(set(splits_r)) if th[0] < math.atan(s) < th[-1])
     clusters = []
     for t in (math.atan(s) for s in kept):
-        if not th[0] < t < th[-1]:
-            continue
         c = int(np.searchsorted(th, t)) - 1
-        lo, hi = max(c - degree, 0), min(c + degree, n - 2)
+        lo, hi = max(c - reach, 0), min(c + reach, n - 2)
         if clusters and lo <= clusters[-1][1] + 1:
             clusters[-1][1] = hi
         else:
@@ -352,25 +352,24 @@ def _split_clusters(grid: RadialGrid, splits_r, degree: int):
     return kept, clusters
 
 
-def _split_interp(grid: RadialGrid, kept, degree: int) -> SegmentedInterp:
+def _split_interp(grid: RadialGrid, kept) -> SegmentedInterp:
     """The interpolant of a profile with the split radii `kept`."""
-    return SegmentedInterp(grid.theta_nodes, grid.h, [math.atan(s) for s in kept],
-                           degree=degree)
+    return SegmentedInterp(grid.theta_nodes, grid.h, [math.atan(s) for s in kept])
 
 
-def _correction_bytes(n: int, clusters, degree: int, adjoint: bool) -> int:
+def _correction_bytes(n: int, clusters, adjoint: bool) -> int:
     """Upper bound on the bytes of _split_correction's blocks for `clusters`:
-    a range [c0, c1] reads nodes c0 - degree .. c1 + 1 + degree at most."""
+    a range [c0, c1] reads nodes c0 - INTERP_DEGREE .. c1 + 1 + INTERP_DEGREE
+    at most."""
     total = 0
     for c0, c1 in clusters:
         rows = n - (0 if c0 == 0 else c0 + 1) if adjoint else c1 + 1
-        cols = min(n, c1 - c0 + 2 * degree + 2)
+        cols = min(n, c1 - c0 + 2 * _quad.INTERP_DEGREE + 2)
         total += 8 * cols * (rows + 1)
     return total
 
 
-def _split_correction(grid: RadialGrid, k: int, d: int, splits_r, degree: int,
-                      adjoint: bool) -> list:
+def _split_correction(grid: RadialGrid, k: int, d: int, splits_r, adjoint: bool) -> list:
     """Blocks (row0, cols, C): the dense operator of a profile with splits
     `splits_r` is M0 plus C on rows row0.. and columns cols of each block.
 
@@ -378,15 +377,14 @@ def _split_correction(grid: RadialGrid, k: int, d: int, splits_r, degree: int,
     the same cells without them.
     """
     n = grid.n
-    kept, clusters = _split_clusters(grid, splits_r, degree)
+    kept, clusters = _split_clusters(grid, splits_r)
     if not clusters:
         return []
-    with_splits = _split_interp(grid, kept, degree)
-    plain = SegmentedInterp(grid.theta_nodes, grid.h, degree=degree)
+    with_splits = _split_interp(grid, kept)
     blocks = []
     for c0, c1 in clusters:
         q_split = _quadrature(grid, k, d, with_splits, c0, c1, kept, adjoint)
-        q_plain = _quadrature(grid, k, d, plain, c0, c1, (), adjoint)
+        q_plain = _quadrature(grid, k, d, grid._interp_plain, c0, c1, (), adjoint)
         q_plain["base"], q_plain["w"] = -q_plain["base"], -q_plain["w"]
         diff = {key: np.concatenate([q_split[key], q_plain[key]]) for key in q_split}
         order = np.argsort(diff["cell"], kind="stable")
@@ -402,24 +400,23 @@ def _split_correction(grid: RadialGrid, k: int, d: int, splits_r, degree: int,
     return blocks
 
 
-def _split_blocks(grid: RadialGrid, k: int, d: int, splits_r, degree: int,
-                  adjoint: bool) -> list:
+def _split_blocks(grid: RadialGrid, k: int, d: int, splits_r, adjoint: bool) -> list:
     """_split_correction memoized beside M0, keyed on the split radii inside
     the grid (d is 0 for the forward operator); [] and no entry when no
     split lies inside the grid. The blocks are shared, so read-only."""
-    kept, clusters = _split_clusters(grid, splits_r, degree)
+    kept, clusters = _split_clusters(grid, splits_r)
     if not clusters:
         return []
 
     def build():
-        blocks = _split_correction(grid, k, d, kept, degree, adjoint)
+        blocks = _split_correction(grid, k, d, kept, adjoint)
         for _, cols, C in blocks:
             cols.setflags(write=False)
             C.setflags(write=False)
         return blocks
 
-    return _cached(("split", grid.fingerprint(), k, d, kept, degree, adjoint), build,
-                   _correction_bytes(grid.n, clusters, degree, adjoint))
+    return _cached(("split", grid.fingerprint(), k, d, kept, adjoint), build,
+                   _correction_bytes(grid.n, clusters, adjoint))
 
 
 def _band(n: int, degree: int, i0: int, i1: int, adjoint: bool,
@@ -457,8 +454,7 @@ def _apply(M, f: RadialProfile, k: int, d: int, adjoint: bool) -> np.ndarray:
         i1 = min(i0 + _TILE_ROWS, n)
         c0, c1 = _band(n, _quad.INTERP_DEGREE, i0, i1, adjoint, f.grid.halfline)
         out[i0:i1] = M[i0:i1, c0:c1] @ v[c0:c1]
-    for row0, cols, C in _split_blocks(f.grid, k, d, f.splits, _quad.INTERP_DEGREE,
-                                       adjoint):
+    for row0, cols, C in _split_blocks(f.grid, k, d, f.splits, adjoint):
         out[row0:row0 + C.shape[0]] += C @ f.values[cols]
     return out
 
@@ -497,30 +493,29 @@ class _PrefixSums:
     Forward row i is the suffix sum over the cells c >= i + 1 of each cell's
     integral, adjoint row i the prefix sum over the cells c <= i - 2 (the
     head strip is cell -1), plus the row's kernel-edge cell. So M0 f takes
-    the per-cell node weights (`cells`, a band of about degree + 2 nodes per
-    cell), the per-row edge weights (`edge`, as many per row), one cumulative
-    sum, the tail model's n x 3 rows on half-line grids (forward) and the
-    rows' r^{2-d} scaling (adjoint): O(n) memory and an O(n) apply. The
-    build integrates _BUILD_CELLS cells at a time, so it holds O(n) too.
+    the per-cell node weights (`cells`, a band of about INTERP_DEGREE + 2
+    nodes per cell), the per-row edge weights (`edge`, as many per row), one
+    cumulative sum, the tail model's n x 3 rows on half-line grids (forward)
+    and the rows' r^{2-d} scaling (adjoint): O(n) memory and an O(n) apply.
+    The build integrates _BUILD_CELLS cells at a time, so it holds O(n) too.
 
     A profile with splits recomputes the cell integrals and edge rows of the
     _split_clusters ranges from their split quadrature.
     """
 
-    def __init__(self, grid: RadialGrid, d: int, degree: int, adjoint: bool,
+    def __init__(self, grid: RadialGrid, d: int, adjoint: bool,
                  tail: np.ndarray | None = None):
         n = grid.n
-        self.grid, self.d, self.degree, self.adjoint = grid, d, degree, adjoint
-        interp = SegmentedInterp(grid.theta_nodes, grid.h, degree=degree)
+        self.grid, self.d, self.adjoint = grid, d, adjoint
         # the GL points of a cell, and of a row's edge cell, fall on two
-        # neighbouring stencil anchors: degree + 2 nodes at most
-        width = degree + 2
+        # neighbouring stencil anchors: INTERP_DEGREE + 2 nodes at most
+        width = _quad.INTERP_DEGREE + 2
         # cell c at position c + 1 for the adjoint, whose cells start at -1
         cells = (np.zeros(n - 1 + adjoint, dtype=int), np.zeros((n - 1 + adjoint, width)))
         edge = (np.zeros(n, dtype=int), np.zeros((n, width)))
         for c0 in range(0, n - 1, _BUILD_CELLS):
-            q = _quadrature(grid, 2, d, interp, c0, min(c0 + _BUILD_CELLS, n - 1) - 1, (),
-                            adjoint)
+            q = _quadrature(grid, 2, d, grid._interp_plain, c0,
+                            min(c0 + _BUILD_CELLS, n - 1) - 1, (), adjoint)
             _add_stencils(cells, q["cell"] + adjoint, q["sidx"], q["base"][:, None] * q["sw"], n)
             _add_stencils(edge, q["rows"], q["idx"], q["w"], n)
         # kept as (cols, W), the node of every weight, for the apply's gather
@@ -536,8 +531,8 @@ class _PrefixSums:
     def apply(self, f: RadialProfile) -> np.ndarray:
         v, n = f.values, self.grid.n
         cells, edge = _gather(self.cells, v), _gather(self.edge, v)
-        kept, clusters = _split_clusters(self.grid, f.splits, self.degree)
-        interp = _split_interp(self.grid, kept, self.degree) if clusters else None
+        kept, clusters = _split_clusters(self.grid, f.splits)
+        interp = _split_interp(self.grid, kept) if clusters else None
         for c0, c1 in clusters:
             q = _quadrature(self.grid, 2, self.d, interp, c0, c1, kept, self.adjoint)
             _patch(cells, q["cell"] + self.adjoint,
@@ -554,30 +549,6 @@ class _PrefixSums:
         if self.scale is not None:
             out *= self.scale
         return out
-
-    def dense(self) -> np.ndarray:
-        """M0 as an n x n matrix: each cell's weights enter the first row
-        whose sum sees it, then each row adds its predecessor in the sum."""
-        n = self.grid.n
-        M = _dense(n)
-        cols, W = self.cells
-        pos = np.arange(W.shape[0])
-        rows = pos + 1 if self.adjoint else pos - 1
-        keep = (rows >= 0) & (rows < n)
-        M[rows[keep, None], cols[keep]] = W[keep]
-        if self.adjoint:
-            for i in range(1, n):
-                M[i] += M[i - 1]
-        else:
-            for i in range(n - 2, -1, -1):
-                M[i] += M[i + 1]
-        cols, W = self.edge
-        M[np.arange(n)[:, None], cols] += W
-        if self.tail is not None:
-            M[:, -3:] += self.tail
-        if self.scale is not None:
-            M *= self.scale[:, None]
-        return M
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +580,7 @@ def _tail_rows(grid: RadialGrid, k: int, shift: int = 0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # forward operator
 
-def _assemble_forward(grid: RadialGrid, k: int, degree: int) -> dict:
+def _assemble_forward(grid: RadialGrid, k: int) -> dict:
     """M0 (prefix sums for k = 2, else dense) with, on half-line grids, the
     tail model's rows in its last three columns; row 0 of the tail model
     (and, on half-line grids, of the fit through the three nodes before) is
@@ -617,20 +588,19 @@ def _assemble_forward(grid: RadialGrid, k: int, degree: int) -> dict:
     tail3 = _tail_rows(grid, k, shift=0)
     tail = tail3 if grid.halfline else None
     if k == 2:
-        M = _PrefixSums(grid, 0, degree, adjoint=False, tail=tail)
+        M = _PrefixSums(grid, 0, adjoint=False, tail=tail)
     else:
-        M = _assemble(grid, k, 0, degree, adjoint=False)
+        M = _assemble(grid, k, 0, _quad.INTERP_DEGREE, adjoint=False)
         if tail is not None:
             M[:, -3:] += tail
     tail0_alt = _tail_rows(grid, k, shift=3)[0].copy() if grid.halfline else None
     return {"M": M, "tail0": tail3[0].copy(), "tail0_alt": tail0_alt}
 
 
-def _forward_matrix(grid: RadialGrid, k: int, degree: int) -> dict:
-    """Memoized M0 of (grid, k, degree) with row 0 of its tail model."""
-    return _cached(("fwd", grid.fingerprint(), k, degree),
-                   lambda: _assemble_forward(grid, k, degree),
-                   _operator_bytes(grid.n, k, degree))
+def _forward_matrix(grid: RadialGrid, k: int) -> dict:
+    """Memoized M0 of (grid, k) with row 0 of its tail model."""
+    return _cached(("fwd", grid.fingerprint(), k), lambda: _assemble_forward(grid, k),
+                   _operator_bytes(grid.n, k))
 
 
 def _tail_metadata(values: np.ndarray, out: np.ndarray, tail0, tail0_alt) -> dict:
@@ -664,7 +634,7 @@ def apply_T(params: Params, f: RadialProfile) -> RadialProfile:
         out = apply_T_indicator(params, F, f.grid)
         return out.scaled(amp) if amp != 1.0 else out
     grid = f.grid
-    built = _forward_matrix(grid, k, _quad.INTERP_DEGREE)
+    built = _forward_matrix(grid, k)
     out = _apply(built["M"], f, k, 0, adjoint=False)
     meta = _tail_metadata(f.values, out, built["tail0"], built["tail0_alt"])
     if f.nonnegative:
@@ -692,18 +662,17 @@ def apply_T_indicator(params: Params, F: IntervalSet,
 # ---------------------------------------------------------------------------
 # adjoint
 
-def _assemble_adjoint(grid: RadialGrid, k: int, d: int, degree: int):
+def _assemble_adjoint(grid: RadialGrid, k: int, d: int):
     """Adjoint M0: prefix sums for k = 2, else dense."""
     if k == 2:
-        return _PrefixSums(grid, d, degree, adjoint=True)
-    return _assemble(grid, k, d, degree, adjoint=True)
+        return _PrefixSums(grid, d, adjoint=True)
+    return _assemble(grid, k, d, _quad.INTERP_DEGREE, adjoint=True)
 
 
-def _adjoint_matrix(grid: RadialGrid, k: int, d: int, degree: int):
-    """Memoized adjoint M0 of (grid, k, d, degree)."""
-    return _cached(("adj", grid.fingerprint(), k, d, degree),
-                   lambda: _assemble_adjoint(grid, k, d, degree),
-                   _operator_bytes(grid.n, k, degree))
+def _adjoint_matrix(grid: RadialGrid, k: int, d: int):
+    """Memoized adjoint M0 of (grid, k, d)."""
+    return _cached(("adj", grid.fingerprint(), k, d), lambda: _assemble_adjoint(grid, k, d),
+                   _operator_bytes(grid.n, k))
 
 
 def apply_T_adjoint(params: Params, g: RadialProfile) -> RadialProfile:
@@ -717,7 +686,7 @@ def apply_T_adjoint(params: Params, g: RadialProfile) -> RadialProfile:
     if g.indicator is not None:
         F, amp = g.indicator
         return _adjoint_indicator(params, F, grid).scaled(amp)
-    M = _adjoint_matrix(grid, k, d, _quad.INTERP_DEGREE)
+    M = _adjoint_matrix(grid, k, d)
     out = _apply(M, g, k, d, adjoint=True)
     if g.nonnegative:
         out = np.maximum(out, 0.0)
@@ -769,18 +738,16 @@ class OperatorMatrix:
 
 
 def discretize_T_R(params: Params, R: float, n: int) -> OperatorMatrix:
-    """Dense matrix M with M f_samples ~ (T 1_{[0,R]} f) on an n-point grid over [0, R]."""
+    """Dense matrix M with M f_samples ~ (T 1_{[0,R]} f) on an n-point grid over [0, R],
+    assembled at interpolation degree 1 (hat functions) and clamped at 0; it
+    is built on every call and not cached."""
     if not (R > 0):
         raise ParameterError(f"need R > 0, got {R}")
     if n < 16:
         raise ParameterError(f"need n >= 16, got {n}")
     grid = make_grid(n, R)
-    M = _forward_matrix(grid, params.k, degree=1)["M"]
-    if isinstance(M, _PrefixSums):
-        M = M.dense()
-        np.maximum(M, 0.0, out=M)
-    else:
-        M = np.maximum(M, 0.0)
+    M = _assemble(grid, params.k, 0, 1, adjoint=False)
+    np.maximum(M, 0.0, out=M)
     return OperatorMatrix(entries=M, R=float(R), grid=grid, params=params)
 
 

@@ -256,8 +256,15 @@ def _random_far_intervals(rng, R: float, n_max: int = 5,
     return IntervalSet.from_pairs(pairs)
 
 
+def _require_trials(trials: int) -> None:
+    """A suite that runs `trials` random cases needs at least one."""
+    if trials < 1:
+        raise ParameterError(f"need trials >= 1, got {trials}")
+
+
 def suite_concentration_k2(seed: int = 7, trials: int = 100,
                            k_values=(2, 3), d_values=(3, 4, 5)) -> list[BoundReport]:
+    _require_trials(trials)
     rng = np.random.default_rng(seed)
     out = []
     cases = [(k, d) for k in k_values for d in d_values if k <= d - 1]
@@ -301,6 +308,7 @@ def suite_concentration_k1(d_values=(3, 4), n: int = 4096) -> list[BoundReport]:
 
 
 def suite_slide(seed: int = 11, trials: int = 100) -> list[BoundReport]:
+    _require_trials(trials)
     rng = np.random.default_rng(seed)
     params = make_params(1, 3)
     out = []
@@ -410,6 +418,8 @@ def run_suite(name: str, seed: int = 7, trials: int = 100,
               k: int | None = None, d: int | None = None) -> list[BoundReport]:
     """Run one verification suite (or 'all'); k/d optionally narrow the
     parameter sweep of suites that range over several pairs."""
+    if seed < 0:
+        raise ParameterError(f"need seed >= 0, got {seed}")
     suites = {
         "concentration-k2": lambda: suite_concentration_k2(
             seed, trials,

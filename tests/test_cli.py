@@ -144,6 +144,25 @@ class TestVerifyCommand:
         assert (tmp_path / "all.csv").read_text().startswith("name,passed")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "slide", "--seed", "-1"],
+    ["verify", "--suite", "slide", "--trials", "0"],
+    ["verify", "--suite", "concentration-k2", "--trials", "0"],
+    ["search", "--k", "1", "--d", "3", "--init", "random:-4"],
+    ["search", "--k", "1", "--d", "3", "--init", "random:abc"],
+    ["diagnose", "--k", "1", "--d", "3", "--synthetic", "tight", "--eps", "1.5"],
+    ["diagnose", "--k", "1", "--d", "3", "--synthetic", "tight", "--separation-min", "0"],
+], ids=["seed-negative", "slide-trials-0", "k2-trials-0", "random-negative",
+        "random-not-int", "eps-above-1", "separation-0"])
+def test_bad_input_exits_2(tmp_path, capsys, argv):
+    where = {"verify": ["--out", str(tmp_path / "r.jsonl")],
+             "search": ["--grid-n", "256", "--out-prefix", str(tmp_path / "s")],
+             "diagnose": ["--grid-n", "256", "--out", str(tmp_path / "d.json")]}
+    assert run(argv + where[argv[0]]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(tmp_path.iterdir())
+
+
 class TestVersionAndThreads:
     def test_one_version_everywhere(self, tmp_path, capsys):
         assert run(["--version"]) == 0

@@ -17,8 +17,8 @@ SPLITS = {"two": (2.0, 7.9), "four": (0.4, 1.7, 1.7001, 6.0), "beyond": None}
 
 def _operator(T, grid, k, adjoint):
     if adjoint:
-        return T._adjoint_matrix(grid, k, k + 2, 7), k + 2
-    return T._forward_matrix(grid, k, 7)["M"], 0
+        return T._adjoint_matrix(grid, k, k + 2), k + 2
+    return T._forward_matrix(grid, k)["M"], 0
 
 
 @pytest.mark.parametrize("splits", sorted(SPLITS))
@@ -33,7 +33,7 @@ def test_cached_apply_bitwise_equal_to_uncached(fresh_cache, k, adjoint, grid, s
     v = np.random.default_rng(3).uniform(0.5, 1.5, grid.n)
     # uncached: M0 f, then every block of a fresh correction in order
     ref = T._apply(M, K.RadialProfile(grid, v), k, d, adjoint)
-    for row0, cols, C in T._split_correction(grid, k, d, splits, 7, adjoint):
+    for row0, cols, C in T._split_correction(grid, k, d, splits, adjoint):
         ref[row0:row0 + C.shape[0]] += C @ v[cols]
     f = K.RadialProfile(grid, v, splits=splits)
     first = T._apply(M, f, k, d, adjoint)
@@ -44,25 +44,21 @@ def test_cached_apply_bitwise_equal_to_uncached(fresh_cache, k, adjoint, grid, s
     assert (info["entries"], info["builds"], info["hits"]) == (built, built, built)
 
 
-def test_split_inside_in_r_alone_keys_its_own_correction(fresh_cache):
+def test_split_outside_in_theta_is_dropped(fresh_cache):
     # on make_grid(64, 4.0), atan(4.0) rounds above the last angle while 4.0
-    # lies below the last node: the split opens no range, but it still cuts
-    # the r-cell that the edge quadrature of a nearby split integrates
+    # lies below the last node: the split is outside the grid by the theta
+    # test, so it cuts no cell and keys no correction of its own
     T = fresh_cache
     grid = K.make_grid(64, 4.0)
     assert math.atan(4.0) >= grid.theta_nodes[-1] and 4.0 < grid.nodes[-1]
     near_end = 0.5 * (grid.nodes[-3] + grid.nodes[-2])
-    M = T._forward_matrix(grid, 1, 7)["M"]
+    M = T._forward_matrix(grid, 1)["M"]
     v = np.random.default_rng(4).uniform(0.5, 1.5, grid.n)
-    outs = []
-    for splits in ((near_end,), (near_end, 4.0)):
-        ref = T._apply(M, K.RadialProfile(grid, v), 1, 0, False)
-        for row0, cols, C in T._split_correction(grid, 1, 0, splits, 7, False):
-            ref[row0:row0 + C.shape[0]] += C @ v[cols]
-        outs.append(T._apply(M, K.RadialProfile(grid, v, splits=splits), 1, 0, False))
-        assert np.array_equal(outs[-1], ref)
-    assert not np.array_equal(*outs)
-    assert T.cache_info()["split"]["builds"] == 2
+    outs = [T._apply(M, K.RadialProfile(grid, v, splits=splits), 1, 0, False)
+            for splits in ((near_end,), (near_end, 4.0))]
+    assert np.array_equal(*outs)
+    info = T.cache_info()["split"]
+    assert (info["builds"], info["hits"]) == (1, 1)
 
 
 def test_interaction_suite_builds_each_correction_once(fresh_cache):
@@ -81,7 +77,7 @@ def test_concurrent_split_applies_build_once(fresh_cache):
     T = fresh_cache
     params = K.make_params(1, 3)
     grid = K.make_halfline_grid(1024)
-    T._forward_matrix(grid, 1, 7)
+    T._forward_matrix(grid, 1)
     f = K.RadialProfile(grid, K.extremizer_profile(params, 1.0, grid).values,
                         splits=(0.7, 3.0, 3.01))
     barrier = threading.Barrier(4)
@@ -113,9 +109,9 @@ def test_split_entries_share_the_budget_in_lru_order(fresh_cache, monkeypatch):
     params = K.make_params(1, 3)
     values = K.extremizer_profile(params, 1.0, grid).values
     far, near = (K.RadialProfile(grid, values, splits=(s,)) for s in (2.0, 0.5))
-    reserve = [T._correction_bytes(grid.n, T._split_clusters(grid, f.splits, 7)[1], 7, False)
+    reserve = [T._correction_bytes(grid.n, T._split_clusters(grid, f.splits)[1], False)
                for f in (far, near)]
-    budget = T._nbytes(T._assemble_forward(grid, 1, 7)) + max(reserve)
+    budget = T._nbytes(T._assemble_forward(grid, 1)) + max(reserve)
     monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", budget)
 
     def held():
@@ -143,9 +139,9 @@ def test_build_reserves_at_least_what_it_holds(adjoint):
                 splits = tuple(rng.uniform(0.0, 1.1 * grid.r_max, m))
             else:
                 splits = tuple(rng.choice(grid.nodes, m))
-            clusters = T._split_clusters(grid, splits, 7)[1]
-            blocks = T._split_correction(grid, 1, 3 if adjoint else 0, splits, 7, adjoint)
-            assert T._nbytes(blocks) <= T._correction_bytes(grid.n, clusters, 7, adjoint)
+            clusters = T._split_clusters(grid, splits)[1]
+            blocks = T._split_correction(grid, 1, 3 if adjoint else 0, splits, adjoint)
+            assert T._nbytes(blocks) <= T._correction_bytes(grid.n, clusters, adjoint)
 
 
 class TestFailedBuild:

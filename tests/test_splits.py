@@ -129,13 +129,13 @@ def test_suite_builds_one_operator_per_grid_and_k(fresh_cache, monkeypatch, suit
     requested, built = set(), Counter()
     forward_matrix, assemble = T._forward_matrix, T._assemble_forward
 
-    def counting_forward_matrix(grid, k, degree):
-        requested.add((grid.fingerprint(), k, degree))
-        return forward_matrix(grid, k, degree)
+    def counting_forward_matrix(grid, k):
+        requested.add((grid.fingerprint(), k))
+        return forward_matrix(grid, k)
 
-    def counting_assemble(grid, k, degree):
-        built[(grid.fingerprint(), k, degree)] += 1
-        return assemble(grid, k, degree)
+    def counting_assemble(grid, k):
+        built[(grid.fingerprint(), k)] += 1
+        return assemble(grid, k)
 
     monkeypatch.setattr(T, "_forward_matrix", counting_forward_matrix)
     monkeypatch.setattr(T, "_assemble_forward", counting_assemble)

@@ -231,10 +231,10 @@ class TestOperatorCache:
         builds = []
         assemble = T._assemble_forward
 
-        def slow_assemble(grid, k, degree):
-            builds.append((grid.n, k, degree))
+        def slow_assemble(grid, k):
+            builds.append((grid.n, k))
             time.sleep(0.05)   # hold the build open while the others arrive
-            return assemble(grid, k, degree)
+            return assemble(grid, k)
 
         monkeypatch.setattr(T, "_assemble_forward", slow_assemble)
         params = K.make_params(1, 3)
@@ -257,7 +257,7 @@ class TestOperatorCache:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert builds == [(256, 1, T._quad.INTERP_DEGREE)]
+        assert builds == [(256, 1)]
         assert all(np.array_equal(v, results[0]) for v in results)
 
     def test_dense_size_guard_refuses_before_building(self, fresh_cache, monkeypatch):
@@ -275,31 +275,31 @@ class TestOperatorCache:
     def test_cache_bounded_by_bytes_in_lru_order(self, fresh_cache, monkeypatch):
         T = fresh_cache
         a, b, c, d = (K.make_halfline_grid(n) for n in (100, 110, 120, 130))
-        size = {g.n: T._nbytes(T._assemble_forward(g, 1, 7)) for g in (a, b, c, d)}
+        size = {g.n: T._nbytes(T._assemble_forward(g, 1)) for g in (a, b, c, d)}
 
         def held():
             return [key[1] for key in T._MATRIX_CACHE]
 
         monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", size[100] + size[120])
-        T._forward_matrix(a, 1, 7)
-        T._forward_matrix(b, 1, 7)
-        T._forward_matrix(a, 1, 7)           # a becomes the most recently used
+        T._forward_matrix(a, 1)
+        T._forward_matrix(b, 1)
+        T._forward_matrix(a, 1)           # a becomes the most recently used
         assert held() == [b.fingerprint(), a.fingerprint()]
-        T._forward_matrix(c, 1, 7)           # evicts b, the least recently used
+        T._forward_matrix(c, 1)           # evicts b, the least recently used
         assert held() == [a.fingerprint(), c.fingerprint()]
         assert sum(map(T._nbytes, T._MATRIX_CACHE.values())) == size[100] + size[120]
         monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", size[130])
-        T._forward_matrix(d, 1, 7)           # over budget with anything else held
+        T._forward_matrix(d, 1)           # over budget with anything else held
         assert held() == [d.fingerprint()]
         monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", size[130] - 1)
         T._MATRIX_CACHE.clear()
-        M = T._forward_matrix(d, 1, 7)       # the entry just built is never evicted
-        assert held() == [d.fingerprint()] and T._forward_matrix(d, 1, 7) is M
+        M = T._forward_matrix(d, 1)       # the entry just built is never evicted
+        assert held() == [d.fingerprint()] and T._forward_matrix(d, 1) is M
 
     def test_cache_evicts_before_allocating(self, fresh_cache, monkeypatch):
         T = fresh_cache
         grids = [K.make_halfline_grid(n) for n in (100, 110, 120, 130)]
-        size = {g.n: T._nbytes(T._assemble_forward(g, 1, 7)) for g in grids}
+        size = {g.n: T._nbytes(T._assemble_forward(g, 1)) for g in grids}
         budget = size[100] + size[120]
         monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", budget)
         allocations = []
@@ -312,8 +312,8 @@ class TestOperatorCache:
 
         monkeypatch.setattr(T, "_dense", recording_dense)
         for g in grids:
-            T._forward_matrix(g, 1, 7)
-        T._adjoint_matrix(grids[0], 1, 3, 7)
+            T._forward_matrix(g, 1)
+        T._adjoint_matrix(grids[0], 1, 3)
         assert [n for n, _ in allocations] == [100, 110, 120, 130, 100]
         # the cache and the matrix being allocated fit the budget together
         assert all(held + 8 * n * n <= budget for n, held in allocations)
@@ -364,7 +364,7 @@ class TestBlockedAssembly:
         M = T._assemble(grid, k, d, 7, adjoint)
         if adjoint:
             ref *= (grid.nodes ** (2.0 - d))[:, None]
-        for row0, cols, C in T._split_correction(grid, k, d, splits, 7, adjoint):
+        for row0, cols, C in T._split_correction(grid, k, d, splits, adjoint):
             M[row0:row0 + C.shape[0], cols] += C
         assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -379,7 +379,7 @@ class TestBlockedAssembly:
             # the operator without splits, and with them as one dense matrix
             plain = T._assemble(grid, k, k + 2, 7, adjoint)
             split = plain.copy()
-            blocks = T._split_correction(grid, k, k + 2, splits, 7, adjoint)
+            blocks = T._split_correction(grid, k, k + 2, splits, adjoint)
             for row0, cols, C in blocks:
                 split[row0:row0 + C.shape[0], cols] += C
             return plain, split, len(blocks)
@@ -398,8 +398,8 @@ class TestBlockedAssembly:
         import tracemalloc
         T = fresh_cache
         grid = K.make_halfline_grid(2048)
-        for build in (lambda: T._forward_matrix(grid, k, 7)["M"],
-                      lambda: T._adjoint_matrix(grid, k, k + 2, 7)):
+        for build in (lambda: T._forward_matrix(grid, k)["M"],
+                      lambda: T._adjoint_matrix(grid, k, k + 2)):
             tracemalloc.start()
             try:
                 M = build()
@@ -415,14 +415,14 @@ class TestBlockedAssembly:
         grid = K.make_halfline_grid(2048)
         tracemalloc.start()
         try:
-            ops = [T._forward_matrix(grid, 2, 7), T._adjoint_matrix(grid, 2, 4, 7)]
+            ops = [T._forward_matrix(grid, 2), T._adjoint_matrix(grid, 2, 4)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20, peak / 2 ** 20
         for op in ops:
             assert T._nbytes(op) < 2 ** 20
-            assert T._nbytes(op) <= T._operator_bytes(grid.n, 2, 7)
+            assert T._nbytes(op) <= T._operator_bytes(grid.n, 2)
 
 
 class TestPrefixSums:
@@ -436,7 +436,7 @@ class TestPrefixSums:
                                 for e in np.eye(grid.n)])
 
     @pytest.mark.parametrize("splits", [(), (2.0, 7.9), (0.4, 1.7, 1.7001, 6.0)])
-    @pytest.mark.parametrize("degree", [1, 7])
+    @pytest.mark.parametrize("degree", [7])
     @pytest.mark.parametrize("hint", [float("inf"), 8.0])
     @pytest.mark.parametrize("adjoint", [False, True])
     def test_matches_dense_reference(self, fresh_cache, adjoint, hint, degree, splits):
@@ -444,47 +444,53 @@ class TestPrefixSums:
         grid, d = K.make_grid(64, hint), 4
         ref = TestBlockedAssembly._reference(grid, 2, d, adjoint, splits, degree)[0]
         if adjoint:
-            op = T._adjoint_matrix(grid, 2, d, degree)
+            op = T._adjoint_matrix(grid, 2, d)
             ref *= (grid.nodes ** (2.0 - d))[:, None]
         else:
-            op = T._forward_matrix(grid, 2, degree)["M"]
+            op = T._forward_matrix(grid, 2)["M"]
             if grid.halfline:
                 ref[:, -3:] += T._tail_rows(grid, 2)
         assert isinstance(op, T._PrefixSums)
         got = self._columns(op, grid, splits)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
-        if not splits:
-            assert np.abs(op.dense() - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("splits", [(), (0.4, 1.7, 6.0)])
     @pytest.mark.parametrize("adjoint", [False, True])
     def test_apply_matches_dense_matvec(self, adjoint, splits):
-        # the cumulative sum over 600 rows against the densified operator
+        # the cumulative sum over 600 rows against the dense assembly
         # and the dense split correction
         T = K.transform
         grid = K.make_halfline_grid(600)
         params = K.make_params(2, 4)
         f = K.RadialProfile(grid, smooth_decaying(params, grid, np.random.default_rng(2)).values,
                             splits=splits)
-        op = T._assemble_adjoint(grid, 2, 4, 7) if adjoint else T._assemble_forward(grid, 2, 7)["M"]
-        want = op.dense() @ f.values
-        for row0, cols, C in T._split_correction(grid, 2, 4, splits, 7, adjoint):
+        op = T._assemble_adjoint(grid, 2, 4) if adjoint else T._assemble_forward(grid, 2)["M"]
+        want = TestBandedApply._matrix(grid, 2, 7, adjoint) @ f.values
+        for row0, cols, C in T._split_correction(grid, 2, 4, splits, adjoint):
             want[row0:row0 + C.shape[0]] += C @ f.values[cols]
         got = T._apply(op, f, 2, 4, adjoint)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("n", [64, 512])
     def test_discretized_matches_dense_assembly(self, n):
-        T = K.transform
-        op = K.discretize_T_R(K.make_params(2, 3), 2.0, n)
-        ref = np.maximum(T._assemble(op.grid, 2, 0, 1, adjoint=False), 0.0)
-        assert np.abs(op.entries - ref).max() <= 1e-14 * np.abs(ref).max()
+        # every k against the independent reference at degree 1, clamped at 0
+        for k in (1, 2, 3):
+            op = K.discretize_T_R(K.make_params(k, k + 1), 2.0, n)
+            ref = np.maximum(TestBlockedAssembly._reference(op.grid, k, 0, False, (), 1)[0], 0.0)
+            assert np.abs(op.entries - ref).max() <= 1e-14 * np.abs(ref).max(), k
+
+    def test_discretized_builds_no_cache_entry(self, fresh_cache):
+        T = fresh_cache
+        for k in (1, 2, 3):
+            K.discretize_T_R(K.make_params(k, k + 1), 2.0, 64)
+        info = T.cache_info()
+        assert all(info[kind]["builds"] == info[kind]["entries"] == 0 for kind in info)
 
     def test_apply_holds_no_matrix_and_build_reserves_what_it_holds(self, fresh_cache,
                                                                     monkeypatch):
         T = fresh_cache
         grid = K.make_halfline_grid(300)
-        need = T._operator_bytes(grid.n, 2, 7)
+        need = T._operator_bytes(grid.n, 2)
         monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", 2 * need)
         monkeypatch.setattr(T, "_dense", None)   # any dense allocation fails
         params = K.make_params(2, 4)
@@ -522,13 +528,12 @@ class TestBandedApply:
 
     @staticmethod
     def _matrix(grid, k, degree, adjoint):
-        # M0 as a dense matrix; prefix sums (k = 2) densified
+        # M0 as a dense matrix, with the tail model on half-line forward grids
         T = K.transform
-        if adjoint:
-            M = T._assemble_adjoint(grid, k, k + 2, degree)
-        else:
-            M = T._assemble_forward(grid, k, degree)["M"]
-        return M.dense() if isinstance(M, T._PrefixSums) else M
+        M = T._assemble(grid, k, k + 2 if adjoint else 0, degree, adjoint)
+        if grid.halfline and not adjoint:
+            M[:, -3:] += T._tail_rows(grid, k)
+        return M
 
     @pytest.mark.parametrize("hint", [float("inf"), 8.0])
     @pytest.mark.parametrize("adjoint", [False, True])
@@ -559,7 +564,7 @@ class TestBandedApply:
                             splits=splits)
         M = self._matrix(grid, k, 7, adjoint)
         want = M @ f.values
-        for row0, cols, C in T._split_correction(grid, k, k + 2, splits, 7, adjoint):
+        for row0, cols, C in T._split_correction(grid, k, k + 2, splits, adjoint):
             want[row0:row0 + C.shape[0]] += C @ f.values[cols]
         got = T._apply(M, f, k, k + 2, adjoint)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
