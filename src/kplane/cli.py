@@ -88,7 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="narrow parameter sweeps to this k")
     p.add_argument("--d", type=int, help="narrow parameter sweeps to this d")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=int,
+                   help="random cases of concentration-k2 and slide (default 100)")
     p.add_argument("--out", default="-", help="JSON-lines report path (default stdout)")
     p.add_argument("--summary", help="optional summary CSV path")
     return ap

@@ -26,9 +26,16 @@ built without splits and memoized. For k = 2 the kernel (u^2 - r^2)^0 is 1:
 T f(r) = int_r^inf f(u) u du is a suffix integral and T* g(u) = u^{2-d}
 int_0^u g(w) w^{d-3} dw a prefix integral, so M0 is kept as _PrefixSums:
 per-cell and per-row node weights and one cumulative sum, O(n) memory and an
-O(n) apply. For every other k M0 is a dense matrix, built by multiplying each
-kernel tile by small dense blocks of the stencils. discretize_T_R assembles
-its own dense matrix at degree 1, for every k and uncached.
+O(n) apply. For every other k M0 is a dense matrix. Its interior kernel is
+evaluated in theta: by tan^2 a - tan^2 b = sin(a - b) sin(a + b) / (cos^2 a
+cos^2 b), at GL point theta_p = (c + 1 + u) h of cell c against row theta_i =
+(i + 1) h it is cos(theta_i)^{2-k} cos(theta_p)^{2-k} times one sine power
+of (c - i + u) h and one of (c + i + 2 + u) h. On the lattice of whole cells
+those two are a Toeplitz and a Hankel table of O(n) values, so the build
+fills each tile of rows x whole cells with one multiply of two strided
+views, and multiplies it by a small dense block of the stencils scaled by
+the cos power of each point. discretize_T_R assembles its own dense matrix
+at degree 1, for every k and uncached.
 
 Split radii change only the interpolation stencils within INTERP_DEGREE
 cells of a split and the subdivision of the cell that holds it, so a profile
@@ -41,12 +48,13 @@ M0, so a repeated split set costs one small product. For k = 2 every
 apply re-integrates those cells and edge rows in place of M0's. A dense M0 is
 triangular but for a band of INTERP_DEGREE columns, and M0 f reads only that
 triangle and band. cache_info() counts the cache's entries, bytes, builds,
-hits and evictions per entry kind.
+hits, evictions and build seconds per entry kind.
 """
 from __future__ import annotations
 
 import math
 import threading
+import time
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
 
@@ -62,16 +70,19 @@ from .core import (ConfigurationError, IntervalSet, NumericalError, ParameterErr
 _TAIL_TOL = 1e-6
 #: largest dense operator matrix, in bytes, that a build may allocate
 DENSE_BUDGET_BYTES = 2 * 1024 ** 3
-#: tile of the transposed kernel matrix: rows x GL points (4 MiB, cache-sized)
-_TILE_ROWS, _TILE_POINTS = 256, 2048
-#: GL points per dense stencil block within a tile
-_BLOCK_POINTS = 96
+#: tile of a dense build, rows x whole cells (256 x 768 GL points), whose
+#: share of the matrix is summed in a buffer of its own; the row block of a
+#: dense apply too
+_TILE_ROWS, _TILE_CELLS = 256, 128
+#: cells per dense stencil block within a tile (96 GL points)
+_BLOCK_CELLS = 16
 #: cells per quadrature block of a prefix-sum (k = 2) build
 _BUILD_CELLS = 256
 _MATRIX_CACHE: OrderedDict = OrderedDict()
 _CACHE_LOCK = threading.Lock()
 _BUILD_LOCKS: dict = {}
-#: (entry kind, "builds" | "hits" | "evictions") -> count, under _CACHE_LOCK
+#: (entry kind, "builds" | "hits" | "evictions") -> count, and (entry kind,
+#: "build_s") -> wall seconds in build(), under _CACHE_LOCK
 _CACHE_COUNTS: Counter = Counter()
 
 
@@ -102,7 +113,8 @@ def _cached(key, build, need: int):
     Before the build, least recently used entries are evicted until `need`
     fits in DENSE_BUDGET_BYTES beside what stays; after the build the cache
     is trimmed to the budget again, never evicting the entry just built. A
-    build that raises stores nothing, and the next caller builds again.
+    build that raises stores nothing, and the next caller builds again. The
+    wall seconds of a build that stores its entry count in "build_s".
     """
     kind = key[0]
     with _CACHE_LOCK:
@@ -118,10 +130,13 @@ def _cached(key, build, need: int):
                     _CACHE_COUNTS[kind, "hits"] += 1
                     return _MATRIX_CACHE[key]
                 _evict(need, 0)
+            start = time.perf_counter()
             value = build()
+            elapsed = time.perf_counter() - start
             with _CACHE_LOCK:
                 _MATRIX_CACHE[key] = value
                 _CACHE_COUNTS[kind, "builds"] += 1
+                _CACHE_COUNTS[kind, "build_s"] += elapsed
                 _evict(0, 1)
         finally:
             with _CACHE_LOCK:
@@ -133,10 +148,12 @@ def _cached(key, build, need: int):
 def cache_info() -> dict:
     """The operator cache per entry kind: "fwd" and "adj" (M0 of the forward
     operator and of the adjoint) and "split" (a dense M0's split correction).
-    Each maps to the entries and bytes held now and the builds, hits and
-    evictions since the process started."""
+    Each maps to the entries and bytes held now and, since the process
+    started, the builds, hits and evictions and build_s, the wall seconds
+    spent in builds (a hit adds none)."""
     with _CACHE_LOCK:
-        info = {kind: {"entries": 0, "bytes": 0, "builds": 0, "hits": 0, "evictions": 0}
+        info = {kind: {"entries": 0, "bytes": 0, "builds": 0, "hits": 0, "evictions": 0,
+                       "build_s": 0.0}
                 for kind in ("fwd", "adj", "split")}
         for key, value in _MATRIX_CACHE.items():
             info[key[0]]["entries"] += 1
@@ -190,34 +207,44 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
                 c0: int, c1: int, splits_r, adjoint: bool) -> dict:
     """Product-integration nodes of the operator over grid cells c0..c1.
 
-    Interior: GL points (t^2, kernel-free weight, owning cell) with their
-    interpolation stencils (sidx, sw), one row of node indices and weights per
-    point as SegmentedInterp.plan gives them; a row integrates the points
-    against |t^2 - r^2|^{k/2-1} over the cells it sees. Edge: stencils (idx,
-    w) of the GL points of the cell at each row's kernel edge, integrated in
-    s = sqrt(|u^2 - r_row^2|), with the row each one enters. For the adjoint with
-    c0 == 0 the head strip [0, theta_1] joins the interior as cell -1, and
-    row 0's own range [0, r_0] joins the edge terms.
+    Interior: GL points at angles `theta` = (cell + 1 + u) h, u in [0, 1]
+    their offset in the owning cell, with a kernel-free weight and their
+    interpolation stencils (sidx, sw), one row of node indices and weights
+    per point as SegmentedInterp.plan gives them; a row integrates the points
+    against |t^2 - r^2|^{k/2-1} over the cells it sees. A cell no split cuts
+    holds the GL_CELL points at the same offsets u as every other, flagged
+    `lattice`. Edge: stencils (idx, w) of the GL points of the cell at each
+    row's kernel edge, integrated in s = sqrt(|u^2 - r_row^2|), with the row
+    each one enters. For the adjoint with c0 == 0 the head strip [0,
+    theta_1] joins the interior as cell -1, and row 0's own range [0, r_0]
+    joins the edge terms.
     """
-    th, r = grid.theta_nodes, grid.nodes
+    th, r, h = grid.theta_nodes, grid.nodes, grid.h
     split_t = [math.atan(s) for s in splits_r]
     lo, hi, cell = _refine(th, c0, c1, split_t)
-    thg, wg = _gl(lo, hi, GL_CELL)
+    # the pieces in units of h from their cell's first node: a whole cell is
+    # exactly [0, 1], so its GL points fall on the offsets of every other cell
+    ulo = np.where(lo == th[cell], 0.0, lo / h - (cell + 1))
+    uhi = np.where(hi == th[cell + 1], 1.0, hi / h - (cell + 1))
+    ug, wg = _gl(ulo, uhi, GL_CELL)
     seg = np.repeat(interp.segment_of(0.5 * (lo + hi)), GL_CELL[0].size)
+    lattice = np.repeat((ulo == 0.0) & (uhi == 1.0), GL_CELL[0].size)
     cell = np.repeat(cell, GL_CELL[0].size)
-    thg, wg = thg.ravel(), wg.ravel()
-    head = adjoint and c0 == 0
-    if head:
-        th_h, w_h = _gl(np.zeros(1), th[:1], GL_EDGE)
-        thg, wg = np.concatenate([th_h[0], thg]), np.concatenate([w_h[0], wg])
+    ug, wg = ug.ravel(), h * wg.ravel()
+    if adjoint and c0 == 0:
+        uh, wh = _gl(np.zeros(1), np.ones(1), GL_EDGE)
+        ug, wg = np.concatenate([uh[0], ug]), np.concatenate([h * wh[0], wg])
         seg = np.concatenate([np.zeros(GL_EDGE[0].size, dtype=int), seg])
+        lattice = np.concatenate([np.zeros(GL_EDGE[0].size, dtype=bool), lattice])
         cell = np.concatenate([np.full(GL_EDGE[0].size, -1), cell])
+    thg = (cell + 1 + ug) * h
     tg = np.tan(thg)
     base = (tg ** (d - k - 1) if adjoint else tg) * (1.0 + tg * tg) * wg
     sidx, sw = interp.plan(thg, seg)
 
     lo, hi, cell_r = _refine(r, c0, c1, splits_r)
     rows = cell_r + 1 if adjoint else cell_r
+    head = adjoint and c0 == 0
     if head:
         # row 0: [r_0/2, r_0] in s here, [0, r_0/2] in w directly below
         lo, hi = np.concatenate([[r[0] / 2], lo]), np.concatenate([[r[0]], hi])
@@ -244,76 +271,222 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
         segq = np.concatenate([segq, np.zeros(wq.size, dtype=int)])
         rows = np.concatenate([rows, np.zeros(wq.size, dtype=int)])
     eidx, ebw = interp.plan(thq, segq)
-    return {"t2": tg * tg, "base": base, "cell": cell, "sidx": sidx, "sw": sw,
-            "rows": rows, "idx": eidx, "w": wts[:, None] * ebw}
+    return {"theta": thg, "u": ug, "base": base, "cell": cell, "lattice": lattice,
+            "sidx": sidx, "sw": sw, "rows": rows, "idx": eidx, "w": wts[:, None] * ebw}
 
 
-def _stencil_blocks(sj: np.ndarray, sw: np.ndarray, q0: int, q1: int) -> list:
-    """Points q0..q1 as dense stencil blocks of _BLOCK_POINTS points: (b0, b1,
-    c0, c1, D) with D[p, c - c0] the weight of point b0 + p at column c."""
-    blocks = []
-    for b0 in range(q0, q1, _BLOCK_POINTS):
-        b1 = min(b0 + _BLOCK_POINTS, q1)
+# ---------------------------------------------------------------------------
+# the interior kernel on the theta lattice
+#
+# With tan^2 a - tan^2 b = sin(a - b) sin(a + b) / (cos^2 a cos^2 b), a point at
+# theta_p = (c + 1 + u) h against row i at theta_i = (i + 1) h has
+#
+#     |t^2 - r^2|^{k/2-1} = cos(theta_i)^{2-k} cos(theta_p)^{2-k}
+#                           S(|c - i + u| h) S((c + i + 2 + u) h),
+#
+# S(x) = sin(x)^{k/2-1}, with no cancellation near the diagonal. The Toeplitz
+# factor S(|c - i + u| h) depends on c - i and the Hankel factor on c + i, so on
+# the lattice of whole cells each is a table of O(n GL_CELL) values. A row sits
+# at the grid's rounded angle fl((i + 1) h), off the lattice by about an ulp;
+# within _EDGE_BAND cells of its kernel edge, where that shift is largest
+# against |theta_p - theta_i|, the Toeplitz factor takes its first-order
+# correction, so the kernel there is that of the row's own radius.
+
+#: cells past a row's kernel edge whose Toeplitz factor is corrected for the
+#: rounding of the row's angle; further out the correction is below
+#: 2^-53 |k/2 - 1| theta_i / (_EDGE_BAND h) relative
+_EDGE_BAND = 8
+
+
+def _sine_power(x: np.ndarray, k: int) -> np.ndarray:
+    """S(x) = sin(x)^{k/2-1} for 0 < x < pi."""
+    return scaled_kernel_power(np.sin(x), k, 1.0)
+
+
+def _row_rounding(m: np.ndarray, h: float) -> np.ndarray:
+    """fl(m h) - m h for integers 0 < m < 2^26: h splits into two halves of
+    26 bits (Veltkamp) whose products with m are exact, so one rounding
+    remains."""
+    hi = 134217729.0 * h
+    hi -= hi - h
+    return (m * h - m * hi) - m * (h - hi)
+
+
+def _toeplitz_factors(dc, u, h: float, k: int, adjoint: bool):
+    """S(|dc + u| h) of points at offset u in cell c against row i, dc = c - i
+    (arrays that broadcast), and its change per unit of rounding in the row's
+    angle within _EDGE_BAND cells of the edge (0 beyond). Both are 0 where
+    the row does not see the cell, forward dc <= 0 and adjoint dc >= -1,
+    whose angle is replaced by 1 first: no sine of a non-positive angle is
+    raised to a power."""
+    seen = dc <= -2 if adjoint else dc >= 1
+    x = np.where(seen, np.abs(dc + u) * h, 1.0)
+    S = _sine_power(x, k)
+    # the row's angle moves theta_p - theta_i by -eps (forward) or
+    # theta_i - theta_p by +eps (adjoint); dS/dx = (k/2 - 1) S cot(x)
+    near = np.broadcast_to(seen & (np.abs(dc) <= _EDGE_BAND + adjoint), S.shape)
+    dS = np.zeros(S.shape)
+    dS[near] = (1 if adjoint else -1) * (k / 2 - 1) * S[near] / np.tan(x[near])
+    S *= seen
+    return S, dS
+
+
+def _hankel_factor(sc, u, h: float, k: int) -> np.ndarray:
+    """S((sc + 2 + u) h) of points at offset u in cell c against row i,
+    sc = c + i (arrays that broadcast)."""
+    return _sine_power((sc + 2 + u) * h, k)
+
+
+def _direct_sines(c: np.ndarray, u: np.ndarray, rows: np.ndarray, h: float, k: int,
+                  adjoint: bool) -> np.ndarray:
+    """The kernel's sine factors, rows x points, of points anywhere in their
+    cells c (offsets u), each evaluated on its own."""
+    S, dS = _toeplitz_factors(c - rows[:, None], u, h, k, adjoint)
+    H = _hankel_factor(c + rows[:, None], u, h, k)
+    A = S * H
+    if k != 2:
+        A += _row_rounding(rows + 1, h)[:, None] * (dS * H)
+    return A
+
+
+class _SineTables:
+    """The sine factors of every row in `rows` against the lattice of whole
+    cells c0 .. c0 + n_cells - 1, GL_CELL points each: the Toeplitz factor
+    and its rounding correction tabulated over c - i, the Hankel factor over
+    c + i, (n_cells + rows.size) GL_CELL values each. views(a, b) gives rows
+    a..b-1 against every lattice point as one strided view of each table,
+    so a tile of sine factors is one multiply (and the rows of its edge band
+    three more)."""
+
+    def __init__(self, grid: RadialGrid, k: int, adjoint: bool, c0: int, n_cells: int,
+                 rows: np.ndarray):
+        u = 0.5 + 0.5 * GL_CELL[0]           # a whole cell's offsets, as in _quadrature
+        i0, i1 = rows[0], rows[-1]
+        self.adjoint, self.g, self.i0, self.i1 = adjoint, u.size, i0, i1
+        self.eps = _row_rounding(rows + 1, grid.h) if k != 2 else None
+        U, W = _toeplitz_factors(np.arange(c0 - i1, c0 + n_cells - i0)[:, None], u, grid.h, k,
+                                 adjoint)
+        V = _hankel_factor(np.arange(c0 + i0, c0 + n_cells + i1)[:, None], u, grid.h, k)
+        # window j: the table from flat index j on; row i starts at c - i = c0 - i
+        # of U and W, and at c + i = c0 + i of V
+        window = np.lib.stride_tricks.sliding_window_view
+        self.U, self.W, self.V = (window(T.ravel(), n_cells * u.size) for T in (U, W, V))
+
+    def views(self, a: int, b: int):
+        """U, W and V of rows a..b-1 against every lattice point."""
+        g, i1 = self.g, self.i1
+        toeplitz = slice((i1 - b + 1) * g, (i1 - a) * g + 1, g)
+        return (self.U[toeplitz][::-1], self.W[toeplitz][::-1],
+                self.V[(a - self.i0) * g:(b - 1 - self.i0) * g + 1:g])
+
+    def sines(self, views, a: int, c_lo: int, c_hi: int, p0: int, p1: int,
+              out: np.ndarray) -> np.ndarray:
+        """Sine factors of rows a.. (those of `views`) against lattice points
+        p0..p1-1, which lie in cells c_lo..c_hi, into `out`."""
+        U, W, V = (t[:, p0:p1] for t in views)
+        A = np.multiply(U, V, out=out)
+        if self.eps is not None:
+            # the rows within _EDGE_BAND cells of these cells' kernel edge
+            r0, r1 = ((c_lo + 2, c_hi + _EDGE_BAND + 2) if self.adjoint
+                      else (c_lo - _EDGE_BAND, c_hi))
+            r0, r1 = max(r0 - a, 0), min(r1 - a, A.shape[0])
+            if r0 < r1:
+                near = W[r0:r1] * V[r0:r1]
+                near *= self.eps[a - self.i0 + r0:a - self.i0 + r1, None]
+                A[r0:r1] += near
+        return A
+
+
+def _cell_tiles(cell: np.ndarray, lattice: np.ndarray, sj: np.ndarray, sw: np.ndarray):
+    """The points (sorted by cell) in stencil blocks of _BLOCK_CELLS cells,
+    aligned to multiples of that size and cut where the points leave or join
+    the lattice: (b0, b1, c_lo, c_hi, j0, j1, D) per block, points b0..b1-1
+    in cells c_lo..c_hi with D[p, j - j0] the weight of point b0 + p at
+    column j. Returns the lattice blocks grouped in tiles of _TILE_CELLS
+    cells, (J0, J1, blocks) with J0..J1-1 the columns the tile reaches, and
+    the blocks off the lattice."""
+    lo, hi = cell[0], cell[-1] + 1
+    edges = np.union1d(*(np.arange(lo - lo % size, hi + size, size)
+                         for size in (_TILE_CELLS, _BLOCK_CELLS)))
+    bounds = np.union1d(np.searchsorted(cell, edges),
+                        np.flatnonzero(lattice[1:] != lattice[:-1]) + 1)
+    tiles, off = {}, []
+    for b0, b1 in zip(bounds[:-1], bounds[1:]):
+        if b0 == b1:
+            continue
         js = sj[b0:b1]
-        c0, c1 = js.min(), js.max() + 1
-        D = np.zeros((b1 - b0, c1 - c0))
-        np.add.at(D, (np.arange(b1 - b0)[:, None], js - c0), sw[b0:b1])
-        blocks.append((b0, b1, c0, c1, D))
-    return blocks
+        j0, j1 = js.min(), js.max() + 1
+        D = np.zeros((b1 - b0, j1 - j0))
+        np.add.at(D, (np.arange(b1 - b0)[:, None], js - j0), sw[b0:b1])
+        block = (b0, b1, cell[b0], cell[b1 - 1], j0, j1, D)
+        if lattice[b0]:
+            tiles.setdefault(cell[b0] // _TILE_CELLS, []).append(block)
+        else:
+            off.append(block)
+    tiles = [(min(b[4] for b in blocks), max(b[5] for b in blocks), blocks)
+             for blocks in tiles.values()]
+    return tiles, off
 
 
 def _accumulate(out: np.ndarray, row0: int, cols: np.ndarray, grid: RadialGrid,
-                k: int, quad: dict, adjoint: bool) -> None:
+                k: int, quad: dict, adjoint: bool, row_scale=None) -> None:
     """out[i - row0, j] = operator row i at node cols[j], integrated by `quad`
-    (interior points sorted by cell); `out` is zero on entry.
+    (interior points sorted by cell), times row_scale[i - row0] if given;
+    `out` is zero on entry.
 
     Forward row i integrates the interior cells c >= i+1, adjoint row i the
-    cells c <= i-2; the edge stencils supply the cell at each row's kernel edge.
+    cells c <= i-2; the edge stencils supply the cell at each row's kernel
+    edge. The interior kernel is alpha_i beta_p times its sine factors:
+    alpha_i = cos(theta_i)^{2-k} scales rows, beta_p = base_p
+    cos(theta_p)^{2-k} the stencil blocks of _cell_tiles. On the lattice,
+    rows go in blocks of _TILE_ROWS: the sine factors of a block of rows and
+    cells are one multiply of _SineTables views and its share of `out` one
+    product with the stencil block, summed per tile in a buffer of its own
+    that is added to `out` once. What a row does not see has a zero Toeplitz
+    factor. The few points off the lattice (the adjoint's head strip, the
+    cells a split cuts) take _direct_sines against every row at once. Beyond
+    `out` a build holds the quadrature, the tables, the stencil blocks, one
+    block of sine factors and one tile buffer.
     """
     rows = np.arange(row0, row0 + out.shape[0])
-    cell, base = quad["cell"], quad["base"]
-    sj, sw = np.searchsorted(cols, quad["sidx"]), quad["sw"]
-    # A^T (points x rows), A^T[j, i] = base_j |t_j^2 - r_i^2|^{k/2-1}, is
-    # evaluated in place one cache-sized tile at a time. A tile's share of
-    # out is a sum of small products A^T[block]^T D over its dense stencil
-    # blocks, each spanning the few columns its points' stencils reach.
-    t2, r2 = quad["t2"], grid.nodes[rows] ** 2
-    if adjoint:
-        t2, r2 = -t2, -r2
-    tiles = [(q0, min(q0 + _TILE_POINTS, t2.size)) for q0 in range(0, t2.size, _TILE_POINTS)]
-    tiles = [(q0, q1, _stencil_blocks(sj, sw, q0, q1)) for q0, q1 in tiles]
-    buf = np.empty(_TILE_ROWS * _TILE_POINTS)
-    for i0 in range(0, rows.size, _TILE_ROWS):
+    cell, lattice = quad["cell"], quad["lattice"]
+    alpha = np.cos(grid.theta_nodes[rows]) ** (2.0 - k)
+    w = quad["w"]
+    if row_scale is not None:
+        alpha *= row_scale
+        w = w * row_scale[quad["rows"] - row0, None]
+    beta = quad["base"] * np.cos(quad["theta"]) ** (2.0 - k)
+    tiles, off = _cell_tiles(cell, lattice, np.searchsorted(cols, quad["sidx"]),
+                             beta[:, None] * quad["sw"])
+    if tiles:
+        c0 = cell[lattice][0]
+        tables = _SineTables(grid, k, adjoint, c0, cell[lattice][-1] + 1 - c0, rows)
+        R = min(_TILE_ROWS, rows.size)
+        buf = np.empty((R, max(b[1] - b[0] for _, _, blocks in tiles for b in blocks)))
+        acc = np.empty((R, max(J1 - J0 for J0, J1, _ in tiles)))
+    for i0 in range(0, rows.size if tiles else 0, _TILE_ROWS):
         rs = rows[i0:i0 + _TILE_ROWS]
-        # some row of the block sees points [p0, p1), not all of them [s0, s1)
-        if adjoint:
-            p0, p1 = 0, np.searchsorted(cell, rs[-1] - 2, side="right")
-            s0, s1 = np.searchsorted(cell, rs[0] - 2, side="right"), p1
-        else:
-            p0, p1 = np.searchsorted(cell, rs[0] + 1), cell.size
-            s0, s1 = p0, np.searchsorted(cell, rs[-1], side="right")
-        for q0, q1, blocks in tiles:
-            a, b = max(p0, q0), min(p1, q1)
-            if a >= b:
+        # the cells some row of the block sees
+        first, last = (cell[0], rs[-1] - 2) if adjoint else (rs[0] + 1, cell[-1])
+        views = tables.views(rs[0], rs[-1] + 1)
+        for J0, J1, blocks in tiles:
+            blocks = [b for b in blocks if b[2] <= last and b[3] >= first]
+            if not blocks:
                 continue
-            At = buf[:(q1 - q0) * rs.size].reshape(q1 - q0, rs.size)
-            At[:a - q0] = 0.0
-            At[b - q0:] = 0.0
-            seen = At[a - q0:b - q0]
-            np.subtract.outer(t2[a:b], r2[i0:i0 + rs.size], out=seen)
-            # t^2 - r^2 <= 0 occurs only in the staircase, and is masked there
-            lo = max(s0, a)
-            hi = max(lo, min(s1, b))
-            stair = At[lo - q0:hi - q0]
-            np.maximum(stair, 1e-300, out=stair)
-            scaled_kernel_power(seen, k, base[a:b, None])
-            unseen = (cell[lo:hi, None] > rs - 2) if adjoint else (cell[lo:hi, None] <= rs)
-            stair[unseen] = 0.0
-            for b0, b1, c0, c1, D in blocks:
-                if a < b1 and b0 < b:
-                    out[i0:i0 + rs.size, c0:c1] += At[b0 - q0:b1 - q0].T @ D
-    np.add.at(out, (quad["rows"][:, None] - row0, np.searchsorted(cols, quad["idx"])),
-              quad["w"])
+            tile = acc[:rs.size, :J1 - J0]
+            tile[:] = 0.0
+            for b0, b1, c_lo, c_hi, j0, j1, D in blocks:
+                p0 = (c_lo - c0) * GL_CELL[0].size
+                A = tables.sines(views, rs[0], c_lo, c_hi, p0, p0 + b1 - b0,
+                                 buf[:rs.size, :b1 - b0])
+                tile[:, j0 - J0:j1 - J0] += A @ D
+            tile *= alpha[i0:i0 + rs.size, None]
+            out[i0:i0 + rs.size, J0:J1] += tile
+    for b0, b1, _, _, j0, j1, D in off:
+        part = _direct_sines(cell[b0:b1], quad["u"][b0:b1], rows, grid.h, k, adjoint) @ D
+        part *= alpha[:, None]
+        out[:, j0:j1] += part
+    np.add.at(out, (quad["rows"][:, None] - row0, np.searchsorted(cols, quad["idx"])), w)
 
 
 def _assemble(grid: RadialGrid, k: int, d: int, degree: int, adjoint: bool) -> np.ndarray:
@@ -323,9 +496,8 @@ def _assemble(grid: RadialGrid, k: int, d: int, degree: int, adjoint: bool) -> n
     M = _dense(n)
     interp = SegmentedInterp(grid.theta_nodes, grid.h, degree=degree)
     quad = _quadrature(grid, k, d, interp, 0, n - 2, (), adjoint)
-    _accumulate(M, 0, np.arange(n), grid, k, quad, adjoint)
-    if adjoint:
-        M *= (grid.nodes ** (2.0 - d))[:, None]
+    _accumulate(M, 0, np.arange(n), grid, k, quad, adjoint,
+                grid.nodes ** (2.0 - d) if adjoint else None)
     return M
 
 
@@ -369,6 +541,35 @@ def _correction_bytes(n: int, clusters, adjoint: bool) -> int:
     return total
 
 
+def _difference(q_split: dict, q_plain: dict) -> dict:
+    """The quadrature of the operator with splits minus the one without, over
+    the same cells. A point both hold (the GL points of a cell no split cuts,
+    and the head strip) enters once with the two stencils side by side, the
+    plain one negated; every other point keeps its stencil beside zero
+    weights. Sorted by cell, the points of a cut cell come after the lattice
+    points of the plain quadrature in that cell."""
+    shared = q_split["lattice"] | (q_split["cell"] == -1)
+    in_both = np.isin(q_plain["cell"], q_split["cell"][shared])
+    s_idx, s_w = q_split["sidx"], q_split["sw"]
+    p_idx, p_w = q_plain["sidx"], -q_plain["sw"]
+    parts = [(q_plain, ~in_both, np.hstack([p_idx[~in_both]] * 2),
+              np.hstack([np.zeros_like(p_w[~in_both]), p_w[~in_both]])),
+             (q_split, shared, np.hstack([s_idx[shared], p_idx[in_both]]),
+              np.hstack([s_w[shared], p_w[in_both]])),
+             (q_split, ~shared, np.hstack([s_idx[~shared]] * 2),
+              np.hstack([s_w[~shared], np.zeros_like(s_w[~shared])]))]
+    diff = {key: np.concatenate([q[key][m] for q, m, _, _ in parts])
+            for key in ("theta", "u", "base", "cell", "lattice")}
+    diff["sidx"] = np.concatenate([idx for _, _, idx, _ in parts])
+    diff["sw"] = np.concatenate([w for _, _, _, w in parts])
+    order = np.argsort(diff["cell"], kind="stable")
+    diff = {key: value[order] for key, value in diff.items()}
+    for key in ("rows", "idx"):
+        diff[key] = np.concatenate([q_split[key], q_plain[key]])
+    diff["w"] = np.concatenate([q_split["w"], -q_plain["w"]])
+    return diff
+
+
 def _split_correction(grid: RadialGrid, k: int, d: int, splits_r, adjoint: bool) -> list:
     """Blocks (row0, cols, C): the dense operator of a profile with splits
     `splits_r` is M0 plus C on rows row0.. and columns cols of each block.
@@ -383,19 +584,13 @@ def _split_correction(grid: RadialGrid, k: int, d: int, splits_r, adjoint: bool)
     with_splits = _split_interp(grid, kept)
     blocks = []
     for c0, c1 in clusters:
-        q_split = _quadrature(grid, k, d, with_splits, c0, c1, kept, adjoint)
-        q_plain = _quadrature(grid, k, d, grid._interp_plain, c0, c1, (), adjoint)
-        q_plain["base"], q_plain["w"] = -q_plain["base"], -q_plain["w"]
-        diff = {key: np.concatenate([q_split[key], q_plain[key]]) for key in q_split}
-        order = np.argsort(diff["cell"], kind="stable")
-        for key in ("t2", "base", "cell", "sidx", "sw"):
-            diff[key] = diff[key][order]
+        diff = _difference(_quadrature(grid, k, d, with_splits, c0, c1, kept, adjoint),
+                           _quadrature(grid, k, d, grid._interp_plain, c0, c1, (), adjoint))
         cols = np.unique(np.concatenate([diff["sidx"].ravel(), diff["idx"].ravel()]))
         row0, row1 = ((0 if c0 == 0 else c0 + 1), n) if adjoint else (0, c1 + 1)
         C = np.zeros((row1 - row0, cols.size))
-        _accumulate(C, row0, cols, grid, k, diff, adjoint)
-        if adjoint:
-            C *= (grid.nodes[row0:row1] ** (2.0 - d))[:, None]
+        _accumulate(C, row0, cols, grid, k, diff, adjoint,
+                    grid.nodes[row0:row1] ** (2.0 - d) if adjoint else None)
         blocks.append((row0, cols, C))
     return blocks
 

@@ -414,32 +414,43 @@ def suite_interaction(deltas=(2.0, 4.0, 8.0, 16.0, 32.0), n: int = 2048) -> list
     return out
 
 
-def run_suite(name: str, seed: int = 7, trials: int = 100,
+def run_suite(name: str, seed: int = 7, trials: int | None = None,
               k: int | None = None, d: int | None = None) -> list[BoundReport]:
-    """Run one verification suite (or 'all'); k/d optionally narrow the
-    parameter sweep of suites that range over several pairs."""
+    """Run one verification suite (or 'all'). `trials` sets the random cases
+    of the suites that draw them (100 unless given); k/d narrow the
+    parameter sweep of suites that range over several pairs. A named suite
+    refuses trials, k or d when it does not read them; 'all' passes each to
+    the suites that read it."""
     if seed < 0:
         raise ParameterError(f"need seed >= 0, got {seed}")
+    drawn = {} if trials is None else {"trials": trials}
+    # suite -> (the arguments it reads, the run)
     suites = {
-        "concentration-k2": lambda: suite_concentration_k2(
-            seed, trials,
-            k_values=(k,) if k else (2, 3),
-            d_values=(d,) if d else (3, 4, 5)),
-        "concentration-k1": lambda: suite_concentration_k1(
-            d_values=(d,) if d else (3, 4)),
-        "slide": lambda: suite_slide(seed, trials),
-        "superadd": lambda: suite_superadditivity(
-            k_values=(k,) if k else (1, 2, 3)),
-        "compactness": lambda: suite_compactness(),
-        "truncation": lambda: suite_truncation(seed),
-        "interaction": lambda: suite_interaction(),
+        "concentration-k2": ({"trials", "k", "d"}, lambda: suite_concentration_k2(
+            seed, **drawn,
+            k_values=(k,) if k is not None else (2, 3),
+            d_values=(d,) if d is not None else (3, 4, 5))),
+        "concentration-k1": ({"d"}, lambda: suite_concentration_k1(
+            d_values=(d,) if d is not None else (3, 4))),
+        "slide": ({"trials"}, lambda: suite_slide(seed, **drawn)),
+        "superadd": ({"k"}, lambda: suite_superadditivity(
+            k_values=(k,) if k is not None else (1, 2, 3))),
+        "compactness": (set(), suite_compactness),
+        "truncation": (set(), lambda: suite_truncation(seed)),
+        "interaction": (set(), suite_interaction),
     }
     if name == "all":
         out = []
-        for key in suites:
-            out.extend(suites[key]())
+        for _, run in suites.values():
+            out.extend(run())
         return out
     if name not in suites:
         raise ParameterError(f"unknown suite {name!r}; choose from "
                              f"{sorted(suites)} or 'all'")
-    return suites[name]()
+    reads, run = suites[name]
+    given = {"trials": trials, "k": k, "d": d}
+    unread = [arg for arg, value in given.items() if value is not None and arg not in reads]
+    if unread:
+        raise ParameterError(f"suite {name!r} does not read {' or '.join(unread)}; of "
+                             f"trials, k and d it reads {', '.join(sorted(reads)) or 'none'}")
+    return run()

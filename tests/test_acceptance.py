@@ -136,7 +136,7 @@ def test_10_weak_interaction_decay():
 
 
 def test_11_compactness():
-    reps = run_suite("compactness", seed=0, trials=0)
+    reps = run_suite("compactness", seed=0)
     ok = all(r.passed for r in reps)
     detail = "; ".join(
         f"k={r.inputs['k']}: sigma ratios {np.round(r.inputs['sigma_ratios'], 4)}, "

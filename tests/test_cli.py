@@ -124,6 +124,20 @@ class TestVerifyCommand:
     def test_unknown_suite_exits_2(self):
         assert run(["verify", "--suite", "bogus"]) == 2
 
+    @pytest.mark.parametrize("argv", [["--suite", "truncation", "--trials", "1"],
+                                      ["--suite", "compactness", "--k", "3"]],
+                             ids=["truncation-trials", "compactness-k"])
+    def test_argument_the_suite_does_not_read_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "r.jsonl"
+        assert run(["verify", *argv, "--out", str(out)]) == 2
+        assert f"suite '{argv[1]}' does not read {argv[2][2:]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trials_reach_the_suite_that_reads_them(self, tmp_path):
+        out = tmp_path / "r.jsonl"
+        assert run(["verify", "--suite", "slide", "--trials", "1", "--out", str(out)]) == 0
+        assert len(out.read_text().strip().splitlines()) == 1
+
     def test_reproducible_jsonl(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         run(["verify", "--suite", "slide", "--seed", "5", "--trials", "20",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kplane as K
-from kplane._quad import SegmentedInterp
+from kplane._quad import GL_CELL, SegmentedInterp
 from kplane.transform import pairing
 
 from conftest import smooth_decaying
@@ -260,6 +260,27 @@ class TestOperatorCache:
         assert builds == [(256, 1)]
         assert all(np.array_equal(v, results[0]) for v in results)
 
+    def test_build_seconds_count_builds_not_hits(self, fresh_cache, monkeypatch):
+        import time
+        T = fresh_cache
+        assemble = T._assemble_forward
+
+        def slow_assemble(grid, k):
+            time.sleep(0.05)
+            return assemble(grid, k)
+
+        monkeypatch.setattr(T, "_assemble_forward", slow_assemble)
+        grid = K.make_halfline_grid(128)
+        T._forward_matrix(grid, 1)
+        spent = T.cache_info()["fwd"]["build_s"]
+        assert spent >= 0.05
+        T._forward_matrix(grid, 1)        # a hit adds no build time
+        info = T.cache_info()
+        assert info["fwd"]["hits"] == 1 and info["fwd"]["build_s"] == spent
+        assert info["adj"]["build_s"] == info["split"]["build_s"] == 0.0
+        T._adjoint_matrix(grid, 1, 3)
+        assert T.cache_info()["adj"]["build_s"] > 0.0
+
     def test_dense_size_guard_refuses_before_building(self, fresh_cache, monkeypatch):
         T = fresh_cache
         monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", 8 * 100 * 100)
@@ -335,10 +356,11 @@ class TestBlockedAssembly:
         i = np.arange(grid.n)[:, None]
         cell = q["cell"][None, :]
         seen = (cell <= i - 2) if adjoint else (cell >= i + 1)
-        x = np.where(seen, np.abs(q["t2"][None, :] - grid.nodes[:, None] ** 2), 1.0)
+        t2 = np.tan(q["theta"]) ** 2
+        x = np.where(seen, np.abs(t2[None, :] - grid.nodes[:, None] ** 2), 1.0)
         A = np.where(seen, x ** (k / 2 - 1) * q["base"], 0.0)
-        basis = np.zeros((q["t2"].size, grid.n))
-        np.add.at(basis, (np.arange(q["t2"].size)[:, None], q["sidx"]), q["sw"])
+        basis = np.zeros((t2.size, grid.n))
+        np.add.at(basis, (np.arange(t2.size)[:, None], q["sidx"]), q["sw"])
         M = A @ basis
         np.add.at(M, (q["rows"][:, None], q["idx"]), q["w"])
         return M, q
@@ -386,10 +408,9 @@ class TestBlockedAssembly:
 
         *default, n_blocks = build()
         assert n_blocks > 1
-        # tiles and stencil blocks that end inside a cell and inside a row's staircase
+        # row blocks and cell tiles that end inside a row's staircase
         monkeypatch.setattr(T, "_TILE_ROWS", 5)
-        monkeypatch.setattr(T, "_TILE_POINTS", 7)
-        monkeypatch.setattr(T, "_BLOCK_POINTS", 3)
+        monkeypatch.setattr(T, "_TILE_CELLS", 3)
         for got, want in zip(build()[:2], default):
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
@@ -423,6 +444,61 @@ class TestBlockedAssembly:
         for op in ops:
             assert T._nbytes(op) < 2 ** 20
             assert T._nbytes(op) <= T._operator_bytes(grid.n, 2)
+
+
+class TestSineKernel:
+    """The interior kernel from theta-lattice sine tables against the dense
+    t^2 - r^2 reference, with the default tiles and with tiles that split
+    row blocks and cells unevenly."""
+
+    TILES = {"default-tiles": None, "uneven-tiles": (5, 7, 3)}
+
+    @staticmethod
+    def _tiles(monkeypatch, tiles):
+        if tiles is not None:
+            for name, value in zip(("_TILE_ROWS", "_TILE_CELLS", "_BLOCK_CELLS"), tiles):
+                monkeypatch.setattr(K.transform, name, value)
+
+    @pytest.mark.parametrize("tiles", TILES.values(), ids=TILES.keys())
+    @pytest.mark.parametrize("hint", [float("inf"), 8.0])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("k", [1, 3, 4, 5])
+    def test_matches_dense_reference(self, monkeypatch, k, adjoint, hint, tiles):
+        self._tiles(monkeypatch, tiles)
+        grid = K.make_grid(64, hint)
+        ref, q = TestBlockedAssembly._reference(grid, k, k + 2, adjoint)
+        M = np.zeros((64, 64))
+        K.transform._accumulate(M, 0, np.arange(64), grid, k, q, adjoint)
+        assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("tiles", TILES.values(), ids=TILES.keys())
+    @pytest.mark.parametrize("k", [1, 3, 4, 5])
+    def test_discretized_matches_dense_reference(self, monkeypatch, k, tiles):
+        # the degree-1 matrix of discretize_T_R, clamped at 0
+        self._tiles(monkeypatch, tiles)
+        op = K.discretize_T_R(K.make_params(k, k + 1), 2.0, 64)
+        ref = np.maximum(TestBlockedAssembly._reference(op.grid, k, 0, False, (), 1)[0], 0.0)
+        assert np.abs(op.entries - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("hint", [float("inf"), 8.0])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("k", [1, 3, 4, 5])
+    def test_tables_match_direct_evaluation(self, k, adjoint, hint):
+        # every row block of a 200-point grid against the whole lattice: the
+        # strided table views and the point-by-point evaluation agree
+        T = K.transform
+        grid = K.make_grid(200, hint)
+        g, cells = GL_CELL[0].size, np.arange(grid.n - 1)
+        c, u = np.repeat(cells, g), np.tile(0.5 + 0.5 * GL_CELL[0], cells.size)
+        tables = T._SineTables(grid, k, adjoint, 0, cells.size, np.arange(grid.n))
+        for a, b in ((0, grid.n), (0, 7), (37, 121), (190, 200)):
+            got = tables.sines(tables.views(a, b), a, 0, cells[-1], 0, c.size,
+                               np.empty((b - a, c.size)))
+            want = T._direct_sines(c, u, np.arange(a, b), grid.h, k, adjoint)
+            assert np.array_equal(got == 0, want == 0)
+            seen = want != 0
+            assert seen.any()
+            assert np.abs(got[seen] / want[seen] - 1.0).max() <= 1e-15
 
 
 class TestPrefixSums:

@@ -96,7 +96,7 @@ class TestSuperadditivity:
         assert rep.lhs == pytest.approx(0.3 ** 4 + 0.7 ** 4, rel=1e-12)
 
     def test_grid_all_k(self):
-        reps = run_suite("superadd", seed=0, trials=0)
+        reps = run_suite("superadd", seed=0)
         assert all(r.passed for r in reps)
 
     def test_endpoint_rejected(self):
@@ -113,7 +113,7 @@ class TestSuperadditivity:
 
 class TestCompactness:
     def test_trends(self):
-        reps = run_suite("compactness", seed=0, trials=0)
+        reps = run_suite("compactness", seed=0)
         assert all(r.passed for r in reps)
         for r in reps:
             ratios = r.inputs["sigma_ratios"]
@@ -129,7 +129,7 @@ class TestCompactness:
 
 class TestTruncationPipeline:
     def test_randomized(self):
-        reps = run_suite("truncation", seed=3, trials=0)
+        reps = run_suite("truncation", seed=3)
         assert all(r.passed for r in reps)
 
     def test_extremizer_large_m(self, grids):
