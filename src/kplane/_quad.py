@@ -55,14 +55,16 @@ def composite_weights(n: int, h: float) -> np.ndarray:
 
 def lagrange_weights(x: np.ndarray, length: int) -> np.ndarray:
     """Cardinal weights of the Lagrange polynomial on nodes 0..length-1 at offsets x."""
-    out = np.empty(x.shape + (length,))
-    for j in range(length):
-        w = np.ones_like(x)
-        for m in range(length):
-            if m != j:
-                w = w * (x - m) / (j - m)
-        out[..., j] = w
-    return out
+    # W[j] = prod over m != j of (x - m) / (j - m), multiplied and divided in
+    # that order, m ascending: every j at once, one node m at a time
+    W = np.ones((length,) + x.shape)
+    nodes = np.arange(length, dtype=float).reshape((length,) + (1,) * x.ndim)
+    for m in range(length):
+        d = x - m
+        for j in (slice(0, m), slice(m + 1, length)):
+            W[j] *= d
+            W[j] /= nodes[j] - m
+    return np.moveaxis(W, 0, -1)
 
 
 class SegmentedInterp:

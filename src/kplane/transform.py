@@ -26,16 +26,23 @@ built without splits and memoized. For k = 2 the kernel (u^2 - r^2)^0 is 1:
 T f(r) = int_r^inf f(u) u du is a suffix integral and T* g(u) = u^{2-d}
 int_0^u g(w) w^{d-3} dw a prefix integral, so M0 is kept as _PrefixSums:
 per-cell and per-row node weights and one cumulative sum, O(n) memory and an
-O(n) apply. For every other k M0 is a dense matrix. Its interior kernel is
+O(n) apply. For every other k M0 is dense, but one-sided: T f(r) reads only
+u >= r and T* g(u) only w <= u, so M0 is triangular but for a band of
+INTERP_DEGREE columns (upper forward, lower adjoint). It is held as
+_RowBlocks: per _TILE_ROWS rows one contiguous array over the columns _band
+gives them, about 18 MiB at n = 2048 and 68 MiB at 4096 instead of 32 and
+128 MiB, and no n x n array is allocated. The byte budget still counts it as
+n x n entries (_dense, _operator_bytes). Its interior kernel is
 evaluated in theta: by tan^2 a - tan^2 b = sin(a - b) sin(a + b) / (cos^2 a
 cos^2 b), at GL point theta_p = (c + 1 + u) h of cell c against row theta_i =
 (i + 1) h it is cos(theta_i)^{2-k} cos(theta_p)^{2-k} times one sine power
 of (c - i + u) h and one of (c + i + 2 + u) h. On the lattice of whole cells
-those two are a Toeplitz and a Hankel table of O(n) values, so the build
-fills each tile of rows x whole cells with one multiply of two strided
-views, and multiplies it by a small dense block of the stencils scaled by
-the cos power of each point. discretize_T_R assembles its own dense matrix
-at degree 1, for every k and uncached.
+those two are a Toeplitz and a Hankel table of O(n) values, kept per (grid,
+k, direction), so the build fills each tile of rows x whole cells with one
+multiply of two strided views, and multiplies it by a small dense block of
+the stencils scaled by the cos power of each point. discretize_T_R
+assembles its own row blocks at degree 1, for every k and uncached, and
+densifies them.
 
 Split radii change only the interpolation stencils within INTERP_DEGREE
 cells of a split and the subdivision of the cell that holds it, so a profile
@@ -45,13 +52,13 @@ angle lies strictly between the first and last node angles, one test for the
 interpolant and the quadrature alike. For a dense M0, C is built once per
 (grid, k, d, splits inside the grid) and held in the same byte-bounded LRU as
 M0, so a repeated split set costs one small product. For k = 2 every
-apply re-integrates those cells and edge rows in place of M0's. A dense M0 is
-triangular but for a band of INTERP_DEGREE columns, and M0 f reads only that
-triangle and band. cache_info() counts the cache's entries, bytes, builds,
-hits, evictions and build seconds per entry kind.
+apply re-integrates those cells and edge rows in place of M0's. A dense M0 f
+is one product per row block. cache_info() counts the cache's entries,
+bytes, builds, hits, evictions and build seconds per entry kind.
 """
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import time
@@ -71,8 +78,8 @@ _TAIL_TOL = 1e-6
 #: largest dense operator matrix, in bytes, that a build may allocate
 DENSE_BUDGET_BYTES = 2 * 1024 ** 3
 #: tile of a dense build, rows x whole cells (256 x 768 GL points), whose
-#: share of the matrix is summed in a buffer of its own; the row block of a
-#: dense apply too
+#: share of the matrix is summed in a buffer of its own; _TILE_ROWS is also
+#: the height of a stored row block of a dense M0
 _TILE_ROWS, _TILE_CELLS = 256, 128
 #: cells per dense stencil block within a tile (96 GL points)
 _BLOCK_CELLS = 16
@@ -87,8 +94,9 @@ _CACHE_COUNTS: Counter = Counter()
 
 
 def _nbytes(value) -> int:
-    """Bytes held by a cached entry: a matrix or prefix sums, a dict of
-    them, or a list of split correction blocks (row0, cols, C)."""
+    """Bytes a cached entry holds now: the row blocks of a dense M0 or its
+    prefix sums, a dict of them, or a list of split correction blocks (row0,
+    cols, C)."""
     if isinstance(value, dict):
         return sum(v.nbytes for v in value.values() if v is not None)
     if isinstance(value, list):
@@ -164,16 +172,20 @@ def cache_info() -> dict:
 
 
 def _operator_bytes(n: int, k: int) -> int:
-    """Bytes held by M0 on n nodes: n x n, or for k = 2 its prefix-sum form,
-    two node-weight bands of INTERP_DEGREE + 2 weights and nodes per row, the
+    """Bytes the cache reserves before building M0 on n nodes: for a dense
+    M0 its n x n entries, the measure of the budget (its row blocks hold
+    about half of them); for k = 2 what its prefix-sum form holds, two
+    node-weight bands of INTERP_DEGREE + 2 weights and nodes per row, the
     tail model's three columns and the adjoint's row scaling."""
     if k == 2:
         return 8 * n * (4 * (_quad.INTERP_DEGREE + 2) + 4)
     return 8 * n * n
 
 
-def _dense(n: int) -> np.ndarray:
-    """Zeroed n x n matrix, refused before allocation beyond DENSE_BUDGET_BYTES."""
+def _dense(n: int) -> None:
+    """Refuse a dense operator on n nodes before anything is allocated when
+    its n x n entries, 8n^2 bytes, exceed DENSE_BUDGET_BYTES: the budget
+    counts the full matrix, though _RowBlocks hold about half of it."""
     if 8 * n * n > DENSE_BUDGET_BYTES:
         need, budget = 8 * n * n / 2 ** 20, DENSE_BUDGET_BYTES / 2 ** 20
         digits = 1
@@ -182,7 +194,6 @@ def _dense(n: int) -> np.ndarray:
         raise ConfigurationError(
             f"a dense operator on {n} grid points needs {need:.{digits}f} MiB, "
             f"above the {budget:.{digits}f} MiB budget; use a smaller grid")
-    return np.zeros((n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +202,11 @@ def _dense(n: int) -> np.ndarray:
 def _refine(x: np.ndarray, c0: int, c1: int, cuts):
     """Cells [x_c, x_{c+1}], c0 <= c <= c1, cut at the points of `cuts` inside
     them: (lo, hi, owning cell) per piece."""
-    edges = np.union1d(x[c0:c1 + 2], [t for t in cuts if x[c0] < t < x[c1 + 1]])
+    edges = x[c0:c1 + 2]
+    inside = np.array(sorted({t for t in cuts if x[c0] < t < x[c1 + 1]}), dtype=float)
+    at = np.searchsorted(edges, inside)
+    off_node = edges[at] != inside
+    edges = np.insert(edges, at[off_node], inside[off_node])
     lo, hi = edges[:-1], edges[1:]
     return lo, hi, np.searchsorted(x, 0.5 * (lo + hi)) - 1
 
@@ -240,7 +255,6 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
     thg = (cell + 1 + ug) * h
     tg = np.tan(thg)
     base = (tg ** (d - k - 1) if adjoint else tg) * (1.0 + tg * tg) * wg
-    sidx, sw = interp.plan(thg, seg)
 
     lo, hi, cell_r = _refine(r, c0, c1, splits_r)
     rows = cell_r + 1 if adjoint else cell_r
@@ -270,9 +284,12 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
         thq, wts = np.concatenate([thq, np.arctan(wq)]), np.concatenate([wts, w0])
         segq = np.concatenate([segq, np.zeros(wq.size, dtype=int)])
         rows = np.concatenate([rows, np.zeros(wq.size, dtype=int)])
-    eidx, ebw = interp.plan(thq, segq)
+    # one plan for the interior points and the edge points
+    idx, w = interp.plan(np.concatenate([thg, thq]), np.concatenate([seg, segq]))
+    g = thg.size
+    w[g:] *= wts[:, None]
     return {"theta": thg, "u": ug, "base": base, "cell": cell, "lattice": lattice,
-            "sidx": sidx, "sw": sw, "rows": rows, "idx": eidx, "w": wts[:, None] * ebw}
+            "sidx": idx[:g], "sw": w[:g], "rows": rows, "idx": idx[g:], "w": w[g:]}
 
 
 # ---------------------------------------------------------------------------
@@ -312,23 +329,29 @@ def _row_rounding(m: np.ndarray, h: float) -> np.ndarray:
     return (m * h - m * hi) - m * (h - hi)
 
 
-def _toeplitz_factors(dc, u, h: float, k: int, adjoint: bool):
+def _toeplitz_factor(dc, u, h: float, k: int, adjoint: bool) -> np.ndarray:
     """S(|dc + u| h) of points at offset u in cell c against row i, dc = c - i
-    (arrays that broadcast), and its change per unit of rounding in the row's
-    angle within _EDGE_BAND cells of the edge (0 beyond). Both are 0 where
-    the row does not see the cell, forward dc <= 0 and adjoint dc >= -1,
-    whose angle is replaced by 1 first: no sine of a non-positive angle is
-    raised to a power."""
+    (arrays that broadcast); 0 where the row does not see the cell, forward
+    dc <= 0 and adjoint dc >= -1, whose angle is replaced by 1 first: no sine
+    of a non-positive angle is raised to a power."""
     seen = dc <= -2 if adjoint else dc >= 1
-    x = np.where(seen, np.abs(dc + u) * h, 1.0)
-    S = _sine_power(x, k)
+    S = _sine_power(np.where(seen, np.abs(dc + u) * h, 1.0), k)
+    S *= seen
+    return S
+
+
+def _rounding_factor(S: np.ndarray, dc, u, h: float, k: int, adjoint: bool) -> np.ndarray:
+    """The change of the Toeplitz factor S (of _toeplitz_factor) per unit of
+    rounding in the row's angle, within _EDGE_BAND cells of the edge (0
+    beyond and where the row does not see the cell)."""
     # the row's angle moves theta_p - theta_i by -eps (forward) or
     # theta_i - theta_p by +eps (adjoint); dS/dx = (k/2 - 1) S cot(x)
+    seen = dc <= -2 if adjoint else dc >= 1
     near = np.broadcast_to(seen & (np.abs(dc) <= _EDGE_BAND + adjoint), S.shape)
+    x = np.broadcast_to(np.abs(dc + u) * h, S.shape)[near]
     dS = np.zeros(S.shape)
-    dS[near] = (1 if adjoint else -1) * (k / 2 - 1) * S[near] / np.tan(x[near])
-    S *= seen
-    return S, dS
+    dS[near] = (1 if adjoint else -1) * (k / 2 - 1) * S[near] / np.tan(x)
+    return dS
 
 
 def _hankel_factor(sc, u, h: float, k: int) -> np.ndarray:
@@ -340,12 +363,18 @@ def _hankel_factor(sc, u, h: float, k: int) -> np.ndarray:
 def _direct_sines(c: np.ndarray, u: np.ndarray, rows: np.ndarray, h: float, k: int,
                   adjoint: bool) -> np.ndarray:
     """The kernel's sine factors, rows x points, of points anywhere in their
-    cells c (offsets u), each evaluated on its own."""
-    S, dS = _toeplitz_factors(c - rows[:, None], u, h, k, adjoint)
+    cells c (offsets u), each evaluated on its own; `rows` ascending."""
+    dc = c - rows[:, None]
+    S = _toeplitz_factor(dc, u, h, k, adjoint)
     H = _hankel_factor(c + rows[:, None], u, h, k)
     A = S * H
     if k != 2:
-        A += _row_rounding(rows + 1, h)[:, None] * (dS * H)
+        # the rounding correction is 0 but on the rows within _EDGE_BAND
+        # cells of some point's cell
+        near = slice(*np.searchsorted(rows, [c.min() - _EDGE_BAND - 1,
+                                             c.max() + _EDGE_BAND + 2]))
+        dS = _rounding_factor(S[near], dc[near], u, h, k, adjoint)
+        A[near] += _row_rounding(rows[near] + 1, h)[:, None] * (dS * H[near])
     return A
 
 
@@ -364,8 +393,9 @@ class _SineTables:
         i0, i1 = rows[0], rows[-1]
         self.adjoint, self.g, self.i0, self.i1 = adjoint, u.size, i0, i1
         self.eps = _row_rounding(rows + 1, grid.h) if k != 2 else None
-        U, W = _toeplitz_factors(np.arange(c0 - i1, c0 + n_cells - i0)[:, None], u, grid.h, k,
-                                 adjoint)
+        dc = np.arange(c0 - i1, c0 + n_cells - i0)[:, None]
+        U = _toeplitz_factor(dc, u, grid.h, k, adjoint)
+        W = _rounding_factor(U, dc, u, grid.h, k, adjoint)
         V = _hankel_factor(np.arange(c0 + i0, c0 + n_cells + i1)[:, None], u, grid.h, k)
         # window j: the table from flat index j on; row i starts at c - i = c0 - i
         # of U and W, and at c + i = c0 + i of V
@@ -395,6 +425,17 @@ class _SineTables:
                 near *= self.eps[a - self.i0 + r0:a - self.i0 + r1, None]
                 A[r0:r1] += near
         return A
+
+
+@functools.lru_cache(maxsize=8)
+def _lattice_tables(grid: RadialGrid, k: int, adjoint: bool) -> _SineTables:
+    """_SineTables of every row against every whole cell of the grid, about
+    36 n doubles, shared by M0's build and each of its split corrections,
+    which read the rows and cells they need from them."""
+    tables = _SineTables(grid, k, adjoint, 0, grid.n - 1, np.arange(grid.n))
+    if tables.eps is not None:
+        tables.eps.setflags(write=False)
+    return tables
 
 
 def _cell_tiles(cell: np.ndarray, lattice: np.ndarray, sj: np.ndarray, sw: np.ndarray):
@@ -428,27 +469,32 @@ def _cell_tiles(cell: np.ndarray, lattice: np.ndarray, sj: np.ndarray, sw: np.nd
     return tiles, off
 
 
-def _accumulate(out: np.ndarray, row0: int, cols: np.ndarray, grid: RadialGrid,
-                k: int, quad: dict, adjoint: bool, row_scale=None) -> None:
-    """out[i - row0, j] = operator row i at node cols[j], integrated by `quad`
-    (interior points sorted by cell), times row_scale[i - row0] if given;
-    `out` is zero on entry.
+def _accumulate(out, row0: int, cols: np.ndarray, grid: RadialGrid, k: int, quad: dict,
+                adjoint: bool, row_scale=None) -> None:
+    """Operator row i at node cols[j], integrated by `quad` (interior points
+    sorted by cell), times row_scale[i - row0] if given, added to `out`: a
+    zeroed array of rows row0.. against every column of cols, or _RowBlocks
+    whose blocks each take their rows' entries in the columns they store.
 
     Forward row i integrates the interior cells c >= i+1, adjoint row i the
     cells c <= i-2; the edge stencils supply the cell at each row's kernel
     edge. The interior kernel is alpha_i beta_p times its sine factors:
     alpha_i = cos(theta_i)^{2-k} scales rows, beta_p = base_p
     cos(theta_p)^{2-k} the stencil blocks of _cell_tiles. On the lattice,
-    rows go in blocks of _TILE_ROWS: the sine factors of a block of rows and
-    cells are one multiply of _SineTables views and its share of `out` one
-    product with the stencil block, summed per tile in a buffer of its own
-    that is added to `out` once. What a row does not see has a zero Toeplitz
-    factor. The few points off the lattice (the adjoint's head strip, the
-    cells a split cuts) take _direct_sines against every row at once. Beyond
-    `out` a build holds the quadrature, the tables, the stencil blocks, one
-    block of sine factors and one tile buffer.
+    rows go in passes of _TILE_ROWS (more when the lattice is narrower than
+    a tile, as a split correction's is): the sine factors of a pass and a
+    block of cells are one multiply of views of the grid's _lattice_tables
+    and their share of `out` one product with the stencil block, summed per
+    tile in a buffer of its own that is added to `out` once. What a row
+    does not see has a zero Toeplitz factor, so a tile's columns outside a
+    row block's band add exact zeros and are dropped. The few points off
+    the lattice (the adjoint's head strip, the cells a split cuts) take
+    _direct_sines against each block of rows. Beyond `out` and the kept
+    tables a build holds the quadrature, the stencil blocks, one block of
+    sine factors and one tile buffer.
     """
-    rows = np.arange(row0, row0 + out.shape[0])
+    blocks = [(0, 0, out)] if isinstance(out, np.ndarray) else out.blocks
+    rows = np.arange(row0, row0 + max(i0 + B.shape[0] for i0, _, B in blocks))
     cell, lattice = quad["cell"], quad["lattice"]
     alpha = np.cos(grid.theta_nodes[rows]) ** (2.0 - k)
     w = quad["w"]
@@ -459,45 +505,113 @@ def _accumulate(out: np.ndarray, row0: int, cols: np.ndarray, grid: RadialGrid,
     tiles, off = _cell_tiles(cell, lattice, np.searchsorted(cols, quad["sidx"]),
                              beta[:, None] * quad["sw"])
     if tiles:
-        c0 = cell[lattice][0]
-        tables = _SineTables(grid, k, adjoint, c0, cell[lattice][-1] + 1 - c0, rows)
-        R = min(_TILE_ROWS, rows.size)
-        buf = np.empty((R, max(b[1] - b[0] for _, _, blocks in tiles for b in blocks)))
+        tables = _lattice_tables(grid, k, adjoint)
+        # rows per pass: _TILE_ROWS, or proportionally more over a lattice
+        # of fewer than _TILE_CELLS cells, so a pass's tile buffer stays as
+        # large as a full tile's
+        span = cell[lattice][-1] + 1 - cell[lattice][0]
+        R = min(_TILE_ROWS * max(_TILE_CELLS // span, 1), rows.size)
+        buf = np.empty((R, max(b[1] - b[0] for _, _, tile_blocks in tiles for b in tile_blocks)))
         acc = np.empty((R, max(J1 - J0 for J0, J1, _ in tiles)))
-    for i0 in range(0, rows.size if tiles else 0, _TILE_ROWS):
-        rs = rows[i0:i0 + _TILE_ROWS]
-        # the cells some row of the block sees
-        first, last = (cell[0], rs[-1] - 2) if adjoint else (rs[0] + 1, cell[-1])
-        views = tables.views(rs[0], rs[-1] + 1)
-        for J0, J1, blocks in tiles:
-            blocks = [b for b in blocks if b[2] <= last and b[3] >= first]
-            if not blocks:
+    edge_rows, edge_cols = quad["rows"] - row0, np.searchsorted(cols, quad["idx"])
+
+    def seen_cells(rs):
+        # the first and last cell some row of rs sees
+        return (cell[0], rs[-1] - 2) if adjoint else (rs[0] + 1, cell[-1])
+
+    for i0, b0, B in blocks:
+        b1 = b0 + B.shape[1]
+        for a in range(i0, i0 + B.shape[0], R) if tiles else ():
+            rs = rows[a:min(a + R, i0 + B.shape[0])]
+            first, last = seen_cells(rs)
+            views = tables.views(rs[0], rs[-1] + 1)
+            for J0, J1, tile_blocks in tiles:
+                lo, hi = max(J0, b0), min(J1, b1)
+                tile_blocks = [b for b in tile_blocks if b[2] <= last and b[3] >= first]
+                if lo >= hi or not tile_blocks:
+                    continue
+                tile = acc[:rs.size, :J1 - J0]
+                tile[:] = 0.0
+                for p0, p1, c_lo, c_hi, j0, j1, D in tile_blocks:
+                    q0 = c_lo * GL_CELL[0].size
+                    A = tables.sines(views, rs[0], c_lo, c_hi, q0, q0 + p1 - p0,
+                                     buf[:rs.size, :p1 - p0])
+                    tile[:, j0 - J0:j1 - J0] += A @ D
+                tile *= alpha[a:a + rs.size, None]
+                B[a - i0:a - i0 + rs.size, lo - b0:hi - b0] += tile[:, lo - J0:hi - J0]
+        rs = rows[i0:i0 + B.shape[0]]
+        first, last = seen_cells(rs)
+        for p0, p1, c_lo, c_hi, j0, j1, D in off:
+            lo, hi = max(j0, b0), min(j1, b1)
+            if lo >= hi or c_lo > last or c_hi < first:
                 continue
-            tile = acc[:rs.size, :J1 - J0]
-            tile[:] = 0.0
-            for b0, b1, c_lo, c_hi, j0, j1, D in blocks:
-                p0 = (c_lo - c0) * GL_CELL[0].size
-                A = tables.sines(views, rs[0], c_lo, c_hi, p0, p0 + b1 - b0,
-                                 buf[:rs.size, :b1 - b0])
-                tile[:, j0 - J0:j1 - J0] += A @ D
-            tile *= alpha[i0:i0 + rs.size, None]
-            out[i0:i0 + rs.size, J0:J1] += tile
-    for b0, b1, _, _, j0, j1, D in off:
-        part = _direct_sines(cell[b0:b1], quad["u"][b0:b1], rows, grid.h, k, adjoint) @ D
-        part *= alpha[:, None]
-        out[:, j0:j1] += part
-    np.add.at(out, (quad["rows"][:, None] - row0, np.searchsorted(cols, quad["idx"])), w)
+            part = _direct_sines(cell[p0:p1], quad["u"][p0:p1], rs, grid.h, k, adjoint) @ D
+            part *= alpha[i0:i0 + rs.size, None]
+            B[:, lo - b0:hi - b0] += part[:, lo - j0:hi - j0]
+        mine = (edge_rows >= i0) & (edge_rows < i0 + B.shape[0])
+        np.add.at(B, (edge_rows[mine, None] - i0, edge_cols[mine] - b0), w[mine])
 
 
-def _assemble(grid: RadialGrid, k: int, d: int, degree: int, adjoint: bool) -> np.ndarray:
-    """Dense operator matrix without splits (adjoint rows scaled by r^{2-d})
-    and without the tail model."""
+class _RowBlocks:
+    """A dense M0 on n nodes as blocks (i0, c0, B) of _TILE_ROWS rows: B,
+    contiguous, holds rows i0.. in columns c0.., the columns `_band` gives
+    those rows. The triangle outside the band is zero and not stored, so a
+    forward or adjoint M0 holds about (n + 2 INTERP_DEGREE + _TILE_ROWS) / 2n
+    of its n x n entries. apply() reads each block once against its
+    columns."""
+
+    def __init__(self, n: int, degree: int, adjoint: bool, halfline: bool):
+        bands = [(i0, min(i0 + _TILE_ROWS, n)) for i0 in range(0, n, _TILE_ROWS)]
+        bands = [(i0, i1, *_band(n, degree, i0, i1, adjoint, halfline)) for i0, i1 in bands]
+        # one zeroed buffer cut into the blocks: an allocation large enough
+        # for numpy's huge-page advice, where one array per block faulted
+        # in 4 KiB pages, 2.4 times the page faults of a build at n = 2048
+        flat = np.zeros(sum((i1 - i0) * (c1 - c0) for i0, i1, c0, c1 in bands))
+        self.n, self.blocks, at = n, [], 0
+        for i0, i1, c0, c1 in bands:
+            size = (i1 - i0) * (c1 - c0)
+            self.blocks.append((i0, c0, flat[at:at + size].reshape(i1 - i0, c1 - c0)))
+            at += size
+
+    @property
+    def nbytes(self) -> int:
+        return sum(B.nbytes for _, _, B in self.blocks)
+
+    def apply(self, f: RadialProfile) -> np.ndarray:
+        """M0 f, without f's splits."""
+        v, out = f.values, np.empty(self.n)
+        for i0, c0, B in self.blocks:
+            out[i0:i0 + B.shape[0]] = B @ v[c0:c0 + B.shape[1]]
+        return out
+
+    @staticmethod
+    def split_blocks(f: RadialProfile, k: int, d: int, adjoint: bool) -> list:
+        """The cached correction blocks (row0, cols, C) of f's splits."""
+        return _split_blocks(f.grid, k, d, f.splits, adjoint)
+
+    def toarray(self) -> np.ndarray:
+        """M0 as an n x n matrix."""
+        M = np.zeros((self.n, self.n))
+        for i0, c0, B in self.blocks:
+            M[i0:i0 + B.shape[0], c0:c0 + B.shape[1]] = B
+        return M
+
+
+def _assemble(grid: RadialGrid, k: int, d: int, degree: int, adjoint: bool,
+              tail: np.ndarray | None = None) -> _RowBlocks:
+    """Dense operator without splits as _RowBlocks (adjoint rows scaled by
+    r^{2-d}), with `tail`, the tail model's n x 3 rows, added to its last
+    three columns if given."""
     n = grid.n
-    M = _dense(n)
+    _dense(n)
     interp = SegmentedInterp(grid.theta_nodes, grid.h, degree=degree)
     quad = _quadrature(grid, k, d, interp, 0, n - 2, (), adjoint)
+    M = _RowBlocks(n, degree, adjoint, grid.halfline)
     _accumulate(M, 0, np.arange(n), grid, k, quad, adjoint,
                 grid.nodes ** (2.0 - d) if adjoint else None)
+    if tail is not None:
+        for i0, _, B in M.blocks:
+            B[:, -3:] += tail[i0:i0 + B.shape[0]]
     return M
 
 
@@ -596,9 +710,9 @@ def _split_correction(grid: RadialGrid, k: int, d: int, splits_r, adjoint: bool)
 
 
 def _split_blocks(grid: RadialGrid, k: int, d: int, splits_r, adjoint: bool) -> list:
-    """_split_correction memoized beside M0, keyed on the split radii inside
-    the grid (d is 0 for the forward operator); [] and no entry when no
-    split lies inside the grid. The blocks are shared, so read-only."""
+    """_split_correction memoized beside a dense M0, keyed on the split radii
+    inside the grid (d is 0 for the forward operator); [] and no entry when
+    no split lies inside the grid. The blocks are shared, so read-only."""
     kept, clusters = _split_clusters(grid, splits_r)
     if not clusters:
         return []
@@ -616,7 +730,8 @@ def _split_blocks(grid: RadialGrid, k: int, d: int, splits_r, adjoint: bool) -> 
 
 def _band(n: int, degree: int, i0: int, i1: int, adjoint: bool,
           halfline: bool) -> tuple[int, int]:
-    """Columns [c0, c1) that hold every nonzero of M0's rows [i0, i1).
+    """Columns [c0, c1) that a row block of M0 stores for its rows [i0, i1):
+    every nonzero of those rows lies in them.
 
     Forward row i integrates the cells c >= i, whose stencils start at node
     min(c - degree // 2, n - 1 - degree) >= i - degree; adjoint row i
@@ -631,25 +746,18 @@ def _band(n: int, degree: int, i0: int, i1: int, adjoint: bool,
 
 
 def _apply(M, f: RadialProfile, k: int, d: int, adjoint: bool) -> np.ndarray:
-    """M0 f plus the split correction of f's splits.
+    """M f for M0 as _RowBlocks or _PrefixSums, plus the split correction
+    of f's splits.
 
-    A dense M0 is triangular but for a band of INTERP_DEGREE columns (upper
-    for the forward operator, lower for the adjoint), so each block of
-    _TILE_ROWS rows reads only the columns `_band` gives and skips the zero
-    triangle. Its split correction is built once per (grid, k, d, splits)
-    and held in the operator cache beside M0, so a repeat adds C f[cols]
-    alone. Prefix sums (k = 2) apply themselves and re-integrate the split
-    cells on every apply.
+    A dense M0 holds only its band (upper triangle for the forward operator,
+    lower for the adjoint, and INTERP_DEGREE columns more), one contiguous
+    block per _TILE_ROWS rows. Its split correction is built once per (grid,
+    k, d, splits) and held in the operator cache beside M0, so a repeat adds
+    C f[cols] alone. Prefix sums (k = 2) re-integrate the split cells in
+    their own apply and have no correction blocks.
     """
-    if isinstance(M, _PrefixSums):
-        return M.apply(f)
-    n, v = f.grid.n, f.values
-    out = np.empty(n)
-    for i0 in range(0, n, _TILE_ROWS):
-        i1 = min(i0 + _TILE_ROWS, n)
-        c0, c1 = _band(n, _quad.INTERP_DEGREE, i0, i1, adjoint, f.grid.halfline)
-        out[i0:i1] = M[i0:i1, c0:c1] @ v[c0:c1]
-    for row0, cols, C in _split_blocks(f.grid, k, d, f.splits, adjoint):
+    out = M.apply(f)
+    for row0, cols, C in M.split_blocks(f, k, d, adjoint):
         out[row0:row0 + C.shape[0]] += C @ f.values[cols]
     return out
 
@@ -723,6 +831,11 @@ class _PrefixSums:
         held = [*self.cells, *self.edge, self.tail, self.scale]
         return sum(a.nbytes for a in held if a is not None)
 
+    @staticmethod
+    def split_blocks(f: RadialProfile, k: int, d: int, adjoint: bool) -> tuple:
+        """No blocks: apply() re-integrates the cells of f's splits."""
+        return ()
+
     def apply(self, f: RadialProfile) -> np.ndarray:
         v, n = f.values, self.grid.n
         cells, edge = _gather(self.cells, v), _gather(self.edge, v)
@@ -776,18 +889,16 @@ def _tail_rows(grid: RadialGrid, k: int, shift: int = 0) -> np.ndarray:
 # forward operator
 
 def _assemble_forward(grid: RadialGrid, k: int) -> dict:
-    """M0 (prefix sums for k = 2, else dense) with, on half-line grids, the
-    tail model's rows in its last three columns; row 0 of the tail model
-    (and, on half-line grids, of the fit through the three nodes before) is
-    kept for the tail metadata."""
+    """M0 (prefix sums for k = 2, else dense row blocks) with, on half-line
+    grids, the tail model's rows in its last three columns; row 0 of the
+    tail model (and, on half-line grids, of the fit through the three nodes
+    before) is kept for the tail metadata."""
     tail3 = _tail_rows(grid, k, shift=0)
     tail = tail3 if grid.halfline else None
     if k == 2:
         M = _PrefixSums(grid, 0, adjoint=False, tail=tail)
     else:
-        M = _assemble(grid, k, 0, _quad.INTERP_DEGREE, adjoint=False)
-        if tail is not None:
-            M[:, -3:] += tail
+        M = _assemble(grid, k, 0, _quad.INTERP_DEGREE, adjoint=False, tail=tail)
     tail0_alt = _tail_rows(grid, k, shift=3)[0].copy() if grid.halfline else None
     return {"M": M, "tail0": tail3[0].copy(), "tail0_alt": tail0_alt}
 
@@ -858,7 +969,7 @@ def apply_T_indicator(params: Params, F: IntervalSet,
 # adjoint
 
 def _assemble_adjoint(grid: RadialGrid, k: int, d: int):
-    """Adjoint M0: prefix sums for k = 2, else dense."""
+    """Adjoint M0: prefix sums for k = 2, else dense row blocks."""
     if k == 2:
         return _PrefixSums(grid, d, adjoint=True)
     return _assemble(grid, k, d, _quad.INTERP_DEGREE, adjoint=True)
@@ -941,7 +1052,7 @@ def discretize_T_R(params: Params, R: float, n: int) -> OperatorMatrix:
     if n < 16:
         raise ParameterError(f"need n >= 16, got {n}")
     grid = make_grid(n, R)
-    M = _assemble(grid, params.k, 0, 1, adjoint=False)
+    M = _assemble(grid, params.k, 0, 1, adjoint=False).toarray()
     np.maximum(M, 0.0, out=M)
     return OperatorMatrix(entries=M, R=float(R), grid=grid, params=params)
 

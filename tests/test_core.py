@@ -335,3 +335,26 @@ class TestCompositeWeights:
         from kplane._quad import composite_weights
         for n in [*range(2, 401), 1023, 1024, 2048, 4096, 4097]:
             assert np.array_equal(composite_weights(n, h), self._panel_loop(n, h)), n
+
+
+class TestLagrangeWeights:
+    @staticmethod
+    def _weight_loop(x, length):
+        # one cardinal weight at a time, the loop the vectorized weights replace
+        out = np.empty(x.shape + (length,))
+        for j in range(length):
+            w = np.ones_like(x)
+            for m in range(length):
+                if m != j:
+                    w = w * (x - m) / (j - m)
+            out[..., j] = w
+        return out
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (513,), (30, 7)])
+    def test_bitwise_equal_to_weight_loop(self, shape):
+        from kplane._quad import lagrange_weights
+        x = np.random.default_rng(len(shape)).uniform(-1.0, 8.0, shape)
+        for length in range(1, 9):
+            got = lagrange_weights(x, length)
+            assert got.shape == shape + (length,)
+            assert np.array_equal(got, self._weight_loop(x, length)), length

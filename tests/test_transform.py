@@ -383,23 +383,24 @@ class TestBlockedAssembly:
         T = K.transform
         grid, d, splits = K.make_grid(64, 8.0), k + 2, (2.0, 7.9)
         ref = self._reference(grid, k, d, adjoint, splits)[0]
-        M = T._assemble(grid, k, d, 7, adjoint)
+        M = T._assemble(grid, k, d, 7, adjoint).toarray()
         if adjoint:
             ref *= (grid.nodes ** (2.0 - d))[:, None]
         for row0, cols, C in T._split_correction(grid, k, d, splits, adjoint):
             M[row0:row0 + C.shape[0], cols] += C
         assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("adjoint,cells", [(False, 3), (True, 3), (False, None), (True, None)],
+                             ids=["False", "True", "False-rows5", "True-rows5"])
     @pytest.mark.parametrize("k", [1, 3])
-    def test_tile_boundaries_do_not_change_the_operator(self, monkeypatch, k, adjoint):
+    def test_tile_boundaries_do_not_change_the_operator(self, monkeypatch, k, adjoint, cells):
         T = K.transform
         grid = K.make_halfline_grid(300)
         splits = (0.4, 1.7, 1.7001, 6.0)
 
         def build():
             # the operator without splits, and with them as one dense matrix
-            plain = T._assemble(grid, k, k + 2, 7, adjoint)
+            plain = T._assemble(grid, k, k + 2, 7, adjoint).toarray()
             split = plain.copy()
             blocks = T._split_correction(grid, k, k + 2, splits, adjoint)
             for row0, cols, C in blocks:
@@ -410,7 +411,8 @@ class TestBlockedAssembly:
         assert n_blocks > 1
         # row blocks and cell tiles that end inside a row's staircase
         monkeypatch.setattr(T, "_TILE_ROWS", 5)
-        monkeypatch.setattr(T, "_TILE_CELLS", 3)
+        if cells is not None:
+            monkeypatch.setattr(T, "_TILE_CELLS", cells)
         for got, want in zip(build()[:2], default):
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
@@ -428,6 +430,57 @@ class TestBlockedAssembly:
             finally:
                 tracemalloc.stop()
             assert peak <= 2 * M.nbytes, peak / M.nbytes
+
+    @pytest.mark.parametrize("rows", [None, 5])
+    @pytest.mark.parametrize("hint", [float("inf"), 8.0])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("degree", [1, 7])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_row_blocks_equal_the_full_assembly(self, monkeypatch, k, degree, adjoint, hint,
+                                                rows):
+        # the n x n accumulation is zero wherever the row blocks store nothing,
+        # and bitwise equal to them wherever they do
+        T = K.transform
+        if rows is not None:
+            monkeypatch.setattr(T, "_TILE_ROWS", rows)
+        grid = K.make_grid(300, hint)
+        d = k + 2 if adjoint else 0
+        interp = SegmentedInterp(grid.theta_nodes, grid.h, degree=degree)
+        q = T._quadrature(grid, k, d, interp, 0, grid.n - 2, (), adjoint)
+        full = np.zeros((grid.n, grid.n))
+        T._accumulate(full, 0, np.arange(grid.n), grid, k, q, adjoint,
+                      grid.nodes ** (2.0 - d) if adjoint else None)
+        M = T._assemble(grid, k, d, degree, adjoint)
+        assert len(M.blocks) == -(-grid.n // T._TILE_ROWS)
+        assert np.array_equal(M.toarray(), full)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_row_blocks_hold_under_six_tenths_of_the_matrix(self, fresh_cache, k):
+        # 8 blocks of 256 rows over their bands: (n + 256 + 14) / 2n of n^2
+        T = fresh_cache
+        n = 2048
+        grid = K.make_halfline_grid(n)
+        held = {"fwd": T._nbytes(T._forward_matrix(grid, k)),
+                "adj": T._nbytes(T._adjoint_matrix(grid, k, k + 2))}
+        info = T.cache_info()
+        for kind, nbytes in held.items():
+            assert nbytes <= 0.6 * 8 * n * n, (kind, nbytes / (8 * n * n))
+            assert info[kind]["bytes"] == nbytes
+
+    def test_cold_build_allocates_no_n_by_n_matrix(self, fresh_cache):
+        # an n x n array alone would take the traced peak to 8 n^2 bytes
+        import tracemalloc
+        T = fresh_cache
+        n = 2048
+        grid = K.make_halfline_grid(n)
+        for build in (lambda: T._forward_matrix(grid, 1), lambda: T._adjoint_matrix(grid, 1, 3)):
+            tracemalloc.start()
+            try:
+                build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * n * n, peak / (8 * n * n)
 
     def test_k2_build_allocates_no_matrix(self, fresh_cache):
         # 2048^2 doubles are 32 MiB: the prefix sums of k = 2 allocate none
@@ -499,6 +552,23 @@ class TestSineKernel:
             seen = want != 0
             assert seen.any()
             assert np.abs(got[seen] / want[seen] - 1.0).max() <= 1e-15
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_direct_evaluation_of_few_cells_equals_tables(self, k, adjoint):
+        # the points of one or two cells against every row, as a split
+        # correction evaluates the cells a split cuts: bitwise the table
+        # values, the rounding correction near the kernel edge included
+        T = K.transform
+        grid = K.make_halfline_grid(200)
+        g, rows = GL_CELL[0].size, np.arange(grid.n)
+        tables = T._SineTables(grid, k, adjoint, 0, grid.n - 1, rows)
+        every = tables.sines(tables.views(0, grid.n), 0, 0, grid.n - 2, 0, (grid.n - 1) * g,
+                             np.empty((grid.n, (grid.n - 1) * g)))
+        for cells in ([0], [5], [100, 101], [197]):
+            c, u = np.repeat(cells, g), np.tile(0.5 + 0.5 * GL_CELL[0], len(cells))
+            want = every[:, cells[0] * g:(cells[-1] + 1) * g]
+            assert np.array_equal(T._direct_sines(c, u, rows, grid.h, k, adjoint), want)
 
 
 class TestPrefixSums:
@@ -606,7 +676,7 @@ class TestBandedApply:
     def _matrix(grid, k, degree, adjoint):
         # M0 as a dense matrix, with the tail model on half-line forward grids
         T = K.transform
-        M = T._assemble(grid, k, k + 2 if adjoint else 0, degree, adjoint)
+        M = T._assemble(grid, k, k + 2 if adjoint else 0, degree, adjoint).toarray()
         if grid.halfline and not adjoint:
             M[:, -3:] += T._tail_rows(grid, k)
         return M
@@ -628,12 +698,17 @@ class TestBandedApply:
                    for i in range(grid.n))
         assert kept < 0.65 * grid.n ** 2
 
-    @pytest.mark.parametrize("splits", [(), (0.4, 1.7, 6.0)])
+    @pytest.mark.parametrize("splits,rows", [((), None), ((0.4, 1.7, 6.0), None),
+                                             ((), 5), ((0.4, 1.7, 6.0), 5)],
+                             ids=["splits0", "splits1", "splits0-rows5", "splits1-rows5"])
     @pytest.mark.parametrize("adjoint", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_matches_full_matvec(self, k, adjoint, splits):
-        # 600 rows: two full row blocks of _TILE_ROWS and a partial one
+    def test_matches_full_matvec(self, monkeypatch, k, adjoint, splits, rows):
+        # 600 rows: two full row blocks of _TILE_ROWS and a partial one, or
+        # blocks of 5 rows that end inside the band
         T = K.transform
+        if rows is not None:
+            monkeypatch.setattr(T, "_TILE_ROWS", rows)
         grid = K.make_halfline_grid(600)
         params = K.make_params(k, k + 2)
         f = K.RadialProfile(grid, smooth_decaying(params, grid, np.random.default_rng(k)).values,
@@ -642,5 +717,7 @@ class TestBandedApply:
         want = M @ f.values
         for row0, cols, C in T._split_correction(grid, k, k + 2, splits, adjoint):
             want[row0:row0 + C.shape[0]] += C @ f.values[cols]
-        got = T._apply(M, f, k, k + 2, adjoint)
+        op = T._assemble(grid, k, k + 2 if adjoint else 0, 7, adjoint,
+                         None if adjoint else T._tail_rows(grid, k))
+        got = T._apply(op, f, k, k + 2, adjoint)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
