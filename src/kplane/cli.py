@@ -65,7 +65,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", default="indicator",
                    help="indicator | random:SEED | file:PATH")
     p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="stop once a step started from an Euler-Lagrange "
+                        "residual <= TOL, or once Phi's relative change has "
+                        "stayed below TOL for 5 steps, checked after each "
+                        "Anderson-accelerated step; for k = 1 the residual "
+                        "stalls near 1e-10 at --grid-n 512 and 6e-12 at 2048")
     p.add_argument("--grid-n", type=int, default=2048)
     p.add_argument("--out-prefix", default="search",
                    help="writes PREFIX_trace.json and PREFIX_profile.csv")

@@ -17,6 +17,10 @@ from .transform import apply_T, apply_T_adjoint
 #: relative per-step tolerance for monotone ascent of the search functional
 ASCENT_TOL = 1e-9
 
+#: Anderson mixing depth of the search: it mixes the last _ANDERSON_DEPTH + 1
+#: pairs (f_i, G(f_i)) of its fixed-point map G
+_ANDERSON_DEPTH = 5
+
 
 def sphere_area(i: int) -> float:
     """Surface measure |S^{i-1}| of the unit sphere in R^i: 2 pi^{i/2} / Gamma(i/2)."""
@@ -78,11 +82,15 @@ def constant_B_with_error(params: Params, resolution: int = 4096) -> tuple[float
 class SearchTrace:
     """Per-iteration record of the extremizer search.
 
-    iterates   Phi of the start and of each accepted iterate
-    residuals  the Euler-Lagrange residual ||f - N[(T*((T f)^{q-1}))^{1/(p-1)}]||_p
-               of the iterate f each step starts from, N the p-normalization;
-               it vanishes exactly at a fixed point, where a stagnating Phi
-               alone does not certify one
+    iterates           Phi of the start and of each accepted iterate
+    residuals          the Euler-Lagrange residual
+                       ||f - N[(T*((T f)^{q-1}))^{1/(p-1)}]||_p of the iterate f
+                       each step starts from, N the p-normalization; it
+                       vanishes exactly at a fixed point, where a stagnating
+                       Phi alone does not certify one
+    accelerated_steps  the steps whose Anderson-mixed candidate was accepted
+    stop               "residual" or "stagnation", the rule that ended the
+                       search, or None when max_iter ran out
     """
     iterates: list[float] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
@@ -91,6 +99,8 @@ class SearchTrace:
     iterations_used: int = 0
     damped_steps: list[int] = field(default_factory=list)
     recentered_steps: list[int] = field(default_factory=list)
+    accelerated_steps: list[int] = field(default_factory=list)
+    stop: str | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -101,6 +111,8 @@ class SearchTrace:
             "iterations_used": self.iterations_used,
             "damped_steps": self.damped_steps,
             "recentered_steps": self.recentered_steps,
+            "accelerated_steps": self.accelerated_steps,
+            "stop": self.stop,
         }
 
 
@@ -111,20 +123,44 @@ def _normalized(params: Params, f: RadialProfile) -> RadialProfile:
     return f.scaled(1.0 / nrm)
 
 
+def _anderson(pairs: list, sqrt_w: np.ndarray) -> np.ndarray:
+    """Anderson mixing of the value pairs (f_i, G(f_i)), oldest first (Walker
+    & Ni 2011): G(f_k) - dG gamma, where gamma minimizes ||F_k - dF gamma||
+    with F_i = G(f_i) - f_i, dF and dG the differences of consecutive F_i
+    and G(f_i), and the norm the L^2 one of the grid's base weights."""
+    fs, gs = map(np.array, zip(*pairs))
+    F = (gs - fs) * sqrt_w
+    gamma = np.linalg.lstsq(np.diff(F, axis=0).T, F[-1], rcond=None)[0]
+    return gs[-1] - gamma @ np.diff(gs, axis=0)
+
+
 def search_extremizer(params: Params, init: RadialProfile, max_iter: int = 500,
                       tol: float = 1e-8) -> SearchTrace:
-    """Fixed-point iteration for the Euler-Lagrange equation of the ratio:
+    """Fixed-point iteration for the Euler-Lagrange equation of the ratio,
 
-        f  <-  normalize( [T*((T f)^{q-1})]^{1/(p-1)} )
+        f  <-  G(f) = normalize( [T*((T f)^{q-1})]^{1/(p-1)} ),
 
-    which preserves positivity and ascends Phi. The ascent check (and the
-    damping it may trigger) compares each candidate with the previous iterate
-    in one dilation frame. An accepted iterate whose mass median has drifted
-    beyond a factor e^0.35 is then dilated to move the median back to r = 1
-    and its Phi re-measured: the orbit is Phi-invariant, but the quadrature
-    error is not, so Phi read at a new scale may differ by more than
-    ASCENT_TOL. Stops when the relative change of Phi (within one frame)
-    stays below tol for 5 consecutive iterations.
+    which preserves positivity and ascends Phi, accelerated by Anderson
+    mixing of the last _ANDERSON_DEPTH + 1 pairs (f_i, G(f_i)): the mixed
+    candidate, clipped at 0 and normalized, replaces G(f) when it passes the
+    ascent check, and otherwise the plain step is taken and the history cut
+    to its newest pair. The history is cleared whenever the residual grows
+    and on every re-centring, which changes the coordinates.
+
+    The ascent check (and the damping it may trigger on a plain step)
+    compares each candidate with the previous iterate in one dilation frame.
+    An accepted iterate whose mass median has drifted beyond a factor e^0.35
+    is then dilated to move the median back to r = 1 and its Phi
+    re-measured: the orbit is Phi-invariant, but the quadrature error is
+    not, so Phi read at a new scale may differ by more than ASCENT_TOL.
+
+    Checked after each step, so step 1 always runs: the search stops when
+    the residual that step started from is <= tol (stop "residual"), or when
+    the relative change of Phi (within one frame) has stayed below tol for 5
+    consecutive steps (stop "stagnation"). The residual has a floor that
+    depends on n, highest for k = 1: the (1,3) search stalls near 1e-10 at
+    n = 512, 3e-11 at 1024 and 6e-12 at 2048, and (1,2) near 3e-10 at
+    n = 512, so a tol below that floor ends on stagnation.
     """
     if not init.nonnegative:
         raise DomainError("search requires a nonnegative initial profile")
@@ -133,6 +169,7 @@ def search_extremizer(params: Params, init: RadialProfile, max_iter: int = 500,
     qf, pf = params.qf, params.pf
     exp_update = 1.0 / (pf - 1.0)
     f = _normalized(params, init)
+    sqrt_w = np.sqrt(f.grid.base_weights)
     trace = SearchTrace()
 
     def phi_of(prof: RadialProfile) -> tuple[float, RadialProfile]:
@@ -141,35 +178,58 @@ def search_extremizer(params: Params, init: RadialProfile, max_iter: int = 500,
 
     phi, tf = phi_of(f)
     trace.iterates.append(phi)
+    pairs = []  # the values of (f_i, G(f_i)) in the current frame
     stagnant = 0
     for it in range(1, max_iter + 1):
         powered = RadialProfile(f.grid, np.maximum(tf.values, 0.0) ** (qf - 1.0))
         grad = apply_T_adjoint(params, powered)
         cand_vals = np.maximum(grad.values, 0.0) ** exp_update
         cand = _normalized(params, RadialProfile(f.grid, cand_vals))
-        trace.residuals.append(weighted_lp_norm(
-            RadialProfile(f.grid, f.values - cand.values), params.a_domain, pf))
-        phi_c, tf_c = phi_of(cand)
-        if phi_c < phi * (1.0 - ASCENT_TOL):
-            # damping: geometric mean with the previous iterate in log space
-            damped_vals = np.sqrt(cand.values * f.values)
-            cand = _normalized(params, RadialProfile(f.grid, damped_vals))
+        residual = weighted_lp_norm(
+            RadialProfile(f.grid, f.values - cand.values), params.a_domain, pf)
+        if trace.residuals and residual > trace.residuals[-1]:
+            pairs.clear()
+        trace.residuals.append(residual)
+        pairs.append((f.values, cand.values))
+        del pairs[:-_ANDERSON_DEPTH - 1]
+        accepted = False
+        if len(pairs) > 1:
+            mixed = RadialProfile(f.grid, np.maximum(_anderson(pairs, sqrt_w), 0.0))
+            mixed = _normalized(params, mixed)
+            phi_c, tf_c = phi_of(mixed)
+            accepted = phi_c >= phi * (1.0 - ASCENT_TOL)
+            if accepted:
+                cand = mixed
+                trace.accelerated_steps.append(it)
+            else:
+                del pairs[:-1]
+        if not accepted:
             phi_c, tf_c = phi_of(cand)
-            trace.damped_steps.append(it)
             if phi_c < phi * (1.0 - ASCENT_TOL):
-                raise IterationAnomalyError(
-                    f"Phi decreased at step {it}: {phi:.12g} -> {phi_c:.12g}; "
-                    "adjoint or quadrature inconsistency")
+                # damping: geometric mean with the previous iterate in log space
+                damped_vals = np.sqrt(cand.values * f.values)
+                cand = _normalized(params, RadialProfile(f.grid, damped_vals))
+                phi_c, tf_c = phi_of(cand)
+                trace.damped_steps.append(it)
+                if phi_c < phi * (1.0 - ASCENT_TOL):
+                    raise IterationAnomalyError(
+                        f"Phi decreased at step {it}: {phi:.12g} -> {phi_c:.12g}; "
+                        "adjoint or quadrature inconsistency")
         rel_change = abs(phi_c - phi) / max(phi_c, 1e-300)
         lam = _median_radius(params, cand)
         if abs(math.log(lam)) > 0.35:
             cand = _normalized(params, dilate_profile(params, cand, lam))
             phi_c, tf_c = phi_of(cand)
             trace.recentered_steps.append(it)
+            pairs.clear()
         f, phi, tf = cand, phi_c, tf_c
         trace.iterates.append(phi)
         stagnant = stagnant + 1 if rel_change < tol else 0
-        if stagnant >= 5:
+        if residual <= tol:
+            trace.stop = "residual"
+        elif stagnant >= 5:
+            trace.stop = "stagnation"
+        if trace.stop is not None:
             trace.converged = True
             break
     trace.iterations_used = len(trace.iterates) - 1

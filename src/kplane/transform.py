@@ -502,8 +502,13 @@ def _accumulate(out, row0: int, cols: np.ndarray, grid: RadialGrid, k: int, quad
         alpha *= row_scale
         w = w * row_scale[quad["rows"] - row0, None]
     beta = quad["base"] * np.cos(quad["theta"]) ** (2.0 - k)
-    tiles, off = _cell_tiles(cell, lattice, np.searchsorted(cols, quad["sidx"]),
-                             beta[:, None] * quad["sw"])
+
+    def col_of(idx):
+        # the column of node idx: idx itself when cols covers every node, as
+        # on each dense M0 build
+        return idx if cols.size == grid.n else np.searchsorted(cols, idx)
+
+    tiles, off = _cell_tiles(cell, lattice, col_of(quad["sidx"]), beta[:, None] * quad["sw"])
     if tiles:
         tables = _lattice_tables(grid, k, adjoint)
         # rows per pass: _TILE_ROWS, or proportionally more over a lattice
@@ -513,7 +518,7 @@ def _accumulate(out, row0: int, cols: np.ndarray, grid: RadialGrid, k: int, quad
         R = min(_TILE_ROWS * max(_TILE_CELLS // span, 1), rows.size)
         buf = np.empty((R, max(b[1] - b[0] for _, _, tile_blocks in tiles for b in tile_blocks)))
         acc = np.empty((R, max(J1 - J0 for J0, J1, _ in tiles)))
-    edge_rows, edge_cols = quad["rows"] - row0, np.searchsorted(cols, quad["idx"])
+    edge_rows, edge_cols = quad["rows"] - row0, col_of(quad["idx"])
 
     def seen_cells(rs):
         # the first and last cell some row of rs sees

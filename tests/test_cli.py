@@ -242,3 +242,15 @@ class TestNumpyOnly:
         assert json.loads(done.stdout.strip().splitlines()[-1]) == [0] * len(commands)
         assert json.loads((tmp_path / "diag.json").read_text())["verdict"] == "Dichotomy"
         assert K.read_profile_csv(tmp_path / "b.csv")[1].size > 0
+
+
+def test_search_trace_records_stop_and_mixing(tmp_path):
+    prefix = str(tmp_path / "s")
+    assert run(["search", "--k", "2", "--d", "4", "--grid-n", "256",
+                "--out-prefix", prefix]) == 0
+    trace = json.loads((tmp_path / "s_trace.json").read_text())
+    assert trace["schema"] == 1 and trace["converged"]
+    assert trace["stop"] in ("residual", "stagnation")
+    if trace["stop"] == "residual":
+        assert trace["residual"][-1] <= trace["tol"]
+    assert set(trace["accelerated_steps"]) <= set(range(2, trace["iterations_used"] + 1))

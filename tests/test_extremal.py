@@ -196,3 +196,87 @@ class TestSearch:
         assert trace.converged and 1 in trace.recentered_steps
         assert not trace.damped_steps
         assert trace.iterates[-1] == pytest.approx(phi, rel=1e-6)
+
+
+class TestAndersonSearch:
+    """Anderson mixing of the fixed-point map reaches the Euler-Lagrange fixed
+    point in fewer steps than plain iteration, at the same Phi, and falls back
+    to the plain step whenever a mixed candidate fails the ascent check."""
+
+    @staticmethod
+    def starts(grid):
+        # the ball and a fixed-seed sum of three off-centre bumps (not monotone)
+        rng = np.random.default_rng(7)
+        r = grid.nodes
+        bumps = sum(a * np.exp(-((r - c) / w) ** 2) for a, c, w in
+                    zip(rng.uniform(0.2, 1.0, 3), rng.uniform(0.5, 3.0, 3),
+                        rng.uniform(0.3, 1.5, 3)))
+        return (K.indicator_profile(grid, K.IntervalSet(((0.0, 1.0),))),
+                K.RadialProfile(grid, bumps))
+
+    @staticmethod
+    def steps_to(trace, level):
+        # steps taken before an iterate with residual <= level, or one more
+        # than the run took when it never reached one
+        return next((i for i, res in enumerate(trace.residuals) if res <= level),
+                    trace.iterations_used + 1)
+
+    @pytest.mark.parametrize("k,d", [(1, 3), (2, 4), (3, 4)])
+    def test_fewer_steps_to_the_fixed_point(self, grids, monkeypatch, k, d):
+        import kplane.extremal as extremal
+        params = K.make_params(k, d)
+        depth = extremal._ANDERSON_DEPTH
+        for init in self.starts(grids["half1024"]):
+            monkeypatch.setattr(extremal, "_ANDERSON_DEPTH", depth)
+            fast = extremal.search_extremizer(params, init, max_iter=100, tol=1e-12)
+            monkeypatch.setattr(extremal, "_ANDERSON_DEPTH", 0)
+            plain = extremal.search_extremizer(params, init, max_iter=100, tol=1e-12)
+            assert fast.converged and plain.converged
+            assert min(fast.residuals) <= 1e-9
+            assert self.steps_to(fast, 1e-9) < self.steps_to(plain, 1e-9)
+            assert fast.iterations_used < plain.iterations_used
+            assert fast.accelerated_steps and not plain.accelerated_steps
+            assert not fast.damped_steps
+            assert fast.iterates[-1] == pytest.approx(plain.iterates[-1], rel=1e-9)
+
+    def test_default_tol_stops_on_the_residual(self):
+        params = K.make_params(2, 4)
+        g = K.make_halfline_grid(512)
+        trace = K.search_extremizer(params, K.indicator_profile(g, K.IntervalSet(((0.0, 1.0),))))
+        assert trace.converged and trace.stop == "residual"
+        assert trace.residuals[-1] <= 1e-8
+        payload = trace.to_json_dict()
+        assert payload["schema"] == 1 and payload["stop"] == "residual"
+        assert payload["accelerated_steps"] == trace.accelerated_steps
+
+    def test_rejected_candidate_takes_the_plain_step(self, grids, monkeypatch):
+        import kplane.extremal as extremal
+        params = K.make_params(1, 3)
+        g = grids["half1024"]
+        init = K.indicator_profile(g, K.IntervalSet(((0.0, 1.0),)))
+        shell = np.where((g.nodes > 5.0) & (g.nodes < 6.0), 1.0, 0.0)
+        mix, calls = extremal._anderson, []
+
+        def first_fails(pairs, sqrt_w):
+            # the first mixed candidate, at step 2, is a far shell of low Phi
+            calls.append(len(pairs))
+            return shell if len(calls) == 1 else mix(pairs, sqrt_w)
+
+        monkeypatch.setattr(extremal, "_ANDERSON_DEPTH", 0)
+        plain = extremal.search_extremizer(params, init, max_iter=100, tol=1e-8)
+        monkeypatch.setattr(extremal, "_ANDERSON_DEPTH", 5)
+        monkeypatch.setattr(extremal, "_anderson", first_fails)
+        trace = extremal.search_extremizer(params, init, max_iter=100, tol=1e-8)
+        assert calls[:2] == [2, 2]
+        assert 2 not in trace.accelerated_steps and 3 in trace.accelerated_steps
+        assert not trace.damped_steps
+        assert trace.iterates[:3] == plain.iterates[:3]
+        assert trace.residuals[:3] == plain.residuals[:3]
+
+        # every mixed candidate failing leaves the plain iteration
+        monkeypatch.setattr(extremal, "_anderson", lambda pairs, sqrt_w: shell)
+        trace = extremal.search_extremizer(params, init, max_iter=100, tol=1e-8)
+        assert trace.accelerated_steps == [] and not trace.damped_steps
+        assert trace.iterates == plain.iterates
+        assert trace.residuals == plain.residuals
+        assert trace.stop == plain.stop
