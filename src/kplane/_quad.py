@@ -5,19 +5,11 @@ where profiles with critical power-law decay become smooth bounded functions.
 """
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-
-# Closed Newton-Cotes coefficient tables (panel of `size` intervals, size+1 nodes).
-_NC_COEF = {
-    1: (1, 1),
-    2: (1, 4, 1),
-    3: (1, 3, 3, 1),
-    4: (7, 32, 12, 32, 7),
-    5: (19, 75, 50, 50, 75, 19),
-    6: (41, 216, 27, 272, 27, 216, 41),
-}
-_NC_DEN = {1: 2, 2: 6, 3: 8, 4: 90, 5: 288, 6: 840}
 
 #: local Lagrange interpolation degree used by the transform machinery
 INTERP_DEGREE = 7
@@ -33,24 +25,23 @@ GL_MASS = (np.array([-0.9061798459386640, -0.5384693101056831, 0.0,
                      0.4786286704993665, 0.2369268850561891]))
 
 
-def composite_weights(n: int, h: float) -> np.ndarray:
-    """Quadrature weights in theta for int_0^{n h} g(theta) dtheta on nodes i*h.
+def _gregory_end() -> np.ndarray:
+    """The order-8 Gregory weights of the first 8 points of a uniform lattice,
+    in units of its spacing: 1/2, 1, 1, ... plus (-1)^{j+1} sum_k gamma_k
+    C(k, j), gamma the Gregory coefficients (Javed & Trefethen 2016). Each is
+    positive, the smallest 0.257."""
+    gamma = (Fraction(1, 12), Fraction(1, 24), Fraction(19, 720), Fraction(3, 160),
+             Fraction(863, 60480), Fraction(275, 24192), Fraction(33953, 3628800))
+    w = [Fraction(1, 2)] + [Fraction(1)] * 7
+    for j in range(8):
+        w[j] += (-1) ** (j + 1) * sum(g * math.comb(k, j) for k, g in enumerate(gamma, 1))
+    return np.array([float(x) for x in w])
 
-    Composite Newton-Cotes 6 panels over [theta_1, theta_n]; a shorter leading
-    panel absorbs (n-1) mod 6; the open strip [0, theta_1] is integrated by
-    linear extrapolation from the first two nodes. All weights stay positive.
-    """
-    w = np.zeros(n)
-    w[0] += 1.5 * h
-    w[1] += -0.5 * h
-    rem = (n - 1) % 6
-    if rem:
-        w[:rem + 1] += np.asarray(_NC_COEF[rem], dtype=float) * (rem / _NC_DEN[rem]) * h
-    c6 = np.asarray(_NC_COEF[6], dtype=float) * (6.0 / _NC_DEN[6]) * h
-    w[rem + 6::6] += c6[6]                  # the right end of every panel
-    panels = w[rem:n - 1].reshape(-1, 6)    # every panel's other nodes
-    panels += c6[:6]
-    return w
+
+#: Gregory end weights of the lattice points 0..7 (and, mirrored, of the last 8)
+GREGORY_END = _gregory_end()
+#: degree-7 extrapolation to lattice point 0 from the points 1..8
+EXTRAPOLATE_END = np.array([8.0, -28.0, 56.0, -70.0, 56.0, -28.0, 8.0, -1.0])
 
 
 def lagrange_weights(x: np.ndarray, length: int) -> np.ndarray:
@@ -164,19 +155,6 @@ def tail_power_fit(theta: np.ndarray, k: int) -> np.ndarray:
     c3 = np.cos(theta[-3:])
     a = np.stack([c3 ** (k + 1), c3 ** (k + 3), c3 ** (k + 5)], axis=1)
     return np.linalg.inv(a)
-
-
-def strip_extrapolation_integral(theta3: np.ndarray, g_last3: np.ndarray) -> float:
-    """Integral over [theta_n, pi/2] of the quadratic-in-cos(theta) fit through
-    the last three integrand values. Used for norm tails on half-line grids."""
-    c3 = np.cos(theta3)
-    m = np.vstack([np.ones(3), c3, c3 * c3]).T
-    a, b, c = np.linalg.solve(m, g_last3)
-    t0, t1 = float(theta3[-1]), np.pi / 2
-    i0 = t1 - t0
-    i1 = np.sin(t1) - np.sin(t0)
-    i2 = ((t1 + np.sin(t1) * np.cos(t1)) - (t0 + np.sin(t0) * np.cos(t0))) / 2
-    return float(a * i0 + b * i1 + c * i2)
 
 
 def scaled_kernel_power(x: np.ndarray, k: int, scale) -> np.ndarray:

@@ -16,14 +16,14 @@ import numpy as np
 
 from . import __version__
 from .cc import classify_trichotomy
-from .core import (DataError, DomainError, IntervalSet, KplaneError, RadialProfile,
-                   indicator_profile, make_halfline_grid, make_params,
+from .core import (DataError, DomainError, IntervalSet, KplaneError, ParameterError,
+                   RadialProfile, indicator_profile, make_halfline_grid, make_params,
                    read_profile_csv, resample_values, weighted_integral,
                    weighted_lp_norm, write_profile_csv)
 from .extremal import (constant_A, constant_B_with_error, extremizer_profile,
                        search_extremizer)
 from .transform import apply_T
-from .verify import run_suite
+from .verify import UNSEEDED_SUITES, run_suite
 
 
 def _header_meta(args, grid_n, extra=None) -> dict:
@@ -92,7 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "compactness | truncation | interaction | all")
     p.add_argument("--k", type=int, help="narrow parameter sweeps to this k")
     p.add_argument("--d", type=int, help="narrow parameter sweeps to this d")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=int,
+                   help="random cases of concentration-k2, slide and truncation (default 7)")
     p.add_argument("--trials", type=int,
                    help="random cases of concentration-k2 and slide (default 100)")
     p.add_argument("--out", default="-", help="JSON-lines report path (default stdout)")
@@ -275,8 +276,11 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    reports = run_suite(args.suite, seed=args.seed, trials=args.trials,
-                        k=args.k, d=args.d)
+    if args.seed is not None and args.suite in UNSEEDED_SUITES:
+        raise ParameterError(f"suite {args.suite!r} does not read seed; it draws no "
+                             "random cases")
+    seed = {} if args.seed is None else {"seed": args.seed}
+    reports = run_suite(args.suite, trials=args.trials, k=args.k, d=args.d, **seed)
     lines = [json.dumps(r.to_json_dict(), sort_keys=True) for r in reports]
     _write_text(args.out, "\n".join(lines) + "\n")
     if args.summary:

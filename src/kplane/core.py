@@ -6,8 +6,9 @@ exact rationals so identities like q/p = k+1 are testable without float drift.
 
 Grids place nodes at r_i = tan(theta_i) with theta_i uniform in (0, theta_max].
 A finite r_max_hint truncates at theta_max = arctan(hint); hint = inf gives a
-half-line grid whose norm quadrature covers all of (0, inf) via a smooth
-extrapolation strip beyond the last node.
+half-line grid whose norm quadrature covers all of (0, inf). Norms integrate
+over the theta lattice j h, from 0 to the last node or pi/2, by the trapezoid
+rule with order-8 Gregory end weights; see _node_sum.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._quad import SegmentedInterp, composite_weights, strip_extrapolation_integral
+from ._quad import EXTRAPOLATE_END, GREGORY_END, SegmentedInterp
 
 
 class KplaneError(Exception):
@@ -182,8 +183,9 @@ class RadialGrid:
     theta_nodes      the underlying uniform angles i*h
     r_max            effective truncation radius (the last node)
     base_weights     positive weights w_i with sum w_i f(r_i) ~ int_0^{r_max} f dr
-    halfline         True when built with an infinite hint; norm quadrature then
-                     adds a smooth-extrapolation strip covering (r_max, inf)
+                     (int_0^inf on half-line grids), each >= 0.257 h sec^2(theta_i)
+    halfline         True when built with an infinite hint; the lattice then
+                     ends at theta = pi/2, one step beyond the last node
     """
 
     def __init__(self, n_points: int, r_max_hint: float):
@@ -201,7 +203,20 @@ class RadialGrid:
         self.nodes = np.tan(self.theta_nodes)
         self.r_max = float(self.nodes[-1])
         sec2 = 1.0 + self.nodes ** 2
-        self.base_weights = composite_weights(self.n, self.h) * sec2
+        # Gregory weights of the lattice j h, j = 0..n+1 on half-line grids
+        # and 0..n on truncated ones (node i is lattice point i + 1); an end
+        # that is not a node is folded onto its nearest node, and _ends holds
+        # each as (its 8 nodes, extrapolation weights times sec^2 there, its
+        # nearest node, sec^2 there)
+        w = np.ones(self.n + 1 + self.halfline)
+        w[:8], w[-8:] = GREGORY_END, GREGORY_END[::-1]
+        w[1] += w[0]
+        self._ends = [(slice(0, 8), EXTRAPOLATE_END * sec2[:8], 0, sec2[0])]
+        if self.halfline:
+            w[-2] += w[-1]
+            self._ends.append((slice(self.n - 8, self.n), EXTRAPOLATE_END[::-1] * sec2[-8:],
+                               self.n - 1, sec2[-1]))
+        self.base_weights = self.h * w[1:self.n + 1] * sec2
         # cell edges: theta midpoints, closed at 0, half-cell beyond the last node
         edges_t = np.concatenate([[0.0],
                                   0.5 * (self.theta_nodes[:-1] + self.theta_nodes[1:]),
@@ -375,39 +390,50 @@ def resample_values(grid: RadialGrid, radii: np.ndarray, values: np.ndarray) -> 
 # ---------------------------------------------------------------------------
 # weighted integrals and norms
 
-def _strip_tail(grid: RadialGrid, g: np.ndarray, nonneg: bool) -> float:
-    """Extrapolation strip over [theta_n, pi/2) for half-line grids."""
-    if not grid.halfline:
-        return 0.0
-    val = strip_extrapolation_integral(grid.theta_nodes[-3:], g[-3:])
-    if nonneg:
-        val = max(val, 0.0)
-    return val
+def _smooth_ends(grid: RadialGrid, splits) -> tuple[bool, bool]:
+    """Whether the first and the last 8 nodes are each free of the jumps at
+    the radii `splits`. A split counts only inside the grid, theta_0 <
+    atan(s) < theta_{n-1}, as for SegmentedInterp."""
+    th = grid.theta_nodes
+    t = [x for x in map(math.atan, splits) if th[0] < x < th[-1]]
+    return (all(x >= th[7] for x in t), all(x < th[-8] for x in t))
 
 
-def _node_sum(grid: RadialGrid, g: np.ndarray, nonneg: bool) -> float:
-    """int_0^inf g dr from the samples g_i: the node sum plus, on half-line
-    grids, the strip beyond the last node (clamped at 0 when nonneg)."""
+def _node_sum(grid: RadialGrid, g: np.ndarray, nonneg: bool,
+              ends: tuple[bool, bool] = (True, True)) -> float:
+    """int_0^inf g dr (int_0^{r_max} on truncated grids) from the samples g_i:
+    the lattice rule's node sum over base_weights, plus for each extrapolated
+    end (theta = 0, and pi/2 on half-line grids) h GREGORY_END[0] (E -
+    G_near), E the degree-7 value of G = g sec^2 there (clamped at 0 when
+    nonneg) and G_near that of its nearest node, which base_weights already
+    holds. An end not in `ends` (a jump among its 8 nodes) keeps G_near."""
     out = float(np.dot(grid.base_weights, g))
-    return out + _strip_tail(grid, g * (1.0 + grid.nodes ** 2), nonneg)
+    for (stencil, coef, near, sec2), smooth in zip(grid._ends, ends):
+        if smooth:
+            e = float(np.dot(coef, g[stencil]))
+            if nonneg:
+                e = max(e, 0.0)
+            out += grid.h * GREGORY_END[0] * (e - sec2 * g[near])
+    return out
 
 
 def _window_integral(grid: RadialGrid, values: np.ndarray, a_exp: int,
-                     r_lo: float, r_hi: float) -> float:
+                     r_lo: float, r_hi: float, splits=()) -> float:
     """int_{r_lo}^{r_hi} values r^{a_exp} dr: each cell counts with the
-    fraction of its r^{a_exp} dr measure inside the window; the strip beyond
-    the last node (clamped at 0) is added only when r_hi = inf."""
+    fraction of its r^{a_exp} dr measure inside the window, by _node_sum
+    (clamped at 0) with the jumps at `splits`; an end term is added only when
+    its 8 nodes' cells lie wholly inside the window."""
     e = grid.cell_edges_r
     m = a_exp + 1
     lo = np.maximum(e[:-1], r_lo)
     hi = np.minimum(e[1:], r_hi)
     num = np.maximum(hi ** m - np.maximum(lo, 0.0) ** m, 0.0)
     num[hi <= lo] = 0.0
-    g = values * grid.nodes ** a_exp
-    out = float(np.dot(grid.base_weights, g * (num / (e[1:] ** m - e[:-1] ** m))))
-    if math.isinf(r_hi) and r_lo < grid.r_max:
-        out += _strip_tail(grid, g * (1.0 + grid.nodes ** 2), True)
-    return out
+    g = values * grid.nodes ** a_exp * (num / (e[1:] ** m - e[:-1] ** m))
+    left, right = _smooth_ends(grid, splits)
+    ends = (left and r_lo <= 0.0 and r_hi >= e[8],
+            right and math.isinf(r_hi) and r_lo <= e[-9])
+    return _node_sum(grid, g, True, ends)
 
 
 def _cell_masses(params: Params, f: RadialProfile) -> np.ndarray:
@@ -423,7 +449,8 @@ def weighted_integral(f: RadialProfile, a_exp: int, power: float = 1.0) -> float
         F, amp = f.indicator
         return abs(amp) ** power * F.weighted_measure(a_exp)
     vals = np.abs(f.values) ** power if power != 1.0 else np.abs(f.values)
-    return _node_sum(f.grid, vals * f.grid.nodes ** a_exp, True)
+    return _node_sum(f.grid, vals * f.grid.nodes ** a_exp, True,
+                     _smooth_ends(f.grid, f.splits))
 
 
 def weighted_signed_integral(f_values: np.ndarray, grid: RadialGrid, a_exp: int) -> float:
@@ -449,7 +476,7 @@ def restricted_mass(params: Params, f: RadialProfile, r_lo: float, r_hi: float) 
             clipped = clipped.clip_right(r_hi)
         return abs(amp) ** params.pf * clipped.weighted_measure(params.a_domain)
     return _window_integral(f.grid, np.abs(f.values) ** params.pf, params.a_domain,
-                            r_lo, r_hi)
+                            r_lo, r_hi, f.splits)
 
 
 def mass_tail(params: Params, f: RadialProfile, R: float) -> float:
@@ -468,8 +495,13 @@ def mass_above_level(params: Params, f: RadialProfile, m: float) -> float:
         if abs(amp) > m:
             return abs(amp) ** params.pf * F.weighted_measure(params.a_domain)
         return 0.0
-    vals = np.where(np.abs(f.values) > m, np.abs(f.values) ** params.pf, 0.0)
-    return _node_sum(f.grid, vals * f.grid.nodes ** params.a_domain, True)
+    above = np.abs(f.values) > m
+    vals = np.where(above, np.abs(f.values) ** params.pf, 0.0)
+    left, right = _smooth_ends(f.grid, f.splits)
+    # a level crossing among an end's 8 nodes is a jump there too
+    ends = (left and above[:8].all() == above[:8].any(),
+            right and above[-8:].all() == above[-8:].any())
+    return _node_sum(f.grid, vals * f.grid.nodes ** params.a_domain, True, ends)
 
 
 # ---------------------------------------------------------------------------

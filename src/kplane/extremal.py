@@ -91,6 +91,12 @@ class SearchTrace:
     accelerated_steps  the steps whose Anderson-mixed candidate was accepted
     stop               "residual" or "stagnation", the rule that ended the
                        search, or None when max_iter ran out
+    rate               the geometric mean of the last (up to 3) ratios of
+                       consecutive residuals since the mixing history was
+                       last cleared; None before there is one
+    error_bound        the last residual / (1 - rate), a bound on the
+                       distance to the fixed point if the contraction holds;
+                       None when rate is None or >= 1
     """
     iterates: list[float] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
@@ -101,6 +107,8 @@ class SearchTrace:
     recentered_steps: list[int] = field(default_factory=list)
     accelerated_steps: list[int] = field(default_factory=list)
     stop: str | None = None
+    rate: float | None = None
+    error_bound: float | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -113,6 +121,8 @@ class SearchTrace:
             "recentered_steps": self.recentered_steps,
             "accelerated_steps": self.accelerated_steps,
             "stop": self.stop,
+            "rate": self.rate,
+            "error_bound": self.error_bound,
         }
 
 
@@ -158,9 +168,13 @@ def search_extremizer(params: Params, init: RadialProfile, max_iter: int = 500,
     the residual that step started from is <= tol (stop "residual"), or when
     the relative change of Phi (within one frame) has stayed below tol for 5
     consecutive steps (stop "stagnation"). The residual has a floor that
-    depends on n, highest for k = 1: the (1,3) search stalls near 1e-10 at
-    n = 512, 3e-11 at 1024 and 6e-12 at 2048, and (1,2) near 3e-10 at
-    n = 512, so a tol below that floor ends on stagnation.
+    depends on n, highest for k = 1: from the ball, the (1,3) search stalls
+    near 2e-12 at n = 512, 1.4e-12 at 1024 and 9e-13 at 2048, (1,2) near
+    2e-12 and (3,4) near 1e-11 at n = 512, so a tol below that floor ends on
+    stagnation. At the default tol the k = 1 searches still end on
+    stagnation, at a residual near 5e-8 for (1,3): Phi's change falls below
+    tol while the residual, which Phi sees only at second order, is above it.
+    The trace's rate and error_bound read the last steps' contraction.
     """
     if not init.nonnegative:
         raise DomainError("search requires a nonnegative initial profile")
@@ -179,6 +193,7 @@ def search_extremizer(params: Params, init: RadialProfile, max_iter: int = 500,
     phi, tf = phi_of(f)
     trace.iterates.append(phi)
     pairs = []  # the values of (f_i, G(f_i)) in the current frame
+    fresh = 0  # the first residual since pairs was last cleared
     stagnant = 0
     for it in range(1, max_iter + 1):
         powered = RadialProfile(f.grid, np.maximum(tf.values, 0.0) ** (qf - 1.0))
@@ -189,6 +204,7 @@ def search_extremizer(params: Params, init: RadialProfile, max_iter: int = 500,
             RadialProfile(f.grid, f.values - cand.values), params.a_domain, pf)
         if trace.residuals and residual > trace.residuals[-1]:
             pairs.clear()
+            fresh = len(trace.residuals)
         trace.residuals.append(residual)
         pairs.append((f.values, cand.values))
         del pairs[:-_ANDERSON_DEPTH - 1]
@@ -222,6 +238,7 @@ def search_extremizer(params: Params, init: RadialProfile, max_iter: int = 500,
             phi_c, tf_c = phi_of(cand)
             trace.recentered_steps.append(it)
             pairs.clear()
+            fresh = len(trace.residuals)
         f, phi, tf = cand, phi_c, tf_c
         trace.iterates.append(phi)
         stagnant = stagnant + 1 if rel_change < tol else 0
@@ -234,4 +251,9 @@ def search_extremizer(params: Params, init: RadialProfile, max_iter: int = 500,
             break
     trace.iterations_used = len(trace.iterates) - 1
     trace.final_profile = f
+    recent = trace.residuals[max(fresh, len(trace.residuals) - 4):]
+    if len(recent) > 1 and recent[0] > 0:
+        trace.rate = (recent[-1] / recent[0]) ** (1.0 / (len(recent) - 1))
+        if trace.rate < 1:
+            trace.error_bound = recent[-1] / (1.0 - trace.rate)
     return trace

@@ -13,9 +13,10 @@ Adjoint w.r.t. the pairing <T f, g>_{r^{d-k-1}dr} = <f, T* g>_{r^{d-1}dr}:
 Discretization is product integration: the profile is replaced by a local
 Lagrange interpolant in theta (segment-aware across splits) and the kernel is
 integrated cell-by-cell with Gauss-Legendre rules; the cell adjacent to the
-kernel edge u = r uses the substitution s = sqrt(u^2-r^2), which removes the
-k = 1 singularity exactly. On half-line grids the region beyond the last node
-is covered by a cos-power tail model fitted to the last three samples.
+kernel edge uses the substitution s = sqrt(u^2-r^2) forward and w = u sin(psi)
+for the adjoint, which remove the k = 1 singularity exactly. On half-line
+grids the region beyond the last node is covered by a cos-power tail model
+fitted to the last three samples.
 Every quadrature point carries its interpolation stencil as SegmentedInterp.plan
 gives it: (idx, w), the indices of its degree + 1 nodes and their Lagrange
 weights, with no basis matrix formed.
@@ -229,10 +230,10 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
     against |t^2 - r^2|^{k/2-1} over the cells it sees. A cell no split cuts
     holds the GL_CELL points at the same offsets u as every other, flagged
     `lattice`. Edge: stencils (idx, w) of the GL points of the cell at each
-    row's kernel edge, integrated in s = sqrt(|u^2 - r_row^2|), with the row
-    each one enters. For the adjoint with c0 == 0 the head strip [0,
-    theta_1] joins the interior as cell -1, and row 0's own range [0, r_0]
-    joins the edge terms.
+    row's kernel edge, integrated in s = sqrt(u^2 - r_row^2) forward and in
+    psi = asin(w / r_row) for the adjoint, with the row each one enters. For
+    the adjoint with c0 == 0 the head strip [0, theta_1] joins the interior
+    as cell -1, and row 0's own range [0, r_0] joins the edge terms.
     """
     th, r, h = grid.theta_nodes, grid.nodes, grid.h
     split_t = [math.atan(s) for s in splits_r]
@@ -260,30 +261,30 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
     rows = cell_r + 1 if adjoint else cell_r
     head = adjoint and c0 == 0
     if head:
-        # row 0: [r_0/2, r_0] in s here, [0, r_0/2] in w directly below
-        lo, hi = np.concatenate([[r[0] / 2], lo]), np.concatenate([[r[0]], hi])
+        # row 0's own range [0, r_0]
+        lo, hi = np.concatenate([[0.0], lo]), np.concatenate([[r[0]], hi])
         rows = np.concatenate([[0], rows])
     ri = r[rows]
-    sign = -1.0 if adjoint else 1.0
-    s_lo = np.sqrt(np.maximum(sign * (lo * lo - ri * ri), 0.0))
-    s_hi = np.sqrt(np.maximum(sign * (hi * hi - ri * ri), 0.0))
     if adjoint:
-        s_lo, s_hi = s_hi, s_lo
-    sg, wsg = _gl(s_lo, s_hi, GL_EDGE)
-    xq = np.sqrt(np.maximum((ri * ri)[:, None] + sign * sg * sg, 1e-300))
-    wts = wsg * sg ** (k - 1) * (xq ** (d - k - 2) if adjoint else 1.0)
+        # w = r_i sin(psi): the weight r_i^{d-2} cos^{k-1} sin^{d-k-1} dpsi is
+        # analytic, where in s = sqrt(r_i^2 - w^2) w^{d-k-2} has a branch
+        # point at s = r_i, near rows 0 and 1's pieces, which end at 0.87 r_i
+        p_lo = np.arcsin(np.minimum(lo / ri, 1.0))
+        p_hi = np.arcsin(np.minimum(hi / ri, 1.0))
+        pg, wpg = _gl(p_lo, p_hi, GL_EDGE)
+        ri = ri[:, None]
+        xq = ri * np.sin(pg)
+        wts = wpg * ri ** (d - 2) * np.cos(pg) ** (k - 1) * np.sin(pg) ** (d - k - 1)
+    else:
+        s_lo = np.sqrt(np.maximum(lo * lo - ri * ri, 0.0))
+        s_hi = np.sqrt(np.maximum(hi * hi - ri * ri, 0.0))
+        sg, wsg = _gl(s_lo, s_hi, GL_EDGE)
+        xq = np.sqrt(np.maximum((ri * ri)[:, None] + sg * sg, 1e-300))
+        wts = wsg * sg ** (k - 1)
     thq = np.arctan(xq)
     segq = np.repeat(interp.segment_of(np.arctan(0.5 * (lo + hi))), GL_EDGE[0].size)
     rows = np.repeat(rows, GL_EDGE[0].size)
     thq, wts = thq.ravel(), wts.ravel()
-    if head:
-        wq, wgt = _gl(np.zeros(1), r[:1] / 2, GL_EDGE)
-        wq, wgt = wq[0], wgt[0]
-        w0 = scaled_kernel_power(np.maximum(r[0] ** 2 - wq * wq, 1e-300), k,
-                                 wq ** (d - k - 1) * wgt)
-        thq, wts = np.concatenate([thq, np.arctan(wq)]), np.concatenate([wts, w0])
-        segq = np.concatenate([segq, np.zeros(wq.size, dtype=int)])
-        rows = np.concatenate([rows, np.zeros(wq.size, dtype=int)])
     # one plan for the interior points and the edge points
     idx, w = interp.plan(np.concatenate([thg, thq]), np.concatenate([seg, segq]))
     g = thg.size

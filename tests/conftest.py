@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,11 @@ def grids():
         "half4096": K.make_halfline_grid(4096),
         "trunc50": K.make_grid(4096, 50.0),
     }
+
+
+def beta(a, b):
+    """The Beta function B(a, b) from math.lgamma."""
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 def smooth_decaying(params, grid, rng, n_terms=3, decay_boost=0):

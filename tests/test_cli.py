@@ -133,6 +133,20 @@ class TestVerifyCommand:
         assert f"suite '{argv[1]}' does not read {argv[2][2:]}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("suite", ["concentration-k1", "superadd", "compactness",
+                                       "interaction"])
+    def test_seed_the_suite_does_not_read_exits_2(self, tmp_path, capsys, suite):
+        out = tmp_path / "r.jsonl"
+        assert run(["verify", "--suite", suite, "--seed", "3", "--out", str(out)]) == 2
+        assert f"suite '{suite}' does not read seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_defaults_to_seven(self, tmp_path):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        run(["verify", "--suite", "slide", "--trials", "5", "--out", str(a)])
+        run(["verify", "--suite", "slide", "--seed", "7", "--trials", "5", "--out", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+
     def test_trials_reach_the_suite_that_reads_them(self, tmp_path):
         out = tmp_path / "r.jsonl"
         assert run(["verify", "--suite", "slide", "--trials", "1", "--out", str(out)]) == 0

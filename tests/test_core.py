@@ -310,33 +310,6 @@ class TestResample:
         assert worst <= 1e-14, worst
 
 
-class TestCompositeWeights:
-    @staticmethod
-    def _panel_loop(n, h):
-        # the per-panel loop the vectorized weights replace
-        from kplane._quad import _NC_COEF, _NC_DEN
-        w = np.zeros(n)
-        w[0] += 1.5 * h
-        w[1] += -0.5 * h
-        i = 0
-        rem = (n - 1) % 6
-        if rem:
-            c = np.asarray(_NC_COEF[rem], dtype=float) * (rem / _NC_DEN[rem]) * h
-            w[i:i + rem + 1] += c
-            i += rem
-        c6 = np.asarray(_NC_COEF[6], dtype=float) * (6.0 / _NC_DEN[6]) * h
-        while i < n - 1:
-            w[i:i + 7] += c6
-            i += 6
-        return w
-
-    @pytest.mark.parametrize("h", [0.1, math.pi / 2 / 2049, math.atan(50.0) / 4096])
-    def test_bitwise_equal_to_panel_loop(self, h):
-        from kplane._quad import composite_weights
-        for n in [*range(2, 401), 1023, 1024, 2048, 4096, 4097]:
-            assert np.array_equal(composite_weights(n, h), self._panel_loop(n, h)), n
-
-
 class TestLagrangeWeights:
     @staticmethod
     def _weight_loop(x, length):

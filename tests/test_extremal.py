@@ -5,7 +5,7 @@ import pytest
 
 import kplane as K
 
-from conftest import smooth_decaying
+from conftest import beta, smooth_decaying
 
 # Phi(h) from the Beta-integral oracle, frozen with sympy:
 #   ||h||_p^p   = B(d/2, 1/2)/2
@@ -17,6 +17,16 @@ PHI_ORACLE = {
     (2, 4): 1.02383625553961,
     (3, 4): 1.0017160603436,
 }
+
+
+SEVEN_PAIRS = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4)]
+
+
+def phi_oracle(k, d):
+    """Phi(h) = ||T h||_q / ||h||_p from the Beta integrals above."""
+    p, q = (d + 1) / (k + 1), d + 1
+    return ((beta(k / 2, 0.5) / 2) ** q * beta((d - k) / 2, (k + 1) / 2) / 2) ** (1 / q) \
+        / (beta(d / 2, 0.5) / 2) ** (1 / p)
 
 
 class TestSphereArea:
@@ -82,6 +92,57 @@ class TestFunctionalRatio:
         z = K.RadialProfile(grids["half1024"], np.zeros(1024))
         with pytest.raises(K.DomainError):
             K.functional_ratio(params, z)
+
+
+class TestLatticeNormRule:
+    """The norms' trapezoid rule over the theta lattice with Gregory end
+    corrections: Phi(h) to about 1e-11 from n = 512, at every scale."""
+
+    @pytest.mark.parametrize("n,tol", [(512, 2e-11), (1024, 5e-12)])
+    @pytest.mark.parametrize("k,d", SEVEN_PAIRS)
+    def test_phi_of_the_extremizer(self, k, d, n, tol):
+        # (512 - 1) mod 6 = 1: a size at which composite Newton-Cotes-6
+        # panels need a low-order remainder panel
+        params = K.make_params(k, d)
+        h = K.extremizer_profile(params, 1.0, K.make_halfline_grid(n))
+        assert abs(K.functional_ratio(params, h) / phi_oracle(k, d) - 1) < tol
+
+    @pytest.mark.parametrize("k,d", SEVEN_PAIRS)
+    def test_dilates_from_exact_samples(self, k, d):
+        # T h_lam(r) = lam^{d/p - k} c_k (1 + (lam r)^2)^{-1/2}
+        params = K.make_params(k, d)
+        g = K.make_halfline_grid(512)
+        c_k = beta(k / 2, 0.5) / 2
+        for lam in (1 / 8, 1 / 2, 1.0, 4.0, 8.0):
+            h = K.extremizer_profile(params, lam, g)
+            th = K.RadialProfile(g, lam ** (params.scale_exp_f - k) * c_k
+                                 / np.sqrt(1 + (lam * g.nodes) ** 2))
+            phi = (K.weighted_lp_norm(th, params.a_target, params.qf)
+                   / K.weighted_lp_norm(h, params.a_domain, params.pf))
+            assert abs(phi / phi_oracle(k, d) - 1) < 1e-9, lam
+
+    @pytest.mark.parametrize("k,d", SEVEN_PAIRS)
+    def test_dilates_with_the_computed_transform(self, k, d):
+        params = K.make_params(k, d)
+        g = K.make_halfline_grid(512)
+        for lam in (1.0, 4.0, 8.0):
+            phi = K.functional_ratio(params, K.extremizer_profile(params, lam, g))
+            assert abs(phi / phi_oracle(k, d) - 1) < 1e-9, lam
+
+    def test_jump_in_an_end_stencil_keeps_the_nearest_node(self):
+        # a split among the last 8 nodes drops that end's extrapolation, one
+        # outside them (or outside the grid) changes nothing
+        params = K.make_params(1, 3)
+        g = K.make_halfline_grid(512)
+        h = K.extremizer_profile(params, 1.0, g)
+        full = K.weighted_lp_norm(h, params.a_domain, params.pf)
+        for s in (g.nodes[100], 1e9, g.nodes[0] / 2):
+            split = K.RadialProfile(g, h.values, splits=(s,))
+            assert K.weighted_lp_norm(split, params.a_domain, params.pf) == full
+        for s in (g.nodes[-3], g.nodes[3]):
+            split = K.RadialProfile(g, h.values, splits=(s,))
+            got = K.weighted_lp_norm(split, params.a_domain, params.pf)
+            assert got != full and got == pytest.approx(full, rel=1e-4)
 
 
 class TestConstantB:
@@ -248,6 +309,15 @@ class TestAndersonSearch:
         payload = trace.to_json_dict()
         assert payload["schema"] == 1 and payload["stop"] == "residual"
         assert payload["accelerated_steps"] == trace.accelerated_steps
+
+    def test_rate_and_error_bound(self):
+        params = K.make_params(2, 4)
+        g = K.make_halfline_grid(512)
+        trace = K.search_extremizer(params, K.indicator_profile(g, K.IntervalSet(((0.0, 1.0),))))
+        assert 0 < trace.rate < 1
+        assert trace.error_bound >= trace.residuals[-1]
+        payload = trace.to_json_dict()
+        assert payload["rate"] == trace.rate and payload["error_bound"] == trace.error_bound
 
     def test_rejected_candidate_takes_the_plain_step(self, grids, monkeypatch):
         import kplane.extremal as extremal

@@ -7,7 +7,7 @@ import kplane as K
 from kplane._quad import GL_CELL, SegmentedInterp
 from kplane.transform import pairing
 
-from conftest import smooth_decaying
+from conftest import beta, smooth_decaying
 
 # T[(1+u^2)^{-(k+1)/2}](r) = c_k (1+r^2)^{-1/2} with c_k = B(k/2,1/2)/2
 C_K = {1: math.pi / 2, 2: 1.0, 3: math.pi / 4}
@@ -125,6 +125,35 @@ class TestAdjoint:
         lhs = pairing(tf.values, gg.values, g, params.a_target)
         rhs = pairing(f.values, tsg.values, g, params.a_domain)
         assert abs(lhs - rhs) / abs(lhs) < 1e-8
+
+    @pytest.mark.parametrize("n", [512, 2048])
+    @pytest.mark.parametrize("k,d", [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4)])
+    def test_euler_lagrange_identity_in_the_first_rows(self, k, d, n):
+        # T*((T h)^{q-1}) = mu h^{p-1}, mu = ||T h||_q^q / ||h||_p^p, from
+        # exact samples of T h; rows 0 and 1 hold the edge pieces that end
+        # nearest their row's radius
+        params = K.make_params(k, d)
+        g = K.make_halfline_grid(n)
+        p, q = params.pf, params.qf
+        c_k = beta(k / 2, 0.5) / 2
+        mu = c_k ** q * beta((d - k) / 2, (k + 1) / 2) / beta(d / 2, 0.5)
+        th = c_k / np.sqrt(1 + g.nodes ** 2)
+        out = K.apply_T_adjoint(params, K.RadialProfile(g, th ** (q - 1))).values
+        want = mu * (1 + g.nodes ** 2) ** (-(k + 1) / 2 * (p - 1))
+        assert np.abs(out[:4] / want[:4] - 1).max() < 1e-10
+
+    @pytest.mark.parametrize("k,d", [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4)])
+    def test_adjoint_residual_at_the_rounding_floor(self, k, d):
+        params = K.make_params(k, d)
+        g = K.make_halfline_grid(512)
+        r = g.nodes
+        f = K.RadialProfile(g, np.exp(-r * r))
+        gg = K.RadialProfile(g, np.exp(-(r - 1.0) ** 2))
+        tf = K.apply_T(params, f)
+        lhs = pairing(tf.values, gg.values, g, params.a_target)
+        rhs = pairing(f.values, K.apply_T_adjoint(params, gg).values, g, params.a_domain)
+        assert abs(lhs - rhs) <= 1e-13 * (K.weighted_lp_norm(tf, params.a_target, 2)
+                                          * K.weighted_lp_norm(gg, params.a_target, 2))
 
     def test_indicator_closed_form(self, grids):
         # k=2, d=3, g = 1_{[0,1]}: T* g(u) = min(u,1)/u
