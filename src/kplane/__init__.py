@@ -7,7 +7,9 @@ __version__ = "0.1.0"
 
 # KPLANE_THREADS caps the BLAS/OpenMP thread pools. Those libraries read their
 # variables once, when numpy loads, so the cap is set here, before this
-# package imports numpy; a variable the caller set explicitly wins.
+# package imports numpy; a variable the caller set explicitly wins. It also
+# caps the worker threads of a dense operator build (transform._workers),
+# which read it at each build.
 if _os.environ.get("KPLANE_THREADS"):
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _os.environ["KPLANE_THREADS"])

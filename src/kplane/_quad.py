@@ -16,6 +16,9 @@ INTERP_DEGREE = 7
 
 GL_CELL = leggauss(6)    # per-cell rule for kernel product integration
 GL_EDGE = leggauss(8)    # singular-edge cells (after desingularizing substitution)
+GL_EDGE_LAST = leggauss(16)  # the edge cells of the forward operator's last rows
+#: rows at the end of the forward operator whose edge cells take GL_EDGE_LAST
+LAST_EDGE_ROWS = 8
 GL_TAIL = leggauss(16)   # tail region beyond the last node
 # per-interval mass of an interpolant (dilation median): 5-point Gauss-Legendre
 # as 16-digit decimals, which differ from leggauss(5) in the weights' last bit

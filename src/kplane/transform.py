@@ -14,9 +14,10 @@ Discretization is product integration: the profile is replaced by a local
 Lagrange interpolant in theta (segment-aware across splits) and the kernel is
 integrated cell-by-cell with Gauss-Legendre rules; the cell adjacent to the
 kernel edge uses the substitution s = sqrt(u^2-r^2) forward and w = u sin(psi)
-for the adjoint, which remove the k = 1 singularity exactly. On half-line
-grids the region beyond the last node is covered by a cos-power tail model
-fitted to the last three samples.
+for the adjoint, which remove the k = 1 singularity exactly, with GL_EDGE
+points (GL_EDGE_LAST in the forward operator's last LAST_EDGE_ROWS rows).
+On half-line grids the region beyond the last node is covered by a
+cos-power tail model fitted to the last three samples.
 Every quadrature point carries its interpolation stencil as SegmentedInterp.plan
 gives it: (idx, w), the indices of its degree + 1 nodes and their Lagrange
 weights, with no basis matrix formed.
@@ -41,7 +42,10 @@ of (c - i + u) h and one of (c + i + 2 + u) h. On the lattice of whole cells
 those two are a Toeplitz and a Hankel table of O(n) values, kept per (grid,
 k, direction), so the build fills each tile of rows x whole cells with one
 multiply of two strided views, and multiplies it by a small dense block of
-the stencils scaled by the cos power of each point. discretize_T_R
+the stencils scaled by the cos power of each point. The row blocks are
+filled on _workers threads for the one build, each block by one thread in
+one operation order, so M0 is bitwise the same for any worker count; split
+corrections, k = 2 and every apply run on the calling thread. discretize_T_R
 assembles its own row blocks at degree 1, for every k and uncached, and
 densifies them.
 
@@ -61,6 +65,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import threading
 import time
 from collections import Counter, OrderedDict
@@ -69,8 +74,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _quad
-from ._quad import (GL_CELL, GL_EDGE, GL_TAIL, SegmentedInterp, scaled_kernel_power,
-                    tail_basis, tail_power_fit)
+from ._quad import (GL_CELL, GL_EDGE, GL_EDGE_LAST, GL_TAIL, LAST_EDGE_ROWS,
+                    SegmentedInterp, scaled_kernel_power, tail_basis, tail_power_fit)
 from .core import (ConfigurationError, IntervalSet, NumericalError, ParameterError,
                    Params, RadialGrid, RadialProfile, make_grid,
                    weighted_signed_integral)
@@ -231,9 +236,11 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
     holds the GL_CELL points at the same offsets u as every other, flagged
     `lattice`. Edge: stencils (idx, w) of the GL points of the cell at each
     row's kernel edge, integrated in s = sqrt(u^2 - r_row^2) forward and in
-    psi = asin(w / r_row) for the adjoint, with the row each one enters. For
-    the adjoint with c0 == 0 the head strip [0, theta_1] joins the interior
-    as cell -1, and row 0's own range [0, r_0] joins the edge terms.
+    psi = asin(w / r_row) for the adjoint, with the row each one enters, by
+    GL_EDGE (GL_EDGE_LAST in the forward operator's last LAST_EDGE_ROWS
+    rows). For the adjoint with c0 == 0 the head strip [0, theta_1] joins
+    the interior as cell -1, and row 0's own range [0, r_0] joins the edge
+    terms.
     """
     th, r, h = grid.theta_nodes, grid.nodes, grid.h
     split_t = [math.atan(s) for s in splits_r]
@@ -264,31 +271,40 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
         # row 0's own range [0, r_0]
         lo, hi = np.concatenate([[0.0], lo]), np.concatenate([[r[0]], hi])
         rows = np.concatenate([[0], rows])
-    ri = r[rows]
-    if adjoint:
-        # w = r_i sin(psi): the weight r_i^{d-2} cos^{k-1} sin^{d-k-1} dpsi is
-        # analytic, where in s = sqrt(r_i^2 - w^2) w^{d-k-2} has a branch
-        # point at s = r_i, near rows 0 and 1's pieces, which end at 0.87 r_i
-        p_lo = np.arcsin(np.minimum(lo / ri, 1.0))
-        p_hi = np.arcsin(np.minimum(hi / ri, 1.0))
-        pg, wpg = _gl(p_lo, p_hi, GL_EDGE)
-        ri = ri[:, None]
-        xq = ri * np.sin(pg)
-        wts = wpg * ri ** (d - 2) * np.cos(pg) ** (k - 1) * np.sin(pg) ** (d - k - 1)
-    else:
-        s_lo = np.sqrt(np.maximum(lo * lo - ri * ri, 0.0))
-        s_hi = np.sqrt(np.maximum(hi * hi - ri * ri, 0.0))
-        sg, wsg = _gl(s_lo, s_hi, GL_EDGE)
-        xq = np.sqrt(np.maximum((ri * ri)[:, None] + sg * sg, 1e-300))
-        wts = wsg * sg ** (k - 1)
-    thq = np.arctan(xq)
-    segq = np.repeat(interp.segment_of(np.arctan(0.5 * (lo + hi))), GL_EDGE[0].size)
-    rows = np.repeat(rows, GL_EDGE[0].size)
-    thq, wts = thq.ravel(), wts.ravel()
+    seg_r = interp.segment_of(np.arctan(0.5 * (lo + hi)))
+    # forward, a piece of row i spans s in [0, sqrt(r_{i+1}^2 - r_i^2)], and
+    # the weight's branch points are s = +-i r_i; in the last rows, where
+    # r_{i+1} / r_i nears 2 whatever n is, that span is about r_i, too close
+    # for GL_EDGE, so they take GL_EDGE_LAST
+    last = (rows >= r.size - LAST_EDGE_ROWS) & (not adjoint)
+    thq, wts, segq, rows_q = [], [], [], []
+    for m, rule in ((~last, GL_EDGE), (last, GL_EDGE_LAST)):
+        ri = r[rows[m]]
+        if adjoint:
+            # w = r_i sin(psi): the weight r_i^{d-2} cos^{k-1} sin^{d-k-1} dpsi is
+            # analytic, where in s = sqrt(r_i^2 - w^2) w^{d-k-2} has a branch
+            # point at s = r_i, near rows 0 and 1's pieces, which end at 0.87 r_i
+            p_lo = np.arcsin(np.minimum(lo[m] / ri, 1.0))
+            p_hi = np.arcsin(np.minimum(hi[m] / ri, 1.0))
+            pg, wpg = _gl(p_lo, p_hi, rule)
+            ri = ri[:, None]
+            xq = ri * np.sin(pg)
+            wq = wpg * ri ** (d - 2) * np.cos(pg) ** (k - 1) * np.sin(pg) ** (d - k - 1)
+        else:
+            s_lo = np.sqrt(np.maximum(lo[m] * lo[m] - ri * ri, 0.0))
+            s_hi = np.sqrt(np.maximum(hi[m] * hi[m] - ri * ri, 0.0))
+            sg, wsg = _gl(s_lo, s_hi, rule)
+            xq = np.sqrt(np.maximum((ri * ri)[:, None] + sg * sg, 1e-300))
+            wq = wsg * sg ** (k - 1)
+        thq.append(np.arctan(xq).ravel())
+        wts.append(wq.ravel())
+        segq.append(np.repeat(seg_r[m], rule[0].size))
+        rows_q.append(np.repeat(rows[m], rule[0].size))
     # one plan for the interior points and the edge points
-    idx, w = interp.plan(np.concatenate([thg, thq]), np.concatenate([seg, segq]))
+    idx, w = interp.plan(np.concatenate([thg, *thq]), np.concatenate([seg, *segq]))
     g = thg.size
-    w[g:] *= wts[:, None]
+    w[g:] *= np.concatenate(wts)[:, None]
+    rows = np.concatenate(rows_q)
     return {"theta": thg, "u": ug, "base": base, "cell": cell, "lattice": lattice,
             "sidx": idx[:g], "sw": w[:g], "rows": rows, "idx": idx[g:], "w": w[g:]}
 
@@ -470,6 +486,60 @@ def _cell_tiles(cell: np.ndarray, lattice: np.ndarray, sj: np.ndarray, sw: np.nd
     return tiles, off
 
 
+def _workers(jobs: int) -> int:
+    """Threads for a build of `jobs` row blocks: the CPUs this process may
+    run on (os.cpu_count() where the platform keeps no affinity mask), at
+    most KPLANE_THREADS when that is a positive integer, and at most one per
+    block."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    cap = os.environ.get("KPLANE_THREADS", "").strip()
+    if cap.isdigit() and int(cap) > 0:
+        cpus = min(cpus, int(cap))
+    return max(1, min(cpus, jobs))
+
+
+def _on_workers(work, jobs: list) -> None:
+    """work(take) on _workers(len(jobs)) threads, the calling thread one of
+    them: each thread's `take` yields jobs in the order given, each job to
+    one thread, until none is left or some thread has raised. The threads
+    last for this call; with one worker none is started. The first exception
+    is re-raised here once every thread has joined."""
+    lock, pending, errors = threading.Lock(), jobs[::-1], []
+
+    def take():
+        while True:
+            with lock:
+                if not pending:
+                    return
+                job = pending.pop()
+            yield job
+
+    def run():
+        try:
+            work(take())
+        except BaseException as exc:   # re-raised by the caller below
+            with lock:
+                errors.append(exc)
+                pending.clear()
+
+    threads = []
+    for _ in range(_workers(len(jobs)) - 1):
+        thread = threading.Thread(target=run, name="kplane-build", daemon=True)
+        try:
+            thread.start()
+        except RuntimeError:
+            break       # no thread to be had: those started share the jobs
+        threads.append(thread)
+    run()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _accumulate(out, row0: int, cols: np.ndarray, grid: RadialGrid, k: int, quad: dict,
                 adjoint: bool, row_scale=None) -> None:
     """Operator row i at node cols[j], integrated by `quad` (interior points
@@ -490,9 +560,15 @@ def _accumulate(out, row0: int, cols: np.ndarray, grid: RadialGrid, k: int, quad
     does not see has a zero Toeplitz factor, so a tile's columns outside a
     row block's band add exact zeros and are dropped. The few points off
     the lattice (the adjoint's head strip, the cells a split cuts) take
-    _direct_sines against each block of rows. Beyond `out` and the kept
-    tables a build holds the quadrature, the stencil blocks, one block of
-    sine factors and one tile buffer.
+    _direct_sines against each block of rows.
+
+    The quadrature, the stencil blocks, alpha, beta and the tables are made
+    here and only read after; the row blocks, largest first, go to
+    _on_workers, each filled by one thread alone, in the order of the
+    single-threaded loop, so `out` is bitwise the same for any worker count
+    (an ndarray `out` is one block, filled by the calling thread). Beyond
+    `out` and the kept tables a build holds the quadrature, the stencil
+    blocks and, per worker, one block of sine factors and one tile buffer.
     """
     blocks = [(0, 0, out)] if isinstance(out, np.ndarray) else out.blocks
     rows = np.arange(row0, row0 + max(i0 + B.shape[0] for i0, _, B in blocks))
@@ -517,45 +593,53 @@ def _accumulate(out, row0: int, cols: np.ndarray, grid: RadialGrid, k: int, quad
         # large as a full tile's
         span = cell[lattice][-1] + 1 - cell[lattice][0]
         R = min(_TILE_ROWS * max(_TILE_CELLS // span, 1), rows.size)
-        buf = np.empty((R, max(b[1] - b[0] for _, _, tile_blocks in tiles for b in tile_blocks)))
-        acc = np.empty((R, max(J1 - J0 for J0, J1, _ in tiles)))
+        points = max(b[1] - b[0] for _, _, tile_blocks in tiles for b in tile_blocks)
+        width = max(J1 - J0 for J0, J1, _ in tiles)
     edge_rows, edge_cols = quad["rows"] - row0, col_of(quad["idx"])
 
     def seen_cells(rs):
         # the first and last cell some row of rs sees
         return (cell[0], rs[-1] - 2) if adjoint else (rs[0] + 1, cell[-1])
 
-    for i0, b0, B in blocks:
-        b1 = b0 + B.shape[1]
-        for a in range(i0, i0 + B.shape[0], R) if tiles else ():
-            rs = rows[a:min(a + R, i0 + B.shape[0])]
+    def fill(take):
+        # one worker: its own block of sine factors and tile buffer, and
+        # the row blocks it takes, each written by this worker alone
+        if tiles:
+            buf, acc = np.empty((R, points)), np.empty((R, width))
+        for i0, b0, B in take:
+            b1 = b0 + B.shape[1]
+            for a in range(i0, i0 + B.shape[0], R) if tiles else ():
+                rs = rows[a:min(a + R, i0 + B.shape[0])]
+                first, last = seen_cells(rs)
+                views = tables.views(rs[0], rs[-1] + 1)
+                for J0, J1, tile_blocks in tiles:
+                    lo, hi = max(J0, b0), min(J1, b1)
+                    tile_blocks = [b for b in tile_blocks if b[2] <= last and b[3] >= first]
+                    if lo >= hi or not tile_blocks:
+                        continue
+                    tile = acc[:rs.size, :J1 - J0]
+                    tile[:] = 0.0
+                    for p0, p1, c_lo, c_hi, j0, j1, D in tile_blocks:
+                        q0 = c_lo * GL_CELL[0].size
+                        A = tables.sines(views, rs[0], c_lo, c_hi, q0, q0 + p1 - p0,
+                                         buf[:rs.size, :p1 - p0])
+                        tile[:, j0 - J0:j1 - J0] += A @ D
+                    tile *= alpha[a:a + rs.size, None]
+                    B[a - i0:a - i0 + rs.size, lo - b0:hi - b0] += tile[:, lo - J0:hi - J0]
+            rs = rows[i0:i0 + B.shape[0]]
             first, last = seen_cells(rs)
-            views = tables.views(rs[0], rs[-1] + 1)
-            for J0, J1, tile_blocks in tiles:
-                lo, hi = max(J0, b0), min(J1, b1)
-                tile_blocks = [b for b in tile_blocks if b[2] <= last and b[3] >= first]
-                if lo >= hi or not tile_blocks:
+            for p0, p1, c_lo, c_hi, j0, j1, D in off:
+                lo, hi = max(j0, b0), min(j1, b1)
+                if lo >= hi or c_lo > last or c_hi < first:
                     continue
-                tile = acc[:rs.size, :J1 - J0]
-                tile[:] = 0.0
-                for p0, p1, c_lo, c_hi, j0, j1, D in tile_blocks:
-                    q0 = c_lo * GL_CELL[0].size
-                    A = tables.sines(views, rs[0], c_lo, c_hi, q0, q0 + p1 - p0,
-                                     buf[:rs.size, :p1 - p0])
-                    tile[:, j0 - J0:j1 - J0] += A @ D
-                tile *= alpha[a:a + rs.size, None]
-                B[a - i0:a - i0 + rs.size, lo - b0:hi - b0] += tile[:, lo - J0:hi - J0]
-        rs = rows[i0:i0 + B.shape[0]]
-        first, last = seen_cells(rs)
-        for p0, p1, c_lo, c_hi, j0, j1, D in off:
-            lo, hi = max(j0, b0), min(j1, b1)
-            if lo >= hi or c_lo > last or c_hi < first:
-                continue
-            part = _direct_sines(cell[p0:p1], quad["u"][p0:p1], rs, grid.h, k, adjoint) @ D
-            part *= alpha[i0:i0 + rs.size, None]
-            B[:, lo - b0:hi - b0] += part[:, lo - j0:hi - j0]
-        mine = (edge_rows >= i0) & (edge_rows < i0 + B.shape[0])
-        np.add.at(B, (edge_rows[mine, None] - i0, edge_cols[mine] - b0), w[mine])
+                part = _direct_sines(cell[p0:p1], quad["u"][p0:p1], rs, grid.h, k, adjoint) @ D
+                part *= alpha[i0:i0 + rs.size, None]
+                B[:, lo - b0:hi - b0] += part[:, lo - j0:hi - j0]
+            mine = (edge_rows >= i0) & (edge_rows < i0 + B.shape[0])
+            np.add.at(B, (edge_rows[mine, None] - i0, edge_cols[mine] - b0), w[mine])
+
+    # forward blocks shrink along the triangle: the largest go first
+    _on_workers(fill, sorted(blocks, key=lambda block: block[2].size, reverse=True))
 
 
 class _RowBlocks:

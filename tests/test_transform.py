@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +24,16 @@ class TestForwardClosedForms:
         exact = C_K[k] * (1 + g.nodes ** 2) ** (-0.5)
         assert np.abs(th.values - exact).max() < 1e-9
         assert not th.meta["tail_warning"]
+
+    @pytest.mark.parametrize("k,d,tol", [(1, 3, 5e-11), (2, 4, 2e-12), (3, 4, 2e-11)])
+    def test_last_rows_of_the_extremizer_transform(self, grids, k, d, tol):
+        # the last rows' edge cells span s up to about r_i whatever n is,
+        # near the branch points s = +-i r_i of their weight
+        params = K.make_params(k, d)
+        g = grids["half2048"]
+        th = K.apply_T(params, K.extremizer_profile(params, 1.0, g)).values
+        exact = C_K[k] * (1 + g.nodes ** 2) ** (-0.5)
+        assert np.abs(th[-8:] / exact[-8:] - 1).max() < tol
 
     def test_zero_maps_to_zero(self, grids):
         params = K.make_params(1, 3)
@@ -750,3 +761,123 @@ class TestBandedApply:
                          None if adjoint else T._tail_rows(grid, k))
         got = T._apply(op, f, k, k + 2, adjoint)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+class TestThreadedBuild:
+    """A dense M0's row blocks are built on worker threads: each block by one
+    thread in one operation order, so M0 is the same for any worker count."""
+
+    @staticmethod
+    def _counting_threads(monkeypatch):
+        # the threads a build starts, recorded by a Thread that counts
+        import threading
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(K.transform.threading, "Thread", Counted)
+        return started
+
+    @pytest.mark.parametrize("grid", ["half257", "half1000", "trunc600"])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_operator_bitwise_equal_for_any_worker_count(self, monkeypatch, k, adjoint, grid):
+        T = K.transform
+        grid = {"half257": K.make_halfline_grid(257), "half1000": K.make_halfline_grid(1000),
+                "trunc600": K.make_grid(600, 5.0)}[grid]
+        started = self._counting_threads(monkeypatch)
+        built = []
+        # more workers than the two cores of a small host, switching often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(T, "_workers", lambda jobs, w=workers: min(w, jobs))
+                del started[:]
+                M = (T._assemble_adjoint(grid, k, k + 2) if adjoint
+                     else T._assemble_forward(grid, k)["M"])
+                assert len(started) == min(workers, len(M.blocks)) - 1
+                assert not any(thread.is_alive() for thread in started)
+                built.append(M.toarray())
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(M, built[0]) for M in built[1:])
+
+    def test_discretized_bitwise_equal_for_any_worker_count(self, monkeypatch):
+        T = K.transform
+        params = K.make_params(1, 3)
+        built = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(T, "_workers", lambda jobs, w=workers: min(w, jobs))
+            built.append(K.discretize_T_R(params, 2.0, 600).entries)
+        assert all(np.array_equal(M, built[0]) for M in built[1:])
+
+    @pytest.mark.parametrize("raising", ["worker", "caller"])
+    def test_a_raising_thread_fails_the_build_and_stores_nothing(self, fresh_cache,
+                                                                 monkeypatch, raising):
+        import threading
+        T = fresh_cache
+        monkeypatch.setattr(T, "_workers", lambda jobs: min(2, jobs))
+        sines = T._SineTables.sines
+        # each thread's first block waits until the other thread has one too
+        both_started, waited = threading.Barrier(2, timeout=30), set()
+
+        def failing(self, *args):
+            if threading.get_ident() not in waited:
+                waited.add(threading.get_ident())
+                both_started.wait()
+            on_worker = threading.current_thread() is not threading.main_thread()
+            if on_worker == (raising == "worker"):
+                raise RuntimeError(f"{raising} failed")
+            return sines(self, *args)
+
+        monkeypatch.setattr(T._SineTables, "sines", failing)
+        grid = K.make_halfline_grid(1024)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{raising} failed"):
+            T._forward_matrix(grid, 1)
+        assert threading.active_count() == before
+        info = T.cache_info()["fwd"]
+        assert info["entries"] == 0 and info["builds"] == 0
+        monkeypatch.setattr(T._SineTables, "sines", sines)
+        M = T._forward_matrix(grid, 1)["M"]
+        assert T.cache_info()["fwd"]["builds"] == 1
+        assert np.array_equal(M.toarray(), T._assemble_forward(grid, 1)["M"].toarray())
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        monkeypatch.setenv("KPLANE_THREADS", "1")
+        started = self._counting_threads(monkeypatch)
+        M = K.transform._assemble_forward(K.make_halfline_grid(1000), 1)["M"]
+        assert len(M.blocks) == 4 and started == []
+
+    def test_a_thread_that_cannot_start_leaves_the_jobs_to_the_others(self, monkeypatch):
+        import threading
+        T = K.transform
+        grid = K.make_halfline_grid(1000)
+        want = T._assemble_forward(grid, 1)["M"].toarray()
+
+        class Unstartable(threading.Thread):
+            def start(self):
+                raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(T, "_workers", lambda jobs: min(3, jobs))
+        monkeypatch.setattr(T.threading, "Thread", Unstartable)
+        assert np.array_equal(T._assemble_forward(grid, 1)["M"].toarray(), want)
+
+    def test_worker_count(self, monkeypatch):
+        import os
+        T = K.transform
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.delenv("KPLANE_THREADS", raising=False)
+        assert [T._workers(jobs) for jobs in (1, 3, 8)] == [1, 3, 4]
+        for cap, want in (("2", 2), ("1", 1), ("0", 4), ("many", 4)):
+            monkeypatch.setenv("KPLANE_THREADS", cap)
+            assert T._workers(8) == want, cap
+        # without an affinity mask, the CPUs os.cpu_count gives
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.delenv("KPLANE_THREADS")
+        assert T._workers(8) == 3
