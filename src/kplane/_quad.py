@@ -20,12 +20,6 @@ GL_EDGE_LAST = leggauss(16)  # the edge cells of the forward operator's last row
 #: rows at the end of the forward operator whose edge cells take GL_EDGE_LAST
 LAST_EDGE_ROWS = 8
 GL_TAIL = leggauss(16)   # tail region beyond the last node
-# per-interval mass of an interpolant (dilation median): 5-point Gauss-Legendre
-# as 16-digit decimals, which differ from leggauss(5) in the weights' last bit
-GL_MASS = (np.array([-0.9061798459386640, -0.5384693101056831, 0.0,
-                     0.5384693101056831, 0.9061798459386640]),
-           np.array([0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
-                     0.4786286704993665, 0.2369268850561891]))
 
 
 def _gregory_end() -> np.ndarray:
@@ -95,35 +89,18 @@ class SegmentedInterp:
         return np.searchsorted(self.splits, thq, side="left")
 
     def plan(self, thq: np.ndarray, seg: np.ndarray | None = None):
-        """Stencil node indices and weights for query angles thq (flat array)."""
+        """Stencil node indices and weights for query angles thq (flat array),
+        padded to degree + 1 entries with zero weights."""
         if seg is None:
             seg = self.segment_of(thq)
         pos = thq / self.h                   # node i (0-based) sits at (i+1)h
-        start, L = self._starts(np.rint(pos).astype(int) - 1, seg)
-        return self._weights(start, L, pos - (start + 1))
-
-    def plan_interval(self, j: int, u: np.ndarray, seg: np.ndarray):
-        """Stencils at the angles theta_j + u h, 0 <= u <= 1, of the interval
-        between nodes j and j + 1, in segments seg. The weights are those of
-        `plan` but for the rounding of the angles: they depend on j only
-        through each stencil's start, so away from the grid's ends and its
-        splits they are the same for every j up to a shift of the indices."""
-        start, L = self._starts(j + np.rint(u).astype(int), seg)
-        return self._weights(start, L, u + (j - start))
-
-    def _starts(self, anchor: np.ndarray, seg: np.ndarray):
-        """First node and length of the stencil around each anchor node,
-        kept within its segment."""
+        # the stencil around the nearest node, kept within its segment
         lo = self.bounds[seg]
         hi = self.bounds[seg + 1]
         L = np.minimum(self.degree + 1, hi - lo)
-        j = np.clip(anchor, 0, self.n - 1)
-        return np.clip(j - (L - 1) // 2, lo, np.maximum(hi - L, lo)), L
-
-    def _weights(self, start: np.ndarray, L: np.ndarray, x: np.ndarray):
-        """Node indices and Lagrange weights of stencils of length L from
-        `start`, at offsets x from their first node, padded to degree + 1
-        entries with zero weights."""
+        j = np.clip(np.rint(pos).astype(int) - 1, 0, self.n - 1)
+        start = np.clip(j - (L - 1) // 2, lo, np.maximum(hi - L, lo))
+        x = pos - (start + 1)
         width = self.degree + 1
         idx_out = np.zeros(x.shape + (width,), dtype=int)
         w_out = np.zeros(x.shape + (width,))

@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "residual <= TOL, or once Phi's relative change has "
                         "stayed below TOL for 5 steps, checked after each "
                         "Anderson-accelerated step; for k = 1 the residual "
-                        "stalls near 1e-10 at --grid-n 512 and 6e-12 at 2048")
+                        "stalls near 2e-12 at --grid-n 512 and 9e-13 at 2048")
     p.add_argument("--grid-n", type=int, default=2048)
     p.add_argument("--out-prefix", default="search",
                    help="writes PREFIX_trace.json and PREFIX_profile.csv")

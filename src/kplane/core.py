@@ -417,6 +417,26 @@ def _node_sum(grid: RadialGrid, g: np.ndarray, nonneg: bool,
     return out
 
 
+def _running_integral(f: RadialProfile, a_exp: int, power: float) -> np.ndarray:
+    """int_0^{theta_j} G dtheta, G = |f|^power r^{a_exp} sec^2, at every
+    lattice point j h (see _node_sum), by weighted_integral's rule: the
+    trapezoid cumulative sum plus the Gregory corrections of both ends, with
+    _node_sum's values of G at the ends that are not nodes. The correction at
+    j takes the 8 points up to j, or, while j < 7, the 8 from j with the sign
+    of the left end's (exact for degree 7 all the same)."""
+    grid = f.grid
+    g = np.abs(f.values) ** power * grid.nodes ** a_exp
+    G = np.concatenate([[0.0], g * (1.0 + grid.nodes ** 2), [0.0] * grid.halfline])
+    ends = zip(grid._ends, _smooth_ends(grid, f.splits), (0, -1))
+    for (stencil, coef, near, sec2), smooth, j in ends:
+        G[j] = max(float(np.dot(coef, g[stencil])), 0.0) if smooth else sec2 * g[near]
+    c = GREGORY_END - np.r_[0.5, np.ones(7)]
+    right = np.convolve(G, c)[:G.size]
+    right[:7] = -np.correlate(G[:14], c)
+    trap = np.concatenate([[0.0], np.cumsum((G[1:] + G[:-1]) / 2)])
+    return grid.h * (trap + np.dot(c, G[:8]) + right)
+
+
 def _window_integral(grid: RadialGrid, values: np.ndarray, a_exp: int,
                      r_lo: float, r_hi: float, splits=()) -> float:
     """int_{r_lo}^{r_hi} values r^{a_exp} dr: each cell counts with the

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -99,39 +101,60 @@ class TestNormalizeDilation:
 
 
 class TestMassRule:
-    """The mass median's Gauss rule and its interpolation plan are built once
-    per grid; the medians they give are those of the per-call plan."""
+    """The mass median runs on the norms' lattice rule: its running p-mass
+    ends at weighted_integral, it finds the closed-form median of the
+    extremizer's dilates, and a split outside the grid moves no median."""
 
-    def test_plan_built_once_per_search(self, monkeypatch):
+    @staticmethod
+    def median_angle(d):
+        # Theta_d with int_0^Theta sin^{d-1} = half of int_0^{pi/2}, by
+        # bisection over a 200-point Gauss-Legendre integral
+        x, w = np.polynomial.legendre.leggauss(200)
+
+        def mass(t):
+            return t / 2 * np.dot(w, np.sin(t / 2 * (x + 1)) ** (d - 1))
+
+        half, lo, hi = mass(math.pi / 2) / 2, 0.0, math.pi / 2
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if mass(mid) < half else (lo, mid)
+        return (lo + hi) / 2
+
+    @pytest.mark.parametrize("hint", [5.0, 50.0, float("inf")])
+    @pytest.mark.parametrize("n", [256, 1024, 2048])
+    def test_running_mass_ends_at_the_norm(self, n, hint):
+        from kplane.core import _running_integral
+        grid = K.make_grid(n, hint)
+        rng = np.random.default_rng(n)
+        for k, d in ((1, 2), (1, 3), (2, 4), (3, 4)):
+            params = K.make_params(k, d)
+            profiles = [K.extremizer_profile(params, lam, grid) for lam in (0.3, 1.0, 3.0)]
+            profiles.append(smooth_decaying(params, grid, rng))
+            for f in profiles:
+                running = _running_integral(f, params.a_domain, params.pf)
+                assert running.size == n + 1 + grid.halfline
+                assert running[-1] == pytest.approx(
+                    K.weighted_integral(f, params.a_domain, params.pf), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("n,tol", [(512, 1e-9), (2048, 1e-13)])
+    def test_closed_form_median(self, n, tol):
+        # r = tan(theta) turns |h|^p r^{d-1} dr into sin^{d-1}(theta) dtheta,
+        # so the median of h_lam is tan(Theta_d) / lam (Theta_2 = pi/3)
         from kplane import symmetry
-        from kplane._quad import SegmentedInterp
-        grid = K.make_halfline_grid(512)
-        rule_points = 5 * (grid.n - 1)
-        sizes, medians = [], []
-        plan, median = SegmentedInterp.plan, symmetry._median_radius
-
-        def counting_plan(self, thq, seg=None):
-            sizes.append(np.size(thq))
-            return plan(self, thq, seg)
-
-        def counting_median(params, f):
-            medians.append(f)
-            return median(params, f)
-
-        monkeypatch.setattr(SegmentedInterp, "plan", counting_plan)
-        monkeypatch.setattr(K.extremal, "_median_radius", counting_median)
-        symmetry._mass_rule.cache_clear()
-        params = K.make_params(1, 3)
-        init = K.RadialProfile(grid, np.exp(-grid.nodes ** 2 / 30.0))
-        trace = K.search_extremizer(params, init, max_iter=60)
-        assert trace.converged and len(medians) == trace.iterations_used > 5
-        assert sizes.count(rule_points) == 1
+        assert self.median_angle(2) == pytest.approx(math.pi / 3, rel=1e-15)
+        grid = K.make_halfline_grid(n)
+        for k, d in ((1, 2), (1, 3), (2, 4), (3, 4)):
+            params = K.make_params(k, d)
+            exact = math.tan(self.median_angle(d))
+            for lam in (1 / 8, 1 / 2, 1.0, 4.0, 8.0):
+                h = K.extremizer_profile(params, lam, grid)
+                assert symmetry._median_radius(params, h) == \
+                    pytest.approx(exact / lam, rel=tol, abs=0), (k, d, lam)
 
     @pytest.mark.parametrize("hint", [float("inf"), 50.0])
     @pytest.mark.parametrize("n", [1024, 2048])
     def test_bitwise_equal_to_uncached(self, n, hint):
-        # a split beyond the last node changes no stencil, but sends the
-        # profile down the per-call plan of SegmentedInterp.eval
+        # a split beyond the last node is no jump of the profile
         from kplane import symmetry
         grid = K.make_grid(n, hint)
         rng = np.random.default_rng(n)
@@ -148,8 +171,8 @@ class TestMassRule:
 
     @pytest.mark.parametrize("hint", [float("inf"), 50.0])
     def test_inversion_plan_matches_per_call_plan(self, hint):
-        # the cached inversion stencil of the interior intervals, at both ends
-        # of its range and in the middle, and the per-call plan just beyond
+        # bumps whose medians lie in intervals near both ends of the grid
+        # and in the middle
         from kplane import symmetry
         from kplane._quad import INTERP_DEGREE as D
         grid = K.make_grid(1024, hint)
