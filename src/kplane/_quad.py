@@ -14,7 +14,7 @@ from numpy.polynomial.legendre import leggauss
 #: local Lagrange interpolation degree used by the transform machinery
 INTERP_DEGREE = 7
 
-GL_CELL = leggauss(6)    # per-cell rule for kernel product integration
+GL_CELL = leggauss(8)    # per-cell rule for kernel product integration
 GL_EDGE = leggauss(8)    # singular-edge cells (after desingularizing substitution)
 GL_EDGE_LAST = leggauss(16)  # the edge cells of the forward operator's last rows
 #: rows at the end of the forward operator whose edge cells take GL_EDGE_LAST

@@ -399,21 +399,35 @@ def _smooth_ends(grid: RadialGrid, splits) -> tuple[bool, bool]:
     return (all(x >= th[7] for x in t), all(x < th[-8] for x in t))
 
 
-def _node_sum(grid: RadialGrid, g: np.ndarray, nonneg: bool,
-              ends: tuple[bool, bool] = (True, True)) -> float:
-    """int_0^inf g dr (int_0^{r_max} on truncated grids) from the samples g_i:
-    the lattice rule's node sum over base_weights, plus for each extrapolated
-    end (theta = 0, and pi/2 on half-line grids) h GREGORY_END[0] (E -
-    G_near), E the degree-7 value of G = g sec^2 there (clamped at 0 when
-    nonneg) and G_near that of its nearest node, which base_weights already
-    holds. An end not in `ends` (a jump among its 8 nodes) keeps G_near."""
-    out = float(np.dot(grid.base_weights, g))
-    for (stencil, coef, near, sec2), smooth in zip(grid._ends, ends):
-        if smooth:
+def _end_values(grid: RadialGrid, g: np.ndarray, a_exp: int, nonneg: bool,
+                ends: tuple[bool, bool]) -> list[float]:
+    """G = g sec^2 at each end of the lattice that is not a node (theta = 0,
+    and pi/2 on half-line grids), g sampled with the weight r^{a_exp}: 0 at
+    theta = 0 when a_exp >= 1, where that weight vanishes, else the degree-7
+    extrapolation from the end's 8 nodes (clamped at 0 when nonneg). An end
+    not in `ends` (a jump among its 8 nodes) takes its nearest node's G."""
+    out = []
+    for j, ((stencil, coef, near, sec2), smooth) in enumerate(zip(grid._ends, ends)):
+        if not smooth:
+            out.append(sec2 * g[near])
+        elif j == 0 and a_exp >= 1:
+            out.append(0.0)
+        else:
             e = float(np.dot(coef, g[stencil]))
-            if nonneg:
-                e = max(e, 0.0)
-            out += grid.h * GREGORY_END[0] * (e - sec2 * g[near])
+            out.append(max(e, 0.0) if nonneg else e)
+    return out
+
+
+def _node_sum(grid: RadialGrid, g: np.ndarray, a_exp: int, nonneg: bool,
+              ends: tuple[bool, bool] = (True, True)) -> float:
+    """int_0^inf g dr (int_0^{r_max} on truncated grids) from the samples g_i
+    of a profile times r^{a_exp}: the lattice rule's node sum over
+    base_weights, plus for each end that is not a node h GREGORY_END[0] (E -
+    G_near), E the _end_values value of G = g sec^2 there and G_near that of
+    its nearest node, which base_weights already holds."""
+    out = float(np.dot(grid.base_weights, g))
+    for (_, _, near, sec2), e in zip(grid._ends, _end_values(grid, g, a_exp, nonneg, ends)):
+        out += grid.h * GREGORY_END[0] * (e - sec2 * g[near])
     return out
 
 
@@ -421,15 +435,14 @@ def _running_integral(f: RadialProfile, a_exp: int, power: float) -> np.ndarray:
     """int_0^{theta_j} G dtheta, G = |f|^power r^{a_exp} sec^2, at every
     lattice point j h (see _node_sum), by weighted_integral's rule: the
     trapezoid cumulative sum plus the Gregory corrections of both ends, with
-    _node_sum's values of G at the ends that are not nodes. The correction at
-    j takes the 8 points up to j, or, while j < 7, the 8 from j with the sign
-    of the left end's (exact for degree 7 all the same)."""
+    _end_values at the ends that are not nodes. The correction at j takes the
+    8 points up to j, or, while j < 7, the 8 from j with the sign of the left
+    end's (exact for degree 7 all the same)."""
     grid = f.grid
     g = np.abs(f.values) ** power * grid.nodes ** a_exp
     G = np.concatenate([[0.0], g * (1.0 + grid.nodes ** 2), [0.0] * grid.halfline])
-    ends = zip(grid._ends, _smooth_ends(grid, f.splits), (0, -1))
-    for (stencil, coef, near, sec2), smooth, j in ends:
-        G[j] = max(float(np.dot(coef, g[stencil])), 0.0) if smooth else sec2 * g[near]
+    for j, e in zip((0, -1), _end_values(grid, g, a_exp, True, _smooth_ends(grid, f.splits))):
+        G[j] = e
     c = GREGORY_END - np.r_[0.5, np.ones(7)]
     right = np.convolve(G, c)[:G.size]
     right[:7] = -np.correlate(G[:14], c)
@@ -453,7 +466,7 @@ def _window_integral(grid: RadialGrid, values: np.ndarray, a_exp: int,
     left, right = _smooth_ends(grid, splits)
     ends = (left and r_lo <= 0.0 and r_hi >= e[8],
             right and math.isinf(r_hi) and r_lo <= e[-9])
-    return _node_sum(grid, g, True, ends)
+    return _node_sum(grid, g, a_exp, True, ends)
 
 
 def _cell_masses(params: Params, f: RadialProfile) -> np.ndarray:
@@ -469,13 +482,13 @@ def weighted_integral(f: RadialProfile, a_exp: int, power: float = 1.0) -> float
         F, amp = f.indicator
         return abs(amp) ** power * F.weighted_measure(a_exp)
     vals = np.abs(f.values) ** power if power != 1.0 else np.abs(f.values)
-    return _node_sum(f.grid, vals * f.grid.nodes ** a_exp, True,
+    return _node_sum(f.grid, vals * f.grid.nodes ** a_exp, a_exp, True,
                      _smooth_ends(f.grid, f.splits))
 
 
 def weighted_signed_integral(f_values: np.ndarray, grid: RadialGrid, a_exp: int) -> float:
     """Signed version of weighted_integral on raw values (pairings, cross terms)."""
-    return _node_sum(grid, f_values * grid.nodes ** a_exp, False)
+    return _node_sum(grid, f_values * grid.nodes ** a_exp, a_exp, False)
 
 
 def weighted_lp_norm(f: RadialProfile, a: int, p: float) -> float:
@@ -521,7 +534,8 @@ def mass_above_level(params: Params, f: RadialProfile, m: float) -> float:
     # a level crossing among an end's 8 nodes is a jump there too
     ends = (left and above[:8].all() == above[:8].any(),
             right and above[-8:].all() == above[-8:].any())
-    return _node_sum(f.grid, vals * f.grid.nodes ** params.a_domain, True, ends)
+    return _node_sum(f.grid, vals * f.grid.nodes ** params.a_domain, params.a_domain,
+                     True, ends)
 
 
 # ---------------------------------------------------------------------------

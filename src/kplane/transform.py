@@ -83,11 +83,11 @@ from .core import (ConfigurationError, IntervalSet, NumericalError, ParameterErr
 _TAIL_TOL = 1e-6
 #: largest dense operator matrix, in bytes, that a build may allocate
 DENSE_BUDGET_BYTES = 2 * 1024 ** 3
-#: tile of a dense build, rows x whole cells (256 x 768 GL points), whose
+#: tile of a dense build, rows x whole cells (256 x 1024 GL points), whose
 #: share of the matrix is summed in a buffer of its own; _TILE_ROWS is also
 #: the height of a stored row block of a dense M0
 _TILE_ROWS, _TILE_CELLS = 256, 128
-#: cells per dense stencil block within a tile (96 GL points)
+#: cells per dense stencil block within a tile (128 GL points)
 _BLOCK_CELLS = 16
 #: cells per quadrature block of a prefix-sum (k = 2) build
 _BUILD_CELLS = 256
@@ -447,7 +447,7 @@ class _SineTables:
 @functools.lru_cache(maxsize=8)
 def _lattice_tables(grid: RadialGrid, k: int, adjoint: bool) -> _SineTables:
     """_SineTables of every row against every whole cell of the grid, about
-    36 n doubles, shared by M0's build and each of its split corrections,
+    48 n doubles, shared by M0's build and each of its split corrections,
     which read the rows and cells they need from them."""
     tables = _SineTables(grid, k, adjoint, 0, grid.n - 1, np.arange(grid.n))
     if tables.eps is not None:
@@ -745,41 +745,12 @@ def _correction_bytes(n: int, clusters, adjoint: bool) -> int:
     return total
 
 
-def _difference(q_split: dict, q_plain: dict) -> dict:
-    """The quadrature of the operator with splits minus the one without, over
-    the same cells. A point both hold (the GL points of a cell no split cuts,
-    and the head strip) enters once with the two stencils side by side, the
-    plain one negated; every other point keeps its stencil beside zero
-    weights. Sorted by cell, the points of a cut cell come after the lattice
-    points of the plain quadrature in that cell."""
-    shared = q_split["lattice"] | (q_split["cell"] == -1)
-    in_both = np.isin(q_plain["cell"], q_split["cell"][shared])
-    s_idx, s_w = q_split["sidx"], q_split["sw"]
-    p_idx, p_w = q_plain["sidx"], -q_plain["sw"]
-    parts = [(q_plain, ~in_both, np.hstack([p_idx[~in_both]] * 2),
-              np.hstack([np.zeros_like(p_w[~in_both]), p_w[~in_both]])),
-             (q_split, shared, np.hstack([s_idx[shared], p_idx[in_both]]),
-              np.hstack([s_w[shared], p_w[in_both]])),
-             (q_split, ~shared, np.hstack([s_idx[~shared]] * 2),
-              np.hstack([s_w[~shared], np.zeros_like(s_w[~shared])]))]
-    diff = {key: np.concatenate([q[key][m] for q, m, _, _ in parts])
-            for key in ("theta", "u", "base", "cell", "lattice")}
-    diff["sidx"] = np.concatenate([idx for _, _, idx, _ in parts])
-    diff["sw"] = np.concatenate([w for _, _, _, w in parts])
-    order = np.argsort(diff["cell"], kind="stable")
-    diff = {key: value[order] for key, value in diff.items()}
-    for key in ("rows", "idx"):
-        diff[key] = np.concatenate([q_split[key], q_plain[key]])
-    diff["w"] = np.concatenate([q_split["w"], -q_plain["w"]])
-    return diff
-
-
 def _split_correction(grid: RadialGrid, k: int, d: int, splits_r, adjoint: bool) -> list:
     """Blocks (row0, cols, C): the dense operator of a profile with splits
     `splits_r` is M0 plus C on rows row0.. and columns cols of each block.
 
-    Each block integrates one range of _split_clusters with the splits, minus
-    the same cells without them.
+    Each block integrates one range of _split_clusters with the splits, then
+    adds the same cells without them, their stencil weights negated.
     """
     n = grid.n
     kept, clusters = _split_clusters(grid, splits_r)
@@ -788,13 +759,16 @@ def _split_correction(grid: RadialGrid, k: int, d: int, splits_r, adjoint: bool)
     with_splits = _split_interp(grid, kept)
     blocks = []
     for c0, c1 in clusters:
-        diff = _difference(_quadrature(grid, k, d, with_splits, c0, c1, kept, adjoint),
-                           _quadrature(grid, k, d, grid._interp_plain, c0, c1, (), adjoint))
-        cols = np.unique(np.concatenate([diff["sidx"].ravel(), diff["idx"].ravel()]))
+        q_split = _quadrature(grid, k, d, with_splits, c0, c1, kept, adjoint)
+        q_plain = _quadrature(grid, k, d, grid._interp_plain, c0, c1, (), adjoint)
+        q_plain["sw"], q_plain["w"] = -q_plain["sw"], -q_plain["w"]
+        cols = np.unique(np.concatenate([q[key].ravel() for q in (q_split, q_plain)
+                                         for key in ("sidx", "idx")]))
         row0, row1 = ((0 if c0 == 0 else c0 + 1), n) if adjoint else (0, c1 + 1)
         C = np.zeros((row1 - row0, cols.size))
-        _accumulate(C, row0, cols, grid, k, diff, adjoint,
-                    grid.nodes[row0:row1] ** (2.0 - d) if adjoint else None)
+        scale = grid.nodes[row0:row1] ** (2.0 - d) if adjoint else None
+        for q in (q_split, q_plain):
+            _accumulate(C, row0, cols, grid, k, q, adjoint, scale)
         blocks.append((row0, cols, C))
     return blocks
 

@@ -264,7 +264,6 @@ def test_search_trace_records_stop_and_mixing(tmp_path):
                 "--out-prefix", prefix]) == 0
     trace = json.loads((tmp_path / "s_trace.json").read_text())
     assert trace["schema"] == 1 and trace["converged"]
-    assert trace["stop"] in ("residual", "stagnation")
-    if trace["stop"] == "residual":
-        assert trace["residual"][-1] <= trace["tol"]
+    assert trace["stop"] == "residual"
+    assert trace["residual"][-1] <= trace["tol"]
     assert set(trace["accelerated_steps"]) <= set(range(2, trace["iterations_used"] + 1))

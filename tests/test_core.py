@@ -7,6 +7,8 @@ import pytest
 
 import kplane as K
 
+from conftest import beta
+
 
 class TestParams:
     def test_k1_d3(self):
@@ -98,6 +100,17 @@ class TestNorms:
         h = K.extremizer_profile(params, 1.0, grids["half4096"])
         got = K.weighted_lp_norm(h, 3, 5 / 3)
         assert got == pytest.approx((2 / 3) ** 0.6, rel=1e-9)
+
+    @pytest.mark.parametrize("k,d", [(1, 3), (2, 4), (3, 4)])
+    def test_concentrated_extremizer_norm(self, k, d):
+        # ||h_8||_p^p = B(d/2, 1/2)/2 whatever the dilation; at lam = 8 the
+        # profile's mass sits in the first nodes, where the weight r^{d-1}
+        # makes G(0) = 0 exactly and the end takes that value
+        params = K.make_params(k, d)
+        h = K.extremizer_profile(params, 8.0, K.make_halfline_grid(512))
+        exact = beta(d / 2, 0.5) / 2
+        got = K.weighted_integral(h, params.a_domain, params.pf)
+        assert abs(got / exact - 1) <= 1e-11
 
     def test_homogeneity(self, grids):
         params = K.make_params(1, 3)

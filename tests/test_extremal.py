@@ -300,8 +300,9 @@ class TestAndersonSearch:
             assert not fast.damped_steps
             assert fast.iterates[-1] == pytest.approx(plain.iterates[-1], rel=1e-9)
 
-    def test_default_tol_stops_on_the_residual(self):
-        params = K.make_params(2, 4)
+    @pytest.mark.parametrize("k,d", [(1, 3), (1, 2), (2, 4), (3, 4)])
+    def test_default_tol_stops_on_the_residual(self, k, d):
+        params = K.make_params(k, d)
         g = K.make_halfline_grid(512)
         trace = K.search_extremizer(params, K.indicator_profile(g, K.IntervalSet(((0.0, 1.0),))))
         assert trace.converged and trace.stop == "residual"
@@ -309,6 +310,18 @@ class TestAndersonSearch:
         payload = trace.to_json_dict()
         assert payload["schema"] == 1 and payload["stop"] == "residual"
         assert payload["accelerated_steps"] == trace.accelerated_steps
+
+    @pytest.mark.parametrize("k,d", [(1, 3), (1, 2)])
+    def test_k1_residual_floor(self, k, d):
+        # with tol = 0 the search runs to max_iter and does not converge; the
+        # residual it reaches is the floor of the discretization
+        params = K.make_params(k, d)
+        g = K.make_halfline_grid(512)
+        ball = K.indicator_profile(g, K.IntervalSet(((0.0, 1.0),)))
+        trace = K.search_extremizer(params, ball, max_iter=30, tol=0.0)
+        assert not trace.converged and trace.stop is None
+        assert trace.iterations_used == 30
+        assert min(trace.residuals) <= 5e-13
 
     def test_rate_and_error_bound(self):
         params = K.make_params(2, 4)

@@ -35,6 +35,17 @@ class TestForwardClosedForms:
         exact = C_K[k] * (1 + g.nodes ** 2) ** (-0.5)
         assert np.abs(th[-8:] / exact[-8:] - 1).max() < tol
 
+    def test_k1_extremizer_transform_to_the_rounding_floor(self):
+        # the cell after each row's kernel edge holds the Toeplitz factor's
+        # branch point one cell away; too few Gauss points there leave an
+        # error of order n^{-1/2}
+        params = K.make_params(1, 3)
+        g = K.make_halfline_grid(512)
+        th = K.apply_T(params, K.extremizer_profile(params, 1.0, g)).values
+        inside = g.nodes <= 50.0
+        exact = C_K[1] * (1 + g.nodes[inside] ** 2) ** (-0.5)
+        assert np.abs(th[inside] / exact - 1).max() <= 1e-13
+
     def test_zero_maps_to_zero(self, grids):
         params = K.make_params(1, 3)
         g = grids["half1024"]
