@@ -2,6 +2,10 @@
 function, trichotomy classification of profile sequences, dichotomy splitting,
 and interaction terms between separated profiles.
 
+Every mass here is the norms' lattice rule's: windows and the concentration
+scan read its running integral (core._running_integral), the dichotomy split
+its node masses, so a window over the whole half-line holds the norm.
+
 A finite sequence can only exhibit trends, so the classifier works on trend
 statistics of the concentration function across the sequence plus the split
 structure of the last profile, and returns Undetermined when evidence
@@ -15,11 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (DomainError, IntervalSet, ParameterError, Params,
-                   PreconditionError, RadialProfile, _cell_masses, _window_integral,
+                   PreconditionError, RadialProfile, _running_integral, _window_integral,
                    restricted_mass, weighted_integral, weighted_lp_norm)
 from .transform import apply_T, pairing
 
-#: cells contributing less than this fraction of total mass are not support
+#: nodes contributing less than this fraction of total mass are not support
 NEGLIGIBLE_MASS = 1e-9
 
 #: default window radii probed by the classifier
@@ -49,13 +53,13 @@ class TrichotomyReport:
 
 
 def _cumulative_mass(params: Params, f: RadialProfile):
-    """Callable r -> int_0^r |f|^p r^{d-1} dr (cellwise-constant profile view;
-    exact for indicator-backed profiles)."""
-    grid = f.grid
+    """Callable r -> int_0^r |f|^p r^{d-1} dr: the running integral of the
+    norms' rule (core._running_integral), linear in theta between lattice
+    points, which at r = inf is the norm; exact for indicator-backed
+    profiles."""
     if f.indicator is not None:
         F, amp = f.indicator
         scale = abs(amp) ** params.pf
-        total = scale * F.weighted_measure(params.a_domain)
 
         def at_exact(r):
             r = np.asarray(r, dtype=float)
@@ -66,28 +70,17 @@ def _cumulative_mass(params: Params, f: RadialProfile):
                 out += (hi ** d - a ** d) / d
             return scale * out
 
-        return at_exact, total
-    cum = np.concatenate([[0.0], np.cumsum(_cell_masses(params, f))])
-    edges_d = grid.cell_edges_r ** params.d
-
-    def at(r):
-        r = np.asarray(r, dtype=float)
-        j = np.clip(np.searchsorted(grid.cell_edges_r, r, side="right") - 1,
-                    0, grid.n - 1)
-        lo = edges_d[j]
-        hi = edges_d[j + 1]
-        frac = np.clip((np.minimum(r, grid.cell_edges_r[-1]) ** params.d - lo)
-                       / np.maximum(hi - lo, 1e-300), 0.0, 1.0)
-        return cum[j] + frac * (cum[j + 1] - cum[j])
-
-    return at, float(cum[-1])
+        return at_exact
+    C = _running_integral(f, params.a_domain, params.pf)
+    lattice = np.arange(C.size)
+    return lambda r: np.interp(np.arctan(r) / f.grid.h, lattice, C)
 
 
 def concentration_function(params: Params, f: RadialProfile, R: float) -> float:
     """sup over centers y >= 0 of int_{|r-y|<=R} |f|^p r^{d-1} dr."""
     if not (R > 0):
         raise ParameterError(f"need R > 0, got {R}")
-    cum, total = _cumulative_mass(params, f)
+    cum = _cumulative_mass(params, f)
     y = np.concatenate([[0.0], f.grid.nodes])
     lo = np.maximum(y - R, 0.0)
     hi = y + R
@@ -98,8 +91,11 @@ def concentration_function(params: Params, f: RadialProfile, R: float) -> float:
 def dichotomy_split(params: Params, f: RadialProfile, floor: float):
     """Largest support gap splitting the mass into two parts both above floor.
 
-    Support is the set of cells contributing more than NEGLIGIBLE_MASS of the
-    total; returns the bounding intervals of the two sides, or None (no split).
+    Support is the set of nodes contributing more than NEGLIGIBLE_MASS of the
+    total, in the node masses |f_i|^p w_i r_i^{d-1} of the norms' rule (the
+    measure rearrange pours); a gap runs between the cell edges of two
+    support nodes. Returns the bounding intervals of the two sides, or None
+    (no split).
     """
     if not (0.0 < floor < 0.5):
         raise ParameterError(f"need floor in (0, 1/2), got {floor}")
@@ -107,7 +103,7 @@ def dichotomy_split(params: Params, f: RadialProfile, floor: float):
     if not math.isclose(total_mass, 1.0, rel_tol=100 * _NORMALIZATION_TOL):
         raise DomainError(f"profile must be L^p-normalized, got mass {total_mass:.6g}")
     grid = f.grid
-    masses = _cell_masses(params, f)
+    masses = np.abs(f.values) ** params.pf * grid.base_weights * grid.nodes ** params.a_domain
     essential = masses > NEGLIGIBLE_MASS * masses.sum()
     idx = np.nonzero(essential)[0]
     if len(idx) == 0:
@@ -171,7 +167,8 @@ def classify_trichotomy(params: Params, seq: list[RadialProfile], eps: float,
                or (len(separations) >= 2 and separations[-1] > 1.5 * separations[0]))
     if sep_ok and growing:
         inner, outer = last_split
-        alpha = float(np.clip(_part_mass(params, seq[-1], inner), 0.0, 1.0))
+        alpha = float(np.clip(restricted_mass(params, seq[-1], inner.inf(), inner.sup()),
+                              0.0, 1.0))
         return TrichotomyReport("Dichotomy", evidence, last_split, alpha)
 
     tight = any((Q[:, j] >= 1.0 - eps).all() for j in range(len(radii)))
@@ -184,11 +181,6 @@ def classify_trichotomy(params: Params, seq: list[RadialProfile], eps: float,
         if decreasing and Q[-1, mid] < 1.0 - eps:
             return TrichotomyReport("Vanishing", evidence)
     return TrichotomyReport("Undetermined", evidence)
-
-
-def _part_mass(params: Params, f: RadialProfile, part: IntervalSet) -> float:
-    a, b = part.intervals[0][0], part.intervals[-1][1]
-    return restricted_mass(params, f, a, b)
 
 
 def interaction_term(params: Params, f1: RadialProfile, f2: RadialProfile,
@@ -220,7 +212,7 @@ def interaction_bound_check(params: Params, R: float, delta: float,
         raise PreconditionError(
             f"psi must be supported in [R+delta, inf); support starts at {support_lo:.6g}")
     tpsi = apply_T(params, psi).values
-    lhs = _window_integral(psi.grid, tpsi ** m, params.a_target, 0.0, R)
+    lhs = _window_integral(RadialProfile(psi.grid, tpsi), params.a_target, m, 0.0, R)
     psi_p = weighted_lp_norm(psi, params.a_domain, params.pf)
     rhs_shape = R ** (params.d - params.k) * (R + delta) ** (-m / params.p_conj_f) * psi_p ** m
     return lhs, rhs_shape

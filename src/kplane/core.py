@@ -21,8 +21,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
-from ._quad import EXTRAPOLATE_END, GREGORY_END, SegmentedInterp
+from ._quad import EXTRAPOLATE_END, GREGORY_END, SegmentedInterp, lagrange_weights
 
 
 class KplaneError(Exception):
@@ -223,18 +224,10 @@ class RadialGrid:
                                   [self.theta_nodes[-1] + self.h / 2]])
         if not self.halfline:
             edges_t[-1] = self.theta_nodes[-1]
-        self.cell_edges_theta = edges_t
         self.cell_edges_r = np.tan(edges_t)
-        for arr in (self.theta_nodes, self.nodes, self.base_weights,
-                    self.cell_edges_theta, self.cell_edges_r):
+        for arr in (self.theta_nodes, self.nodes, self.base_weights, self.cell_edges_r):
             arr.setflags(write=False)
         self._interp_plain = SegmentedInterp(self.theta_nodes, self.h)
-
-    def cell_measure(self, a_exp: int) -> np.ndarray:
-        """Exact per-cell measure against r^{a_exp} dr."""
-        m = a_exp + 1
-        e = self.cell_edges_r
-        return (e[1:] ** m - e[:-1] ** m) / m
 
     def fingerprint(self) -> tuple:
         return (self.n, self.halfline, round(self.r_max, 12))
@@ -450,29 +443,55 @@ def _running_integral(f: RadialProfile, a_exp: int, power: float) -> np.ndarray:
     return grid.h * (trap + np.dot(c, G[:8]) + right)
 
 
-def _window_integral(grid: RadialGrid, values: np.ndarray, a_exp: int,
-                     r_lo: float, r_hi: float, splits=()) -> float:
-    """int_{r_lo}^{r_hi} values r^{a_exp} dr: each cell counts with the
-    fraction of its r^{a_exp} dr measure inside the window, by _node_sum
-    (clamped at 0) with the jumps at `splits`; an end term is added only when
-    its 8 nodes' cells lie wholly inside the window."""
-    e = grid.cell_edges_r
-    m = a_exp + 1
-    lo = np.maximum(e[:-1], r_lo)
-    hi = np.minimum(e[1:], r_hi)
-    num = np.maximum(hi ** m - np.maximum(lo, 0.0) ** m, 0.0)
-    num[hi <= lo] = 0.0
-    g = values * grid.nodes ** a_exp * (num / (e[1:] ** m - e[:-1] ** m))
-    left, right = _smooth_ends(grid, splits)
-    ends = (left and r_lo <= 0.0 and r_hi >= e[8],
-            right and math.isinf(r_hi) and r_lo <= e[-9])
-    return _node_sum(grid, g, a_exp, True, ends)
+def _running_start(C: np.ndarray, x) -> np.ndarray:
+    """First of the 8 lattice points of the degree-7 interpolant that reads
+    the running integral C at lattice positions x = theta / h."""
+    return np.clip(np.floor(x).astype(int) - 3, 0, C.size - 8)
 
 
-def _cell_masses(params: Params, f: RadialProfile) -> np.ndarray:
-    """Per-cell p-mass |f_i|^p mu(cell_i), mu = r^{d-1} dr: the
-    cellwise-constant view of the profile."""
-    return np.abs(f.values) ** params.pf * f.grid.cell_measure(params.a_domain)
+def _running_at(C: np.ndarray, x) -> np.ndarray:
+    """The running integral C of _running_integral at lattice positions x:
+    the Lagrange interpolant through C at the 8 points from _running_start,
+    exactly C[x] at a lattice point x."""
+    x = np.asarray(x, dtype=float)
+    s = _running_start(C, x)
+    return (C[s[..., None] + np.arange(8)] * lagrange_weights(x - s, 8)).sum(axis=-1)
+
+
+def _running_median(C: np.ndarray) -> float:
+    """The lattice position where _running_at crosses C[-1] / 2 > 0: in the
+    interval [j, j + 1] where C does, Newton's root from the linear guess of
+    the same polynomial fitted to C - C_j in powers of x - j (so that the
+    residual does not cancel against C_j). A lower degree does not do: the
+    cubic Hermite through C and G is off by 1.5e-10 in r at n = 2048 for the
+    extremizer's dilates by 1/8 to 8, as sec^2 magnifies an error near pi/2."""
+    half = C[-1] / 2
+    j = min(max(int(np.searchsorted(C, half, side="right")) - 1, 0), C.size - 2)
+    s = int(_running_start(C, j))
+    u = np.arange(s - j, s - j + 8.0)
+    coef = np.linalg.solve(np.vander(u, increasing=True), C[s:s + 8] - C[j])
+    slope = coef[1:] * np.arange(1, 8)
+    target = half - C[j]
+    x = target / (C[j + 1] - C[j])
+    for _ in range(16):
+        dx = polyval(x, slope)
+        if not dx > 0:
+            break
+        step = (polyval(x, coef) - target) / dx
+        x = min(max(x - step, 0.0), 1.0)
+        if abs(step) <= 1e-15:
+            break
+    return j + x
+
+
+def _window_integral(f: RadialProfile, a_exp: int, power: float,
+                     r_lo: float, r_hi: float) -> float:
+    """int_{r_lo}^{r_hi} |f|^power r^{a_exp} dr by the norms' rule: the
+    running integral (_running_integral) at r_hi less that at r_lo, each
+    read by _running_at, clamped at 0."""
+    C = _running_integral(f, a_exp, power)
+    lo, hi = _running_at(C, np.clip(np.arctan([r_lo, r_hi]) / f.grid.h, 0, C.size - 1))
+    return max(float(hi - lo), 0.0)
 
 
 def weighted_integral(f: RadialProfile, a_exp: int, power: float = 1.0) -> float:
@@ -501,15 +520,16 @@ def weighted_lp_norm(f: RadialProfile, a: int, p: float) -> float:
 
 
 def restricted_mass(params: Params, f: RadialProfile, r_lo: float, r_hi: float) -> float:
-    """int_{r_lo}^{r_hi} |f|^p r^{d-1} dr with sub-cell boundary correction."""
+    """int_{r_lo}^{r_hi} |f|^p r^{d-1} dr, read off the running integral of
+    the norms' rule (exact for indicator-backed profiles); a window end next
+    to a jump is first order."""
     if f.indicator is not None:
         F, amp = f.indicator
         clipped = F.clip_left(r_lo)
         if not math.isinf(r_hi):
             clipped = clipped.clip_right(r_hi)
         return abs(amp) ** params.pf * clipped.weighted_measure(params.a_domain)
-    return _window_integral(f.grid, np.abs(f.values) ** params.pf, params.a_domain,
-                            r_lo, r_hi, f.splits)
+    return _window_integral(f, params.a_domain, params.pf, r_lo, r_hi)
 
 
 def mass_tail(params: Params, f: RadialProfile, R: float) -> float:

@@ -5,11 +5,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from ._quad import tail_basis, tail_power_fit
 from .core import (DomainError, IntervalSet, ParameterError, Params, RadialProfile,
-                   _running_integral, indicator_profile, weighted_lp_norm)
+                   _running_integral, _running_median, indicator_profile, weighted_lp_norm)
 
 
 def rearrange(params: Params, f: RadialProfile) -> RadialProfile:
@@ -65,18 +64,10 @@ def rearrange(params: Params, f: RadialProfile) -> RadialProfile:
 def _median_radius(params: Params, f: RadialProfile) -> float:
     """Radius splitting the p-mass in half (mu-mass median).
 
-    The sampled branch takes the running p-mass C_j at every lattice point
-    j h of the norms' rule (core._running_integral), whose last value is
-    weighted_integral's, finds the lattice interval where C crosses half of
-    it, and inverts there the degree-7 polynomial through C at the 8 lattice
-    points around that interval, by Newton's method from the linear guess,
-    kept inside the interval. The polynomial is fitted to C - C_j in powers
-    of (theta - j h) / h, so Newton's residual does not cancel against C_j.
-    A lower degree does not do: sec^2 magnifies an error in theta near pi/2,
-    and the cubic Hermite through C and G on the interval is off by 1.5e-10
-    in r at n = 2048 for the extremizer's dilates by 1/8 to 8. Splits take
-    no special path; across a jump the total C halves is itself first
-    order."""
+    The sampled branch reads it off the running p-mass of the norms' rule
+    (core._running_integral), whose last value is weighted_integral's, at
+    the lattice position core._running_median gives. Splits take no special
+    path; across a jump the total C halves is itself first order."""
     if f.indicator is not None:
         F, amp = f.indicator
         d = params.d
@@ -93,25 +84,9 @@ def _median_radius(params: Params, f: RadialProfile) -> float:
             acc += m
         return F.sup()
     C = _running_integral(f, params.a_domain, params.pf)
-    half = C[-1] / 2
-    if not half > 0:
+    if not C[-1] > 0:
         raise DomainError("zero profile has no dilation normalization")
-    j = min(max(int(np.searchsorted(C, half, side="right")) - 1, 0), C.size - 2)
-    s = min(max(j - 3, 0), C.size - 8)
-    u = np.arange(s - j, s - j + 8.0)
-    coef = np.linalg.solve(np.vander(u, increasing=True), C[s:s + 8] - C[j])
-    slope = coef[1:] * np.arange(1, 8)
-    target = half - C[j]
-    x = target / (C[j + 1] - C[j])
-    for _ in range(16):
-        dx = polyval(x, slope)
-        if not dx > 0:
-            break
-        step = (polyval(x, coef) - target) / dx
-        x = min(max(x - step, 0.0), 1.0)
-        if abs(step) <= 1e-15:
-            break
-    return float(math.tan((j + x) * f.grid.h))
+    return float(math.tan(_running_median(C) * f.grid.h))
 
 
 def dilate_profile(params: Params, f: RadialProfile, lam: float) -> RadialProfile:

@@ -236,11 +236,11 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
     holds the GL_CELL points at the same offsets u as every other, flagged
     `lattice`. Edge: stencils (idx, w) of the GL points of the cell at each
     row's kernel edge, integrated in s = sqrt(u^2 - r_row^2) forward and in
-    psi = asin(w / r_row) for the adjoint, with the row each one enters, by
-    GL_EDGE (GL_EDGE_LAST in the forward operator's last LAST_EDGE_ROWS
-    rows). For the adjoint with c0 == 0 the head strip [0, theta_1] joins
-    the interior as cell -1, and row 0's own range [0, r_0] joins the edge
-    terms.
+    psi = asin(w / r_row) for the adjoint, with the row each one enters
+    (`rows`, ascending), by GL_EDGE (GL_EDGE_LAST in the forward operator's
+    last LAST_EDGE_ROWS rows). For the adjoint with c0 == 0 the head strip
+    [0, theta_1] joins the interior as cell -1, and row 0's own range
+    [0, r_0] joins the edge terms.
     """
     th, r, h = grid.theta_nodes, grid.nodes, grid.h
     split_t = [math.atan(s) for s in splits_r]
@@ -474,8 +474,8 @@ def _cell_tiles(cell: np.ndarray, lattice: np.ndarray, sj: np.ndarray, sw: np.nd
             continue
         js = sj[b0:b1]
         j0, j1 = js.min(), js.max() + 1
-        D = np.zeros((b1 - b0, j1 - j0))
-        np.add.at(D, (np.arange(b1 - b0)[:, None], js - j0), sw[b0:b1])
+        flat = (np.arange(b1 - b0)[:, None] * (j1 - j0) + js - j0).ravel()
+        D = np.bincount(flat, sw[b0:b1].ravel(), (b1 - b0) * (j1 - j0)).reshape(b1 - b0, -1)
         block = (b0, b1, cell[b0], cell[b1 - 1], j0, j1, D)
         if lattice[b0]:
             tiles.setdefault(cell[b0] // _TILE_CELLS, []).append(block)
@@ -635,8 +635,16 @@ def _accumulate(out, row0: int, cols: np.ndarray, grid: RadialGrid, k: int, quad
                 part = _direct_sines(cell[p0:p1], quad["u"][p0:p1], rs, grid.h, k, adjoint) @ D
                 part *= alpha[i0:i0 + rs.size, None]
                 B[:, lo - b0:hi - b0] += part[:, lo - j0:hi - j0]
-            mine = (edge_rows >= i0) & (edge_rows < i0 + B.shape[0])
-            np.add.at(B, (edge_rows[mine, None] - i0, edge_cols[mine] - b0), w[mine])
+            # these rows' edge weights (quad["rows"] ascends) summed per entry
+            # in a band indexed by row and column less row
+            e0, e1 = np.searchsorted(edge_rows, (i0, i0 + B.shape[0]))
+            if e1 > e0:
+                r = edge_rows[e0:e1, None] - i0
+                diag = edge_cols[e0:e1] - b0 - r
+                o0, ow = diag.min(), diag.max() + 1 - diag.min()
+                S = np.bincount((r * ow + diag - o0).ravel(), w[e0:e1].ravel(), B.shape[0] * ow)
+                at = np.flatnonzero(S)
+                B[at // ow, at // ow + at % ow + o0] += S[at]
 
     # forward blocks shrink along the triangle: the largest go first
     _on_workers(fill, sorted(blocks, key=lambda block: block[2].size, reverse=True))

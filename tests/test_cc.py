@@ -41,6 +41,19 @@ class TestConcentrationFunction:
         assert qs[-1] <= 1.0 + 1e-9
 
 
+    @pytest.mark.parametrize("n", [512, 2048])
+    def test_infinite_window_holds_the_norm(self, n):
+        # the scan reads the norms' running integral, so a window covering
+        # the half-line holds exactly the mass the p-norm normalized to 1
+        grid = K.make_halfline_grid(n)
+        for k, d in ((1, 2), (1, 3), (2, 4), (3, 4)):
+            params = K.make_params(k, d)
+            for lam in (1 / 8, 1.0, 8.0):
+                h = normalized(params, K.extremizer_profile(params, lam, grid))
+                q = K.concentration_function(params, h, math.inf)
+                assert abs(q - 1.0) <= 1e-13, (k, d, lam, q - 1.0)
+
+
 class TestDichotomySplit:
     def test_single_bump_no_split(self, grids):
         params = K.make_params(1, 3)

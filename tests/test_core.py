@@ -150,12 +150,46 @@ class TestMassTail:
         assert all(v >= 0 for v in vals)
 
     def test_beyond_grid_reach(self, grids):
-        # the last cell extends half a theta-step past the last node, which in
-        # r reaches ~2 r_max on half-line grids; beyond that the tail is empty
+        # the last cell edge lies half a theta-step past the last node, about
+        # 2 r_max on half-line grids; the tail beyond it is the lattice's last
+        # strip, int_{atan R}^{pi/2} sin^2 = e/2 + sin(2e)/4 with e = atan(1/R)
         params = K.make_params(1, 3)
         g = grids["half1024"]
         h = K.extremizer_profile(params, 1.0, g)
-        assert K.mass_tail(params, h, float(g.cell_edges_r[-1])) == 0.0
+        R = float(g.cell_edges_r[-1])
+        e = math.atan(1 / R)
+        assert K.mass_tail(params, h, R) == pytest.approx(e / 2 + math.sin(2 * e) / 4,
+                                                          rel=1e-11, abs=0)
+
+
+class TestWindowMass:
+    @staticmethod
+    def windows():
+        # 20 windows inside [0.3, 30], 5 reaching infinity, 5 from the origin
+        rng = np.random.default_rng(11)
+        wins = [tuple(sorted(rng.uniform(0.3, 30.0, 2))) for _ in range(20)]
+        wins += [(a, math.inf) for a in rng.uniform(0.3, 30.0, 5)]
+        return wins + [(0.0, b) for b in rng.uniform(0.3, 30.0, 5)]
+
+    @pytest.mark.parametrize("n,tol", [(512, 1e-9), (2048, 1e-12)])
+    def test_extremizer_windows_closed_form(self, n, tol):
+        # r = tan(theta) turns |h_lam|^p r^{d-1} dr into sin^{d-1}(theta) dtheta,
+        # so a window [a, b] holds the integral of sin^{d-1} over
+        # [atan(lam a), atan(lam b)]: a 64-point Gauss-Legendre rule gives it to
+        # rounding. The masses total at most pi/2, so the bound is absolute.
+        from kplane.core import restricted_mass
+        x, w = np.polynomial.legendre.leggauss(64)
+        grid = K.make_halfline_grid(n)
+        for k, d in ((1, 2), (1, 3), (2, 4), (3, 4)):
+            params = K.make_params(k, d)
+            for lam in (1 / 8, 1.0, 8.0):
+                h = K.extremizer_profile(params, lam, grid)
+                for a, b in self.windows():
+                    t0, t1 = math.atan(lam * a), math.atan(lam * b)
+                    exact = (t1 - t0) / 2 * np.dot(w, np.sin(t0 + (t1 - t0) / 2 * (x + 1))
+                                                   ** (d - 1))
+                    got = restricted_mass(params, h, a, b)
+                    assert abs(got - exact) <= tol, (k, d, lam, a, b, got - exact)
 
 
 class TestMassAboveLevel:

@@ -196,6 +196,33 @@ class TestMassRule:
                                                rel=1e-14, abs=0)
 
 
+    @pytest.mark.parametrize("hint", [float("inf"), 50.0])
+    @pytest.mark.parametrize("n", [512, 2048])
+    def test_median_inverts_the_window_interpolant(self, n, hint):
+        # the median is where the interpolant core._running_at reads windows
+        # with crosses half the mass: dilates, a random sum, and h times
+        # b^{1/p}, b a Gaussian bump in theta at 0, mid-grid or the lattice's
+        # end, whose mass density is b sin^{d-1}: its median lies in the
+        # first or last few lattice intervals, where the 8-point window is
+        # clipped
+        from kplane.core import _running_at, _running_integral, _running_median
+        grid = K.make_grid(n, hint)
+        th, rng = grid.theta_nodes, np.random.default_rng(n)
+        for k, d in ((1, 2), (1, 3), (2, 4), (3, 4)):
+            params = K.make_params(k, d)
+            h = K.extremizer_profile(params, 1.0, grid)
+            profiles = [K.extremizer_profile(params, lam, grid) for lam in (1 / 8, 1.0, 8.0)]
+            profiles.append(smooth_decaying(params, grid, rng))
+            profiles += [K.RadialProfile(grid, h.values * np.exp(
+                -((th - c) / (4 * grid.h)) ** 2 / params.pf))
+                for c in (0.0, th[n // 2], (n + grid.halfline) * grid.h)]
+            for f in profiles:
+                C = _running_integral(f, params.a_domain, params.pf)
+                x = _running_median(C)
+                assert float(_running_at(C, x)) == pytest.approx(C[-1] / 2, rel=1e-13, abs=0)
+                assert K.symmetry._median_radius(params, f) == math.tan(x * grid.h)
+
+
 class TestTruncate:
     def test_large_level_inactive(self, grids):
         params = K.make_params(1, 3)
