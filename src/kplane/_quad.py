@@ -5,6 +5,7 @@ where profiles with critical power-law decay become smooth bounded functions.
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -41,17 +42,27 @@ GREGORY_END = _gregory_end()
 EXTRAPOLATE_END = np.array([8.0, -28.0, 56.0, -70.0, 56.0, -28.0, 8.0, -1.0])
 
 
+@functools.lru_cache(maxsize=32)
+def _denominators(length: int, ndim: int) -> np.ndarray:
+    """D[m, j] = j - m for nodes 0..length-1, exact small integers, each
+    shaped (1,) * ndim to broadcast against a weight W[j] of an ndim-d x."""
+    j = np.arange(length, dtype=float)
+    D = (j - j[:, None]).reshape((length, length) + (1,) * ndim)
+    D.setflags(write=False)
+    return D
+
+
 def lagrange_weights(x: np.ndarray, length: int) -> np.ndarray:
     """Cardinal weights of the Lagrange polynomial on nodes 0..length-1 at offsets x."""
     # W[j] = prod over m != j of (x - m) / (j - m), multiplied and divided in
     # that order, m ascending: every j at once, one node m at a time
     W = np.ones((length,) + x.shape)
-    nodes = np.arange(length, dtype=float).reshape((length,) + (1,) * x.ndim)
+    D = _denominators(length, x.ndim)
     for m in range(length):
         d = x - m
         for j in (slice(0, m), slice(m + 1, length)):
             W[j] *= d
-            W[j] /= nodes[j] - m
+            W[j] /= D[m, j]
     return np.moveaxis(W, 0, -1)
 
 

@@ -22,7 +22,7 @@ from .core import (DataError, DomainError, IntervalSet, KplaneError, ParameterEr
                    weighted_lp_norm, write_profile_csv)
 from .extremal import (constant_A, constant_B_with_error, extremizer_profile,
                        search_extremizer)
-from .transform import apply_T
+from .transform import _apply_T_once
 from .verify import UNSEEDED_SUITES, run_suite
 
 
@@ -145,7 +145,7 @@ def _cmd_transform(args) -> int:
     else:
         f = _preset_profile(args.preset, params, grid)
         source = args.preset
-    tf = apply_T(params, f)
+    tf = _apply_T_once(params, f)
     mask = grid.nodes <= args.rmax
     meta = _header_meta(args, args.grid_n,
                         {"rmax": args.rmax, "source": source,

@@ -12,7 +12,7 @@ from .core import (DomainError, ParameterError, Params, RadialGrid, RadialProfil
                    IterationAnomalyError, make_halfline_grid, make_params,
                    weighted_lp_norm)
 from .symmetry import _median_radius, dilate_profile
-from .transform import apply_T, apply_T_adjoint
+from .transform import _apply_T_once, apply_T, apply_T_adjoint
 
 #: relative per-step tolerance for monotone ascent of the search functional
 ASCENT_TOL = 1e-9
@@ -49,21 +49,27 @@ def extremizer_profile(params: Params, lam: float, grid: RadialGrid) -> RadialPr
 
 def functional_ratio(params: Params, f: RadialProfile) -> float:
     """Phi(f) = ||T f||_{L^q(r^{d-k-1}dr)} / ||f||_{L^p(r^{d-1}dr)}."""
+    return _ratio(params, f, apply_T)
+
+
+def _ratio(params: Params, f: RadialProfile, transform) -> float:
+    """Phi(f) with T f = transform(params, f)."""
     denom = weighted_lp_norm(f, params.a_domain, params.pf)
     if denom <= 0.0:
         raise DomainError("functional ratio undefined for the zero profile")
-    tf = apply_T(params, f)
+    tf = transform(params, f)
     num = weighted_lp_norm(tf, params.a_target, params.qf)
     return num / denom
 
 
 @functools.lru_cache(maxsize=64)
 def _constant_B_cached(k: int, d: int, resolution: int) -> tuple[float, float]:
+    # one T h per grid: integrated directly, with no operator built and cached
     params = make_params(k, d)
     vals = []
     for n in (resolution // 2, resolution):
         grid = make_halfline_grid(n)
-        vals.append(functional_ratio(params, extremizer_profile(params, 1.0, grid)))
+        vals.append(_ratio(params, extremizer_profile(params, 1.0, grid), _apply_T_once))
     return vals[1], abs(vals[1] - vals[0])
 
 

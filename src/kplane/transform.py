@@ -60,6 +60,11 @@ M0, so a repeated split set costs one small product. For k = 2 every
 apply re-integrates those cells and edge rows in place of M0's. A dense M0 f
 is one product per row block. cache_info() counts the cache's entries,
 bytes, builds, hits, evictions and build seconds per entry kind.
+
+A T f needed once (the sharp constant's T h, the CLI's transform) need not
+form M0: _apply_T_once contracts each Gauss point's stencil against f and
+runs the same tile loop into one column, holding no matrix and caching
+nothing.
 """
 from __future__ import annotations
 
@@ -544,8 +549,9 @@ def _accumulate(out, row0: int, cols: np.ndarray, grid: RadialGrid, k: int, quad
                 adjoint: bool, row_scale=None) -> None:
     """Operator row i at node cols[j], integrated by `quad` (interior points
     sorted by cell), times row_scale[i - row0] if given, added to `out`: a
-    zeroed array of rows row0.. against every column of cols, or _RowBlocks
-    whose blocks each take their rows' entries in the columns they store.
+    zeroed array of rows row0.. against every column of cols, or a list of
+    row blocks (i0, c0, B), each B taking rows row0 + i0.. in columns
+    cols[c0].. (the blocks of _RowBlocks, or _apply_T_once's n x 1 column).
 
     Forward row i integrates the interior cells c >= i+1, adjoint row i the
     cells c <= i-2; the edge stencils supply the cell at each row's kernel
@@ -570,7 +576,7 @@ def _accumulate(out, row0: int, cols: np.ndarray, grid: RadialGrid, k: int, quad
     `out` and the kept tables a build holds the quadrature, the stencil
     blocks and, per worker, one block of sine factors and one tile buffer.
     """
-    blocks = [(0, 0, out)] if isinstance(out, np.ndarray) else out.blocks
+    blocks = [(0, 0, out)] if isinstance(out, np.ndarray) else out
     rows = np.arange(row0, row0 + max(i0 + B.shape[0] for i0, _, B in blocks))
     cell, lattice = quad["cell"], quad["lattice"]
     alpha = np.cos(grid.theta_nodes[rows]) ** (2.0 - k)
@@ -705,7 +711,7 @@ def _assemble(grid: RadialGrid, k: int, d: int, degree: int, adjoint: bool,
     interp = SegmentedInterp(grid.theta_nodes, grid.h, degree=degree)
     quad = _quadrature(grid, k, d, interp, 0, n - 2, (), adjoint)
     M = _RowBlocks(n, degree, adjoint, grid.halfline)
-    _accumulate(M, 0, np.arange(n), grid, k, quad, adjoint,
+    _accumulate(M.blocks, 0, np.arange(n), grid, k, quad, adjoint,
                 grid.nodes ** (2.0 - d) if adjoint else None)
     if tail is not None:
         for i0, _, B in M.blocks:
@@ -839,15 +845,19 @@ def _apply(M, f: RadialProfile, k: int, d: int, adjoint: bool) -> np.ndarray:
 
 def _add_stencils(band: tuple[np.ndarray, np.ndarray], keys: np.ndarray,
                   idx: np.ndarray, w: np.ndarray, n: int) -> None:
-    """Sum stencils (idx, w), one row per entry, into the rows `keys` of a
-    band (lo, W) over n nodes: W[key, m] is the weight of node lo[key] + m.
-    Each key takes all its stencils in one call, which sets its lo."""
+    """Sum stencils (idx, w), one row per entry, into the rows `keys`
+    (ascending) of a band (lo, W) over n nodes: W[key, m] is the weight of
+    node lo[key] + m. Each key takes all its stencils in one call, which sets
+    its lo; its weights are summed in the order given."""
     lo, W = band
-    first = np.full(lo.size, n)
-    np.minimum.at(first, keys, idx.min(axis=1))
-    present = first < n
-    lo[present] = np.minimum(first[present], n - W.shape[1])
-    np.add.at(W, (keys[:, None], idx - lo[keys, None]), w)
+    starts = np.flatnonzero(np.diff(keys, prepend=keys[0] - 1))
+    first = np.minimum.reduceat(idx.min(axis=1), starts)
+    present = keys[starts]
+    lo[present] = np.minimum(first, n - W.shape[1])
+    k0, width = present[0], W.shape[1]
+    flat = (keys - k0)[:, None] * width + idx - lo[keys, None]
+    W[k0:present[-1] + 1] += np.bincount(flat.ravel(), w.ravel(),
+                                         (present[-1] + 1 - k0) * width).reshape(-1, width)
 
 
 def _gather(band: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
@@ -960,19 +970,28 @@ def _tail_rows(grid: RadialGrid, k: int, shift: int = 0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # forward operator
 
+def _forward_tail(grid: RadialGrid, k: int) -> dict:
+    """The tail model's n x 3 rows ("tail", None on a truncated grid, which
+    drops the region beyond its last node), with row 0 of them and, on
+    half-line grids, of the fit through the three nodes before, for the tail
+    metadata."""
+    tail3 = _tail_rows(grid, k, shift=0)
+    if not grid.halfline:
+        return {"tail": None, "tail0": tail3[0].copy(), "tail0_alt": None}
+    return {"tail": tail3, "tail0": tail3[0].copy(),
+            "tail0_alt": _tail_rows(grid, k, shift=3)[0].copy()}
+
+
 def _assemble_forward(grid: RadialGrid, k: int) -> dict:
     """M0 (prefix sums for k = 2, else dense row blocks) with, on half-line
-    grids, the tail model's rows in its last three columns; row 0 of the
-    tail model (and, on half-line grids, of the fit through the three nodes
-    before) is kept for the tail metadata."""
-    tail3 = _tail_rows(grid, k, shift=0)
-    tail = tail3 if grid.halfline else None
+    grids, the tail model's rows in its last three columns, and the tail
+    metadata's rows of _forward_tail."""
+    tail = _forward_tail(grid, k)
     if k == 2:
-        M = _PrefixSums(grid, 0, adjoint=False, tail=tail)
+        M = _PrefixSums(grid, 0, adjoint=False, tail=tail["tail"])
     else:
-        M = _assemble(grid, k, 0, _quad.INTERP_DEGREE, adjoint=False, tail=tail)
-    tail0_alt = _tail_rows(grid, k, shift=3)[0].copy() if grid.halfline else None
-    return {"M": M, "tail0": tail3[0].copy(), "tail0_alt": tail0_alt}
+        M = _assemble(grid, k, 0, _quad.INTERP_DEGREE, adjoint=False, tail=tail["tail"])
+    return {"M": M, "tail0": tail["tail0"], "tail0_alt": tail["tail0_alt"]}
 
 
 def _forward_matrix(grid: RadialGrid, k: int) -> dict:
@@ -1011,13 +1030,56 @@ def apply_T(params: Params, f: RadialProfile) -> RadialProfile:
         F, amp = f.indicator
         out = apply_T_indicator(params, F, f.grid)
         return out.scaled(amp) if amp != 1.0 else out
-    grid = f.grid
-    built = _forward_matrix(grid, k)
-    out = _apply(built["M"], f, k, 0, adjoint=False)
-    meta = _tail_metadata(f.values, out, built["tail0"], built["tail0_alt"])
+    built = _forward_matrix(f.grid, k)
+    return _forward_result(f, _apply(built["M"], f, k, 0, adjoint=False), built)
+
+
+def _forward_result(f: RadialProfile, out: np.ndarray, tail: dict) -> RadialProfile:
+    """T f from its values `out`: the tail metadata of f against the rows
+    tail["tail0"] and tail["tail0_alt"], and clamped at 0 for a nonnegative
+    f."""
+    meta = _tail_metadata(f.values, out, tail["tail0"], tail["tail0_alt"])
     if f.nonnegative:
         out = np.maximum(out, 0.0)
-    return RadialProfile(grid, out, meta=meta)
+    return RadialProfile(f.grid, out, meta=meta)
+
+
+def _apply_T_once(params: Params, f: RadialProfile) -> RadialProfile:
+    """apply_T(params, f) for a profile transformed once: T f integrated
+    directly, with no M0 formed and nothing cached.
+
+    T f = K (D f), D the Gauss points' interpolation stencils and K their
+    kernel weights per row: the quadrature of a build, with f's own splits,
+    has each stencil contracted against f first, so every point reads one
+    column; _accumulate integrates that column into n x 1 row blocks of
+    _TILE_ROWS rows on the build's workers, and the tail model's rows are
+    added on half-line grids. It holds the quadrature and O(n) sums, never
+    an n x n matrix, and still refuses a grid over the dense budget.
+    Indicators (a closed form), k = 2 (O(n) prefix sums) and a (grid, k)
+    whose M0 is cached go to apply_T.
+    """
+    k, grid = params.k, f.grid
+    with _CACHE_LOCK:
+        cached = ("fwd", grid.fingerprint(), k) in _MATRIX_CACHE
+    if f.indicator is not None or k == 2 or cached:
+        return apply_T(params, f)
+    n = grid.n
+    _dense(n)
+    kept, _ = _split_clusters(grid, f.splits)
+    interp = _split_interp(grid, kept) if kept else grid._interp_plain
+    quad = _quadrature(grid, k, 0, interp, 0, n - 2, kept, adjoint=False)
+    v = f.values
+    for idx, w in (("sidx", "sw"), ("idx", "w")):
+        quad[w] = np.einsum("ij,ij->i", quad[w], v[quad[idx]])[:, None]
+        quad[idx] = np.zeros(quad[w].shape, dtype=int)
+    out = np.zeros((n, 1))
+    _accumulate([(i0, 0, out[i0:i0 + _TILE_ROWS]) for i0 in range(0, n, _TILE_ROWS)],
+                0, np.zeros(1, dtype=int), grid, k, quad, adjoint=False)
+    out = out[:, 0]
+    tail = _forward_tail(grid, k)
+    if tail["tail"] is not None:
+        out += tail["tail"] @ v[-3:]
+    return _forward_result(f, out, tail)
 
 
 def apply_T_indicator(params: Params, F: IntervalSet,

@@ -207,8 +207,9 @@ def check_truncation_pipeline(params: Params, f: RadialProfile, m_list) -> Bound
     m_list = list(m_list)
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ParameterError("m_list must be increasing")
-    B = constant_B(params, resolution=2048)
     tf = apply_T(params, f)
+    # B on f's own grid size: the operators of that grid are cached by now
+    B = constant_B(params, resolution=f.grid.n)
     tnorm_scale = float(np.max(np.abs(tf.values)))
     eps_norms = []
     bound_margins = []

@@ -170,6 +170,15 @@ class TestConstantB:
             assert K.functional_ratio(params, f) <= b * (1 + 1e-4)
 
 
+    def test_builds_no_forward_operator(self, fresh_cache):
+        # one T h per grid, integrated directly: no M0 of n = 2048 or 4096
+        from kplane.extremal import _constant_B_cached
+        _constant_B_cached.cache_clear()
+        b = K.constant_B(K.make_params(1, 3), resolution=4096)
+        info = fresh_cache.cache_info()["fwd"]
+        assert info["builds"] == info["entries"] == 0
+        assert b == pytest.approx(phi_oracle(1, 3), rel=1e-11)
+
 class TestSearch:
     def test_extremizer_is_stationary(self, grids):
         params = K.make_params(2, 3)

@@ -683,6 +683,27 @@ class TestPrefixSums:
         info = T.cache_info()
         assert all(info[kind]["builds"] == info[kind]["entries"] == 0 for kind in info)
 
+    def test_add_stencils_bitwise_equal_to_scattered_sums(self):
+        # the bincount sums against np.add.at, stencil by stencil in order
+        T = K.transform
+        for grid in (K.make_halfline_grid(600), K.make_grid(300, 8.0)):
+            for adjoint in (False, True):
+                n = grid.n
+                q = T._quadrature(grid, 2, 4, grid._interp_plain, 0, n - 2, (), adjoint)
+                for keys, idx, w in ((q["cell"] + adjoint, q["sidx"], q["base"][:, None] * q["sw"]),
+                                     (q["rows"], q["idx"], q["w"])):
+                    size = keys.max() + 1
+                    band = (np.zeros(size, dtype=int), np.zeros((size, 9)))
+                    T._add_stencils(band, keys, idx, w, n)
+                    lo, want = np.zeros(size, dtype=int), np.zeros((size, 9))
+                    first = np.full(size, n)
+                    np.minimum.at(first, keys, idx.min(axis=1))
+                    present = first < n
+                    lo[present] = np.minimum(first[present], n - 9)
+                    np.add.at(want, (keys[:, None], idx - lo[keys, None]), w)
+                    assert np.array_equal(band[0], lo)
+                    assert np.array_equal(band[1], want)
+
     def test_apply_holds_no_matrix_and_build_reserves_what_it_holds(self, fresh_cache,
                                                                     monkeypatch):
         T = fresh_cache
@@ -696,6 +717,94 @@ class TestPrefixSums:
         K.apply_T_adjoint(params, K.RadialProfile(grid, f.values, splits=(0.5, 2.0)))
         assert [key[0] for key in T._MATRIX_CACHE] == ["fwd", "adj"]
         assert sum(map(T._nbytes, T._MATRIX_CACHE.values())) <= 2 * need
+
+
+class TestOneShotApply:
+    """_apply_T_once integrates T f directly, with no M0 formed: the same
+    result as apply_T to rounding, and nothing cached."""
+
+    GRIDS = {"half257": lambda: K.make_halfline_grid(257),
+             "half1000": lambda: K.make_halfline_grid(1000),
+             "half2048": lambda: K.make_halfline_grid(2048),
+             "trunc600": lambda: K.make_grid(600, 5.0)}
+
+    @staticmethod
+    def _profiles(params, grid):
+        r = grid.nodes
+        rng = np.random.default_rng(grid.n + params.k)
+        return {"h": K.extremizer_profile(params, 0.7, grid),
+                "smooth": smooth_decaying(params, grid, rng),
+                "random": K.RadialProfile(grid, rng.standard_normal(grid.n)),
+                "split": K.RadialProfile(grid, np.where(r < 1.1, 1.0, 0.4) * np.exp(-0.3 * r),
+                                         splits=(1.1, 2.7))}
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("k,d", [(1, 3), (3, 4), (4, 5), (1, 2)])
+    def test_matches_apply_T(self, fresh_cache, grid, k, d):
+        T = fresh_cache
+        params, grid = K.make_params(k, d), self.GRIDS[grid]()
+        profiles = self._profiles(params, grid)
+        once = {name: T._apply_T_once(params, f) for name, f in profiles.items()}
+        for name, f in profiles.items():
+            want, got = K.apply_T(params, f), once[name]
+            scale = np.abs(want.values).max()
+            assert np.abs(got.values - want.values).max() <= 1e-13 * scale, name
+            assert got.meta["tail_warning"] == want.meta["tail_warning"], name
+            assert got.meta["tail_fraction"] == pytest.approx(want.meta["tail_fraction"],
+                                                              rel=1e-12, abs=0.0), name
+
+    def test_clamps_a_nonnegative_profile_at_zero(self, fresh_cache):
+        T = fresh_cache
+        params, grid = K.make_params(1, 3), K.make_halfline_grid(257)
+        f = K.RadialProfile(grid, np.where(grid.nodes < 1.0, 1.0, 0.0), splits=(1.0,))
+        got, want = T._apply_T_once(params, f), K.apply_T(params, f)
+        assert got.values.min() >= 0.0
+        assert np.abs(got.values - want.values).max() <= 1e-13 * want.values.max()
+
+    @pytest.mark.parametrize("grid", ["half1000", "trunc600"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_bitwise_equal_for_any_worker_count(self, fresh_cache, monkeypatch, k, grid):
+        T = fresh_cache
+        params, grid = K.make_params(k, k + 2), self.GRIDS[grid]()
+        f = self._profiles(params, grid)["split"]
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(T, "_workers", lambda jobs, w=workers: min(w, jobs))
+                got.append(T._apply_T_once(params, f).values)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(v, got[0]) for v in got[1:])
+
+    def test_builds_and_caches_nothing(self, fresh_cache):
+        T = fresh_cache
+        params = K.make_params(3, 4)
+        grid = K.make_halfline_grid(1000)
+        for f in self._profiles(params, grid).values():
+            T._apply_T_once(params, f)
+        info = T.cache_info()
+        assert all(info[kind]["builds"] == info[kind]["entries"] == 0 for kind in info)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_with_m0_cached_is_apply_T(self, fresh_cache, k):
+        T = fresh_cache
+        params = K.make_params(k, k + 2)
+        grid = K.make_halfline_grid(1000)
+        profiles = self._profiles(params, grid)
+        K.apply_T(params, profiles["h"])
+        for f in profiles.values():
+            assert np.array_equal(T._apply_T_once(params, f).values,
+                                  K.apply_T(params, f).values)
+        assert T.cache_info()["fwd"]["builds"] == 1
+
+    def test_refuses_a_grid_over_the_dense_budget(self, fresh_cache, monkeypatch):
+        T = fresh_cache
+        monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", 8 * 100 * 100)
+        params = K.make_params(1, 3)
+        with pytest.raises(K.ConfigurationError, match="budget"):
+            T._apply_T_once(params, K.extremizer_profile(params, 1.0, K.make_halfline_grid(101)))
 
 
 class TestProfileMeta:
