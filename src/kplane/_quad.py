@@ -66,6 +66,16 @@ def lagrange_weights(x: np.ndarray, length: int) -> np.ndarray:
     return np.moveaxis(W, 0, -1)
 
 
+def unique(a: np.ndarray) -> np.ndarray:
+    """np.unique(a): the sorted distinct values of a, flattened. numpy 2.4's
+    np.unique (and np.union1d) imports numpy.ma, 11-12 ms of a fresh process
+    on a 2-core x86-64 host, which this sort and compare do not pay."""
+    a = np.sort(a, axis=None)
+    keep = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 class SegmentedInterp:
     """Local Lagrange interpolation in theta on uniform nodes, segment-aware.
 
@@ -115,7 +125,13 @@ class SegmentedInterp:
         width = self.degree + 1
         idx_out = np.zeros(x.shape + (width,), dtype=int)
         w_out = np.zeros(x.shape + (width,))
-        for Lv in np.unique(L):
+        if np.diff(self.bounds).min() >= width:
+            # every segment holds a whole stencil, so every L is width: one
+            # weight call, with no masked copies (the weights stay contiguous)
+            np.add(start[:, None], np.arange(width), out=idx_out)
+            w_out[:] = lagrange_weights(x, width)
+            return idx_out, w_out
+        for Lv in unique(L):
             m = L == Lv
             if Lv <= 0:
                 continue

@@ -64,6 +64,10 @@ def _ratio(params: Params, f: RadialProfile, transform) -> float:
 
 @functools.lru_cache(maxsize=64)
 def _constant_B_cached(k: int, d: int, resolution: int) -> tuple[float, float]:
+    if resolution < 32:
+        raise ParameterError(f"need resolution >= 32, got {resolution}: the error "
+                             f"estimate also uses a grid of resolution // 2 = "
+                             f"{resolution // 2} points, and a grid needs 16 at least")
     # one T h per grid: integrated directly, with no operator built and cached
     params = make_params(k, d)
     vals = []
@@ -76,7 +80,7 @@ def _constant_B_cached(k: int, d: int, resolution: int) -> tuple[float, float]:
 def constant_B(params: Params, resolution: int = 4096) -> float:
     """Sharp constant of the radial inequality, defined operationally as
     Phi(extremizer); resolution doubling supplies the quadrature error
-    estimate (see constant_B_with_error)."""
+    estimate (see constant_B_with_error), so resolution is 32 at least."""
     return _constant_B_cached(params.k, params.d, int(resolution))[0]
 
 

@@ -62,9 +62,10 @@ is one product per row block. cache_info() counts the cache's entries,
 bytes, builds, hits, evictions and build seconds per entry kind.
 
 A T f needed once (the sharp constant's T h, the CLI's transform) need not
-form M0: _apply_T_once contracts each Gauss point's stencil against f and
-runs the same tile loop into one column, holding no matrix and caching
-nothing.
+form M0: _apply_T_once plans the quadrature one block of _BUILD_CELLS cells
+at a time, contracts each Gauss point's stencil against f as its block is
+planned and runs the same tile loop into one column, holding no matrix, no
+whole grid's stencils and caching nothing.
 """
 from __future__ import annotations
 
@@ -80,7 +81,7 @@ import numpy as np
 
 from . import _quad
 from ._quad import (GL_CELL, GL_EDGE, GL_EDGE_LAST, GL_TAIL, LAST_EDGE_ROWS,
-                    SegmentedInterp, scaled_kernel_power, tail_basis, tail_power_fit)
+                    SegmentedInterp, scaled_kernel_power, tail_basis, tail_power_fit, unique)
 from .core import (ConfigurationError, IntervalSet, NumericalError, ParameterError,
                    Params, RadialGrid, RadialProfile, make_grid,
                    weighted_signed_integral)
@@ -94,7 +95,7 @@ DENSE_BUDGET_BYTES = 2 * 1024 ** 3
 _TILE_ROWS, _TILE_CELLS = 256, 128
 #: cells per dense stencil block within a tile (128 GL points)
 _BLOCK_CELLS = 16
-#: cells per quadrature block of a prefix-sum (k = 2) build
+#: cells per block of a whole-grid quadrature (_quadrature_blocks)
 _BUILD_CELLS = 256
 _MATRIX_CACHE: OrderedDict = OrderedDict()
 _CACHE_LOCK = threading.Lock()
@@ -314,6 +315,25 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
             "sidx": idx[:g], "sw": w[:g], "rows": rows, "idx": idx[g:], "w": w[g:]}
 
 
+def _quadrature_blocks(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
+                       splits_r, adjoint: bool):
+    """_quadrature of the whole grid, cells 0..n-2, as one dict per block of
+    _BUILD_CELLS cells in turn, so a caller that reduces each block holds
+    one block's stencils at a time. Concatenated (_concatenate), the blocks
+    are the whole grid's _quadrature point for point: interior points go by
+    cell and edge points by row, and the LAST_EDGE_ROWS rows whose points
+    _quadrature puts after the others are the grid's last."""
+    for c0 in range(0, grid.n - 1, _BUILD_CELLS):
+        yield _quadrature(grid, k, d, interp, c0, min(c0 + _BUILD_CELLS, grid.n - 1) - 1,
+                          splits_r, adjoint)
+
+
+def _concatenate(blocks: list) -> dict:
+    """One quadrature from the blocks of _quadrature_blocks, each block's
+    arrays dropped as their key is joined."""
+    return {key: np.concatenate([q.pop(key) for q in blocks]) for key in list(blocks[0])}
+
+
 # ---------------------------------------------------------------------------
 # the interior kernel on the theta lattice
 #
@@ -469,10 +489,10 @@ def _cell_tiles(cell: np.ndarray, lattice: np.ndarray, sj: np.ndarray, sw: np.nd
     cells, (J0, J1, blocks) with J0..J1-1 the columns the tile reaches, and
     the blocks off the lattice."""
     lo, hi = cell[0], cell[-1] + 1
-    edges = np.union1d(*(np.arange(lo - lo % size, hi + size, size)
-                         for size in (_TILE_CELLS, _BLOCK_CELLS)))
-    bounds = np.union1d(np.searchsorted(cell, edges),
-                        np.flatnonzero(lattice[1:] != lattice[:-1]) + 1)
+    edges = unique(np.concatenate([np.arange(lo - lo % size, hi + size, size)
+                                   for size in (_TILE_CELLS, _BLOCK_CELLS)]))
+    bounds = unique(np.concatenate([np.searchsorted(cell, edges),
+                                    np.flatnonzero(lattice[1:] != lattice[:-1]) + 1]))
     tiles, off = {}, []
     for b0, b1 in zip(bounds[:-1], bounds[1:]):
         if b0 == b1:
@@ -573,8 +593,10 @@ def _accumulate(out, row0: int, cols: np.ndarray, grid: RadialGrid, k: int, quad
     _on_workers, each filled by one thread alone, in the order of the
     single-threaded loop, so `out` is bitwise the same for any worker count
     (an ndarray `out` is one block, filled by the calling thread). Beyond
-    `out` and the kept tables a build holds the quadrature, the stencil
-    blocks and, per worker, one block of sine factors and one tile buffer.
+    `out` and the kept tables a call holds `quad` (the caller's: a dense
+    build's stencils, or _apply_T_once's one column per point), the stencil
+    blocks, alpha and beta and, per worker, one block of sine factors, one
+    tile buffer and the edge band of the row block it fills.
     """
     blocks = [(0, 0, out)] if isinstance(out, np.ndarray) else out
     rows = np.arange(row0, row0 + max(i0 + B.shape[0] for i0, _, B in blocks))
@@ -705,11 +727,12 @@ def _assemble(grid: RadialGrid, k: int, d: int, degree: int, adjoint: bool,
               tail: np.ndarray | None = None) -> _RowBlocks:
     """Dense operator without splits as _RowBlocks (adjoint rows scaled by
     r^{2-d}), with `tail`, the tail model's n x 3 rows, added to its last
-    three columns if given."""
+    three columns if given. Its quadrature is planned by _quadrature_blocks
+    and joined, so the plan's temporaries are one block's."""
     n = grid.n
     _dense(n)
     interp = SegmentedInterp(grid.theta_nodes, grid.h, degree=degree)
-    quad = _quadrature(grid, k, d, interp, 0, n - 2, (), adjoint)
+    quad = _concatenate(list(_quadrature_blocks(grid, k, d, interp, (), adjoint)))
     M = _RowBlocks(n, degree, adjoint, grid.halfline)
     _accumulate(M.blocks, 0, np.arange(n), grid, k, quad, adjoint,
                 grid.nodes ** (2.0 - d) if adjoint else None)
@@ -776,8 +799,8 @@ def _split_correction(grid: RadialGrid, k: int, d: int, splits_r, adjoint: bool)
         q_split = _quadrature(grid, k, d, with_splits, c0, c1, kept, adjoint)
         q_plain = _quadrature(grid, k, d, grid._interp_plain, c0, c1, (), adjoint)
         q_plain["sw"], q_plain["w"] = -q_plain["sw"], -q_plain["w"]
-        cols = np.unique(np.concatenate([q[key].ravel() for q in (q_split, q_plain)
-                                         for key in ("sidx", "idx")]))
+        cols = unique(np.concatenate([q[key].ravel() for q in (q_split, q_plain)
+                                      for key in ("sidx", "idx")]))
         row0, row1 = ((0 if c0 == 0 else c0 + 1), n) if adjoint else (0, c1 + 1)
         C = np.zeros((row1 - row0, cols.size))
         scale = grid.nodes[row0:row1] ** (2.0 - d) if adjoint else None
@@ -868,7 +891,7 @@ def _gather(band: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
 
 def _patch(sums: np.ndarray, keys: np.ndarray, terms: np.ndarray) -> None:
     """sums[key] <- the sum of the terms of that key, for the keys present."""
-    present = np.unique(keys)
+    present = unique(keys)
     sums[present] = np.bincount(keys, weights=terms, minlength=sums.size)[present]
 
 
@@ -898,9 +921,7 @@ class _PrefixSums:
         # cell c at position c + 1 for the adjoint, whose cells start at -1
         cells = (np.zeros(n - 1 + adjoint, dtype=int), np.zeros((n - 1 + adjoint, width)))
         edge = (np.zeros(n, dtype=int), np.zeros((n, width)))
-        for c0 in range(0, n - 1, _BUILD_CELLS):
-            q = _quadrature(grid, 2, d, grid._interp_plain, c0,
-                            min(c0 + _BUILD_CELLS, n - 1) - 1, (), adjoint)
+        for q in _quadrature_blocks(grid, 2, d, grid._interp_plain, (), adjoint):
             _add_stencils(cells, q["cell"] + adjoint, q["sidx"], q["base"][:, None] * q["sw"], n)
             _add_stencils(edge, q["rows"], q["idx"], q["w"], n)
         # kept as (cols, W), the node of every weight, for the apply's gather
@@ -1050,11 +1071,13 @@ def _apply_T_once(params: Params, f: RadialProfile) -> RadialProfile:
 
     T f = K (D f), D the Gauss points' interpolation stencils and K their
     kernel weights per row: the quadrature of a build, with f's own splits,
-    has each stencil contracted against f first, so every point reads one
-    column; _accumulate integrates that column into n x 1 row blocks of
-    _TILE_ROWS rows on the build's workers, and the tail model's rows are
-    added on half-line grids. It holds the quadrature and O(n) sums, never
-    an n x n matrix, and still refuses a grid over the dense budget.
+    is planned by _quadrature_blocks one block of cells at a time, and each
+    block's stencils are contracted against f as soon as it is planned, so
+    every point reads one column; _accumulate integrates that column into
+    n x 1 row blocks of _TILE_ROWS rows on the build's workers, and the tail
+    model's rows are added on half-line grids. It holds one block's stencils,
+    O(n) point weights and sums, never an n x n matrix or the whole grid's
+    stencils, and still refuses a grid over the dense budget.
     Indicators (a closed form), k = 2 (O(n) prefix sums) and a (grid, k)
     whose M0 is cached go to apply_T.
     """
@@ -1067,11 +1090,13 @@ def _apply_T_once(params: Params, f: RadialProfile) -> RadialProfile:
     _dense(n)
     kept, _ = _split_clusters(grid, f.splits)
     interp = _split_interp(grid, kept) if kept else grid._interp_plain
-    quad = _quadrature(grid, k, 0, interp, 0, n - 2, kept, adjoint=False)
-    v = f.values
-    for idx, w in (("sidx", "sw"), ("idx", "w")):
-        quad[w] = np.einsum("ij,ij->i", quad[w], v[quad[idx]])[:, None]
-        quad[idx] = np.zeros(quad[w].shape, dtype=int)
+    v, blocks = f.values, []
+    for q in _quadrature_blocks(grid, k, 0, interp, kept, adjoint=False):
+        for idx, w in (("sidx", "sw"), ("idx", "w")):
+            q[w] = np.einsum("ij,ij->i", q[w], v[q[idx]])[:, None]
+            q[idx] = np.zeros(q[w].shape, dtype=int)
+        blocks.append(q)
+    quad = _concatenate(blocks)
     out = np.zeros((n, 1))
     _accumulate([(i0, 0, out[i0:i0 + _TILE_ROWS]) for i0 in range(0, n, _TILE_ROWS)],
                 0, np.zeros(1, dtype=int), grid, k, quad, adjoint=False)

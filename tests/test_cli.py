@@ -51,6 +51,11 @@ class TestConstantCommand:
         assert abs(payload["value"] - target) / target < 1e-6
         assert payload["est_error"] < 1e-6
 
+    def test_b_grid_below_32_exits_2_naming_the_halving(self, capsys):
+        assert run(["constant", "--k", "1", "--d", "3", "--which", "B", "--grid-n", "20"]) == 2
+        err = capsys.readouterr().err
+        assert "resolution >= 32, got 20" in err and "resolution // 2 = 10" in err
+
     def test_a12(self, capsys):
         assert run(["constant", "--k", "1", "--d", "2", "--which", "A"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -256,6 +261,35 @@ class TestNumpyOnly:
         assert json.loads(done.stdout.strip().splitlines()[-1]) == [0] * len(commands)
         assert json.loads((tmp_path / "diag.json").read_text())["verdict"] == "Dichotomy"
         assert K.read_profile_csv(tmp_path / "b.csv")[1].size > 0
+
+
+def test_operator_path_never_imports_numpy_ma(tmp_path):
+    # numpy 2.4's np.unique and np.union1d import numpy.ma (11-12 ms of a
+    # fresh process on a 2-core x86-64 host); the one-shot commands and a
+    # verify suite call neither
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(K.__file__).parents[1]))
+
+    def probe(code):
+        done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.strip().splitlines()[-1])
+
+    if probe("import json, sys, numpy; print(json.dumps('numpy.ma' in sys.modules))"):
+        pytest.skip("import numpy alone loads numpy.ma")
+    kd = ["--k", "1", "--d", "3"]
+    commands = [["constant", *kd, "--which", "B", "--grid-n", "256"],
+                ["transform", *kd, "--preset", "extremizer", "--grid-n", "600", "--out", "t.csv"],
+                ["verify", "--suite", "truncation", "--out", "v.jsonl"]]
+    loaded = probe("import json, sys\n"
+                   "from kplane.cli import main\n"
+                   f"codes = [main(c) for c in {commands!r}]\n"
+                   "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n")
+    assert loaded == [[0] * len(commands), False]
 
 
 def test_search_trace_records_stop_and_mixing(tmp_path):

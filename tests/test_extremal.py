@@ -179,6 +179,14 @@ class TestConstantB:
         assert info["builds"] == info["entries"] == 0
         assert b == pytest.approx(phi_oracle(1, 3), rel=1e-11)
 
+    @pytest.mark.parametrize("constant", [K.constant_B, K.constant_B_with_error])
+    def test_resolution_below_32_names_the_halving(self, constant):
+        # the error estimate's grid has resolution // 2 = 15 points, one too few
+        with pytest.raises(K.ParameterError, match=r"resolution >= 32, got 31.*resolution // 2"):
+            constant(K.make_params(1, 3), resolution=31)
+        assert constant(K.make_params(1, 3), resolution=32)
+
+
 class TestSearch:
     def test_extremizer_is_stationary(self, grids):
         params = K.make_params(2, 3)

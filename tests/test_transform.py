@@ -807,6 +807,103 @@ class TestOneShotApply:
             T._apply_T_once(params, K.extremizer_profile(params, 1.0, K.make_halfline_grid(101)))
 
 
+class TestQuadratureBlocks:
+    """A whole grid's quadrature is planned one block of _BUILD_CELLS cells
+    at a time: the joined blocks are the whole grid's _quadrature point for
+    point, so T f and every M0 are bitwise those of a single block."""
+
+    GRIDS = {"half600": lambda: K.make_halfline_grid(600),
+             "trunc600": lambda: K.make_grid(600, 5.0)}
+
+    @staticmethod
+    def _splits(grid, where):
+        # a split radius inside cell 200, within the block of cells 128..255,
+        # or inside cell 256, the first cell of a block (blocks of 128 cells)
+        th = grid.theta_nodes
+        cell = {"none": None, "inside": 200, "first": 256}[where]
+        return () if cell is None else (math.tan(0.5 * (th[cell] + th[cell + 1])),)
+
+    @pytest.mark.parametrize("where", ["none", "inside", "first"])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_joined_blocks_are_the_whole_grid_quadrature(self, monkeypatch, k, grid, adjoint,
+                                                         where):
+        T = K.transform
+        monkeypatch.setattr(T, "_BUILD_CELLS", 128)
+        grid = self.GRIDS[grid]()
+        splits = self._splits(grid, where)
+        interp = SegmentedInterp(grid.theta_nodes, grid.h, [math.atan(s) for s in splits])
+        blocks = list(T._quadrature_blocks(grid, k, k + 2, interp, splits, adjoint))
+        assert len(blocks) == 5
+        whole = T._quadrature(grid, k, k + 2, interp, 0, grid.n - 2, splits, adjoint)
+        joined = T._concatenate(blocks)
+        assert joined.keys() == whole.keys()
+        for key, value in whole.items():
+            assert value.dtype == joined[key].dtype, key
+            assert np.array_equal(joined[key], value), key
+
+    @pytest.mark.parametrize("where", ["none", "inside", "first"])
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_one_shot_bitwise_equal_for_any_block_size(self, fresh_cache, monkeypatch, k, grid,
+                                                       where):
+        T = fresh_cache
+        params, grid = K.make_params(k, k + 2), self.GRIDS[grid]()
+        splits = self._splits(grid, where)
+        r = grid.nodes
+        cut = splits[0] if splits else math.inf
+        f = K.RadialProfile(grid, np.where(r < cut, 1.0, 0.4) * np.exp(-0.3 * r), splits=splits)
+        got = []
+        for cells in (128, grid.n):
+            monkeypatch.setattr(T, "_BUILD_CELLS", cells)
+            got.append(T._apply_T_once(params, f).values)
+        assert np.array_equal(got[0], got[1])
+        assert T.cache_info()["fwd"]["builds"] == 0
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_assembly_bitwise_equal_for_any_block_size(self, monkeypatch, k, grid, adjoint):
+        T = K.transform
+        grid = self.GRIDS[grid]()
+        got = []
+        for cells in (128, grid.n):
+            monkeypatch.setattr(T, "_BUILD_CELLS", cells)
+            got.append(T._assemble(grid, k, k + 2, 7, adjoint).toarray())
+        assert np.array_equal(got[0], got[1])
+
+    def test_plan_of_whole_stencils_equals_the_per_length_plan(self):
+        # a split before the last node leaves a 2-node segment, so that plan
+        # groups queries by stencil length; queries far from it take whole
+        # stencils either way, bitwise those of the plan without splits
+        grid = K.make_halfline_grid(300)
+        th = grid.theta_nodes
+        split = SegmentedInterp(grid.theta_nodes, grid.h, [0.5 * (th[-3] + th[-2])])
+        plain = SegmentedInterp(grid.theta_nodes, grid.h)
+        thq = np.random.default_rng(3).uniform(0.0, th[-20], 4000)
+        (idx, w), (idx_ref, w_ref) = plain.plan(thq), split.plan(thq)
+        assert np.array_equal(idx, idx_ref) and np.array_equal(w, w_ref)
+        assert w.flags.c_contiguous
+
+    def test_one_shot_holds_one_block_of_stencils(self, fresh_cache, monkeypatch):
+        # the whole grid's stencils alone, 16 n points of 8 indices and 8
+        # weights, are 8 MiB at n = 4096; the workers fixed at two, as each
+        # holds a buffer of its own
+        import tracemalloc
+        T = fresh_cache
+        monkeypatch.setattr(T, "_workers", lambda jobs: min(2, jobs))
+        params, grid = K.make_params(1, 3), K.make_halfline_grid(4096)
+        f = K.extremizer_profile(params, 1.0, grid)
+        tracemalloc.start()
+        try:
+            T._apply_T_once(params, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20, peak / 2 ** 20
+
+
 class TestProfileMeta:
     def test_each_key_has_one_producer(self):
         params = K.make_params(1, 3)
