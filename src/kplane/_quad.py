@@ -20,7 +20,7 @@ GL_EDGE = leggauss(8)    # singular-edge cells (after desingularizing substituti
 GL_EDGE_LAST = leggauss(16)  # the edge cells of the forward operator's last rows
 #: rows at the end of the forward operator whose edge cells take GL_EDGE_LAST
 LAST_EDGE_ROWS = 8
-GL_TAIL = leggauss(16)   # tail region beyond the last node
+GL_TAIL = leggauss(16)   # indicator adjoint pieces, and the region beyond a truncated grid
 
 
 def _gregory_end() -> np.ndarray:
@@ -147,21 +147,6 @@ class SegmentedInterp:
         idx, w = self.plan(thq.ravel())
         out = (values[idx] * w).sum(axis=-1)
         return out.reshape(u.shape)
-
-
-def tail_basis(u2, k: int) -> np.ndarray:
-    """The tail model's basis cos^{k+1}, cos^{k+3}, cos^{k+5} at radii u
-    (cos = (1+u^2)^{-1/2}), given u^2; stacked along a new last axis."""
-    return np.stack([(1.0 + u2) ** (-(k + 1 + 2 * j) / 2.0) for j in (0, 1, 2)], axis=-1)
-
-
-def tail_power_fit(theta: np.ndarray, k: int) -> np.ndarray:
-    """3x3 matrix mapping the node values at the last three angles of `theta`
-    to the coefficients of tail_basis: the natural decay basis of p-critical
-    tails."""
-    c3 = np.cos(theta[-3:])
-    a = np.stack([c3 ** (k + 1), c3 ** (k + 3), c3 ** (k + 5)], axis=1)
-    return np.linalg.inv(a)
 
 
 def scaled_kernel_power(x: np.ndarray, k: int, scale) -> np.ndarray:

@@ -191,9 +191,14 @@ def interaction_term(params: Params, f1: RadialProfile, f2: RadialProfile,
         raise ParameterError(f"need 1 <= m <= q-1 = {q - 1}, got {m}")
     if not (f1.nonnegative and f2.nonnegative):
         raise DomainError("interaction term requires nonnegative profiles")
-    t1 = apply_T(params, f1).values
-    t2 = apply_T(params, f2).values
-    return pairing(t1 ** (q - m), t2 ** m, f1.grid, params.a_target)
+    return _interaction_term(params, apply_T(params, f1).values, apply_T(params, f2).values,
+                             m, f1.grid)
+
+
+def _interaction_term(params: Params, t1: np.ndarray, t2: np.ndarray, m: int, grid) -> float:
+    """interaction_term from the transforms t1 = T f1 and t2 = T f2."""
+    q = int(params.q)
+    return pairing(t1 ** (q - m), t2 ** m, grid, params.a_target)
 
 
 def interaction_bound_check(params: Params, R: float, delta: float,
@@ -211,7 +216,12 @@ def interaction_bound_check(params: Params, R: float, delta: float,
     if support_lo < (R + delta) * (1 - 1e-9):
         raise PreconditionError(
             f"psi must be supported in [R+delta, inf); support starts at {support_lo:.6g}")
-    tpsi = apply_T(params, psi).values
+    return _interaction_bound(params, R, delta, psi, apply_T(params, psi).values, m)
+
+
+def _interaction_bound(params: Params, R: float, delta: float, psi: RadialProfile,
+                       tpsi: np.ndarray, m: int) -> tuple[float, float]:
+    """interaction_bound_check from the transform tpsi = T psi."""
     lhs = _window_integral(RadialProfile(psi.grid, tpsi), params.a_target, m, 0.0, R)
     psi_p = weighted_lp_norm(psi, params.a_domain, params.pf)
     rhs_shape = R ** (params.d - params.k) * (R + delta) ** (-m / params.p_conj_f) * psi_p ** m

@@ -303,7 +303,7 @@ class RadialProfile:
 
     def __call__(self, u) -> np.ndarray:
         """Interpolated values at radii u (zero beyond the last node's reach
-        is NOT enforced; callers needing tail models use the transform API)."""
+        is NOT enforced; dilate_profile extrapolates f sec^{k+1} there)."""
         return self.interpolator().eval(self.values, u)
 
 

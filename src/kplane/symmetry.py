@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 
-from ._quad import tail_basis, tail_power_fit
 from .core import (DomainError, IntervalSet, ParameterError, Params, RadialProfile,
                    _running_integral, _running_median, indicator_profile, weighted_lp_norm)
 
@@ -93,9 +92,10 @@ def dilate_profile(params: Params, f: RadialProfile, lam: float) -> RadialProfil
     """f_lam(r) = lam^{d/p} f(lam r), resampled onto f's own grid.
 
     Sampled profiles are resampled by the profile's own degree-7 local
-    Lagrange interpolant in theta (segment-aware across splits); radii thrown
-    beyond the last node are evaluated with the cos-power tail model fitted to
-    the last three samples, so no tail mass is dropped.
+    Lagrange interpolant in theta (segment-aware across splits); at radii
+    thrown beyond the last node the same stencils extrapolate g = f
+    sec^{k+1}(theta), as the forward operator's last cell does, and f =
+    g cos^{k+1}(theta) there, so no tail mass is dropped.
     Indicator-backed profiles stay exact.
     """
     if not (lam > 0):
@@ -109,13 +109,14 @@ def dilate_profile(params: Params, f: RadialProfile, lam: float) -> RadialProfil
     if lam == 1.0:
         return f
     u = lam * grid.nodes
-    vals = f.interpolator().eval(f.values, u)
+    interp = f.interpolator()
+    vals = interp.eval(f.values, u)
     beyond = u > grid.r_max
     if beyond.any():
-        coef = tail_power_fit(grid.theta_nodes, params.k) @ f.values[-3:]
+        power = (params.k + 1) / 2.0
         ub = u[beyond]
-        basis = tail_basis(ub * ub, params.k)
-        vals[beyond] = sum(c * basis[:, j] for j, c in enumerate(coef))
+        g = interp.eval(f.values * (1.0 + grid.nodes ** 2) ** power, ub)
+        vals[beyond] = g * (1.0 + ub * ub) ** -power
     vals = np.nan_to_num(vals, nan=0.0)
     if f.nonnegative:
         vals = np.maximum(vals, 0.0)

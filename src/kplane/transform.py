@@ -13,11 +13,19 @@ Adjoint w.r.t. the pairing <T f, g>_{r^{d-k-1}dr} = <f, T* g>_{r^{d-1}dr}:
 Discretization is product integration: the profile is replaced by a local
 Lagrange interpolant in theta (segment-aware across splits) and the kernel is
 integrated cell-by-cell with Gauss-Legendre rules; the cell adjacent to the
-kernel edge uses the substitution s = sqrt(u^2-r^2) forward and w = u sin(psi)
-for the adjoint, which remove the k = 1 singularity exactly, with GL_EDGE
-points (GL_EDGE_LAST in the forward operator's last LAST_EDGE_ROWS rows).
-On half-line grids the region beyond the last node is covered by a
-cos-power tail model fitted to the last three samples.
+kernel edge uses the substitution s = sqrt(u^2-r^2) forward, integrated in
+phi = atan(s / sqrt(1+r^2)), and w = u sin(psi) for the adjoint, which remove
+the k = 1 singularity exactly, with GL_EDGE points (GL_EDGE_LAST in the
+forward operator's last LAST_EDGE_ROWS rows).
+The forward operator interpolates g = f sec^{k+1}(theta), not f: its weight
+grows like (pi/2 - theta)^{-(k+1)} near pi/2, the extremizer's exact decay,
+so g is smooth there wherever f decays like r^{-(k+1)} times a smooth
+function of theta. The scaling lives in the quadrature (_quadrature): each
+stencil weight of node j carries sec^{k+1}(theta_j) and each point weight
+cos^{k+1}(theta_p), so every M0, split correction and apply reads f. On
+half-line grids the last cell [theta_{n-1}, pi/2] is integrated as one more
+lattice cell, where g is the degree-7 extrapolation through the last 8
+nodes; apply_T's tail metadata reads that cell's share of row 0.
 Every quadrature point carries its interpolation stencil as SegmentedInterp.plan
 gives it: (idx, w), the indices of its degree + 1 nodes and their Lagrange
 weights, with no basis matrix formed.
@@ -81,12 +89,17 @@ import numpy as np
 
 from . import _quad
 from ._quad import (GL_CELL, GL_EDGE, GL_EDGE_LAST, GL_TAIL, LAST_EDGE_ROWS,
-                    SegmentedInterp, scaled_kernel_power, tail_basis, tail_power_fit, unique)
+                    SegmentedInterp, scaled_kernel_power, unique)
 from .core import (ConfigurationError, IntervalSet, NumericalError, ParameterError,
                    Params, RadialGrid, RadialProfile, make_grid,
                    weighted_signed_integral)
 
+#: share of max|T f| above which a truncated grid's estimate of what lies
+#: beyond r_max raises tail_warning
 _TAIL_TOL = 1e-6
+#: gap between the degree-7 and degree-5 extrapolations of g over the last
+#: cell of a half-line grid, as a share of max|T f|, that raises tail_warning
+_EXTRAPOLATION_TOL = 1e-9
 #: largest dense operator matrix, in bytes, that a build may allocate
 DENSE_BUDGET_BYTES = 2 * 1024 ** 3
 #: tile of a dense build, rows x whole cells (256 x 1024 GL points), whose
@@ -107,10 +120,7 @@ _CACHE_COUNTS: Counter = Counter()
 
 def _nbytes(value) -> int:
     """Bytes a cached entry holds now: the row blocks of a dense M0 or its
-    prefix sums, a dict of them, or a list of split correction blocks (row0,
-    cols, C)."""
-    if isinstance(value, dict):
-        return sum(v.nbytes for v in value.values() if v is not None)
+    prefix sums, or a list of split correction blocks (row0, cols, C)."""
     if isinstance(value, list):
         return sum(cols.nbytes + C.nbytes for _, cols, C in value)
     return value.nbytes
@@ -187,10 +197,10 @@ def _operator_bytes(n: int, k: int) -> int:
     """Bytes the cache reserves before building M0 on n nodes: for a dense
     M0 its n x n entries, the measure of the budget (its row blocks hold
     about half of them); for k = 2 what its prefix-sum form holds, two
-    node-weight bands of INTERP_DEGREE + 2 weights and nodes per row, the
-    tail model's three columns and the adjoint's row scaling."""
+    node-weight bands of INTERP_DEGREE + 2 weights and nodes per row and the
+    adjoint's row scaling."""
     if k == 2:
-        return 8 * n * (4 * (_quad.INTERP_DEGREE + 2) + 4)
+        return 8 * n * (4 * (_quad.INTERP_DEGREE + 2) + 1)
     return 8 * n * n
 
 
@@ -230,6 +240,12 @@ def _gl(lo, hi, rule):
     return ((lo + hi) / 2)[:, None] + half[:, None] * x, half[:, None] * w
 
 
+def _cells(grid: RadialGrid, adjoint: bool) -> int:
+    """Lattice cells the operator integrates: 0..n-2 between the nodes and,
+    forward on a half-line grid, the last cell n-1, [theta_{n-1}, pi/2]."""
+    return grid.n - 1 + (grid.halfline and not adjoint)
+
+
 def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
                 c0: int, c1: int, splits_r, adjoint: bool) -> dict:
     """Product-integration nodes of the operator over grid cells c0..c1.
@@ -241,14 +257,24 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
     against |t^2 - r^2|^{k/2-1} over the cells it sees. A cell no split cuts
     holds the GL_CELL points at the same offsets u as every other, flagged
     `lattice`. Edge: stencils (idx, w) of the GL points of the cell at each
-    row's kernel edge, integrated in s = sqrt(u^2 - r_row^2) forward and in
-    psi = asin(w / r_row) for the adjoint, with the row each one enters
-    (`rows`, ascending), by GL_EDGE (GL_EDGE_LAST in the forward operator's
-    last LAST_EDGE_ROWS rows). For the adjoint with c0 == 0 the head strip
-    [0, theta_1] joins the interior as cell -1, and row 0's own range
-    [0, r_0] joins the edge terms.
+    row's kernel edge, integrated in phi = atan(s / sqrt(1 + r_row^2)), s =
+    sqrt(u^2 - r_row^2), forward and in psi = asin(w / r_row) for the
+    adjoint, with the row each one enters (`rows`, ascending), by GL_EDGE
+    (GL_EDGE_LAST in the forward operator's last LAST_EDGE_ROWS rows). For
+    the adjoint with c0 == 0 the head strip [0, theta_1] joins the interior
+    as cell -1, and row 0's own range [0, r_0] joins the edge terms.
+
+    The forward operator interpolates g = f sec^{k+1}(theta), not f: each
+    stencil weight of node j carries sec^{k+1}(theta_j) and each point weight
+    cos^{k+1}(theta_p), so M0 still reads f. On half-line grids its last cell
+    [theta_{n-1}, pi/2] is a lattice cell like any other, where g is the
+    degree-7 extrapolation through the last 8 nodes, and the last row's edge
+    cell, in phi, ends at pi/2.
     """
     th, r, h = grid.theta_nodes, grid.nodes, grid.h
+    if c1 == grid.n - 1:
+        # the last cell of a half-line grid ends at pi/2, r = inf
+        th, r = np.append(th, (grid.n + 1) * h), np.append(r, np.inf)
     split_t = [math.atan(s) for s in splits_r]
     lo, hi, cell = _refine(th, c0, c1, split_t)
     # the pieces in units of h from their cell's first node: a whole cell is
@@ -267,8 +293,12 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
         lattice = np.concatenate([np.zeros(GL_EDGE[0].size, dtype=bool), lattice])
         cell = np.concatenate([np.full(GL_EDGE[0].size, -1), cell])
     thg = (cell + 1 + ug) * h
-    tg = np.tan(thg)
-    base = (tg ** (d - k - 1) if adjoint else tg) * (1.0 + tg * tg) * wg
+    if adjoint:
+        tg = np.tan(thg)
+        base = tg ** (d - k - 1) * (1.0 + tg * tg) * wg
+    else:
+        # u du cos^{k+1}(theta) = sin(theta) cos^{k-2}(theta) dtheta
+        base = np.sin(thg) * np.cos(thg) ** (k - 2.0) * wg
 
     lo, hi, cell_r = _refine(r, c0, c1, splits_r)
     rows = cell_r + 1 if adjoint else cell_r
@@ -278,11 +308,11 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
         lo, hi = np.concatenate([[0.0], lo]), np.concatenate([[r[0]], hi])
         rows = np.concatenate([[0], rows])
     seg_r = interp.segment_of(np.arctan(0.5 * (lo + hi)))
-    # forward, a piece of row i spans s in [0, sqrt(r_{i+1}^2 - r_i^2)], and
-    # the weight's branch points are s = +-i r_i; in the last rows, where
-    # r_{i+1} / r_i nears 2 whatever n is, that span is about r_i, too close
-    # for GL_EDGE, so they take GL_EDGE_LAST
-    last = (rows >= r.size - LAST_EDGE_ROWS) & (not adjoint)
+    # forward, a piece of row i spans s in [0, sqrt(r_{i+1}^2 - r_i^2)]; in
+    # the last rows, where r_{i+1} / r_i nears 2 whatever n is, that is phi
+    # up to about pi/3 (pi/2 in the last row), too wide for GL_EDGE, so they
+    # take GL_EDGE_LAST
+    last = (rows >= grid.n - LAST_EDGE_ROWS) & (not adjoint)
     thq, wts, segq, rows_q = [], [], [], []
     for m, rule in ((~last, GL_EDGE), (last, GL_EDGE_LAST)):
         ri = r[rows[m]]
@@ -297,17 +327,24 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
             xq = ri * np.sin(pg)
             wq = wpg * ri ** (d - 2) * np.cos(pg) ** (k - 1) * np.sin(pg) ** (d - k - 1)
         else:
-            s_lo = np.sqrt(np.maximum(lo[m] * lo[m] - ri * ri, 0.0))
-            s_hi = np.sqrt(np.maximum(hi[m] * hi[m] - ri * ri, 0.0))
-            sg, wsg = _gl(s_lo, s_hi, rule)
-            xq = np.sqrt(np.maximum((ri * ri)[:, None] + sg * sg, 1e-300))
-            wq = wsg * sg ** (k - 1)
+            # s = rho tan(phi), rho = sqrt(1 + r_i^2): 1 + u^2 = rho^2 sec^2(phi),
+            # so cos^{k+1}(theta) s^{k-1} ds is sin^{k-1}(phi) dphi / rho, bounded
+            # up to the last row's phi = pi/2 (u = inf)
+            rho = np.sqrt(1.0 + ri * ri)
+            p_lo = np.arctan(np.sqrt(np.maximum(lo[m] * lo[m] - ri * ri, 0.0)) / rho)
+            p_hi = np.arctan(np.sqrt(np.maximum(hi[m] * hi[m] - ri * ri, 0.0)) / rho)
+            pg, wpg = _gl(p_lo, p_hi, rule)
+            s = rho[:, None] * np.tan(pg)
+            xq = np.sqrt(np.maximum((ri * ri)[:, None] + s * s, 1e-300))
+            wq = wpg * np.sin(pg) ** (k - 1) / rho[:, None]
         thq.append(np.arctan(xq).ravel())
         wts.append(wq.ravel())
         segq.append(np.repeat(seg_r[m], rule[0].size))
         rows_q.append(np.repeat(rows[m], rule[0].size))
     # one plan for the interior points and the edge points
     idx, w = interp.plan(np.concatenate([thg, *thq]), np.concatenate([seg, *segq]))
+    if not adjoint:
+        w *= _sec_power(grid, k)[idx]
     g = thg.size
     w[g:] *= np.concatenate(wts)[:, None]
     rows = np.concatenate(rows_q)
@@ -315,16 +352,27 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
             "sidx": idx[:g], "sw": w[:g], "rows": rows, "idx": idx[g:], "w": w[g:]}
 
 
+@functools.lru_cache(maxsize=16)
+def _sec_power(grid: RadialGrid, k: int) -> np.ndarray:
+    """sec^{k+1}(theta_j) = (1 + r_j^2)^{(k+1)/2} at every node, from the
+    radii the profile is sampled at, so g_j = f_j sec^{k+1}(theta_j) is
+    exactly 1 to rounding for f = (1 + r^2)^{-(k+1)/2}."""
+    sec = (1.0 + grid.nodes * grid.nodes) ** ((k + 1) / 2.0)
+    sec.setflags(write=False)
+    return sec
+
+
 def _quadrature_blocks(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
                        splits_r, adjoint: bool):
-    """_quadrature of the whole grid, cells 0..n-2, as one dict per block of
+    """_quadrature of the whole grid, its _cells, as one dict per block of
     _BUILD_CELLS cells in turn, so a caller that reduces each block holds
     one block's stencils at a time. Concatenated (_concatenate), the blocks
     are the whole grid's _quadrature point for point: interior points go by
     cell and edge points by row, and the LAST_EDGE_ROWS rows whose points
     _quadrature puts after the others are the grid's last."""
-    for c0 in range(0, grid.n - 1, _BUILD_CELLS):
-        yield _quadrature(grid, k, d, interp, c0, min(c0 + _BUILD_CELLS, grid.n - 1) - 1,
+    cells = _cells(grid, adjoint)
+    for c0 in range(0, cells, _BUILD_CELLS):
+        yield _quadrature(grid, k, d, interp, c0, min(c0 + _BUILD_CELLS, cells) - 1,
                           splits_r, adjoint)
 
 
@@ -474,7 +522,7 @@ def _lattice_tables(grid: RadialGrid, k: int, adjoint: bool) -> _SineTables:
     """_SineTables of every row against every whole cell of the grid, about
     48 n doubles, shared by M0's build and each of its split corrections,
     which read the rows and cells they need from them."""
-    tables = _SineTables(grid, k, adjoint, 0, grid.n - 1, np.arange(grid.n))
+    tables = _SineTables(grid, k, adjoint, 0, _cells(grid, adjoint), np.arange(grid.n))
     if tables.eps is not None:
         tables.eps.setflags(write=False)
     return tables
@@ -664,15 +712,22 @@ def _accumulate(out, row0: int, cols: np.ndarray, grid: RadialGrid, k: int, quad
                 part *= alpha[i0:i0 + rs.size, None]
                 B[:, lo - b0:hi - b0] += part[:, lo - j0:hi - j0]
             # these rows' edge weights (quad["rows"] ascends) summed per entry
-            # in a band indexed by row and column less row
+            # in a band indexed by row and column less row, or by row and
+            # column where B is narrower than that band (a one-column B)
             e0, e1 = np.searchsorted(edge_rows, (i0, i0 + B.shape[0]))
             if e1 > e0:
-                r = edge_rows[e0:e1, None] - i0
-                diag = edge_cols[e0:e1] - b0 - r
+                r, c = edge_rows[e0:e1, None] - i0, edge_cols[e0:e1] - b0
+                diag = c - r
                 o0, ow = diag.min(), diag.max() + 1 - diag.min()
-                S = np.bincount((r * ow + diag - o0).ravel(), w[e0:e1].ravel(), B.shape[0] * ow)
+                narrow = B.shape[1] < ow
+                if narrow:
+                    flat, ow = r * B.shape[1] + c, B.shape[1]
+                else:
+                    flat = r * ow + diag - o0
+                S = np.bincount(flat.ravel(), w[e0:e1].ravel(), B.shape[0] * ow)
                 at = np.flatnonzero(S)
-                B[at // ow, at // ow + at % ow + o0] += S[at]
+                i, j = np.divmod(at, ow)
+                B[i, j if narrow else i + j + o0] += S[at]
 
     # forward blocks shrink along the triangle: the largest go first
     _on_workers(fill, sorted(blocks, key=lambda block: block[2].size, reverse=True))
@@ -686,9 +741,9 @@ class _RowBlocks:
     of its n x n entries. apply() reads each block once against its
     columns."""
 
-    def __init__(self, n: int, degree: int, adjoint: bool, halfline: bool):
+    def __init__(self, n: int, degree: int, adjoint: bool):
         bands = [(i0, min(i0 + _TILE_ROWS, n)) for i0 in range(0, n, _TILE_ROWS)]
-        bands = [(i0, i1, *_band(n, degree, i0, i1, adjoint, halfline)) for i0, i1 in bands]
+        bands = [(i0, i1, *_band(n, degree, i0, i1, adjoint)) for i0, i1 in bands]
         # one zeroed buffer cut into the blocks: an allocation large enough
         # for numpy's huge-page advice, where one array per block faulted
         # in 4 KiB pages, 2.4 times the page faults of a build at n = 2048
@@ -723,28 +778,23 @@ class _RowBlocks:
         return M
 
 
-def _assemble(grid: RadialGrid, k: int, d: int, degree: int, adjoint: bool,
-              tail: np.ndarray | None = None) -> _RowBlocks:
+def _assemble(grid: RadialGrid, k: int, d: int, degree: int, adjoint: bool) -> _RowBlocks:
     """Dense operator without splits as _RowBlocks (adjoint rows scaled by
-    r^{2-d}), with `tail`, the tail model's n x 3 rows, added to its last
-    three columns if given. Its quadrature is planned by _quadrature_blocks
-    and joined, so the plan's temporaries are one block's."""
+    r^{2-d}). Its quadrature is planned by _quadrature_blocks and joined, so
+    the plan's temporaries are one block's."""
     n = grid.n
     _dense(n)
     interp = SegmentedInterp(grid.theta_nodes, grid.h, degree=degree)
     quad = _concatenate(list(_quadrature_blocks(grid, k, d, interp, (), adjoint)))
-    M = _RowBlocks(n, degree, adjoint, grid.halfline)
+    M = _RowBlocks(n, degree, adjoint)
     _accumulate(M.blocks, 0, np.arange(n), grid, k, quad, adjoint,
                 grid.nodes ** (2.0 - d) if adjoint else None)
-    if tail is not None:
-        for i0, _, B in M.blocks:
-            B[:, -3:] += tail[i0:i0 + B.shape[0]]
     return M
 
 
-def _split_clusters(grid: RadialGrid, splits_r):
+def _split_clusters(grid: RadialGrid, splits_r, adjoint: bool):
     """The split radii inside the grid, sorted, and the ranges [c0, c1] of
-    cells whose quadrature those splits change.
+    the operator's _cells whose quadrature those splits change.
 
     A radius is inside when its angle is, th[0] < atan(s) < th[-1]: the test
     SegmentedInterp applies, so a split the interpolant ignores cuts no cell
@@ -752,12 +802,12 @@ def _split_clusters(grid: RadialGrid, splits_r):
     cells of its own (the stencil spans INTERP_DEGREE + 1 nodes) and refines
     that cell; windows that meet or touch form one range.
     """
-    n, th, reach = grid.n, grid.theta_nodes, _quad.INTERP_DEGREE
+    th, reach, last = grid.theta_nodes, _quad.INTERP_DEGREE, _cells(grid, adjoint) - 1
     kept = tuple(s for s in sorted(set(splits_r)) if th[0] < math.atan(s) < th[-1])
     clusters = []
     for t in (math.atan(s) for s in kept):
         c = int(np.searchsorted(th, t)) - 1
-        lo, hi = max(c - reach, 0), min(c + reach, n - 2)
+        lo, hi = max(c - reach, 0), min(c + reach, last)
         if clusters and lo <= clusters[-1][1] + 1:
             clusters[-1][1] = hi
         else:
@@ -790,7 +840,7 @@ def _split_correction(grid: RadialGrid, k: int, d: int, splits_r, adjoint: bool)
     adds the same cells without them, their stencil weights negated.
     """
     n = grid.n
-    kept, clusters = _split_clusters(grid, splits_r)
+    kept, clusters = _split_clusters(grid, splits_r, adjoint)
     if not clusters:
         return []
     with_splits = _split_interp(grid, kept)
@@ -814,7 +864,7 @@ def _split_blocks(grid: RadialGrid, k: int, d: int, splits_r, adjoint: bool) -> 
     """_split_correction memoized beside a dense M0, keyed on the split radii
     inside the grid (d is 0 for the forward operator); [] and no entry when
     no split lies inside the grid. The blocks are shared, so read-only."""
-    kept, clusters = _split_clusters(grid, splits_r)
+    kept, clusters = _split_clusters(grid, splits_r, adjoint)
     if not clusters:
         return []
 
@@ -829,21 +879,18 @@ def _split_blocks(grid: RadialGrid, k: int, d: int, splits_r, adjoint: bool) -> 
                    _correction_bytes(grid.n, clusters, adjoint))
 
 
-def _band(n: int, degree: int, i0: int, i1: int, adjoint: bool,
-          halfline: bool) -> tuple[int, int]:
+def _band(n: int, degree: int, i0: int, i1: int, adjoint: bool) -> tuple[int, int]:
     """Columns [c0, c1) that a row block of M0 stores for its rows [i0, i1):
     every nonzero of those rows lies in them.
 
     Forward row i integrates the cells c >= i, whose stencils start at node
     min(c - degree // 2, n - 1 - degree) >= i - degree; adjoint row i
     integrates the cells c <= i - 1 (and the head strip), whose stencils end
-    at or before node i + degree. The half-line forward operator also carries
-    the tail model in its last three columns.
+    at or before node i + degree.
     """
     if adjoint:
         return 0, min(i1 + degree, n)
-    c0 = max(i0 - degree, 0)
-    return (min(c0, n - 3) if halfline else c0), n
+    return max(i0 - degree, 0), n
 
 
 def _apply(M, f: RadialProfile, k: int, d: int, adjoint: bool) -> np.ndarray:
@@ -902,36 +949,34 @@ class _PrefixSums:
     integral, adjoint row i the prefix sum over the cells c <= i - 2 (the
     head strip is cell -1), plus the row's kernel-edge cell. So M0 f takes
     the per-cell node weights (`cells`, a band of about INTERP_DEGREE + 2
-    nodes per cell), the per-row edge weights (`edge`, as many per row), one
-    cumulative sum, the tail model's n x 3 rows on half-line grids (forward)
-    and the rows' r^{2-d} scaling (adjoint): O(n) memory and an O(n) apply.
+    nodes per cell, the last cell's too on half-line grids, forward), the
+    per-row edge weights (`edge`, as many per row), one cumulative sum and
+    the rows' r^{2-d} scaling (adjoint): O(n) memory and an O(n) apply.
     The build integrates _BUILD_CELLS cells at a time, so it holds O(n) too.
 
     A profile with splits recomputes the cell integrals and edge rows of the
     _split_clusters ranges from their split quadrature.
     """
 
-    def __init__(self, grid: RadialGrid, d: int, adjoint: bool,
-                 tail: np.ndarray | None = None):
-        n = grid.n
+    def __init__(self, grid: RadialGrid, d: int, adjoint: bool):
+        n, m = grid.n, _cells(grid, adjoint) + adjoint
         self.grid, self.d, self.adjoint = grid, d, adjoint
         # the GL points of a cell, and of a row's edge cell, fall on two
         # neighbouring stencil anchors: INTERP_DEGREE + 2 nodes at most
         width = _quad.INTERP_DEGREE + 2
         # cell c at position c + 1 for the adjoint, whose cells start at -1
-        cells = (np.zeros(n - 1 + adjoint, dtype=int), np.zeros((n - 1 + adjoint, width)))
+        cells = (np.zeros(m, dtype=int), np.zeros((m, width)))
         edge = (np.zeros(n, dtype=int), np.zeros((n, width)))
         for q in _quadrature_blocks(grid, 2, d, grid._interp_plain, (), adjoint):
             _add_stencils(cells, q["cell"] + adjoint, q["sidx"], q["base"][:, None] * q["sw"], n)
             _add_stencils(edge, q["rows"], q["idx"], q["w"], n)
         # kept as (cols, W), the node of every weight, for the apply's gather
         self.cells, self.edge = ((lo[:, None] + np.arange(width), W) for lo, W in (cells, edge))
-        self.tail = tail
         self.scale = grid.nodes ** (2.0 - d) if adjoint else None
 
     @property
     def nbytes(self) -> int:
-        held = [*self.cells, *self.edge, self.tail, self.scale]
+        held = [*self.cells, *self.edge, self.scale]
         return sum(a.nbytes for a in held if a is not None)
 
     @staticmethod
@@ -942,7 +987,7 @@ class _PrefixSums:
     def apply(self, f: RadialProfile) -> np.ndarray:
         v, n = f.values, self.grid.n
         cells, edge = _gather(self.cells, v), _gather(self.edge, v)
-        kept, clusters = _split_clusters(self.grid, f.splits)
+        kept, clusters = _split_clusters(self.grid, f.splits, self.adjoint)
         interp = _split_interp(self.grid, kept) if clusters else None
         for c0, c1 in clusters:
             q = _quadrature(self.grid, 2, self.d, interp, c0, c1, kept, self.adjoint)
@@ -953,88 +998,83 @@ class _PrefixSums:
         if self.adjoint:
             np.cumsum(cells[:n - 1], out=out[1:])
         else:
-            out[:n - 2] = np.cumsum(cells[:0:-1])[::-1]
+            out[:cells.size - 1] = np.cumsum(cells[:0:-1])[::-1]
         out += edge
-        if self.tail is not None:
-            out += self.tail @ v[-3:]
         if self.scale is not None:
             out *= self.scale
         return out
 
 
 # ---------------------------------------------------------------------------
-# tail model (half-line grids)
-
-def _tail_rows(grid: RadialGrid, k: int, shift: int = 0) -> np.ndarray:
-    """Matrix (n x 3) mapping samples at nodes [n-3-shift : n-shift] to the
-    tail integral int_{r_n}^inf Bext(u) (u^2-r_i^2)^{k/2-1} u du per row i.
-
-    Bext is the cos-power fit cos^{k+1}, cos^{k+3}, cos^{k+5} through those
-    samples. Substitution u = r_n sec(chi) keeps the integrand smooth for all
-    rows including i = n-1 (stable form u^2-r_i^2 = (r_n^2-r_i^2)+r_n^2 tan^2 chi).
-    """
-    r = grid.nodes
-    rn = r[-1]
-    xt, wt = GL_TAIL
-    cg = (np.pi / 4) * (xt + 1.0)
-    wc = (np.pi / 4) * wt
-    sec = 1.0 / np.cos(cg)
-    tan = np.tan(cg)
-    pw = tail_basis(rn * rn * sec * sec, k)
-    du_fac = rn * rn * sec * sec * tan * wc
-    gap = rn * rn - r * r
-    kerarg = gap[:, None] + (rn * tan)[None, :] ** 2
-    T3 = scaled_kernel_power(kerarg, k, du_fac[None, :]) @ pw
-    return T3 @ tail_power_fit(grid.theta_nodes[:grid.n - shift], k)
-
-
-# ---------------------------------------------------------------------------
 # forward operator
 
-def _forward_tail(grid: RadialGrid, k: int) -> dict:
-    """The tail model's n x 3 rows ("tail", None on a truncated grid, which
-    drops the region beyond its last node), with row 0 of them and, on
-    half-line grids, of the fit through the three nodes before, for the tail
-    metadata."""
-    tail3 = _tail_rows(grid, k, shift=0)
-    if not grid.halfline:
-        return {"tail": None, "tail0": tail3[0].copy(), "tail0_alt": None}
-    return {"tail": tail3, "tail0": tail3[0].copy(),
-            "tail0_alt": _tail_rows(grid, k, shift=3)[0].copy()}
-
-
-def _assemble_forward(grid: RadialGrid, k: int) -> dict:
-    """M0 (prefix sums for k = 2, else dense row blocks) with, on half-line
-    grids, the tail model's rows in its last three columns, and the tail
-    metadata's rows of _forward_tail."""
-    tail = _forward_tail(grid, k)
+def _assemble_forward(grid: RadialGrid, k: int):
+    """Forward M0: prefix sums for k = 2, else dense row blocks."""
     if k == 2:
-        M = _PrefixSums(grid, 0, adjoint=False, tail=tail["tail"])
-    else:
-        M = _assemble(grid, k, 0, _quad.INTERP_DEGREE, adjoint=False, tail=tail["tail"])
-    return {"M": M, "tail0": tail["tail0"], "tail0_alt": tail["tail0_alt"]}
+        return _PrefixSums(grid, 0, adjoint=False)
+    return _assemble(grid, k, 0, _quad.INTERP_DEGREE, adjoint=False)
 
 
-def _forward_matrix(grid: RadialGrid, k: int) -> dict:
-    """Memoized M0 of (grid, k) with row 0 of its tail model."""
+def _forward_matrix(grid: RadialGrid, k: int):
+    """Memoized forward M0 of (grid, k)."""
     return _cached(("fwd", grid.fingerprint(), k), lambda: _assemble_forward(grid, k),
                    _operator_bytes(grid.n, k))
 
 
-def _tail_metadata(values: np.ndarray, out: np.ndarray, tail0, tail0_alt) -> dict:
-    """Share of the answer supplied by the tail model, and whether to distrust
-    it. A truncated grid (no tail0_alt) drops the tail beyond r_max by design,
-    so there the share is an estimate of what was lost."""
-    t_primary = float(tail0 @ values[-3:])
+def _row0_weight(grid: RadialGrid, k: int, theta: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row 0's forward weight on g = f sec^{k+1} at angles theta beyond its
+    kernel edge, base weights w: the kernel times u du cos^{k+1}(theta),
+    cos(theta_0)^{2-k} sin(theta) (sin(theta - theta_0) sin(theta + theta_0))^{k/2-1} w."""
+    t0 = grid.theta_nodes[0]
+    return scaled_kernel_power(np.sin(theta - t0) * np.sin(theta + t0), k,
+                               math.cos(t0) ** (2.0 - k) * np.sin(theta) * w)
+
+
+@functools.lru_cache(maxsize=16)
+def _tail_weights(grid: RadialGrid, k: int, cuts: tuple) -> tuple:
+    """Row 0's weights on the last 8 samples of f, for the tail metadata, of
+    a profile split at the angles `cuts` among those samples.
+
+    Half-line grid: the last cell's share of row 0 through the extrapolation
+    of g that the operator integrates (degree 7, within f's last segment),
+    and the same share through the degree-5 extrapolation. Truncated grid:
+    the share that the region beyond r_max would add to row 0 were g to keep
+    its last value there (f decaying like r^{-(k+1)}), and None."""
+    th, h, n, sec = grid.theta_nodes, grid.h, grid.n, _sec_power(grid, k)
+    if not grid.halfline:
+        x, w = _gl(th[-1:], np.array([math.pi / 2]), GL_TAIL)
+        return np.eye(8)[-1] * sec[-1] * _row0_weight(grid, k, x[0], w[0]).sum(), None
+    theta = (n + 0.5 + 0.5 * GL_CELL[0]) * h
+    omega = _row0_weight(grid, k, theta, 0.5 * h * GL_CELL[1])
+    out = []
+    for degree in (_quad.INTERP_DEGREE, 5):
+        idx, w = SegmentedInterp(th, h, cuts, degree=degree).plan(theta)
+        out.append(np.bincount((idx - (n - 8)).ravel(), (omega[:, None] * w * sec[idx]).ravel(),
+                               8))
+    return tuple(out)
+
+
+def _tail_metadata(grid: RadialGrid, k: int, f: RadialProfile, out: np.ndarray) -> dict:
+    """tail_fraction, the share of max|T f| in row 0 that comes from beyond
+    the last node, and tail_warning, whether to distrust it (_tail_weights).
+    On a half-line grid the warning is raised when the degree-7 and degree-5
+    extrapolations of g over the last cell differ by more than
+    _EXTRAPOLATION_TOL of max|T f|: g is then not smooth up to pi/2 (f's
+    decay is not r^{-(k+1)} times a smooth function of theta). A truncated
+    grid drops the region beyond r_max by design, so there the share is an
+    estimate of what was lost, and a share above _TAIL_TOL warns."""
+    th = grid.theta_nodes
+    cuts = tuple(t for t in map(math.atan, f.splits) if th[-9] < t < th[-1])
+    w, alt = _tail_weights(grid, k, cuts)
+    share = float(w @ f.values[-8:])
     scale = float(np.max(np.abs(out)))
-    if tail0_alt is None:
-        fraction = abs(t_primary) / (scale or 1.0)
+    if alt is None:
+        fraction = abs(share) / (scale or 1.0)
         return {"tail_fraction": fraction, "tail_warning": fraction > _TAIL_TOL}
     meta = {"tail_fraction": 0.0, "tail_warning": False}
     if scale > 0:
-        t_alt = float(tail0_alt @ values[-6:-3])
-        meta["tail_fraction"] = abs(t_primary) / scale
-        meta["tail_warning"] = abs(t_primary - t_alt) / scale > _TAIL_TOL
+        meta["tail_fraction"] = abs(share) / scale
+        meta["tail_warning"] = abs(share - float(alt @ f.values[-8:])) / scale > _EXTRAPOLATION_TOL
     return meta
 
 
@@ -1042,24 +1082,23 @@ def apply_T(params: Params, f: RadialProfile) -> RadialProfile:
     """Forward transform of a sampled profile on its own grid.
 
     Indicator-backed profiles use the exact closed form. The result carries
-    meta['tail_fraction'] (share of the answer supplied by the tail model) and
-    meta['tail_warning'] when two independent tail fits disagree beyond 1e-6,
-    which signals a tail too slow or irregular for the model.
+    meta['tail_fraction'] (share of the answer supplied beyond the last
+    node) and meta['tail_warning'] (see _tail_metadata), which signals a
+    decay too irregular for the last cell's extrapolation.
     """
     k = params.k
     if f.indicator is not None:
         F, amp = f.indicator
         out = apply_T_indicator(params, F, f.grid)
         return out.scaled(amp) if amp != 1.0 else out
-    built = _forward_matrix(f.grid, k)
-    return _forward_result(f, _apply(built["M"], f, k, 0, adjoint=False), built)
+    M = _forward_matrix(f.grid, k)
+    return _forward_result(f, k, _apply(M, f, k, 0, adjoint=False))
 
 
-def _forward_result(f: RadialProfile, out: np.ndarray, tail: dict) -> RadialProfile:
-    """T f from its values `out`: the tail metadata of f against the rows
-    tail["tail0"] and tail["tail0_alt"], and clamped at 0 for a nonnegative
-    f."""
-    meta = _tail_metadata(f.values, out, tail["tail0"], tail["tail0_alt"])
+def _forward_result(f: RadialProfile, k: int, out: np.ndarray) -> RadialProfile:
+    """T f from its values `out`: with f's tail metadata, and clamped at 0
+    for a nonnegative f."""
+    meta = _tail_metadata(f.grid, k, f, out)
     if f.nonnegative:
         out = np.maximum(out, 0.0)
     return RadialProfile(f.grid, out, meta=meta)
@@ -1074,12 +1113,11 @@ def _apply_T_once(params: Params, f: RadialProfile) -> RadialProfile:
     is planned by _quadrature_blocks one block of cells at a time, and each
     block's stencils are contracted against f as soon as it is planned, so
     every point reads one column; _accumulate integrates that column into
-    n x 1 row blocks of _TILE_ROWS rows on the build's workers, and the tail
-    model's rows are added on half-line grids. It holds one block's stencils,
-    O(n) point weights and sums, never an n x n matrix or the whole grid's
-    stencils, and still refuses a grid over the dense budget.
-    Indicators (a closed form), k = 2 (O(n) prefix sums) and a (grid, k)
-    whose M0 is cached go to apply_T.
+    n x 1 row blocks of _TILE_ROWS rows on the build's workers. It holds one
+    block's stencils, O(n) point weights and sums, never an n x n matrix or
+    the whole grid's stencils, and still refuses a grid over the dense
+    budget. Indicators (a closed form), k = 2 (O(n) prefix sums) and a
+    (grid, k) whose M0 is cached go to apply_T.
     """
     k, grid = params.k, f.grid
     with _CACHE_LOCK:
@@ -1088,7 +1126,7 @@ def _apply_T_once(params: Params, f: RadialProfile) -> RadialProfile:
         return apply_T(params, f)
     n = grid.n
     _dense(n)
-    kept, _ = _split_clusters(grid, f.splits)
+    kept, _ = _split_clusters(grid, f.splits, adjoint=False)
     interp = _split_interp(grid, kept) if kept else grid._interp_plain
     v, blocks = f.values, []
     for q in _quadrature_blocks(grid, k, 0, interp, kept, adjoint=False):
@@ -1100,11 +1138,7 @@ def _apply_T_once(params: Params, f: RadialProfile) -> RadialProfile:
     out = np.zeros((n, 1))
     _accumulate([(i0, 0, out[i0:i0 + _TILE_ROWS]) for i0 in range(0, n, _TILE_ROWS)],
                 0, np.zeros(1, dtype=int), grid, k, quad, adjoint=False)
-    out = out[:, 0]
-    tail = _forward_tail(grid, k)
-    if tail["tail"] is not None:
-        out += tail["tail"] @ v[-3:]
-    return _forward_result(f, out, tail)
+    return _forward_result(f, k, out[:, 0])
 
 
 def apply_T_indicator(params: Params, F: IntervalSet,

@@ -14,7 +14,7 @@ import numpy as np
 from .core import (IntervalSet, ParameterError, Params, PreconditionError,
                    RadialProfile, indicator_profile, make_grid, make_halfline_grid,
                    make_params, weighted_lp_norm)
-from .cc import interaction_bound_check, interaction_term
+from .cc import _interaction_bound, _interaction_term
 from .extremal import constant_B, extremizer_profile
 from .symmetry import truncate
 from .transform import (apply_T, apply_T_indicator, discretize_T_R,
@@ -379,7 +379,9 @@ def suite_interaction(deltas=(2.0, 4.0, 8.0, 16.0, 32.0), n: int = 2048) -> list
     sweep, and per m the ratio to the bound's shape stays within a factor-4
     band. The far profile carries the critical power tail u^{-(k+1)}, the
     family that saturates the Hoelder step; localized translates decay
-    strictly faster than the bound's shape and would not form a band."""
+    strictly faster than the bound's shape and would not form a band.
+    interaction_term and interaction_bound_check are evaluated from one
+    transform of each far profile (and of the near indicator) for all m."""
     out = []
     R = 1.0
     for k, d in ((1, 3), (2, 3)):
@@ -387,20 +389,27 @@ def suite_interaction(deltas=(2.0, 4.0, 8.0, 16.0, 32.0), n: int = 2048) -> list
         q = int(params.q)
         grid = make_halfline_grid(n)
         near = indicator_profile(grid, IntervalSet(((0.0, R),)))
+        t_near = apply_T(params, near).values
+        # per m and delta: the cross term, and the bound's left side and shape
+        terms, bounds = {}, {}
+        for delta in deltas:
+            psi = _critical_far_profile(params, grid, R + delta)
+            t_psi = apply_T(params, psi).values
+            for m in range(1, q):
+                terms[m, delta] = _interaction_term(params, t_near, t_psi, m, grid)
+                bounds[m, delta] = _interaction_bound(params, R, delta, psi, t_psi, m)
         all_decreasing = True
         worst_band = 0.0
         bands = {}
         rows = []   # (m, delta, lhs, rhs_shape, ratio)
         for m in range(1, q):
-            terms = []
             ratios = []
             for delta in deltas:
-                psi = _critical_far_profile(params, grid, R + delta)
-                terms.append(interaction_term(params, near, psi, m))
-                lhs, shape = interaction_bound_check(params, R, delta, psi, m)
+                lhs, shape = bounds[m, delta]
                 ratios.append(lhs / shape)
                 rows.append([m, delta, lhs, shape, lhs / shape])
-            all_decreasing &= all(b < a for a, b in zip(terms, terms[1:]))
+            by_delta = [terms[m, delta] for delta in deltas]
+            all_decreasing &= all(b < a for a, b in zip(by_delta, by_delta[1:]))
             bands[m] = max(ratios) / min(ratios)
             worst_band = max(worst_band, bands[m])
         ceiling = BASELINES.get(("interaction-band", k, d), math.inf)

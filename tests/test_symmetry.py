@@ -100,6 +100,26 @@ class TestNormalizeDilation:
 
 
 
+class TestDilateProfile:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_beyond_the_last_node_extrapolates_g(self, k):
+        # f = (1 + r^2)^{-a/2} has g = f sec^{k+1} = cos^{a-k-1}: smooth at
+        # pi/2 for integer a, where radii thrown past r_max land
+        params = K.make_params(k, k + 1)
+        grid = K.make_halfline_grid(512)
+        r = grid.nodes
+        for lam in (4.0, 64.0):
+            beyond = lam * r > grid.r_max
+            assert beyond.sum() >= 3
+            for a in (k + 1, k + 2, k + 3):
+                f = K.RadialProfile(grid, (1 + r ** 2) ** (-a / 2))
+                got = K.dilate_profile(params, f, lam).values
+                want = lam ** params.scale_exp_f * (1 + (lam * r) ** 2) ** (-a / 2)
+                # in g, whose values there are at most 1
+                sec = (1 + (lam * r[beyond]) ** 2) ** ((k + 1) / 2) / lam ** params.scale_exp_f
+                assert (np.abs(got[beyond] - want[beyond]) * sec).max() < 1e-10, (lam, a)
+
+
 class TestMassRule:
     """The mass median runs on the norms' lattice rule: its running p-mass
     ends at weighted_integral, it finds the closed-form median of the

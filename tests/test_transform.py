@@ -363,10 +363,12 @@ class TestOperatorCache:
         monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", size[130])
         T._forward_matrix(d, 1)           # over budget with anything else held
         assert held() == [d.fingerprint()]
-        monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", size[130] - 1)
+        # the entry just built is never evicted, even alone over the budget:
+        # k = 2's prefix sums, which the dense budget does not refuse
+        monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", T._nbytes(T._assemble_forward(d, 2)) - 1)
         T._MATRIX_CACHE.clear()
-        M = T._forward_matrix(d, 1)       # the entry just built is never evicted
-        assert held() == [d.fingerprint()] and T._forward_matrix(d, 1) is M
+        M = T._forward_matrix(d, 2)
+        assert held() == [d.fingerprint()] and T._forward_matrix(d, 2) is M
 
     def test_cache_evicts_before_allocating(self, fresh_cache, monkeypatch):
         T = fresh_cache
@@ -403,7 +405,7 @@ class TestBlockedAssembly:
         T = K.transform
         interp = SegmentedInterp(grid.theta_nodes, grid.h, [math.atan(s) for s in splits],
                                  degree=degree)
-        q = T._quadrature(grid, k, d, interp, 0, grid.n - 2, splits, adjoint)
+        q = T._quadrature(grid, k, d, interp, 0, T._cells(grid, adjoint) - 1, splits, adjoint)
         i = np.arange(grid.n)[:, None]
         cell = q["cell"][None, :]
         seen = (cell <= i - 2) if adjoint else (cell >= i + 1)
@@ -472,7 +474,7 @@ class TestBlockedAssembly:
         import tracemalloc
         T = fresh_cache
         grid = K.make_halfline_grid(2048)
-        for build in (lambda: T._forward_matrix(grid, k)["M"],
+        for build in (lambda: T._forward_matrix(grid, k),
                       lambda: T._adjoint_matrix(grid, k, k + 2)):
             tracemalloc.start()
             try:
@@ -497,7 +499,7 @@ class TestBlockedAssembly:
         grid = K.make_grid(300, hint)
         d = k + 2 if adjoint else 0
         interp = SegmentedInterp(grid.theta_nodes, grid.h, degree=degree)
-        q = T._quadrature(grid, k, d, interp, 0, grid.n - 2, (), adjoint)
+        q = T._quadrature(grid, k, d, interp, 0, T._cells(grid, adjoint) - 1, (), adjoint)
         full = np.zeros((grid.n, grid.n))
         T._accumulate(full, 0, np.arange(grid.n), grid, k, q, adjoint,
                       grid.nodes ** (2.0 - d) if adjoint else None)
@@ -644,9 +646,7 @@ class TestPrefixSums:
             op = T._adjoint_matrix(grid, 2, d)
             ref *= (grid.nodes ** (2.0 - d))[:, None]
         else:
-            op = T._forward_matrix(grid, 2)["M"]
-            if grid.halfline:
-                ref[:, -3:] += T._tail_rows(grid, 2)
+            op = T._forward_matrix(grid, 2)
         assert isinstance(op, T._PrefixSums)
         got = self._columns(op, grid, splits)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -661,7 +661,7 @@ class TestPrefixSums:
         params = K.make_params(2, 4)
         f = K.RadialProfile(grid, smooth_decaying(params, grid, np.random.default_rng(2)).values,
                             splits=splits)
-        op = T._assemble_adjoint(grid, 2, 4) if adjoint else T._assemble_forward(grid, 2)["M"]
+        op = T._assemble_adjoint(grid, 2, 4) if adjoint else T._assemble_forward(grid, 2)
         want = TestBandedApply._matrix(grid, 2, 7, adjoint) @ f.values
         for row0, cols, C in T._split_correction(grid, 2, 4, splits, adjoint):
             want[row0:row0 + C.shape[0]] += C @ f.values[cols]
@@ -689,7 +689,8 @@ class TestPrefixSums:
         for grid in (K.make_halfline_grid(600), K.make_grid(300, 8.0)):
             for adjoint in (False, True):
                 n = grid.n
-                q = T._quadrature(grid, 2, 4, grid._interp_plain, 0, n - 2, (), adjoint)
+                q = T._quadrature(grid, 2, 4, grid._interp_plain, 0, T._cells(grid, adjoint) - 1,
+                                  (), adjoint)
                 for keys, idx, w in ((q["cell"] + adjoint, q["sidx"], q["base"][:, None] * q["sw"]),
                                      (q["rows"], q["idx"], q["w"])):
                     size = keys.max() + 1
@@ -836,7 +837,8 @@ class TestQuadratureBlocks:
         interp = SegmentedInterp(grid.theta_nodes, grid.h, [math.atan(s) for s in splits])
         blocks = list(T._quadrature_blocks(grid, k, k + 2, interp, splits, adjoint))
         assert len(blocks) == 5
-        whole = T._quadrature(grid, k, k + 2, interp, 0, grid.n - 2, splits, adjoint)
+        whole = T._quadrature(grid, k, k + 2, interp, 0, T._cells(grid, adjoint) - 1, splits,
+                              adjoint)
         joined = T._concatenate(blocks)
         assert joined.keys() == whole.keys()
         for key, value in whole.items():
@@ -886,6 +888,27 @@ class TestQuadratureBlocks:
         assert np.array_equal(idx, idx_ref) and np.array_equal(w, w_ref)
         assert w.flags.c_contiguous
 
+    def test_one_shot_workers_hold_no_edge_band(self, fresh_cache, monkeypatch):
+        # each worker sums its rows' edge weights by row and column of its
+        # one-column block; by row and column less row, 256 x 256 doubles,
+        # it took the peak up by 0.9 MiB per added worker at n = 2048. What
+        # is left is mostly each worker's sine block of 256 x 128 doubles
+        import tracemalloc
+        T = fresh_cache
+        params, grid = K.make_params(1, 3), K.make_halfline_grid(2048)
+        f = K.extremizer_profile(params, 1.0, grid)
+        T._apply_T_once(params, f)       # the sine tables, kept per grid
+        peaks = {}
+        for workers in (1, 4):
+            monkeypatch.setattr(T, "_workers", lambda jobs, w=workers: min(w, jobs))
+            tracemalloc.start()
+            try:
+                T._apply_T_once(params, f)
+                peaks[workers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peaks[4] - peaks[1]) / 3 < 0.55 * 2 ** 20, (peaks[4] - peaks[1]) / 3 / 2 ** 20
+
     def test_one_shot_holds_one_block_of_stencils(self, fresh_cache, monkeypatch):
         # the whole grid's stencils alone, 16 n points of 8 indices and 8
         # weights, are 8 MiB at n = 4096; the workers fixed at two, as each
@@ -904,13 +927,55 @@ class TestQuadratureBlocks:
         assert peak <= 8 * 2 ** 20, peak / 2 ** 20
 
 
+class TestTailMetadata:
+    """On half-line grids tail_fraction is the last cell's share of row 0,
+    and tail_warning compares the degree-7 and degree-5 extrapolations of
+    g = f sec^{k+1} over that cell: f = (1 + r^2)^{-a/2} has g = cos^{a-k-1},
+    smooth at pi/2 for integer a and with a branch point there otherwise."""
+
+    @staticmethod
+    def _decay(k, a, n=512):
+        params, grid = K.make_params(k, k + 1), K.make_halfline_grid(n)
+        return params, K.RadialProfile(grid, (1 + grid.nodes ** 2) ** (-a / 2))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_warning_on_non_integer_decay_alone(self, k):
+        for step in (0.75, 1.5):
+            assert K.apply_T(*self._decay(k, k + step)).meta["tail_warning"], step
+        for step in (1, 2, 3, 4):
+            assert not K.apply_T(*self._decay(k, k + step)).meta["tail_warning"], step
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_fraction_is_the_last_cells_share_of_row_0(self, k):
+        T = K.transform
+        for a in (k + 1, k + 1.5, k + 3):
+            params, f = self._decay(k, a)
+            grid, n = f.grid, f.grid.n
+            tf = K.apply_T(params, f)
+            # the last cell alone, integrated into row 0 as the operator does
+            q = T._quadrature(grid, k, 0, grid._interp_plain, n - 1, n - 1, (), False)
+            row0 = np.zeros((1, n))
+            T._accumulate(row0, 0, np.arange(n), grid, k, q, False)
+            share = abs(row0[0] @ f.values) / np.abs(tf.values).max()
+            assert tf.meta["tail_fraction"] == pytest.approx(share, rel=1e-12), a
+
+    def test_a_split_among_the_last_nodes_keeps_its_segment(self):
+        # h cut at r = 256, between the third and second last nodes of a
+        # 1024-point grid: the last cell extrapolates the zero segment
+        params = K.make_params(1, 3)
+        h = K.extremizer_profile(params, 1.0, K.make_halfline_grid(1024))
+        cut = K.truncate(params, h, 256.0)[0]
+        meta = K.apply_T(params, cut).meta
+        assert meta == {"tail_fraction": 0.0, "tail_warning": False}
+
+
 class TestProfileMeta:
     def test_each_key_has_one_producer(self):
         params = K.make_params(1, 3)
         f = K.extremizer_profile(params, 1.0, K.make_halfline_grid(256))
         ball = K.indicator_profile(f.grid, K.IntervalSet(((0.0, 1.0),)))
         assert f.meta == {} and ball.meta == {}
-        # apply_T of a sampled profile: the tail model's share and its warning
+        # apply_T of a sampled profile: the last cell's share and its warning
         assert set(K.apply_T(params, f).meta) == {"tail_fraction", "tail_warning"}
         trunc = K.extremizer_profile(params, 1.0, K.make_grid(256, 8.0))
         assert set(K.apply_T(params, trunc).meta) == {"tail_fraction", "tail_warning"}
@@ -931,12 +996,8 @@ class TestBandedApply:
 
     @staticmethod
     def _matrix(grid, k, degree, adjoint):
-        # M0 as a dense matrix, with the tail model on half-line forward grids
-        T = K.transform
-        M = T._assemble(grid, k, k + 2 if adjoint else 0, degree, adjoint).toarray()
-        if grid.halfline and not adjoint:
-            M[:, -3:] += T._tail_rows(grid, k)
-        return M
+        # M0 as a dense matrix
+        return K.transform._assemble(grid, k, k + 2 if adjoint else 0, degree, adjoint).toarray()
 
     @pytest.mark.parametrize("hint", [float("inf"), 8.0])
     @pytest.mark.parametrize("adjoint", [False, True])
@@ -947,11 +1008,10 @@ class TestBandedApply:
         M = self._matrix(grid, k, degree, adjoint)
         # row by row: a block's columns are the union of its rows' columns
         for i in range(grid.n):
-            c0, c1 = K.transform._band(grid.n, degree, i, i + 1, adjoint, grid.halfline)
+            c0, c1 = K.transform._band(grid.n, degree, i, i + 1, adjoint)
             assert not M[i, :c0].any() and not M[i, c1:].any(), (i, c0, c1)
         # and the band is tight enough to matter
-        kept = sum(np.subtract(*K.transform._band(grid.n, degree, i, i + 1, adjoint,
-                                                  grid.halfline)[::-1])
+        kept = sum(np.subtract(*K.transform._band(grid.n, degree, i, i + 1, adjoint)[::-1])
                    for i in range(grid.n))
         assert kept < 0.65 * grid.n ** 2
 
@@ -974,8 +1034,7 @@ class TestBandedApply:
         want = M @ f.values
         for row0, cols, C in T._split_correction(grid, k, k + 2, splits, adjoint):
             want[row0:row0 + C.shape[0]] += C @ f.values[cols]
-        op = T._assemble(grid, k, k + 2 if adjoint else 0, 7, adjoint,
-                         None if adjoint else T._tail_rows(grid, k))
+        op = T._assemble(grid, k, k + 2 if adjoint else 0, 7, adjoint)
         got = T._apply(op, f, k, k + 2, adjoint)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
@@ -1015,7 +1074,7 @@ class TestThreadedBuild:
                 monkeypatch.setattr(T, "_workers", lambda jobs, w=workers: min(w, jobs))
                 del started[:]
                 M = (T._assemble_adjoint(grid, k, k + 2) if adjoint
-                     else T._assemble_forward(grid, k)["M"])
+                     else T._assemble_forward(grid, k))
                 assert len(started) == min(workers, len(M.blocks)) - 1
                 assert not any(thread.is_alive() for thread in started)
                 built.append(M.toarray())
@@ -1060,21 +1119,21 @@ class TestThreadedBuild:
         info = T.cache_info()["fwd"]
         assert info["entries"] == 0 and info["builds"] == 0
         monkeypatch.setattr(T._SineTables, "sines", sines)
-        M = T._forward_matrix(grid, 1)["M"]
+        M = T._forward_matrix(grid, 1)
         assert T.cache_info()["fwd"]["builds"] == 1
-        assert np.array_equal(M.toarray(), T._assemble_forward(grid, 1)["M"].toarray())
+        assert np.array_equal(M.toarray(), T._assemble_forward(grid, 1).toarray())
 
     def test_one_worker_starts_no_thread(self, monkeypatch):
         monkeypatch.setenv("KPLANE_THREADS", "1")
         started = self._counting_threads(monkeypatch)
-        M = K.transform._assemble_forward(K.make_halfline_grid(1000), 1)["M"]
+        M = K.transform._assemble_forward(K.make_halfline_grid(1000), 1)
         assert len(M.blocks) == 4 and started == []
 
     def test_a_thread_that_cannot_start_leaves_the_jobs_to_the_others(self, monkeypatch):
         import threading
         T = K.transform
         grid = K.make_halfline_grid(1000)
-        want = T._assemble_forward(grid, 1)["M"].toarray()
+        want = T._assemble_forward(grid, 1).toarray()
 
         class Unstartable(threading.Thread):
             def start(self):
@@ -1082,7 +1141,7 @@ class TestThreadedBuild:
 
         monkeypatch.setattr(T, "_workers", lambda jobs: min(3, jobs))
         monkeypatch.setattr(T.threading, "Thread", Unstartable)
-        assert np.array_equal(T._assemble_forward(grid, 1)["M"].toarray(), want)
+        assert np.array_equal(T._assemble_forward(grid, 1).toarray(), want)
 
     def test_worker_count(self, monkeypatch):
         import os

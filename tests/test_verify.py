@@ -148,6 +148,39 @@ class TestInteractionSuite:
             assert r.lhs <= 4.0
             assert r.inputs["decreasing"]
 
+    def test_one_transform_per_far_profile(self, monkeypatch):
+        # the sweep against the public functions, each of which transforms
+        # psi for every m; the suite transforms each psi once per (pair, delta)
+        import kplane.verify as V
+        deltas, n, transformed = (2.0, 4.0, 8.0), 512, []
+        apply_T = V.apply_T
+
+        def counting(params, f):
+            transformed.append(f)
+            return apply_T(params, f)
+
+        monkeypatch.setattr(V, "apply_T", counting)
+        reps = V.suite_interaction(deltas=deltas, n=n)
+        monkeypatch.undo()
+        far = [f for f in transformed if f.indicator is None]
+        assert len(far) == len(reps) * len(deltas)
+        assert len({(f.splits, f.values.tobytes()) for f in far}) == len(far)
+        for rep in reps:
+            params = K.make_params(rep.inputs["k"], rep.inputs["d"])
+            grid = K.make_halfline_grid(n)
+            near = K.indicator_profile(grid, K.IntervalSet(((0.0, 1.0),)))
+            rows, decreasing = [], True
+            for m in range(1, int(params.q)):
+                terms = []
+                for delta in deltas:
+                    psi = V._critical_far_profile(params, grid, 1.0 + delta)
+                    terms.append(K.interaction_term(params, near, psi, m))
+                    lhs, shape = K.interaction_bound_check(params, 1.0, delta, psi, m)
+                    rows.append([m, delta, lhs, shape, lhs / shape])
+                decreasing &= all(b < a for a, b in zip(terms, terms[1:]))
+            assert rep.inputs["sweep_rows"] == rows
+            assert rep.inputs["decreasing"] == decreasing
+
 
 def test_run_suite_unknown_name():
     with pytest.raises(K.ParameterError):
