@@ -68,10 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8,
                    help="stop once a step started from an Euler-Lagrange "
                         "residual <= TOL, checked after each Anderson-"
-                        "accelerated step; the residual has a floor, about "
-                        "1e-11 for (3,4) and 2e-13 for k = 1 at --grid-n 512, "
-                        "below which the search runs to --max-iter and "
-                        "exits 3")
+                        "accelerated step; the residual has a floor, at "
+                        "--grid-n 512 about 5e-15 for (3,4), 1.7e-13 for "
+                        "(1,3) and 4.4e-13 for (1,2), below which the search "
+                        "runs to --max-iter and exits 3")
     p.add_argument("--grid-n", type=int, default=2048)
     p.add_argument("--out-prefix", default="search",
                    help="writes PREFIX_trace.json and PREFIX_profile.csv")

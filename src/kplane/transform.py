@@ -22,7 +22,7 @@ grows like (pi/2 - theta)^{-(k+1)} near pi/2, the extremizer's exact decay,
 so g is smooth there wherever f decays like r^{-(k+1)} times a smooth
 function of theta. The scaling lives in the quadrature (_quadrature): each
 stencil weight of node j carries sec^{k+1}(theta_j) and each point weight
-cos^{k+1}(theta_p), so every M0, split correction and apply reads f. On
+cos^{k+1}(theta_p), so every M0 and every apply reads f. On
 half-line grids the last cell [theta_{n-1}, pi/2] is integrated as one more
 lattice cell, where g is the degree-7 extrapolation through the last 8
 nodes; apply_T's tail metadata reads that cell's share of row 0.
@@ -52,21 +52,21 @@ k, direction), so the build fills each tile of rows x whole cells with one
 multiply of two strided views, and multiplies it by a small dense block of
 the stencils scaled by the cos power of each point. The row blocks are
 filled on _workers threads for the one build, each block by one thread in
-one operation order, so M0 is bitwise the same for any worker count; split
-corrections, k = 2 and every apply run on the calling thread. discretize_T_R
-assembles its own row blocks at degree 1, for every k and uncached, and
-densifies them.
+one operation order, so M0 is bitwise the same for any worker count; k = 2
+and every apply run on the calling thread. discretize_T_R assembles its own
+row blocks at degree 1, for every k and uncached, and densifies them.
 
 Split radii change only the interpolation stencils within INTERP_DEGREE
-cells of a split and the subdivision of the cell that holds it, so a profile
-with splits is applied as M0 f + C f[cols], where the correction C is
-integrated over those few cells alone. A split is inside the grid when its
-angle lies strictly between the first and last node angles, one test for the
-interpolant and the quadrature alike. For a dense M0, C is built once per
-(grid, k, d, splits inside the grid) and held in the same byte-bounded LRU as
-M0, so a repeated split set costs one small product. For k = 2 every
-apply re-integrates those cells and edge rows in place of M0's. A dense M0 f
-is one product per row block. cache_info() counts the cache's entries,
+cells of a split and the subdivision of the cell that holds it, so M0 is
+never rebuilt for them and nothing is cached per split set: every apply of
+a profile with splits re-integrates those few cells (_split_quadratures).
+Each range of them is integrated twice, with the splits and, weights
+negated, without, each Gauss point's stencil contracted against f, and the
+pair is added to M0 f: by a dense M0 as one column from the tile loop, by
+the prefix sums per cell and per row before their cumulative sum. A split
+is inside the grid when its angle lies strictly between the first and last
+node angles, one test for the interpolant and the quadrature alike. A dense
+M0 f is one product per row block. cache_info() counts the cache's entries,
 bytes, builds, hits, evictions and build seconds per entry kind.
 
 A T f needed once (the sharp constant's T h, the CLI's transform) need not
@@ -118,21 +118,13 @@ _BUILD_LOCKS: dict = {}
 _CACHE_COUNTS: Counter = Counter()
 
 
-def _nbytes(value) -> int:
-    """Bytes a cached entry holds now: the row blocks of a dense M0 or its
-    prefix sums, or a list of split correction blocks (row0, cols, C)."""
-    if isinstance(value, list):
-        return sum(cols.nbytes + C.nbytes for _, cols, C in value)
-    return value.nbytes
-
-
 def _evict(need: int, keep: int) -> None:
     """Drop least recently used entries, all but the `keep` newest, while the
     held bytes plus `need` exceed DENSE_BUDGET_BYTES (caller holds the lock)."""
-    held = sum(_nbytes(v) for v in _MATRIX_CACHE.values())
+    held = sum(v.nbytes for v in _MATRIX_CACHE.values())
     while held + need > DENSE_BUDGET_BYTES and len(_MATRIX_CACHE) > keep:
         key, value = _MATRIX_CACHE.popitem(last=False)
-        held -= _nbytes(value)
+        held -= value.nbytes
         _CACHE_COUNTS[key[0], "evictions"] += 1
 
 
@@ -176,18 +168,19 @@ def _cached(key, build, need: int):
 
 
 def cache_info() -> dict:
-    """The operator cache per entry kind: "fwd" and "adj" (M0 of the forward
-    operator and of the adjoint) and "split" (a dense M0's split correction).
-    Each maps to the entries and bytes held now and, since the process
-    started, the builds, hits and evictions and build_s, the wall seconds
-    spent in builds (a hit adds none)."""
+    """The operator cache per entry kind: "fwd" and "adj", M0 of the forward
+    operator and of the adjoint, the only entries it holds (a profile's
+    splits are re-integrated at every apply and cache nothing). Each maps to
+    the entries and bytes held now and, since the process started, the
+    builds, hits and evictions and build_s, the wall seconds spent in builds
+    (a hit adds none)."""
     with _CACHE_LOCK:
         info = {kind: {"entries": 0, "bytes": 0, "builds": 0, "hits": 0, "evictions": 0,
                        "build_s": 0.0}
-                for kind in ("fwd", "adj", "split")}
+                for kind in ("fwd", "adj")}
         for key, value in _MATRIX_CACHE.items():
             info[key[0]]["entries"] += 1
-            info[key[0]]["bytes"] += _nbytes(value)
+            info[key[0]]["bytes"] += value.nbytes
         for (kind, event), count in _CACHE_COUNTS.items():
             info[kind][event] += count
     return info
@@ -520,8 +513,8 @@ class _SineTables:
 @functools.lru_cache(maxsize=8)
 def _lattice_tables(grid: RadialGrid, k: int, adjoint: bool) -> _SineTables:
     """_SineTables of every row against every whole cell of the grid, about
-    48 n doubles, shared by M0's build and each of its split corrections,
-    which read the rows and cells they need from them."""
+    48 n doubles, shared by M0's build and every split apply, which reads
+    the rows and cells it needs from them."""
     tables = _SineTables(grid, k, adjoint, 0, _cells(grid, adjoint), np.arange(grid.n))
     if tables.eps is not None:
         tables.eps.setflags(write=False)
@@ -613,13 +606,15 @@ def _on_workers(work, jobs: list) -> None:
         raise errors[0]
 
 
-def _accumulate(out, row0: int, cols: np.ndarray, grid: RadialGrid, k: int, quad: dict,
-                adjoint: bool, row_scale=None) -> None:
-    """Operator row i at node cols[j], integrated by `quad` (interior points
+def _accumulate(out, row0: int, grid: RadialGrid, k: int, quad: dict, adjoint: bool,
+                row_scale=None) -> None:
+    """Operator row i at column j, integrated by `quad` (interior points
     sorted by cell), times row_scale[i - row0] if given, added to `out`: a
-    zeroed array of rows row0.. against every column of cols, or a list of
-    row blocks (i0, c0, B), each B taking rows row0 + i0.. in columns
-    cols[c0].. (the blocks of _RowBlocks, or _apply_T_once's n x 1 column).
+    zeroed array of rows row0.., or a list of row blocks (i0, c0, B), each B
+    taking rows row0 + i0.. in columns c0... The columns are those of the
+    stencil indices: every node on a dense build (the blocks of _RowBlocks),
+    or the one column 0 of a quadrature _contract-ed against f (_apply_T_once's
+    n x 1 row blocks, a split apply's column).
 
     Forward row i integrates the interior cells c >= i+1, adjoint row i the
     cells c <= i-2; the edge stencils supply the cell at each row's kernel
@@ -627,7 +622,7 @@ def _accumulate(out, row0: int, cols: np.ndarray, grid: RadialGrid, k: int, quad
     alpha_i = cos(theta_i)^{2-k} scales rows, beta_p = base_p
     cos(theta_p)^{2-k} the stencil blocks of _cell_tiles. On the lattice,
     rows go in passes of _TILE_ROWS (more when the lattice is narrower than
-    a tile, as a split correction's is): the sine factors of a pass and a
+    a tile, as a split range's is): the sine factors of a pass and a
     block of cells are one multiply of views of the grid's _lattice_tables
     and their share of `out` one product with the stencil block, summed per
     tile in a buffer of its own that is added to `out` once. What a row
@@ -642,9 +637,10 @@ def _accumulate(out, row0: int, cols: np.ndarray, grid: RadialGrid, k: int, quad
     single-threaded loop, so `out` is bitwise the same for any worker count
     (an ndarray `out` is one block, filled by the calling thread). Beyond
     `out` and the kept tables a call holds `quad` (the caller's: a dense
-    build's stencils, or _apply_T_once's one column per point), the stencil
-    blocks, alpha and beta and, per worker, one block of sine factors, one
-    tile buffer and the edge band of the row block it fills.
+    build's stencils, or one contracted column per point), the stencil
+    blocks, alpha and beta and, per worker that takes a block, one block of
+    sine factors, one tile buffer and the edge band of the row block it
+    fills.
     """
     blocks = [(0, 0, out)] if isinstance(out, np.ndarray) else out
     rows = np.arange(row0, row0 + max(i0 + B.shape[0] for i0, _, B in blocks))
@@ -655,13 +651,7 @@ def _accumulate(out, row0: int, cols: np.ndarray, grid: RadialGrid, k: int, quad
         alpha *= row_scale
         w = w * row_scale[quad["rows"] - row0, None]
     beta = quad["base"] * np.cos(quad["theta"]) ** (2.0 - k)
-
-    def col_of(idx):
-        # the column of node idx: idx itself when cols covers every node, as
-        # on each dense M0 build
-        return idx if cols.size == grid.n else np.searchsorted(cols, idx)
-
-    tiles, off = _cell_tiles(cell, lattice, col_of(quad["sidx"]), beta[:, None] * quad["sw"])
+    tiles, off = _cell_tiles(cell, lattice, quad["sidx"], beta[:, None] * quad["sw"])
     if tiles:
         tables = _lattice_tables(grid, k, adjoint)
         # rows per pass: _TILE_ROWS, or proportionally more over a lattice
@@ -671,18 +661,20 @@ def _accumulate(out, row0: int, cols: np.ndarray, grid: RadialGrid, k: int, quad
         R = min(_TILE_ROWS * max(_TILE_CELLS // span, 1), rows.size)
         points = max(b[1] - b[0] for _, _, tile_blocks in tiles for b in tile_blocks)
         width = max(J1 - J0 for J0, J1, _ in tiles)
-    edge_rows, edge_cols = quad["rows"] - row0, col_of(quad["idx"])
+    edge_rows, edge_cols = quad["rows"] - row0, quad["idx"]
 
     def seen_cells(rs):
         # the first and last cell some row of rs sees
         return (cell[0], rs[-1] - 2) if adjoint else (rs[0] + 1, cell[-1])
 
     def fill(take):
-        # one worker: its own block of sine factors and tile buffer, and
+        # one worker: its own block of sine factors and tile buffer, made
+        # on its first job (a worker that gets none allocates neither), and
         # the row blocks it takes, each written by this worker alone
-        if tiles:
-            buf, acc = np.empty((R, points)), np.empty((R, width))
+        buf = None
         for i0, b0, B in take:
+            if tiles and buf is None:
+                buf, acc = np.empty((R, points)), np.empty((R, width))
             b1 = b0 + B.shape[1]
             for a in range(i0, i0 + B.shape[0], R) if tiles else ():
                 rs = rows[a:min(a + R, i0 + B.shape[0])]
@@ -734,14 +726,16 @@ def _accumulate(out, row0: int, cols: np.ndarray, grid: RadialGrid, k: int, quad
 
 
 class _RowBlocks:
-    """A dense M0 on n nodes as blocks (i0, c0, B) of _TILE_ROWS rows: B,
-    contiguous, holds rows i0.. in columns c0.., the columns `_band` gives
-    those rows. The triangle outside the band is zero and not stored, so a
-    forward or adjoint M0 holds about (n + 2 INTERP_DEGREE + _TILE_ROWS) / 2n
-    of its n x n entries. apply() reads each block once against its
-    columns."""
+    """A dense M0 of (grid, k, d) on n nodes as blocks (i0, c0, B) of
+    _TILE_ROWS rows: B, contiguous, holds rows i0.. in columns c0.., the
+    columns `_band` gives those rows. The triangle outside the band is zero
+    and not stored, so a forward or adjoint M0 holds about (n + 2
+    INTERP_DEGREE + _TILE_ROWS) / 2n of its n x n entries. apply() reads
+    each block once against its columns."""
 
-    def __init__(self, n: int, degree: int, adjoint: bool):
+    def __init__(self, grid: RadialGrid, k: int, d: int, degree: int, adjoint: bool):
+        n = grid.n
+        self.grid, self.k, self.d, self.adjoint = grid, k, d, adjoint
         bands = [(i0, min(i0 + _TILE_ROWS, n)) for i0 in range(0, n, _TILE_ROWS)]
         bands = [(i0, i1, *_band(n, degree, i0, i1, adjoint)) for i0, i1 in bands]
         # one zeroed buffer cut into the blocks: an allocation large enough
@@ -759,16 +753,21 @@ class _RowBlocks:
         return sum(B.nbytes for _, _, B in self.blocks)
 
     def apply(self, f: RadialProfile) -> np.ndarray:
-        """M0 f, without f's splits."""
-        v, out = f.values, np.empty(self.n)
+        """M0 f, one product per row block, plus each pair of
+        _split_quadratures of f's splits integrated by the tile loop into
+        one column over the rows that see its cells."""
+        grid, n, k, d, adjoint = self.grid, self.n, self.k, self.d, self.adjoint
+        v, out = f.values, np.empty(n)
         for i0, c0, B in self.blocks:
             out[i0:i0 + B.shape[0]] = B @ v[c0:c0 + B.shape[1]]
+        for c0, c1, pair in _split_quadratures(grid, k, d, f, adjoint):
+            row0, row1 = ((0 if c0 == 0 else c0 + 1), n) if adjoint else (0, c1 + 1)
+            scale = grid.nodes[row0:row1] ** (2.0 - d) if adjoint else None
+            col = np.zeros((row1 - row0, 1))
+            for q in pair:
+                _accumulate(col, row0, grid, k, q, adjoint, scale)
+            out[row0:row1] += col[:, 0]
         return out
-
-    @staticmethod
-    def split_blocks(f: RadialProfile, k: int, d: int, adjoint: bool) -> list:
-        """The cached correction blocks (row0, cols, C) of f's splits."""
-        return _split_blocks(f.grid, k, d, f.splits, adjoint)
 
     def toarray(self) -> np.ndarray:
         """M0 as an n x n matrix."""
@@ -786,8 +785,8 @@ def _assemble(grid: RadialGrid, k: int, d: int, degree: int, adjoint: bool) -> _
     _dense(n)
     interp = SegmentedInterp(grid.theta_nodes, grid.h, degree=degree)
     quad = _concatenate(list(_quadrature_blocks(grid, k, d, interp, (), adjoint)))
-    M = _RowBlocks(n, degree, adjoint)
-    _accumulate(M.blocks, 0, np.arange(n), grid, k, quad, adjoint,
+    M = _RowBlocks(grid, k, d, degree, adjoint)
+    _accumulate(M.blocks, 0, grid, k, quad, adjoint,
                 grid.nodes ** (2.0 - d) if adjoint else None)
     return M
 
@@ -820,63 +819,32 @@ def _split_interp(grid: RadialGrid, kept) -> SegmentedInterp:
     return SegmentedInterp(grid.theta_nodes, grid.h, [math.atan(s) for s in kept])
 
 
-def _correction_bytes(n: int, clusters, adjoint: bool) -> int:
-    """Upper bound on the bytes of _split_correction's blocks for `clusters`:
-    a range [c0, c1] reads nodes c0 - INTERP_DEGREE .. c1 + 1 + INTERP_DEGREE
-    at most."""
-    total = 0
-    for c0, c1 in clusters:
-        rows = n - (0 if c0 == 0 else c0 + 1) if adjoint else c1 + 1
-        cols = min(n, c1 - c0 + 2 * _quad.INTERP_DEGREE + 2)
-        total += 8 * cols * (rows + 1)
-    return total
+def _contract(q: dict, v: np.ndarray) -> dict:
+    """The quadrature q with each point's stencil contracted against the
+    node values v, in place: sw <- sum sw v[sidx] and w <- sum w v[idx], one
+    weight per point, in column 0."""
+    for idx, w in (("sidx", "sw"), ("idx", "w")):
+        q[w] = np.einsum("ij,ij->i", q[w], v[q[idx]])[:, None]
+        q[idx] = np.zeros(q[w].shape, dtype=int)
+    return q
 
 
-def _split_correction(grid: RadialGrid, k: int, d: int, splits_r, adjoint: bool) -> list:
-    """Blocks (row0, cols, C): the dense operator of a profile with splits
-    `splits_r` is M0 plus C on rows row0.. and columns cols of each block.
-
-    Each block integrates one range of _split_clusters with the splits, then
-    adds the same cells without them, their stencil weights negated.
-    """
-    n = grid.n
-    kept, clusters = _split_clusters(grid, splits_r, adjoint)
+def _split_quadratures(grid: RadialGrid, k: int, d: int, f: RadialProfile, adjoint: bool):
+    """(c0, c1, pair) per _split_clusters range [c0, c1] of f's splits: the
+    pair is the range's quadrature with the splits and its plain quadrature,
+    weights negated, both _contract-ed against f. Added to M0 f, whose plain
+    integral of those cells the negated one cancels, the pair gives the
+    operator of f with its splits (d is 0 for the forward operator)."""
+    kept, clusters = _split_clusters(grid, f.splits, adjoint)
     if not clusters:
-        return []
+        return
     with_splits = _split_interp(grid, kept)
-    blocks = []
     for c0, c1 in clusters:
-        q_split = _quadrature(grid, k, d, with_splits, c0, c1, kept, adjoint)
-        q_plain = _quadrature(grid, k, d, grid._interp_plain, c0, c1, (), adjoint)
-        q_plain["sw"], q_plain["w"] = -q_plain["sw"], -q_plain["w"]
-        cols = unique(np.concatenate([q[key].ravel() for q in (q_split, q_plain)
-                                      for key in ("sidx", "idx")]))
-        row0, row1 = ((0 if c0 == 0 else c0 + 1), n) if adjoint else (0, c1 + 1)
-        C = np.zeros((row1 - row0, cols.size))
-        scale = grid.nodes[row0:row1] ** (2.0 - d) if adjoint else None
-        for q in (q_split, q_plain):
-            _accumulate(C, row0, cols, grid, k, q, adjoint, scale)
-        blocks.append((row0, cols, C))
-    return blocks
-
-
-def _split_blocks(grid: RadialGrid, k: int, d: int, splits_r, adjoint: bool) -> list:
-    """_split_correction memoized beside a dense M0, keyed on the split radii
-    inside the grid (d is 0 for the forward operator); [] and no entry when
-    no split lies inside the grid. The blocks are shared, so read-only."""
-    kept, clusters = _split_clusters(grid, splits_r, adjoint)
-    if not clusters:
-        return []
-
-    def build():
-        blocks = _split_correction(grid, k, d, kept, adjoint)
-        for _, cols, C in blocks:
-            cols.setflags(write=False)
-            C.setflags(write=False)
-        return blocks
-
-    return _cached(("split", grid.fingerprint(), k, d, kept, adjoint), build,
-                   _correction_bytes(grid.n, clusters, adjoint))
+        split = _contract(_quadrature(grid, k, d, with_splits, c0, c1, kept, adjoint), f.values)
+        plain = _contract(_quadrature(grid, k, d, grid._interp_plain, c0, c1, (), adjoint),
+                          f.values)
+        plain["sw"], plain["w"] = -plain["sw"], -plain["w"]
+        yield c0, c1, (split, plain)
 
 
 def _band(n: int, degree: int, i0: int, i1: int, adjoint: bool) -> tuple[int, int]:
@@ -891,23 +859,6 @@ def _band(n: int, degree: int, i0: int, i1: int, adjoint: bool) -> tuple[int, in
     if adjoint:
         return 0, min(i1 + degree, n)
     return max(i0 - degree, 0), n
-
-
-def _apply(M, f: RadialProfile, k: int, d: int, adjoint: bool) -> np.ndarray:
-    """M f for M0 as _RowBlocks or _PrefixSums, plus the split correction
-    of f's splits.
-
-    A dense M0 holds only its band (upper triangle for the forward operator,
-    lower for the adjoint, and INTERP_DEGREE columns more), one contiguous
-    block per _TILE_ROWS rows. Its split correction is built once per (grid,
-    k, d, splits) and held in the operator cache beside M0, so a repeat adds
-    C f[cols] alone. Prefix sums (k = 2) re-integrate the split cells in
-    their own apply and have no correction blocks.
-    """
-    out = M.apply(f)
-    for row0, cols, C in M.split_blocks(f, k, d, adjoint):
-        out[row0:row0 + C.shape[0]] += C @ f.values[cols]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -936,12 +887,6 @@ def _gather(band: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", W, v[cols])
 
 
-def _patch(sums: np.ndarray, keys: np.ndarray, terms: np.ndarray) -> None:
-    """sums[key] <- the sum of the terms of that key, for the keys present."""
-    present = unique(keys)
-    sums[present] = np.bincount(keys, weights=terms, minlength=sums.size)[present]
-
-
 class _PrefixSums:
     """M0 of k = 2, whose kernel (u^2 - r^2)^0 is 1, as what its apply reads.
 
@@ -954,8 +899,8 @@ class _PrefixSums:
     the rows' r^{2-d} scaling (adjoint): O(n) memory and an O(n) apply.
     The build integrates _BUILD_CELLS cells at a time, so it holds O(n) too.
 
-    A profile with splits recomputes the cell integrals and edge rows of the
-    _split_clusters ranges from their split quadrature.
+    A profile with splits adds each pair of _split_quadratures per cell and
+    per row before the cumulative sum.
     """
 
     def __init__(self, grid: RadialGrid, d: int, adjoint: bool):
@@ -979,21 +924,14 @@ class _PrefixSums:
         held = [*self.cells, *self.edge, self.scale]
         return sum(a.nbytes for a in held if a is not None)
 
-    @staticmethod
-    def split_blocks(f: RadialProfile, k: int, d: int, adjoint: bool) -> tuple:
-        """No blocks: apply() re-integrates the cells of f's splits."""
-        return ()
-
     def apply(self, f: RadialProfile) -> np.ndarray:
         v, n = f.values, self.grid.n
         cells, edge = _gather(self.cells, v), _gather(self.edge, v)
-        kept, clusters = _split_clusters(self.grid, f.splits, self.adjoint)
-        interp = _split_interp(self.grid, kept) if clusters else None
-        for c0, c1 in clusters:
-            q = _quadrature(self.grid, 2, self.d, interp, c0, c1, kept, self.adjoint)
-            _patch(cells, q["cell"] + self.adjoint,
-                   q["base"] * np.einsum("ij,ij->i", q["sw"], v[q["sidx"]]))
-            _patch(edge, q["rows"], np.einsum("ij,ij->i", q["w"], v[q["idx"]]))
+        for _, _, pair in _split_quadratures(self.grid, 2, self.d, f, self.adjoint):
+            for q in pair:
+                cells += np.bincount(q["cell"] + self.adjoint, q["base"] * q["sw"][:, 0],
+                                     cells.size)
+                edge += np.bincount(q["rows"], q["w"][:, 0], n)
         out = np.zeros(n)
         if self.adjoint:
             np.cumsum(cells[:n - 1], out=out[1:])
@@ -1092,7 +1030,7 @@ def apply_T(params: Params, f: RadialProfile) -> RadialProfile:
         out = apply_T_indicator(params, F, f.grid)
         return out.scaled(amp) if amp != 1.0 else out
     M = _forward_matrix(f.grid, k)
-    return _forward_result(f, k, _apply(M, f, k, 0, adjoint=False))
+    return _forward_result(f, k, M.apply(f))
 
 
 def _forward_result(f: RadialProfile, k: int, out: np.ndarray) -> RadialProfile:
@@ -1111,7 +1049,7 @@ def _apply_T_once(params: Params, f: RadialProfile) -> RadialProfile:
     T f = K (D f), D the Gauss points' interpolation stencils and K their
     kernel weights per row: the quadrature of a build, with f's own splits,
     is planned by _quadrature_blocks one block of cells at a time, and each
-    block's stencils are contracted against f as soon as it is planned, so
+    block's stencils are contracted against f (_contract) once planned, so
     every point reads one column; _accumulate integrates that column into
     n x 1 row blocks of _TILE_ROWS rows on the build's workers. It holds one
     block's stencils, O(n) point weights and sums, never an n x n matrix or
@@ -1128,16 +1066,11 @@ def _apply_T_once(params: Params, f: RadialProfile) -> RadialProfile:
     _dense(n)
     kept, _ = _split_clusters(grid, f.splits, adjoint=False)
     interp = _split_interp(grid, kept) if kept else grid._interp_plain
-    v, blocks = f.values, []
-    for q in _quadrature_blocks(grid, k, 0, interp, kept, adjoint=False):
-        for idx, w in (("sidx", "sw"), ("idx", "w")):
-            q[w] = np.einsum("ij,ij->i", q[w], v[q[idx]])[:, None]
-            q[idx] = np.zeros(q[w].shape, dtype=int)
-        blocks.append(q)
-    quad = _concatenate(blocks)
+    quad = _concatenate([_contract(q, f.values)
+                         for q in _quadrature_blocks(grid, k, 0, interp, kept, adjoint=False)])
     out = np.zeros((n, 1))
     _accumulate([(i0, 0, out[i0:i0 + _TILE_ROWS]) for i0 in range(0, n, _TILE_ROWS)],
-                0, np.zeros(1, dtype=int), grid, k, quad, adjoint=False)
+                0, grid, k, quad, adjoint=False)
     return _forward_result(f, k, out[:, 0])
 
 
@@ -1185,8 +1118,7 @@ def apply_T_adjoint(params: Params, g: RadialProfile) -> RadialProfile:
     if g.indicator is not None:
         F, amp = g.indicator
         return _adjoint_indicator(params, F, grid).scaled(amp)
-    M = _adjoint_matrix(grid, k, d)
-    out = _apply(M, g, k, d, adjoint=True)
+    out = _adjoint_matrix(grid, k, d).apply(g)
     if g.nonnegative:
         out = np.maximum(out, 0.0)
     return RadialProfile(grid, out)

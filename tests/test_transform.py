@@ -328,7 +328,7 @@ class TestOperatorCache:
         T._forward_matrix(grid, 1)        # a hit adds no build time
         info = T.cache_info()
         assert info["fwd"]["hits"] == 1 and info["fwd"]["build_s"] == spent
-        assert info["adj"]["build_s"] == info["split"]["build_s"] == 0.0
+        assert info["adj"]["build_s"] == 0.0
         T._adjoint_matrix(grid, 1, 3)
         assert T.cache_info()["adj"]["build_s"] > 0.0
 
@@ -347,7 +347,7 @@ class TestOperatorCache:
     def test_cache_bounded_by_bytes_in_lru_order(self, fresh_cache, monkeypatch):
         T = fresh_cache
         a, b, c, d = (K.make_halfline_grid(n) for n in (100, 110, 120, 130))
-        size = {g.n: T._nbytes(T._assemble_forward(g, 1)) for g in (a, b, c, d)}
+        size = {g.n: T._assemble_forward(g, 1).nbytes for g in (a, b, c, d)}
 
         def held():
             return [key[1] for key in T._MATRIX_CACHE]
@@ -359,13 +359,13 @@ class TestOperatorCache:
         assert held() == [b.fingerprint(), a.fingerprint()]
         T._forward_matrix(c, 1)           # evicts b, the least recently used
         assert held() == [a.fingerprint(), c.fingerprint()]
-        assert sum(map(T._nbytes, T._MATRIX_CACHE.values())) == size[100] + size[120]
+        assert sum(v.nbytes for v in T._MATRIX_CACHE.values()) == size[100] + size[120]
         monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", size[130])
         T._forward_matrix(d, 1)           # over budget with anything else held
         assert held() == [d.fingerprint()]
         # the entry just built is never evicted, even alone over the budget:
         # k = 2's prefix sums, which the dense budget does not refuse
-        monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", T._nbytes(T._assemble_forward(d, 2)) - 1)
+        monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", T._assemble_forward(d, 2).nbytes - 1)
         T._MATRIX_CACHE.clear()
         M = T._forward_matrix(d, 2)
         assert held() == [d.fingerprint()] and T._forward_matrix(d, 2) is M
@@ -373,14 +373,14 @@ class TestOperatorCache:
     def test_cache_evicts_before_allocating(self, fresh_cache, monkeypatch):
         T = fresh_cache
         grids = [K.make_halfline_grid(n) for n in (100, 110, 120, 130)]
-        size = {g.n: T._nbytes(T._assemble_forward(g, 1)) for g in grids}
+        size = {g.n: T._assemble_forward(g, 1).nbytes for g in grids}
         budget = size[100] + size[120]
         monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", budget)
         allocations = []
         dense = T._dense
 
         def recording_dense(n):
-            held = sum(map(T._nbytes, T._MATRIX_CACHE.values()))
+            held = sum(v.nbytes for v in T._MATRIX_CACHE.values())
             allocations.append((n, held))
             return dense(n)
 
@@ -391,7 +391,7 @@ class TestOperatorCache:
         assert [n for n, _ in allocations] == [100, 110, 120, 130, 100]
         # the cache and the matrix being allocated fit the budget together
         assert all(held + 8 * n * n <= budget for n, held in allocations)
-        assert sum(map(T._nbytes, T._MATRIX_CACHE.values())) <= budget
+        assert sum(v.nbytes for v in T._MATRIX_CACHE.values()) <= budget
 
 
 class TestBlockedAssembly:
@@ -418,6 +418,15 @@ class TestBlockedAssembly:
         np.add.at(M, (q["rows"][:, None], q["idx"]), q["w"])
         return M, q
 
+    @classmethod
+    def _split_part(cls, grid, k, d, adjoint, splits):
+        # what `splits` add to the operator (adjoint rows scaled by r^{2-d}):
+        # the reference with them less the reference without
+        C = cls._reference(grid, k, d, adjoint, splits)[0] - cls._reference(grid, k, d, adjoint)[0]
+        if adjoint:
+            C *= (grid.nodes ** (2.0 - d))[:, None]
+        return C
+
     @pytest.mark.parametrize("hint", [float("inf"), 8.0])
     @pytest.mark.parametrize("adjoint", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -425,49 +434,51 @@ class TestBlockedAssembly:
         grid = K.make_grid(64, hint)
         ref, q = self._reference(grid, k, k + 2, adjoint)
         M = np.zeros((64, 64))
-        K.transform._accumulate(M, 0, np.arange(64), grid, k, q, adjoint)
+        K.transform._accumulate(M, 0, grid, k, q, adjoint)
         assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("adjoint", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_split_correction_matches_dense_reference(self, k, adjoint):
+    def test_split_apply_matches_dense_reference(self, k, adjoint):
         # the split at 7.9 leaves a last segment shorter than a stencil, whose
         # padded stencil entries repeat the last node with zero weight
         T = K.transform
         grid, d, splits = K.make_grid(64, 8.0), k + 2, (2.0, 7.9)
         ref = self._reference(grid, k, d, adjoint, splits)[0]
-        M = T._assemble(grid, k, d, 7, adjoint).toarray()
+        op = T._assemble(grid, k, d, 7, adjoint)
         if adjoint:
             ref *= (grid.nodes ** (2.0 - d))[:, None]
-        for row0, cols, C in T._split_correction(grid, k, d, splits, adjoint):
-            M[row0:row0 + C.shape[0], cols] += C
-        assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
+        got = _columns(op, grid, splits)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("adjoint,cells", [(False, 3), (True, 3), (False, None), (True, None)],
                              ids=["False", "True", "False-rows5", "True-rows5"])
     @pytest.mark.parametrize("k", [1, 3])
     def test_tile_boundaries_do_not_change_the_operator(self, monkeypatch, k, adjoint, cells):
         T = K.transform
-        grid = K.make_halfline_grid(300)
+        grid, d = K.make_halfline_grid(300), k + 2
         splits = (0.4, 1.7, 1.7001, 6.0)
+        assert len(T._split_clusters(grid, splits, adjoint)[1]) > 1
+        V = np.random.default_rng(0).uniform(0.5, 1.5, (grid.n, 4))
+        C = self._split_part(grid, k, d, adjoint, splits)
 
         def build():
-            # the operator without splits, and with them as one dense matrix
-            plain = T._assemble(grid, k, k + 2, 7, adjoint).toarray()
-            split = plain.copy()
-            blocks = T._split_correction(grid, k, k + 2, splits, adjoint)
-            for row0, cols, C in blocks:
-                split[row0:row0 + C.shape[0], cols] += C
-            return plain, split, len(blocks)
+            # the operator without splits, and with them applied to V, which
+            # the reference's split part takes from the one to the other
+            op = T._assemble(grid, k, d, 7, adjoint)
+            plain = op.toarray()
+            split = np.column_stack([op.apply(K.RadialProfile(grid, v, splits=splits))
+                                     for v in V.T])
+            want = plain @ V + C @ V
+            assert np.abs(split - want).max() <= 1e-15 * np.abs(want).max()
+            return plain
 
-        *default, n_blocks = build()
-        assert n_blocks > 1
+        default = build()
         # row blocks and cell tiles that end inside a row's staircase
         monkeypatch.setattr(T, "_TILE_ROWS", 5)
         if cells is not None:
             monkeypatch.setattr(T, "_TILE_CELLS", cells)
-        for got, want in zip(build()[:2], default):
-            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        assert np.abs(build() - default).max() <= 1e-15 * np.abs(default).max()
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_cold_build_peaks_below_twice_the_matrix(self, fresh_cache, k):
@@ -501,7 +512,7 @@ class TestBlockedAssembly:
         interp = SegmentedInterp(grid.theta_nodes, grid.h, degree=degree)
         q = T._quadrature(grid, k, d, interp, 0, T._cells(grid, adjoint) - 1, (), adjoint)
         full = np.zeros((grid.n, grid.n))
-        T._accumulate(full, 0, np.arange(grid.n), grid, k, q, adjoint,
+        T._accumulate(full, 0, grid, k, q, adjoint,
                       grid.nodes ** (2.0 - d) if adjoint else None)
         M = T._assemble(grid, k, d, degree, adjoint)
         assert len(M.blocks) == -(-grid.n // T._TILE_ROWS)
@@ -513,8 +524,8 @@ class TestBlockedAssembly:
         T = fresh_cache
         n = 2048
         grid = K.make_halfline_grid(n)
-        held = {"fwd": T._nbytes(T._forward_matrix(grid, k)),
-                "adj": T._nbytes(T._adjoint_matrix(grid, k, k + 2))}
+        held = {"fwd": T._forward_matrix(grid, k).nbytes,
+                "adj": T._adjoint_matrix(grid, k, k + 2).nbytes}
         info = T.cache_info()
         for kind, nbytes in held.items():
             assert nbytes <= 0.6 * 8 * n * n, (kind, nbytes / (8 * n * n))
@@ -548,8 +559,8 @@ class TestBlockedAssembly:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20, peak / 2 ** 20
         for op in ops:
-            assert T._nbytes(op) < 2 ** 20
-            assert T._nbytes(op) <= T._operator_bytes(grid.n, 2)
+            assert op.nbytes < 2 ** 20
+            assert op.nbytes <= T._operator_bytes(grid.n, 2)
 
 
 class TestSineKernel:
@@ -574,7 +585,7 @@ class TestSineKernel:
         grid = K.make_grid(64, hint)
         ref, q = TestBlockedAssembly._reference(grid, k, k + 2, adjoint)
         M = np.zeros((64, 64))
-        K.transform._accumulate(M, 0, np.arange(64), grid, k, q, adjoint)
+        K.transform._accumulate(M, 0, grid, k, q, adjoint)
         assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("tiles", TILES.values(), ids=TILES.keys())
@@ -610,7 +621,7 @@ class TestSineKernel:
     @pytest.mark.parametrize("k", [1, 3])
     def test_direct_evaluation_of_few_cells_equals_tables(self, k, adjoint):
         # the points of one or two cells against every row, as a split
-        # correction evaluates the cells a split cuts: bitwise the table
+        # apply evaluates the cells a split cuts: bitwise the table
         # values, the rounding correction near the kernel edge included
         T = K.transform
         grid = K.make_halfline_grid(200)
@@ -624,15 +635,14 @@ class TestSineKernel:
             assert np.array_equal(T._direct_sines(c, u, rows, grid.h, k, adjoint), want)
 
 
+def _columns(op, grid, splits):
+    # the operator a profile with `splits` sees, one unit vector at a time
+    return np.column_stack([op.apply(K.RadialProfile(grid, e, splits=splits))
+                            for e in np.eye(grid.n)])
+
+
 class TestPrefixSums:
     """The k = 2 operator as prefix sums against the dense reference."""
-
-    @staticmethod
-    def _columns(op, grid, splits):
-        # the operator a profile with `splits` sees, one unit vector at a time
-        return np.column_stack([K.transform._apply(op, K.RadialProfile(grid, e, splits=splits),
-                                                   2, 4, op.adjoint)
-                                for e in np.eye(grid.n)])
 
     @pytest.mark.parametrize("splits", [(), (2.0, 7.9), (0.4, 1.7, 1.7001, 6.0)])
     @pytest.mark.parametrize("degree", [7])
@@ -648,14 +658,14 @@ class TestPrefixSums:
         else:
             op = T._forward_matrix(grid, 2)
         assert isinstance(op, T._PrefixSums)
-        got = self._columns(op, grid, splits)
+        got = _columns(op, grid, splits)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("splits", [(), (0.4, 1.7, 6.0)])
     @pytest.mark.parametrize("adjoint", [False, True])
     def test_apply_matches_dense_matvec(self, adjoint, splits):
-        # the cumulative sum over 600 rows against the dense assembly
-        # and the dense split correction
+        # the cumulative sum over 600 rows against the dense assembly and
+        # the reference's split part
         T = K.transform
         grid = K.make_halfline_grid(600)
         params = K.make_params(2, 4)
@@ -663,9 +673,9 @@ class TestPrefixSums:
                             splits=splits)
         op = T._assemble_adjoint(grid, 2, 4) if adjoint else T._assemble_forward(grid, 2)
         want = TestBandedApply._matrix(grid, 2, 7, adjoint) @ f.values
-        for row0, cols, C in T._split_correction(grid, 2, 4, splits, adjoint):
-            want[row0:row0 + C.shape[0]] += C @ f.values[cols]
-        got = T._apply(op, f, 2, 4, adjoint)
+        if splits:
+            want += TestBlockedAssembly._split_part(grid, 2, 4, adjoint, splits) @ f.values
+        got = op.apply(f)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("n", [64, 512])
@@ -717,7 +727,7 @@ class TestPrefixSums:
         K.apply_T(params, f)
         K.apply_T_adjoint(params, K.RadialProfile(grid, f.values, splits=(0.5, 2.0)))
         assert [key[0] for key in T._MATRIX_CACHE] == ["fwd", "adj"]
-        assert sum(map(T._nbytes, T._MATRIX_CACHE.values())) <= 2 * need
+        assert sum(v.nbytes for v in T._MATRIX_CACHE.values()) <= 2 * need
 
 
 class TestOneShotApply:
@@ -955,7 +965,7 @@ class TestTailMetadata:
             # the last cell alone, integrated into row 0 as the operator does
             q = T._quadrature(grid, k, 0, grid._interp_plain, n - 1, n - 1, (), False)
             row0 = np.zeros((1, n))
-            T._accumulate(row0, 0, np.arange(n), grid, k, q, False)
+            T._accumulate(row0, 0, grid, k, q, False)
             share = abs(row0[0] @ f.values) / np.abs(tf.values).max()
             assert tf.meta["tail_fraction"] == pytest.approx(share, rel=1e-12), a
 
@@ -1032,10 +1042,10 @@ class TestBandedApply:
                             splits=splits)
         M = self._matrix(grid, k, 7, adjoint)
         want = M @ f.values
-        for row0, cols, C in T._split_correction(grid, k, k + 2, splits, adjoint):
-            want[row0:row0 + C.shape[0]] += C @ f.values[cols]
+        if splits:
+            want += TestBlockedAssembly._split_part(grid, k, k + 2, adjoint, splits) @ f.values
         op = T._assemble(grid, k, k + 2 if adjoint else 0, 7, adjoint)
-        got = T._apply(op, f, k, k + 2, adjoint)
+        got = op.apply(f)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
@@ -1128,6 +1138,54 @@ class TestThreadedBuild:
         started = self._counting_threads(monkeypatch)
         M = K.transform._assemble_forward(K.make_halfline_grid(1000), 1)
         assert len(M.blocks) == 4 and started == []
+
+    def test_idle_workers_allocate_no_buffers(self, monkeypatch):
+        # T f integrated into one n x 1 array, one job: with three workers
+        # more than that, the idle ones take no job and make no sine block
+        # or tile buffer, 256 x 128 doubles each
+        import threading
+        import time
+        import tracemalloc
+        T = K.transform
+        params, grid = K.make_params(1, 3), K.make_halfline_grid(1024)
+        q = T._quadrature(grid, 1, 0, grid._interp_plain, 0, T._cells(grid, False) - 1, (), False)
+        q = T._contract(q, K.extremizer_profile(params, 1.0, grid).values)
+        want = np.zeros((grid.n, 1))
+        T._accumulate(want, 0, grid, 1, q, False)      # and the sine tables, kept per grid
+        sines, live, holding = T._SineTables.sines, threading.active_count(), threading.Event()
+        grown = []
+
+        class AfterTheJob(threading.Thread):
+            # a worker thread looks for a job only once the calling thread
+            # has taken the one job and holds its buffers
+            def run(self):
+                holding.wait(timeout=30)
+                super().run()
+
+        def until_the_others_end(self, *args):
+            # what the traced memory grows by while the idle threads run
+            if not holding.is_set():
+                tracemalloc.reset_peak()
+                holding.set()
+                deadline = time.monotonic() + 30
+                while threading.active_count() > live and time.monotonic() < deadline:
+                    time.sleep(1e-3)
+                now, peak = tracemalloc.get_traced_memory()
+                grown.append(peak - now)
+            return sines(self, *args)
+
+        monkeypatch.setattr(T.threading, "Thread", AfterTheJob)
+        monkeypatch.setattr(T._SineTables, "sines", until_the_others_end)
+        monkeypatch.setattr(T, "_workers", lambda jobs: jobs + 3)
+        out = np.zeros((grid.n, 1))
+        tracemalloc.start()
+        try:
+            T._accumulate(out, 0, grid, 1, q, False)
+        finally:
+            tracemalloc.stop()
+        assert threading.active_count() == live
+        assert np.array_equal(out, want)
+        assert len(grown) == 1 and grown[0] < 64 * 2 ** 10, grown
 
     def test_a_thread_that_cannot_start_leaves_the_jobs_to_the_others(self, monkeypatch):
         import threading
