@@ -12,6 +12,51 @@ import pytest
 import kplane as K
 from kplane import verify
 
+GRIDS = {"half64": lambda: K.make_halfline_grid(64), "trunc64": lambda: K.make_grid(64, 8.0)}
+SPLITS = {"two": (2.0, 7.9), "four": (0.4, 1.7, 1.7001, 6.0), "beyond": None}
+
+
+def _operator(T, grid, k, adjoint, cached):
+    if adjoint:
+        return (T._adjoint_matrix if cached else T._assemble_adjoint)(grid, k, k + 2)
+    return (T._forward_matrix if cached else T._assemble_forward)(grid, k)
+
+
+@pytest.mark.parametrize("splits", sorted(SPLITS))
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("k", [1, 3])
+def test_cached_apply_bitwise_equal_to_uncached(fresh_cache, k, adjoint, grid, splits):
+    # a split apply through the cached M0, first and again, against one
+    # through an M0 assembled outside the cache; the splits add no entry
+    T = fresh_cache
+    grid = GRIDS[grid]()
+    splits = SPLITS[splits] or (2.0 * grid.r_max,)
+    v = np.random.default_rng(3).uniform(0.5, 1.5, grid.n)
+    f = K.RadialProfile(grid, v, splits=splits)
+    ref = _operator(T, grid, k, adjoint, cached=False).apply(f)
+    first = _operator(T, grid, k, adjoint, cached=True).apply(f)
+    again = _operator(T, grid, k, adjoint, cached=True).apply(f)
+    assert np.array_equal(first, ref) and np.array_equal(again, ref)
+    plain = _operator(T, grid, k, adjoint, cached=True).apply(K.RadialProfile(grid, v))
+    assert np.array_equal(plain, ref) == (splits[0] > grid.r_max)
+    info = T.cache_info()
+    kind = "adj" if adjoint else "fwd"
+    assert set(info) == {"fwd", "adj"} and len(T._MATRIX_CACHE) == 1
+    assert (info[kind]["entries"], info[kind]["builds"], info[kind]["hits"]) == (1, 1, 2)
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_build_reserves_at_least_what_it_holds(adjoint):
+    # the bytes the cache reserves before a dense M0 is built bound what the
+    # built M0 holds, on grids whose rows do not fill a whole row block
+    T = K.transform
+    for grid in (K.make_halfline_grid(64), K.make_grid(40, 2.0), K.make_halfline_grid(300)):
+        for k in (1, 3):
+            M = T._assemble_adjoint(grid, k, k + 2) if adjoint else T._assemble_forward(grid, k)
+            assert 0 < M.nbytes <= T._operator_bytes(grid.n, k)
+
+
 def test_split_outside_in_theta_is_dropped(fresh_cache):
     # on make_grid(64, 4.0), atan(4.0) rounds above the last angle while 4.0
     # lies below the last node: the split is outside the grid by the theta
