@@ -133,8 +133,6 @@ class SegmentedInterp:
             return idx_out, w_out
         for Lv in unique(L):
             m = L == Lv
-            if Lv <= 0:
-                continue
             idx = start[m][:, None] + np.arange(width)[None, :]
             idx_out[m] = np.minimum(idx, self.n - 1)
             w_out[m, :int(Lv)] = lagrange_weights(x[m], int(Lv))

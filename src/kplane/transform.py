@@ -40,40 +40,39 @@ O(n) apply. For every other k M0 is dense, but one-sided: T f(r) reads only
 u >= r and T* g(u) only w <= u, so M0 is triangular but for a band of
 INTERP_DEGREE columns (upper forward, lower adjoint). It is held as
 _RowBlocks: per _TILE_ROWS rows one contiguous array over the columns _band
-gives them, about 18 MiB at n = 2048 and 68 MiB at 4096 instead of 32 and
-128 MiB, and no n x n array is allocated. The byte budget still counts it as
-n x n entries (_dense, _operator_bytes). Its interior kernel is
-evaluated in theta: by tan^2 a - tan^2 b = sin(a - b) sin(a + b) / (cos^2 a
-cos^2 b), at GL point theta_p = (c + 1 + u) h of cell c against row theta_i =
-(i + 1) h it is cos(theta_i)^{2-k} cos(theta_p)^{2-k} times one sine power
-of (c - i + u) h and one of (c + i + 2 + u) h. On the lattice of whole cells
-those two are a Toeplitz and a Hankel table of O(n) values, kept per (grid,
-k, direction), so the build fills each tile of rows x whole cells with one
-multiply of two strided views, and multiplies it by a small dense block of
-the stencils scaled by the cos power of each point. The row blocks are
-filled on _workers threads for the one build, each block by one thread in
-one operation order, so M0 is bitwise the same for any worker count; k = 2
-and every apply run on the calling thread. discretize_T_R assembles its own
-row blocks at degree 1, for every k and uncached, and densifies them.
+gives them, about 18 MiB at n = 2048 and 68 MiB at 4096, and no n x n array
+is allocated. The byte budget still counts it as n x n entries (_dense,
+_operator_bytes). Its interior kernel is evaluated in theta: by tan^2 a -
+tan^2 b = sin(a - b) sin(a + b) / (cos^2 a cos^2 b), at GL point theta_p =
+(c + 1 + u) h of cell c against row theta_i = (i + 1) h it is
+cos(theta_i)^{2-k} cos(theta_p)^{2-k} times one sine power of (c - i + u) h
+and one of (c + i + 2 + u) h. On the lattice of whole cells those two are a
+Toeplitz and a Hankel table of O(n) values, kept per (grid, k, direction),
+so the build fills each tile of rows x whole cells with one multiply of two
+strided views, and multiplies it by a small dense block of the stencils
+scaled by the cos power of each point. The row blocks are filled on
+_workers threads for the one build, each block by one thread in one
+operation order, so M0 is bitwise the same for any worker count; k = 2 and
+every apply run on the calling thread.
 
 Split radii change only the interpolation stencils within INTERP_DEGREE
 cells of a split and the subdivision of the cell that holds it, so M0 is
-never rebuilt for them and nothing is cached per split set: every apply of
-a profile with splits re-integrates those few cells (_split_quadratures).
-Each range of them is integrated twice, with the splits and, weights
-negated, without, each Gauss point's stencil contracted against f, and the
-pair is added to M0 f: by a dense M0 as one column from the tile loop, by
-the prefix sums per cell and per row before their cumulative sum. A split
-is inside the grid when its angle lies strictly between the first and last
-node angles, one test for the interpolant and the quadrature alike. A dense
-M0 f is one product per row block. cache_info() counts the cache's entries,
-bytes, builds, hits, evictions and build seconds per entry kind.
+never rebuilt for them and nothing is cached per split set: every apply
+integrates each range of those cells once with the splits, contracted
+against f (_split_quadratures). The prefix sums take its per-cell and
+per-row sums in place of the plain ones; a dense M0 f adds it less the
+range's plain quadrature, by the tile loop into one column (_add_splits).
+A split is inside the grid when its angle lies strictly between the first
+and last node angles, one test for the interpolant and the quadrature
+alike. cache_info() counts the cache's entries, bytes, builds, hits,
+evictions and build seconds per entry kind.
 
 A T f needed once (the sharp constant's T h, the CLI's transform) need not
-form M0: _apply_T_once plans the quadrature one block of _BUILD_CELLS cells
-at a time, contracts each Gauss point's stencil against f as its block is
-planned and runs the same tile loop into one column, holding no matrix, no
-whole grid's stencils and caching nothing.
+form M0: _apply_T_once plans the plain quadrature one block of _BUILD_CELLS
+cells at a time, contracts it against f block by block, runs the tile loop
+into one column and adds f's splits by _add_splits, holding no matrix and
+caching nothing. discretize_T_R, uncached, plans its own quadrature at
+degree 1 and fills views of its n x n matrix with the same tile loop.
 """
 from __future__ import annotations
 
@@ -355,18 +354,17 @@ def _sec_power(grid: RadialGrid, k: int) -> np.ndarray:
     return sec
 
 
-def _quadrature_blocks(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
-                       splits_r, adjoint: bool):
-    """_quadrature of the whole grid, its _cells, as one dict per block of
-    _BUILD_CELLS cells in turn, so a caller that reduces each block holds
-    one block's stencils at a time. Concatenated (_concatenate), the blocks
-    are the whole grid's _quadrature point for point: interior points go by
-    cell and edge points by row, and the LAST_EDGE_ROWS rows whose points
-    _quadrature puts after the others are the grid's last."""
+def _quadrature_blocks(grid: RadialGrid, k: int, d: int, adjoint: bool):
+    """_quadrature of the whole grid, its _cells, without splits, as one dict
+    per block of _BUILD_CELLS cells in turn, so a caller that reduces each
+    block holds one block's stencils at a time. Concatenated (_concatenate),
+    the blocks are the whole grid's _quadrature point for point: interior
+    points go by cell and edge points by row, and the LAST_EDGE_ROWS rows
+    whose points _quadrature puts after the others are the grid's last."""
     cells = _cells(grid, adjoint)
     for c0 in range(0, cells, _BUILD_CELLS):
-        yield _quadrature(grid, k, d, interp, c0, min(c0 + _BUILD_CELLS, cells) - 1,
-                          splits_r, adjoint)
+        yield _quadrature(grid, k, d, grid._interp_plain, c0, min(c0 + _BUILD_CELLS, cells) - 1,
+                          (), adjoint)
 
 
 def _concatenate(blocks: list) -> dict:
@@ -462,35 +460,32 @@ def _direct_sines(c: np.ndarray, u: np.ndarray, rows: np.ndarray, h: float, k: i
 
 
 class _SineTables:
-    """The sine factors of every row in `rows` against the lattice of whole
-    cells c0 .. c0 + n_cells - 1, GL_CELL points each: the Toeplitz factor
-    and its rounding correction tabulated over c - i, the Hankel factor over
-    c + i, (n_cells + rows.size) GL_CELL values each. views(a, b) gives rows
-    a..b-1 against every lattice point as one strided view of each table,
-    so a tile of sine factors is one multiply (and the rows of its edge band
-    three more)."""
+    """The sine factors of every row against the lattice of every whole cell
+    of the grid, GL_CELL points each: the Toeplitz factor and its rounding
+    correction tabulated over c - i, the Hankel factor over c + i, (cells +
+    n) GL_CELL values each. views(a, b) gives rows a..b-1 against every
+    lattice point as one strided view of each table, so a tile of sine
+    factors is one multiply (and the rows of its edge band three more)."""
 
-    def __init__(self, grid: RadialGrid, k: int, adjoint: bool, c0: int, n_cells: int,
-                 rows: np.ndarray):
+    def __init__(self, grid: RadialGrid, k: int, adjoint: bool):
         u = 0.5 + 0.5 * GL_CELL[0]           # a whole cell's offsets, as in _quadrature
-        i0, i1 = rows[0], rows[-1]
-        self.adjoint, self.g, self.i0, self.i1 = adjoint, u.size, i0, i1
-        self.eps = _row_rounding(rows + 1, grid.h) if k != 2 else None
-        dc = np.arange(c0 - i1, c0 + n_cells - i0)[:, None]
+        n, cells = grid.n, _cells(grid, adjoint)
+        self.adjoint, self.g, self.n = adjoint, u.size, n
+        self.eps = _row_rounding(np.arange(1, n + 1), grid.h) if k != 2 else None
+        dc = np.arange(1 - n, cells)[:, None]
         U = _toeplitz_factor(dc, u, grid.h, k, adjoint)
         W = _rounding_factor(U, dc, u, grid.h, k, adjoint)
-        V = _hankel_factor(np.arange(c0 + i0, c0 + n_cells + i1)[:, None], u, grid.h, k)
-        # window j: the table from flat index j on; row i starts at c - i = c0 - i
-        # of U and W, and at c + i = c0 + i of V
+        V = _hankel_factor(np.arange(cells + n - 1)[:, None], u, grid.h, k)
+        # window j: the table from flat index j on; row i starts at c - i = -i
+        # of U and W, and at c + i = i of V
         window = np.lib.stride_tricks.sliding_window_view
-        self.U, self.W, self.V = (window(T.ravel(), n_cells * u.size) for T in (U, W, V))
+        self.U, self.W, self.V = (window(T.ravel(), cells * u.size) for T in (U, W, V))
 
     def views(self, a: int, b: int):
         """U, W and V of rows a..b-1 against every lattice point."""
-        g, i1 = self.g, self.i1
-        toeplitz = slice((i1 - b + 1) * g, (i1 - a) * g + 1, g)
-        return (self.U[toeplitz][::-1], self.W[toeplitz][::-1],
-                self.V[(a - self.i0) * g:(b - 1 - self.i0) * g + 1:g])
+        g, last = self.g, self.n - 1
+        toeplitz = slice((last - b + 1) * g, (last - a) * g + 1, g)
+        return (self.U[toeplitz][::-1], self.W[toeplitz][::-1], self.V[a * g:(b - 1) * g + 1:g])
 
     def sines(self, views, a: int, c_lo: int, c_hi: int, p0: int, p1: int,
               out: np.ndarray) -> np.ndarray:
@@ -505,17 +500,16 @@ class _SineTables:
             r0, r1 = max(r0 - a, 0), min(r1 - a, A.shape[0])
             if r0 < r1:
                 near = W[r0:r1] * V[r0:r1]
-                near *= self.eps[a - self.i0 + r0:a - self.i0 + r1, None]
+                near *= self.eps[a + r0:a + r1, None]
                 A[r0:r1] += near
         return A
 
 
 @functools.lru_cache(maxsize=8)
 def _lattice_tables(grid: RadialGrid, k: int, adjoint: bool) -> _SineTables:
-    """_SineTables of every row against every whole cell of the grid, about
-    48 n doubles, shared by M0's build and every split apply, which reads
-    the rows and cells it needs from them."""
-    tables = _SineTables(grid, k, adjoint, 0, _cells(grid, adjoint), np.arange(grid.n))
+    """_SineTables of the grid, about 48 n doubles, shared by M0's build and
+    every split apply, which reads the rows and cells it needs from them."""
+    tables = _SineTables(grid, k, adjoint)
     if tables.eps is not None:
         tables.eps.setflags(write=False)
     return tables
@@ -612,9 +606,10 @@ def _accumulate(out, row0: int, grid: RadialGrid, k: int, quad: dict, adjoint: b
     sorted by cell), times row_scale[i - row0] if given, added to `out`: a
     zeroed array of rows row0.., or a list of row blocks (i0, c0, B), each B
     taking rows row0 + i0.. in columns c0... The columns are those of the
-    stencil indices: every node on a dense build (the blocks of _RowBlocks),
-    or the one column 0 of a quadrature _contract-ed against f (_apply_T_once's
-    n x 1 row blocks, a split apply's column).
+    stencil indices: every node on a dense build (the blocks of _RowBlocks,
+    discretize_T_R's views of its n x n matrix), or the one column 0 of a
+    quadrature _contract-ed against f (_apply_T_once's n x 1 row blocks, the
+    column of _add_splits).
 
     Forward row i integrates the interior cells c >= i+1, adjoint row i the
     cells c <= i-2; the edge stencils supply the cell at each row's kernel
@@ -731,13 +726,13 @@ class _RowBlocks:
     columns `_band` gives those rows. The triangle outside the band is zero
     and not stored, so a forward or adjoint M0 holds about (n + 2
     INTERP_DEGREE + _TILE_ROWS) / 2n of its n x n entries. apply() reads
-    each block once against its columns."""
+    each block once against its columns and adds f's splits (_add_splits)."""
 
-    def __init__(self, grid: RadialGrid, k: int, d: int, degree: int, adjoint: bool):
+    def __init__(self, grid: RadialGrid, k: int, d: int, adjoint: bool):
         n = grid.n
         self.grid, self.k, self.d, self.adjoint = grid, k, d, adjoint
         bands = [(i0, min(i0 + _TILE_ROWS, n)) for i0 in range(0, n, _TILE_ROWS)]
-        bands = [(i0, i1, *_band(n, degree, i0, i1, adjoint)) for i0, i1 in bands]
+        bands = [(i0, i1, *_band(n, i0, i1, adjoint)) for i0, i1 in bands]
         # one zeroed buffer cut into the blocks: an allocation large enough
         # for numpy's huge-page advice, where one array per block faulted
         # in 4 KiB pages, 2.4 times the page faults of a build at n = 2048
@@ -753,20 +748,11 @@ class _RowBlocks:
         return sum(B.nbytes for _, _, B in self.blocks)
 
     def apply(self, f: RadialProfile) -> np.ndarray:
-        """M0 f, one product per row block, plus each pair of
-        _split_quadratures of f's splits integrated by the tile loop into
-        one column over the rows that see its cells."""
-        grid, n, k, d, adjoint = self.grid, self.n, self.k, self.d, self.adjoint
-        v, out = f.values, np.empty(n)
+        """M0 f, one product per row block, with f's splits added."""
+        v, out = f.values, np.empty(self.n)
         for i0, c0, B in self.blocks:
             out[i0:i0 + B.shape[0]] = B @ v[c0:c0 + B.shape[1]]
-        for c0, c1, pair in _split_quadratures(grid, k, d, f, adjoint):
-            row0, row1 = ((0 if c0 == 0 else c0 + 1), n) if adjoint else (0, c1 + 1)
-            scale = grid.nodes[row0:row1] ** (2.0 - d) if adjoint else None
-            col = np.zeros((row1 - row0, 1))
-            for q in pair:
-                _accumulate(col, row0, grid, k, q, adjoint, scale)
-            out[row0:row1] += col[:, 0]
+        _add_splits(out, self.grid, self.k, self.d, f, self.adjoint)
         return out
 
     def toarray(self) -> np.ndarray:
@@ -777,15 +763,13 @@ class _RowBlocks:
         return M
 
 
-def _assemble(grid: RadialGrid, k: int, d: int, degree: int, adjoint: bool) -> _RowBlocks:
+def _assemble(grid: RadialGrid, k: int, d: int, adjoint: bool) -> _RowBlocks:
     """Dense operator without splits as _RowBlocks (adjoint rows scaled by
     r^{2-d}). Its quadrature is planned by _quadrature_blocks and joined, so
     the plan's temporaries are one block's."""
-    n = grid.n
-    _dense(n)
-    interp = SegmentedInterp(grid.theta_nodes, grid.h, degree=degree)
-    quad = _concatenate(list(_quadrature_blocks(grid, k, d, interp, (), adjoint)))
-    M = _RowBlocks(grid, k, d, degree, adjoint)
+    _dense(grid.n)
+    quad = _concatenate(list(_quadrature_blocks(grid, k, d, adjoint)))
+    M = _RowBlocks(grid, k, d, adjoint)
     _accumulate(M.blocks, 0, grid, k, quad, adjoint,
                 grid.nodes ** (2.0 - d) if adjoint else None)
     return M
@@ -814,11 +798,6 @@ def _split_clusters(grid: RadialGrid, splits_r, adjoint: bool):
     return kept, clusters
 
 
-def _split_interp(grid: RadialGrid, kept) -> SegmentedInterp:
-    """The interpolant of a profile with the split radii `kept`."""
-    return SegmentedInterp(grid.theta_nodes, grid.h, [math.atan(s) for s in kept])
-
-
 def _contract(q: dict, v: np.ndarray) -> dict:
     """The quadrature q with each point's stencil contracted against the
     node values v, in place: sw <- sum sw v[sidx] and w <- sum w v[idx], one
@@ -830,35 +809,46 @@ def _contract(q: dict, v: np.ndarray) -> dict:
 
 
 def _split_quadratures(grid: RadialGrid, k: int, d: int, f: RadialProfile, adjoint: bool):
-    """(c0, c1, pair) per _split_clusters range [c0, c1] of f's splits: the
-    pair is the range's quadrature with the splits and its plain quadrature,
-    weights negated, both _contract-ed against f. Added to M0 f, whose plain
-    integral of those cells the negated one cancels, the pair gives the
-    operator of f with its splits (d is 0 for the forward operator)."""
+    """(c0, c1, q) per _split_clusters range [c0, c1] of f's splits: q is
+    the range's quadrature with the splits, _contract-ed against f (d is 0
+    forward). The splits change no weight outside the ranges, so M0 f with
+    each range's plain integral replaced by q's is the operator of f."""
     kept, clusters = _split_clusters(grid, f.splits, adjoint)
-    if not clusters:
-        return
-    with_splits = _split_interp(grid, kept)
+    interp = f.interpolator()
     for c0, c1 in clusters:
-        split = _contract(_quadrature(grid, k, d, with_splits, c0, c1, kept, adjoint), f.values)
+        yield c0, c1, _contract(_quadrature(grid, k, d, interp, c0, c1, kept, adjoint), f.values)
+
+
+def _add_splits(out: np.ndarray, grid: RadialGrid, k: int, d: int, f: RadialProfile,
+                adjoint: bool) -> None:
+    """Add to `out`, a dense M0 f (adjoint rows scaled by r^{2-d}), what f's
+    splits change: per range of _split_quadratures, its quadrature less the
+    range's plain one, both integrated by the tile loop into one column over
+    the rows that see the range's cells."""
+    for c0, c1, split in _split_quadratures(grid, k, d, f, adjoint):
         plain = _contract(_quadrature(grid, k, d, grid._interp_plain, c0, c1, (), adjoint),
                           f.values)
         plain["sw"], plain["w"] = -plain["sw"], -plain["w"]
-        yield c0, c1, (split, plain)
+        row0, row1 = ((0 if c0 == 0 else c0 + 1), grid.n) if adjoint else (0, c1 + 1)
+        scale = grid.nodes[row0:row1] ** (2.0 - d) if adjoint else None
+        col = np.zeros((row1 - row0, 1))
+        for q in (split, plain):
+            _accumulate(col, row0, grid, k, q, adjoint, scale)
+        out[row0:row1] += col[:, 0]
 
 
-def _band(n: int, degree: int, i0: int, i1: int, adjoint: bool) -> tuple[int, int]:
+def _band(n: int, i0: int, i1: int, adjoint: bool) -> tuple[int, int]:
     """Columns [c0, c1) that a row block of M0 stores for its rows [i0, i1):
     every nonzero of those rows lies in them.
 
     Forward row i integrates the cells c >= i, whose stencils start at node
-    min(c - degree // 2, n - 1 - degree) >= i - degree; adjoint row i
-    integrates the cells c <= i - 1 (and the head strip), whose stencils end
-    at or before node i + degree.
+    min(c - INTERP_DEGREE // 2, n - 1 - INTERP_DEGREE) >= i - INTERP_DEGREE;
+    adjoint row i integrates the cells c <= i - 1 (and the head strip), whose
+    stencils end at or before node i + INTERP_DEGREE.
     """
     if adjoint:
-        return 0, min(i1 + degree, n)
-    return max(i0 - degree, 0), n
+        return 0, min(i1 + _quad.INTERP_DEGREE, n)
+    return max(i0 - _quad.INTERP_DEGREE, 0), n
 
 
 # ---------------------------------------------------------------------------
@@ -899,8 +889,8 @@ class _PrefixSums:
     the rows' r^{2-d} scaling (adjoint): O(n) memory and an O(n) apply.
     The build integrates _BUILD_CELLS cells at a time, so it holds O(n) too.
 
-    A profile with splits adds each pair of _split_quadratures per cell and
-    per row before the cumulative sum.
+    A profile with splits takes each _split_quadratures range's per-cell and
+    per-row sums in place of the gathered ones, before the cumulative sum.
     """
 
     def __init__(self, grid: RadialGrid, d: int, adjoint: bool):
@@ -912,7 +902,7 @@ class _PrefixSums:
         # cell c at position c + 1 for the adjoint, whose cells start at -1
         cells = (np.zeros(m, dtype=int), np.zeros((m, width)))
         edge = (np.zeros(n, dtype=int), np.zeros((n, width)))
-        for q in _quadrature_blocks(grid, 2, d, grid._interp_plain, (), adjoint):
+        for q in _quadrature_blocks(grid, 2, d, adjoint):
             _add_stencils(cells, q["cell"] + adjoint, q["sidx"], q["base"][:, None] * q["sw"], n)
             _add_stencils(edge, q["rows"], q["idx"], q["w"], n)
         # kept as (cols, W), the node of every weight, for the apply's gather
@@ -927,11 +917,13 @@ class _PrefixSums:
     def apply(self, f: RadialProfile) -> np.ndarray:
         v, n = f.values, self.grid.n
         cells, edge = _gather(self.cells, v), _gather(self.edge, v)
-        for _, _, pair in _split_quadratures(self.grid, 2, self.d, f, self.adjoint):
-            for q in pair:
-                cells += np.bincount(q["cell"] + self.adjoint, q["base"] * q["sw"][:, 0],
-                                     cells.size)
-                edge += np.bincount(q["rows"], q["w"][:, 0], n)
+        for _, _, q in _split_quadratures(self.grid, 2, self.d, f, self.adjoint):
+            # the range's cells and the rows whose edge cell is one of them,
+            # each whole in q: its sums replace the plain ones just gathered
+            for sums, keys, w in ((cells, q["cell"] + self.adjoint, q["base"] * q["sw"][:, 0]),
+                                  (edge, q["rows"], q["w"][:, 0])):
+                lo, hi = keys[0], keys[-1] + 1
+                sums[lo:hi] = np.bincount(keys - lo, w, hi - lo)
         out = np.zeros(n)
         if self.adjoint:
             np.cumsum(cells[:n - 1], out=out[1:])
@@ -950,7 +942,7 @@ def _assemble_forward(grid: RadialGrid, k: int):
     """Forward M0: prefix sums for k = 2, else dense row blocks."""
     if k == 2:
         return _PrefixSums(grid, 0, adjoint=False)
-    return _assemble(grid, k, 0, _quad.INTERP_DEGREE, adjoint=False)
+    return _assemble(grid, k, 0, adjoint=False)
 
 
 def _forward_matrix(grid: RadialGrid, k: int):
@@ -1047,30 +1039,27 @@ def _apply_T_once(params: Params, f: RadialProfile) -> RadialProfile:
     directly, with no M0 formed and nothing cached.
 
     T f = K (D f), D the Gauss points' interpolation stencils and K their
-    kernel weights per row: the quadrature of a build, with f's own splits,
-    is planned by _quadrature_blocks one block of cells at a time, and each
-    block's stencils are contracted against f (_contract) once planned, so
-    every point reads one column; _accumulate integrates that column into
-    n x 1 row blocks of _TILE_ROWS rows on the build's workers. It holds one
-    block's stencils, O(n) point weights and sums, never an n x n matrix or
-    the whole grid's stencils, and still refuses a grid over the dense
-    budget. Indicators (a closed form), k = 2 (O(n) prefix sums) and a
-    (grid, k) whose M0 is cached go to apply_T.
+    kernel weights per row: the plain quadrature of a build is planned by
+    _quadrature_blocks one block of cells at a time, each block's stencils
+    contracted against f (_contract) once planned; _accumulate integrates
+    that column into n x 1 row blocks of _TILE_ROWS rows on the build's
+    workers, and _add_splits adds f's splits. It holds one block's stencils,
+    O(n) point weights and sums, never an n x n matrix or the whole grid's
+    stencils, and still refuses a grid over the dense budget. Indicators (a
+    closed form), k = 2 (O(n) prefix sums) and a (grid, k) whose M0 is
+    cached go to apply_T.
     """
     k, grid = params.k, f.grid
     with _CACHE_LOCK:
         cached = ("fwd", grid.fingerprint(), k) in _MATRIX_CACHE
     if f.indicator is not None or k == 2 or cached:
         return apply_T(params, f)
-    n = grid.n
-    _dense(n)
-    kept, _ = _split_clusters(grid, f.splits, adjoint=False)
-    interp = _split_interp(grid, kept) if kept else grid._interp_plain
-    quad = _concatenate([_contract(q, f.values)
-                         for q in _quadrature_blocks(grid, k, 0, interp, kept, adjoint=False)])
-    out = np.zeros((n, 1))
-    _accumulate([(i0, 0, out[i0:i0 + _TILE_ROWS]) for i0 in range(0, n, _TILE_ROWS)],
+    _dense(grid.n)
+    quad = _concatenate([_contract(q, f.values) for q in _quadrature_blocks(grid, k, 0, False)])
+    out = np.zeros((grid.n, 1))
+    _accumulate([(i0, 0, out[i0:i0 + _TILE_ROWS]) for i0 in range(0, grid.n, _TILE_ROWS)],
                 0, grid, k, quad, adjoint=False)
+    _add_splits(out[:, 0], grid, k, 0, f, adjoint=False)
     return _forward_result(f, k, out[:, 0])
 
 
@@ -1098,7 +1087,7 @@ def _assemble_adjoint(grid: RadialGrid, k: int, d: int):
     """Adjoint M0: prefix sums for k = 2, else dense row blocks."""
     if k == 2:
         return _PrefixSums(grid, d, adjoint=True)
-    return _assemble(grid, k, d, _quad.INTERP_DEGREE, adjoint=True)
+    return _assemble(grid, k, d, adjoint=True)
 
 
 def _adjoint_matrix(grid: RadialGrid, k: int, d: int):
@@ -1170,14 +1159,20 @@ class OperatorMatrix:
 
 def discretize_T_R(params: Params, R: float, n: int) -> OperatorMatrix:
     """Dense matrix M with M f_samples ~ (T 1_{[0,R]} f) on an n-point grid over [0, R],
-    assembled at interpolation degree 1 (hat functions) and clamped at 0; it
-    is built on every call and not cached."""
+    built on every call and not cached: its own quadrature at interpolation
+    degree 1 (hat functions), integrated by _accumulate into row blocks that
+    are views of M, then clamped at 0."""
     if not (R > 0):
         raise ParameterError(f"need R > 0, got {R}")
     if n < 16:
         raise ParameterError(f"need n >= 16, got {n}")
-    grid = make_grid(n, R)
-    M = _assemble(grid, params.k, 0, 1, adjoint=False).toarray()
+    k, grid = params.k, make_grid(n, R)
+    _dense(n)
+    hat = SegmentedInterp(grid.theta_nodes, grid.h, degree=1)
+    quad = _quadrature(grid, k, 0, hat, 0, _cells(grid, False) - 1, (), adjoint=False)
+    M = np.zeros((n, n))
+    _accumulate([(i0, 0, M[i0:i0 + _TILE_ROWS]) for i0 in range(0, n, _TILE_ROWS)],
+                0, grid, k, quad, adjoint=False)
     np.maximum(M, 0.0, out=M)
     return OperatorMatrix(entries=M, R=float(R), grid=grid, params=params)
 
@@ -1203,6 +1198,10 @@ def equicontinuity_modulus(params: Params, R: float, h_step: float,
                           - 1_{u>=r}(u^2-r^2)^{k/2-1}| u du,
 
     evaluated in closed form via v = u^2 (both pieces have fixed sign)."""
+    if not (R > 0):
+        raise ParameterError(f"need R > 0, got R={R}")
+    if n_scan < 2:
+        raise ParameterError(f"need n_scan >= 2, got n_scan={n_scan}")
     if h_step == 0:
         return 0.0
     if not (0 < h_step < R):

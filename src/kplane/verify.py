@@ -130,6 +130,8 @@ def check_slide_monotonicity(params: Params, E_sup: float, I: tuple[float, float
     preserved in u du) does not decrease T 1_I on [0, E_sup]."""
     if params.k != 1:
         raise ParameterError("the sliding argument is the k = 1 case")
+    if n_scan < 2:
+        raise ParameterError(f"need n_scan >= 2, got n_scan={n_scan}")
     a, b = I
     if not (0 <= Delta and a - Delta >= E_sup >= 0 and a < b):
         raise PreconditionError(

@@ -82,9 +82,9 @@ def test_suites_cache_only_the_operators(fresh_cache, monkeypatch, suite):
     split_quadratures = T._split_quadratures
 
     def counting(*args):
-        for c0, c1, pair in split_quadratures(*args):
+        for c0, c1, q in split_quadratures(*args):
             ranges.append((c0, c1))
-            yield c0, c1, pair
+            yield c0, c1, q
 
     monkeypatch.setattr(T, "_split_quadratures", counting)
     assert all(rep.passed for rep in verify.run_suite(suite, seed=5))
@@ -95,6 +95,51 @@ def test_suites_cache_only_the_operators(fresh_cache, monkeypatch, suite):
     assert info["fwd"]["entries"] > 0
     assert info["fwd"]["bytes"] + info["adj"]["bytes"] == sum(v.nbytes for v in
                                                              T._MATRIX_CACHE.values())
+
+
+def _counting_quadrature(monkeypatch, T):
+    # (c0, c1, splits) of every _quadrature call from here on
+    calls, quadrature = [], T._quadrature
+
+    def counting(grid, k, d, interp, c0, c1, splits_r, adjoint):
+        calls.append((c0, c1, tuple(splits_r)))
+        return quadrature(grid, k, d, interp, c0, c1, splits_r, adjoint)
+
+    monkeypatch.setattr(T, "_quadrature", counting)
+    return calls
+
+
+@pytest.mark.parametrize("grid", ["half300", "trunc200"])
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_k2_split_apply_plans_each_range_once(monkeypatch, adjoint, grid):
+    # the prefix sums hold each range's plain per-cell and per-row sums, so
+    # a split apply plans the range with its splits and nothing else
+    T = K.transform
+    grid = {"half300": lambda: K.make_halfline_grid(300),
+            "trunc200": lambda: K.make_grid(200, 8.0)}[grid]()
+    splits = SPLITS["four"]
+    op = T._assemble_adjoint(grid, 2, 4) if adjoint else T._assemble_forward(grid, 2)
+    kept, clusters = T._split_clusters(grid, splits, adjoint)
+    assert len(clusters) > 1
+    calls = _counting_quadrature(monkeypatch, T)
+    op.apply(K.RadialProfile(grid, np.ones(grid.n), splits=splits))
+    assert calls == [(c0, c1, kept) for c0, c1 in clusters]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_one_shot_plans_the_grid_without_splits(fresh_cache, monkeypatch, k):
+    # the whole grid is planned plain, block by block, and f's splits enter
+    # only through their ranges, as in a cached M0's apply
+    T = fresh_cache
+    grid = K.make_halfline_grid(300)
+    splits = SPLITS["four"]
+    kept, clusters = T._split_clusters(grid, splits, adjoint=False)
+    calls = _counting_quadrature(monkeypatch, T)
+    f = K.RadialProfile(grid, np.ones(grid.n), splits=splits)
+    T._apply_T_once(K.make_params(k, k + 2), f)
+    assert [call for call in calls if call[2]] == [(c0, c1, kept) for c0, c1 in clusters]
+    plain = [(c0, c1) for c0, c1, cut in calls if not cut]
+    assert plain[:2] == [(0, 255), (256, grid.n - 1)]
 
 
 def test_concurrent_split_applies_build_once(fresh_cache):

@@ -259,6 +259,16 @@ class TestEquicontinuity:
         params = K.make_params(1, 3)
         assert K.equicontinuity_modulus(params, 1.0, 0.0) == 0.0
 
+    def test_zero_step_still_checks_R(self):
+        with pytest.raises(K.ParameterError, match="R > 0"):
+            K.equicontinuity_modulus(K.make_params(1, 3), -1.0, 0.0)
+
+    @pytest.mark.parametrize("h_step", [0.0, 0.1])
+    def test_too_few_scan_points(self, h_step):
+        # checked before the zero step's early return and before the scan
+        with pytest.raises(K.ParameterError, match="n_scan"):
+            K.equicontinuity_modulus(K.make_params(1, 3), 1.0, h_step, n_scan=0)
+
     def test_k2_closed_form(self):
         params = K.make_params(2, 4)
         R = 1.0
@@ -445,7 +455,7 @@ class TestBlockedAssembly:
         T = K.transform
         grid, d, splits = K.make_grid(64, 8.0), k + 2, (2.0, 7.9)
         ref = self._reference(grid, k, d, adjoint, splits)[0]
-        op = T._assemble(grid, k, d, 7, adjoint)
+        op = T._assemble(grid, k, d, adjoint)
         if adjoint:
             ref *= (grid.nodes ** (2.0 - d))[:, None]
         got = _columns(op, grid, splits)
@@ -465,7 +475,7 @@ class TestBlockedAssembly:
         def build():
             # the operator without splits, and with them applied to V, which
             # the reference's split part takes from the one to the other
-            op = T._assemble(grid, k, d, 7, adjoint)
+            op = T._assemble(grid, k, d, adjoint)
             plain = op.toarray()
             split = np.column_stack([op.apply(K.RadialProfile(grid, v, splits=splits))
                                      for v in V.T])
@@ -498,10 +508,8 @@ class TestBlockedAssembly:
     @pytest.mark.parametrize("rows", [None, 5])
     @pytest.mark.parametrize("hint", [float("inf"), 8.0])
     @pytest.mark.parametrize("adjoint", [False, True])
-    @pytest.mark.parametrize("degree", [1, 7])
     @pytest.mark.parametrize("k", [1, 3])
-    def test_row_blocks_equal_the_full_assembly(self, monkeypatch, k, degree, adjoint, hint,
-                                                rows):
+    def test_row_blocks_equal_the_full_assembly(self, monkeypatch, k, adjoint, hint, rows):
         # the n x n accumulation is zero wherever the row blocks store nothing,
         # and bitwise equal to them wherever they do
         T = K.transform
@@ -509,12 +517,12 @@ class TestBlockedAssembly:
             monkeypatch.setattr(T, "_TILE_ROWS", rows)
         grid = K.make_grid(300, hint)
         d = k + 2 if adjoint else 0
-        interp = SegmentedInterp(grid.theta_nodes, grid.h, degree=degree)
-        q = T._quadrature(grid, k, d, interp, 0, T._cells(grid, adjoint) - 1, (), adjoint)
+        q = T._quadrature(grid, k, d, grid._interp_plain, 0, T._cells(grid, adjoint) - 1, (),
+                          adjoint)
         full = np.zeros((grid.n, grid.n))
         T._accumulate(full, 0, grid, k, q, adjoint,
                       grid.nodes ** (2.0 - d) if adjoint else None)
-        M = T._assemble(grid, k, d, degree, adjoint)
+        M = T._assemble(grid, k, d, adjoint)
         assert len(M.blocks) == -(-grid.n // T._TILE_ROWS)
         assert np.array_equal(M.toarray(), full)
 
@@ -607,7 +615,7 @@ class TestSineKernel:
         grid = K.make_grid(200, hint)
         g, cells = GL_CELL[0].size, np.arange(grid.n - 1)
         c, u = np.repeat(cells, g), np.tile(0.5 + 0.5 * GL_CELL[0], cells.size)
-        tables = T._SineTables(grid, k, adjoint, 0, cells.size, np.arange(grid.n))
+        tables = T._SineTables(grid, k, adjoint)
         for a, b in ((0, grid.n), (0, 7), (37, 121), (190, 200)):
             got = tables.sines(tables.views(a, b), a, 0, cells[-1], 0, c.size,
                                np.empty((b - a, c.size)))
@@ -626,7 +634,7 @@ class TestSineKernel:
         T = K.transform
         grid = K.make_halfline_grid(200)
         g, rows = GL_CELL[0].size, np.arange(grid.n)
-        tables = T._SineTables(grid, k, adjoint, 0, grid.n - 1, rows)
+        tables = T._SineTables(grid, k, adjoint)
         every = tables.sines(tables.views(0, grid.n), 0, 0, grid.n - 2, 0, (grid.n - 1) * g,
                              np.empty((grid.n, (grid.n - 1) * g)))
         for cells in ([0], [5], [100, 101], [197]):
@@ -672,7 +680,7 @@ class TestPrefixSums:
         f = K.RadialProfile(grid, smooth_decaying(params, grid, np.random.default_rng(2)).values,
                             splits=splits)
         op = T._assemble_adjoint(grid, 2, 4) if adjoint else T._assemble_forward(grid, 2)
-        want = TestBandedApply._matrix(grid, 2, 7, adjoint) @ f.values
+        want = TestBandedApply._matrix(grid, 2, adjoint) @ f.values
         if splits:
             want += TestBlockedAssembly._split_part(grid, 2, 4, adjoint, splits) @ f.values
         got = op.apply(f)
@@ -834,21 +842,17 @@ class TestQuadratureBlocks:
         cell = {"none": None, "inside": 200, "first": 256}[where]
         return () if cell is None else (math.tan(0.5 * (th[cell] + th[cell + 1])),)
 
-    @pytest.mark.parametrize("where", ["none", "inside", "first"])
     @pytest.mark.parametrize("adjoint", [False, True])
     @pytest.mark.parametrize("grid", GRIDS)
     @pytest.mark.parametrize("k", [1, 3])
-    def test_joined_blocks_are_the_whole_grid_quadrature(self, monkeypatch, k, grid, adjoint,
-                                                         where):
+    def test_joined_blocks_are_the_whole_grid_quadrature(self, monkeypatch, k, grid, adjoint):
         T = K.transform
         monkeypatch.setattr(T, "_BUILD_CELLS", 128)
         grid = self.GRIDS[grid]()
-        splits = self._splits(grid, where)
-        interp = SegmentedInterp(grid.theta_nodes, grid.h, [math.atan(s) for s in splits])
-        blocks = list(T._quadrature_blocks(grid, k, k + 2, interp, splits, adjoint))
+        blocks = list(T._quadrature_blocks(grid, k, k + 2, adjoint))
         assert len(blocks) == 5
-        whole = T._quadrature(grid, k, k + 2, interp, 0, T._cells(grid, adjoint) - 1, splits,
-                              adjoint)
+        whole = T._quadrature(grid, k, k + 2, grid._interp_plain, 0, T._cells(grid, adjoint) - 1,
+                              (), adjoint)
         joined = T._concatenate(blocks)
         assert joined.keys() == whole.keys()
         for key, value in whole.items():
@@ -882,7 +886,7 @@ class TestQuadratureBlocks:
         got = []
         for cells in (128, grid.n):
             monkeypatch.setattr(T, "_BUILD_CELLS", cells)
-            got.append(T._assemble(grid, k, k + 2, 7, adjoint).toarray())
+            got.append(T._assemble(grid, k, k + 2, adjoint).toarray())
         assert np.array_equal(got[0], got[1])
 
     def test_plan_of_whole_stencils_equals_the_per_length_plan(self):
@@ -1005,23 +1009,22 @@ class TestBandedApply:
     every entry it skips is exactly zero."""
 
     @staticmethod
-    def _matrix(grid, k, degree, adjoint):
+    def _matrix(grid, k, adjoint):
         # M0 as a dense matrix
-        return K.transform._assemble(grid, k, k + 2 if adjoint else 0, degree, adjoint).toarray()
+        return K.transform._assemble(grid, k, k + 2 if adjoint else 0, adjoint).toarray()
 
     @pytest.mark.parametrize("hint", [float("inf"), 8.0])
     @pytest.mark.parametrize("adjoint", [False, True])
-    @pytest.mark.parametrize("degree", [1, 3, 7])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-    def test_skipped_entries_are_zero(self, k, degree, adjoint, hint):
+    def test_skipped_entries_are_zero(self, k, adjoint, hint):
         grid = K.make_grid(67, hint)
-        M = self._matrix(grid, k, degree, adjoint)
+        M = self._matrix(grid, k, adjoint)
         # row by row: a block's columns are the union of its rows' columns
         for i in range(grid.n):
-            c0, c1 = K.transform._band(grid.n, degree, i, i + 1, adjoint)
+            c0, c1 = K.transform._band(grid.n, i, i + 1, adjoint)
             assert not M[i, :c0].any() and not M[i, c1:].any(), (i, c0, c1)
         # and the band is tight enough to matter
-        kept = sum(np.subtract(*K.transform._band(grid.n, degree, i, i + 1, adjoint)[::-1])
+        kept = sum(np.subtract(*K.transform._band(grid.n, i, i + 1, adjoint)[::-1])
                    for i in range(grid.n))
         assert kept < 0.65 * grid.n ** 2
 
@@ -1040,11 +1043,11 @@ class TestBandedApply:
         params = K.make_params(k, k + 2)
         f = K.RadialProfile(grid, smooth_decaying(params, grid, np.random.default_rng(k)).values,
                             splits=splits)
-        M = self._matrix(grid, k, 7, adjoint)
+        M = self._matrix(grid, k, adjoint)
         want = M @ f.values
         if splits:
             want += TestBlockedAssembly._split_part(grid, k, k + 2, adjoint, splits) @ f.values
-        op = T._assemble(grid, k, k + 2 if adjoint else 0, 7, adjoint)
+        op = T._assemble(grid, k, k + 2 if adjoint else 0, adjoint)
         got = op.apply(f)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 

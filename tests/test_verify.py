@@ -83,6 +83,10 @@ class TestSlide:
         reps = run_suite("slide", seed=11, trials=100)
         assert all(r.passed for r in reps)
 
+    def test_too_few_scan_points(self):
+        with pytest.raises(K.ParameterError, match="n_scan"):
+            K.check_slide_monotonicity(K.make_params(1, 3), 1.0, (3.0, 4.0), 0.0, n_scan=0)
+
 
 class TestSuperadditivity:
     def test_half(self):
