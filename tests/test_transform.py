@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import kplane as K
-from kplane._quad import GL_CELL, SegmentedInterp
+from kplane._quad import GL_CELL, INTERP_DEGREE, SegmentedInterp
 from kplane.transform import pairing
 
 from conftest import beta, smooth_decaying
@@ -508,23 +508,32 @@ class TestBlockedAssembly:
     @pytest.mark.parametrize("rows", [None, 5])
     @pytest.mark.parametrize("hint", [float("inf"), 8.0])
     @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("degree", [1, INTERP_DEGREE])
     @pytest.mark.parametrize("k", [1, 3])
-    def test_row_blocks_equal_the_full_assembly(self, monkeypatch, k, adjoint, hint, rows):
+    def test_row_blocks_equal_the_full_assembly(self, monkeypatch, k, degree, adjoint, hint,
+                                                rows):
         # the n x n accumulation is zero wherever the row blocks store nothing,
-        # and bitwise equal to them wherever they do
+        # and bitwise equal to them wherever they do: to full-width blocks of
+        # _TILE_ROWS rows, the views discretize_T_R fills with its degree-1
+        # quadrature, and at INTERP_DEGREE to the banded blocks of _assemble
         T = K.transform
         if rows is not None:
             monkeypatch.setattr(T, "_TILE_ROWS", rows)
         grid = K.make_grid(300, hint)
         d = k + 2 if adjoint else 0
-        q = T._quadrature(grid, k, d, grid._interp_plain, 0, T._cells(grid, adjoint) - 1, (),
-                          adjoint)
+        interp = SegmentedInterp(grid.theta_nodes, grid.h, degree=degree)
+        q = T._quadrature(grid, k, d, interp, 0, T._cells(grid, adjoint) - 1, (), adjoint)
+        scale = grid.nodes ** (2.0 - d) if adjoint else None
         full = np.zeros((grid.n, grid.n))
-        T._accumulate(full, 0, grid, k, q, adjoint,
-                      grid.nodes ** (2.0 - d) if adjoint else None)
-        M = T._assemble(grid, k, d, adjoint)
-        assert len(M.blocks) == -(-grid.n // T._TILE_ROWS)
-        assert np.array_equal(M.toarray(), full)
+        T._accumulate(full, 0, grid, k, q, adjoint, scale)
+        views = np.zeros((grid.n, grid.n))
+        T._accumulate([(i0, 0, views[i0:i0 + T._TILE_ROWS])
+                       for i0 in range(0, grid.n, T._TILE_ROWS)], 0, grid, k, q, adjoint, scale)
+        assert np.array_equal(views, full)
+        if degree == INTERP_DEGREE:
+            M = T._assemble(grid, k, d, adjoint)
+            assert len(M.blocks) == -(-grid.n // T._TILE_ROWS)
+            assert np.array_equal(M.toarray(), full)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_row_blocks_hold_under_six_tenths_of_the_matrix(self, fresh_cache, k):
@@ -842,22 +851,40 @@ class TestQuadratureBlocks:
         cell = {"none": None, "inside": 200, "first": 256}[where]
         return () if cell is None else (math.tan(0.5 * (th[cell] + th[cell + 1])),)
 
+    @pytest.mark.parametrize("where", ["none", "inside", "first"])
     @pytest.mark.parametrize("adjoint", [False, True])
     @pytest.mark.parametrize("grid", GRIDS)
     @pytest.mark.parametrize("k", [1, 3])
-    def test_joined_blocks_are_the_whole_grid_quadrature(self, monkeypatch, k, grid, adjoint):
+    def test_joined_blocks_are_the_whole_grid_quadrature(self, monkeypatch, k, grid, adjoint,
+                                                         where):
+        # with a split, the whole grid's quadrature with it is the joined
+        # plain blocks outside the split's range, point for point, and the
+        # range's own quadrature (what _split_quadratures plans) inside it
         T = K.transform
         monkeypatch.setattr(T, "_BUILD_CELLS", 128)
         grid = self.GRIDS[grid]()
+        splits = self._splits(grid, where)
+        interp = SegmentedInterp(grid.theta_nodes, grid.h, [math.atan(s) for s in splits])
         blocks = list(T._quadrature_blocks(grid, k, k + 2, adjoint))
         assert len(blocks) == 5
-        whole = T._quadrature(grid, k, k + 2, grid._interp_plain, 0, T._cells(grid, adjoint) - 1,
-                              (), adjoint)
+        whole = T._quadrature(grid, k, k + 2, interp, 0, T._cells(grid, adjoint) - 1, splits,
+                              adjoint)
         joined = T._concatenate(blocks)
-        assert joined.keys() == whole.keys()
+        kept, clusters = T._split_clusters(grid, splits, adjoint)
+        assert len(clusters) == (where != "none")
+        part = {key: value[:0] for key, value in whole.items()}
+        for c0, c1 in clusters:
+            part = T._quadrature(grid, k, k + 2, interp, c0, c1, kept, adjoint)
+            # the split cuts a cell: the range holds more points than plain
+            assert part["u"].size > np.isin(joined["cell"], part["cell"]).sum()
+        assert joined.keys() == whole.keys() == part.keys()
         for key, value in whole.items():
-            assert value.dtype == joined[key].dtype, key
-            assert np.array_equal(joined[key], value), key
+            # interior points go by cell, edge points by row
+            by = "rows" if key in ("rows", "idx", "w") else "cell"
+            mine, theirs = np.isin(whole[by], part[by]), np.isin(joined[by], part[by])
+            assert value.dtype == joined[key].dtype == part[key].dtype, key
+            assert np.array_equal(value[~mine], joined[key][~theirs]), key
+            assert np.array_equal(value[mine], part[key]), key
 
     @pytest.mark.parametrize("where", ["none", "inside", "first"])
     @pytest.mark.parametrize("grid", GRIDS)
@@ -1009,16 +1036,27 @@ class TestBandedApply:
     every entry it skips is exactly zero."""
 
     @staticmethod
-    def _matrix(grid, k, adjoint):
-        # M0 as a dense matrix
-        return K.transform._assemble(grid, k, k + 2 if adjoint else 0, adjoint).toarray()
+    def _matrix(grid, k, adjoint, degree=INTERP_DEGREE):
+        # M0 as a dense matrix; below INTERP_DEGREE, the same operator of a
+        # quadrature whose stencils span degree + 1 nodes
+        T, d = K.transform, k + 2 if adjoint else 0
+        if degree == INTERP_DEGREE:
+            return T._assemble(grid, k, d, adjoint).toarray()
+        interp = SegmentedInterp(grid.theta_nodes, grid.h, degree=degree)
+        q = T._quadrature(grid, k, d, interp, 0, T._cells(grid, adjoint) - 1, (), adjoint)
+        M = np.zeros((grid.n, grid.n))
+        T._accumulate(M, 0, grid, k, q, adjoint, grid.nodes ** (2.0 - d) if adjoint else None)
+        return M
 
     @pytest.mark.parametrize("hint", [float("inf"), 8.0])
     @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("degree", [1, 3, INTERP_DEGREE])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-    def test_skipped_entries_are_zero(self, k, adjoint, hint):
+    def test_skipped_entries_are_zero(self, k, degree, adjoint, hint):
+        # the band bounds every stencil of up to INTERP_DEGREE + 1 nodes
         grid = K.make_grid(67, hint)
-        M = self._matrix(grid, k, adjoint)
+        M = self._matrix(grid, k, adjoint, degree)
+        assert M.any()
         # row by row: a block's columns are the union of its rows' columns
         for i in range(grid.n):
             c0, c1 = K.transform._band(grid.n, i, i + 1, adjoint)
