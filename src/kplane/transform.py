@@ -50,10 +50,12 @@ and one of (c + i + 2 + u) h. On the lattice of whole cells those two are a
 Toeplitz and a Hankel table of O(n) values, kept per (grid, k, direction),
 so the build fills each tile of rows x whole cells with one multiply of two
 strided views, and multiplies it by a small dense block of the stencils
-scaled by the cos power of each point. The row blocks are filled on
-_workers threads for the one build, each block by one thread in one
-operation order, so M0 is bitwise the same for any worker count; k = 2 and
-every apply run on the calling thread.
+scaled by the cos power of each point. A quadrature contracted against f
+has one weight per point, so a pass of rows against it is one fused
+row-dot of the two views and one weight vector, and no tile is formed. The
+row blocks are filled on _workers threads for the one build, each block by
+one thread in one operation order, so M0 is bitwise the same for any worker
+count; k = 2 and every apply run on the calling thread.
 
 Split radii change only the interpolation stencils within INTERP_DEGREE
 cells of a split and the subdivision of the cell that holds it, so M0 is
@@ -61,7 +63,8 @@ never rebuilt for them and nothing is cached per split set: every apply
 integrates each range of those cells once with the splits, contracted
 against f (_split_quadratures). The prefix sums take its per-cell and
 per-row sums in place of the plain ones; a dense M0 f adds it less the
-range's plain quadrature, by the tile loop into one column (_add_splits).
+range's plain quadrature, folded into one contracted quadrature and
+integrated into one column by fused row-dots (_add_splits).
 A split is inside the grid when its angle lies strictly between the first
 and last node angles, one test for the interpolant and the quadrature
 alike. cache_info() counts the cache's entries, bytes, builds, hits,
@@ -69,10 +72,11 @@ evictions and build seconds per entry kind.
 
 A T f needed once (the sharp constant's T h, the CLI's transform) need not
 form M0: _apply_T_once plans the plain quadrature one block of _BUILD_CELLS
-cells at a time, contracts it against f block by block, runs the tile loop
-into one column and adds f's splits by _add_splits, holding no matrix and
-caching nothing. discretize_T_R, uncached, plans its own quadrature at
-degree 1 and fills views of its n x n matrix with the same tile loop.
+cells at a time, contracts it against f block by block, integrates it into
+one column by fused row-dots and adds f's splits by _add_splits, holding no
+matrix, no block of sine factors and caching nothing. discretize_T_R,
+uncached, plans its own quadrature at degree 1 and fills views of its n x n
+matrix with the tile loop of a dense build.
 """
 from __future__ import annotations
 
@@ -465,7 +469,8 @@ class _SineTables:
     correction tabulated over c - i, the Hankel factor over c + i, (cells +
     n) GL_CELL values each. views(a, b) gives rows a..b-1 against every
     lattice point as one strided view of each table, so a tile of sine
-    factors is one multiply (and the rows of its edge band three more)."""
+    factors is one multiply (and the rows of its edge band three more), and
+    dot() sums rows of them against one vector without forming the tile."""
 
     def __init__(self, grid: RadialGrid, k: int, adjoint: bool):
         u = 0.5 + 0.5 * GL_CELL[0]           # a whole cell's offsets, as in _quadrature
@@ -475,17 +480,34 @@ class _SineTables:
         dc = np.arange(1 - n, cells)[:, None]
         U = _toeplitz_factor(dc, u, grid.h, k, adjoint)
         W = _rounding_factor(U, dc, u, grid.h, k, adjoint)
-        V = _hankel_factor(np.arange(cells + n - 1)[:, None], u, grid.h, k)
+        # the Hankel table within _EDGE_BAND + 1 cells of zeros each side, so
+        # a band of cells next to any row's kernel edge is in it (dot)
+        self.pad = _EDGE_BAND + 1
+        V = np.zeros((cells + n - 1 + 2 * self.pad, u.size))
+        V[self.pad:-self.pad] = _hankel_factor(np.arange(cells + n - 1)[:, None], u, grid.h, k)
+        self.V_flat = V.ravel()
+        # the rounding factor of the _EDGE_BAND cells where it is not 0, the
+        # same for every row: c - i from 1 forward, from -_EDGE_BAND - 1 adjoint
+        edge = n - _EDGE_BAND - 2 if adjoint else n
+        self.W_band = W[edge:edge + _EDGE_BAND].ravel()
         # window j: the table from flat index j on; row i starts at c - i = -i
         # of U and W, and at c + i = i of V
         window = np.lib.stride_tricks.sliding_window_view
-        self.U, self.W, self.V = (window(T.ravel(), cells * u.size) for T in (U, W, V))
+        self.U, self.W, self.V = (window(T.ravel(), cells * u.size)
+                                  for T in (U, W, V[self.pad:-self.pad]))
 
     def views(self, a: int, b: int):
         """U, W and V of rows a..b-1 against every lattice point."""
         g, last = self.g, self.n - 1
         toeplitz = slice((last - b + 1) * g, (last - a) * g + 1, g)
         return (self.U[toeplitz][::-1], self.W[toeplitz][::-1], self.V[a * g:(b - 1) * g + 1:g])
+
+    def band_rows(self, c_lo: int, c_hi: int) -> tuple[int, int]:
+        """The rows [r0, r1) within _EDGE_BAND cells of the kernel edge of
+        cells c_lo..c_hi: those whose rounding correction is not 0 there."""
+        if self.adjoint:
+            return c_lo + 2, c_hi + _EDGE_BAND + 2
+        return c_lo - _EDGE_BAND, c_hi
 
     def sines(self, views, a: int, c_lo: int, c_hi: int, p0: int, p1: int,
               out: np.ndarray) -> np.ndarray:
@@ -494,9 +516,7 @@ class _SineTables:
         U, W, V = (t[:, p0:p1] for t in views)
         A = np.multiply(U, V, out=out)
         if self.eps is not None:
-            # the rows within _EDGE_BAND cells of these cells' kernel edge
-            r0, r1 = ((c_lo + 2, c_hi + _EDGE_BAND + 2) if self.adjoint
-                      else (c_lo - _EDGE_BAND, c_hi))
+            r0, r1 = self.band_rows(c_lo, c_hi)
             r0, r1 = max(r0 - a, 0), min(r1 - a, A.shape[0])
             if r0 < r1:
                 near = W[r0:r1] * V[r0:r1]
@@ -504,11 +524,41 @@ class _SineTables:
                 A[r0:r1] += near
         return A
 
+    def dot(self, a: int, b: int, c_lo: int, c_hi: int, d: np.ndarray, d0: int) -> np.ndarray:
+        """The sine factors of rows a..b-1 against the lattice points of
+        cells c_lo..c_hi times d, d[(c - d0) GL_CELL + m] the weight of point
+        m of cell c, summed per row in one fused pass; d is 0 on the
+        _EDGE_BAND cells next to c_lo..c_hi that the rows see. Only the rows
+        within _EDGE_BAND cells of those cells' kernel edge add the rounding
+        correction, read from band views of the tables and of d."""
+        g = self.g
+        U, _, V = self.views(a, b)
+        p0, p1 = c_lo * g, (c_hi + 1) * g
+        s = np.einsum("ij,ij,j->i", U[:, p0:p1], V[:, p0:p1], d[p0 - d0 * g:p1 - d0 * g])
+        if self.eps is not None:
+            r0, r1 = self.band_rows(c_lo, c_hi)
+            r0, r1 = max(r0, a), min(r1, b)
+            if r0 < r1:
+                # row i's band is the _EDGE_BAND cells from i - _EDGE_BAND - 1
+                # (adjoint) or i + 1 (forward) on: each row of it starts 2
+                # cells on in the Hankel table and 1 cell on in d
+                c = r0 - _EDGE_BAND - 1 if self.adjoint else r0 + 1
+                window = functools.partial(np.lib.stride_tricks.sliding_window_view,
+                                           window_shape=_EDGE_BAND * g)
+                v0, e0, rows = (r0 + c + self.pad) * g, (c - d0) * g, r1 - r0
+                V_band = window(self.V_flat)[v0:v0 + 2 * g * rows:2 * g]
+                d_band = window(d)[e0:e0 + g * rows:g]
+                near = np.einsum("ij,ij,j->i", V_band, d_band, self.W_band)
+                near *= self.eps[r0:r1]
+                s[r0 - a:r1 - a] += near
+        return s
+
 
 @functools.lru_cache(maxsize=8)
 def _lattice_tables(grid: RadialGrid, k: int, adjoint: bool) -> _SineTables:
-    """_SineTables of the grid, about 48 n doubles, shared by M0's build and
-    every split apply, which reads the rows and cells it needs from them."""
+    """_SineTables of the grid, about 48 n doubles, shared by M0's build,
+    every split apply and every one-shot T f, which read the rows and cells
+    they need from them."""
     tables = _SineTables(grid, k, adjoint)
     if tables.eps is not None:
         tables.eps.setflags(write=False)
@@ -615,27 +665,31 @@ def _accumulate(out, row0: int, grid: RadialGrid, k: int, quad: dict, adjoint: b
     cells c <= i-2; the edge stencils supply the cell at each row's kernel
     edge. The interior kernel is alpha_i beta_p times its sine factors:
     alpha_i = cos(theta_i)^{2-k} scales rows, beta_p = base_p
-    cos(theta_p)^{2-k} the stencil blocks of _cell_tiles. On the lattice,
-    rows go in passes of _TILE_ROWS (more when the lattice is narrower than
-    a tile, as a split range's is): the sine factors of a pass and a
-    block of cells are one multiply of views of the grid's _lattice_tables
-    and their share of `out` one product with the stencil block, summed per
-    tile in a buffer of its own that is added to `out` once. What a row
-    does not see has a zero Toeplitz factor, so a tile's columns outside a
-    row block's band add exact zeros and are dropped. The few points off
-    the lattice (the adjoint's head strip, the cells a split cuts) take
-    _direct_sines against each block of rows.
+    cos(theta_p)^{2-k} the point weights. On the lattice, rows go in passes
+    of _TILE_ROWS (more when the lattice is narrower than _TILE_CELLS
+    cells, as a split range's is). A matrix `out` takes the tile loop: the
+    sine factors of a pass and a block of cells are one multiply of views of
+    the grid's _lattice_tables and their share of `out` one product with
+    the block's stencils (_cell_tiles) times beta, summed per tile in a
+    buffer of its own that is added to `out` once; a tile's columns outside
+    a row block's band add exact zeros and are dropped. A contracted
+    quadrature has one weight per point, so its lattice points are one
+    vector d, d[c GL_CELL + m] = beta_p sw_p, and a pass is one fused
+    row-dot of the tables' views against d (_SineTables.dot), with no sine
+    block formed. What a row does not see has a zero Toeplitz factor. The
+    few points off the lattice (the adjoint's head strip, the cells a split
+    cuts) take _direct_sines against each block of rows.
 
-    The quadrature, the stencil blocks, alpha, beta and the tables are made
-    here and only read after; the row blocks, largest first, go to
+    The quadrature, the stencil blocks or d, alpha, beta and the tables are
+    made here and only read after; the row blocks, largest first, go to
     _on_workers, each filled by one thread alone, in the order of the
     single-threaded loop, so `out` is bitwise the same for any worker count
     (an ndarray `out` is one block, filled by the calling thread). Beyond
     `out` and the kept tables a call holds `quad` (the caller's: a dense
     build's stencils, or one contracted column per point), the stencil
-    blocks, alpha and beta and, per worker that takes a block, one block of
-    sine factors, one tile buffer and the edge band of the row block it
-    fills.
+    blocks or d, alpha and beta and, per worker that takes a block, the edge
+    band of the row block it fills and, on a matrix `out`, one block of sine
+    factors and one tile buffer; on a column, a pass's row sums.
     """
     blocks = [(0, 0, out)] if isinstance(out, np.ndarray) else out
     rows = np.arange(row0, row0 + max(i0 + B.shape[0] for i0, _, B in blocks))
@@ -646,58 +700,99 @@ def _accumulate(out, row0: int, grid: RadialGrid, k: int, quad: dict, adjoint: b
         alpha *= row_scale
         w = w * row_scale[quad["rows"] - row0, None]
     beta = quad["base"] * np.cos(quad["theta"]) ** (2.0 - k)
-    tiles, off = _cell_tiles(cell, lattice, quad["sidx"], beta[:, None] * quad["sw"])
-    if tiles:
+    # the first and last lattice cell
+    ends = cell[lattice][[0, -1]] if lattice.any() else None
+    column = quad["sw"].shape[1] == 1
+    if column:
+        # one weight per point: the lattice's as d over cells d0.., 0 on
+        # the _EDGE_BAND cells each side (_SineTables.dot), and those off it
+        g, v = GL_CELL[0].size, beta * quad["sw"][:, 0]
+        if ends is not None:
+            d0 = ends[0] - _EDGE_BAND
+            d = np.zeros((ends[1] + _EDGE_BAND + 1 - d0, g))
+            d[cell[lattice][::g] - d0] = v[lattice].reshape(-1, g)
+            d = d.ravel()
+        off_at = np.flatnonzero(~lattice)
+    else:
+        tiles, off = _cell_tiles(cell, lattice, quad["sidx"], beta[:, None] * quad["sw"])
+    if ends is not None:
         tables = _lattice_tables(grid, k, adjoint)
         # rows per pass: _TILE_ROWS, or proportionally more over a lattice
-        # of fewer than _TILE_CELLS cells, so a pass's tile buffer stays as
-        # large as a full tile's
-        span = cell[lattice][-1] + 1 - cell[lattice][0]
-        R = min(_TILE_ROWS * max(_TILE_CELLS // span, 1), rows.size)
-        points = max(b[1] - b[0] for _, _, tile_blocks in tiles for b in tile_blocks)
-        width = max(J1 - J0 for J0, J1, _ in tiles)
+        # of fewer than _TILE_CELLS cells, so a pass covers as many points
+        # as a full tile's
+        R = min(_TILE_ROWS * max(_TILE_CELLS // (ends[1] + 1 - ends[0]), 1), rows.size)
+        if not column:
+            points = max(b[1] - b[0] for _, _, tile_blocks in tiles for b in tile_blocks)
+            width = max(J1 - J0 for J0, J1, _ in tiles)
     edge_rows, edge_cols = quad["rows"] - row0, quad["idx"]
 
     def seen_cells(rs):
         # the first and last cell some row of rs sees
         return (cell[0], rs[-1] - 2) if adjoint else (rs[0] + 1, cell[-1])
 
-    def fill(take):
-        # one worker: its own block of sine factors and tile buffer, made
-        # on its first job (a worker that gets none allocates neither), and
-        # the row blocks it takes, each written by this worker alone
-        buf = None
-        for i0, b0, B in take:
-            if tiles and buf is None:
-                buf, acc = np.empty((R, points)), np.empty((R, width))
-            b1 = b0 + B.shape[1]
-            for a in range(i0, i0 + B.shape[0], R) if tiles else ():
-                rs = rows[a:min(a + R, i0 + B.shape[0])]
-                first, last = seen_cells(rs)
-                views = tables.views(rs[0], rs[-1] + 1)
-                for J0, J1, tile_blocks in tiles:
-                    lo, hi = max(J0, b0), min(J1, b1)
-                    tile_blocks = [b for b in tile_blocks if b[2] <= last and b[3] >= first]
-                    if lo >= hi or not tile_blocks:
-                        continue
-                    tile = acc[:rs.size, :J1 - J0]
-                    tile[:] = 0.0
-                    for p0, p1, c_lo, c_hi, j0, j1, D in tile_blocks:
-                        q0 = c_lo * GL_CELL[0].size
-                        A = tables.sines(views, rs[0], c_lo, c_hi, q0, q0 + p1 - p0,
-                                         buf[:rs.size, :p1 - p0])
-                        tile[:, j0 - J0:j1 - J0] += A @ D
-                    tile *= alpha[a:a + rs.size, None]
-                    B[a - i0:a - i0 + rs.size, lo - b0:hi - b0] += tile[:, lo - J0:hi - J0]
-            rs = rows[i0:i0 + B.shape[0]]
+    def add_column(i0, col):
+        # rows i0.. of a one-column block: per pass, the lattice cells its
+        # rows see in one row-dot; then the points off the lattice
+        for a in range(i0, i0 + col.size, R) if ends is not None else ():
+            rs = rows[a:min(a + R, i0 + col.size)]
             first, last = seen_cells(rs)
-            for p0, p1, c_lo, c_hi, j0, j1, D in off:
-                lo, hi = max(j0, b0), min(j1, b1)
-                if lo >= hi or c_lo > last or c_hi < first:
+            lo, hi = max(first, ends[0]), min(last, ends[1])
+            if lo <= hi:
+                s = tables.dot(rs[0], rs[-1] + 1, lo, hi, d, d0)
+                s *= alpha[a:a + rs.size]
+                col[a - i0:a - i0 + rs.size] += s
+        if off_at.size:
+            rs = rows[i0:i0 + col.size]
+            part = _direct_sines(cell[off_at], quad["u"][off_at], rs, grid.h, k, adjoint)
+            part = part @ v[off_at]
+            part *= alpha[i0:i0 + rs.size]
+            col += part
+
+    def add_tiles(i0, b0, B, buffers):
+        # rows i0.. of a row block in columns b0..: per pass, tile by tile,
+        # the lattice's stencil blocks; then the points off the lattice
+        b1 = b0 + B.shape[1]
+        for a in range(i0, i0 + B.shape[0], R) if tiles else ():
+            rs = rows[a:min(a + R, i0 + B.shape[0])]
+            first, last = seen_cells(rs)
+            views, (buf, acc) = tables.views(rs[0], rs[-1] + 1), buffers
+            for J0, J1, tile_blocks in tiles:
+                lo, hi = max(J0, b0), min(J1, b1)
+                tile_blocks = [b for b in tile_blocks if b[2] <= last and b[3] >= first]
+                if lo >= hi or not tile_blocks:
                     continue
-                part = _direct_sines(cell[p0:p1], quad["u"][p0:p1], rs, grid.h, k, adjoint) @ D
-                part *= alpha[i0:i0 + rs.size, None]
-                B[:, lo - b0:hi - b0] += part[:, lo - j0:hi - j0]
+                tile = acc[:rs.size, :J1 - J0]
+                tile[:] = 0.0
+                for p0, p1, c_lo, c_hi, j0, j1, D in tile_blocks:
+                    q0 = c_lo * GL_CELL[0].size
+                    A = tables.sines(views, rs[0], c_lo, c_hi, q0, q0 + p1 - p0,
+                                     buf[:rs.size, :p1 - p0])
+                    tile[:, j0 - J0:j1 - J0] += A @ D
+                tile *= alpha[a:a + rs.size, None]
+                B[a - i0:a - i0 + rs.size, lo - b0:hi - b0] += tile[:, lo - J0:hi - J0]
+        rs = rows[i0:i0 + B.shape[0]]
+        first, last = seen_cells(rs)
+        for p0, p1, c_lo, c_hi, j0, j1, D in off:
+            lo, hi = max(j0, b0), min(j1, b1)
+            if lo >= hi or c_lo > last or c_hi < first:
+                continue
+            part = _direct_sines(cell[p0:p1], quad["u"][p0:p1], rs, grid.h, k, adjoint) @ D
+            part *= alpha[i0:i0 + rs.size, None]
+            B[:, lo - b0:hi - b0] += part[:, lo - j0:hi - j0]
+
+    def fill(take):
+        # one worker: the row blocks it takes, each written by this worker
+        # alone, and on a matrix `out` its own block of sine factors and
+        # tile buffer, made on its first job (a worker that gets none
+        # allocates neither)
+        buffers = None
+        for i0, b0, B in take:
+            if column:
+                add_column(i0, B[:, 0])
+            else:
+                if tiles and buffers is None:
+                    buffers = np.empty((R, points)), np.empty((R, width))
+                add_tiles(i0, b0, B, buffers)
             # these rows' edge weights (quad["rows"] ascends) summed per entry
             # in a band indexed by row and column less row, or by row and
             # column where B is narrower than that band (a one-column B)
@@ -819,21 +914,46 @@ def _split_quadratures(grid: RadialGrid, k: int, d: int, f: RadialProfile, adjoi
         yield c0, c1, _contract(_quadrature(grid, k, d, interp, c0, c1, kept, adjoint), f.values)
 
 
+def _fold(split: dict, plain: dict) -> dict:
+    """split less plain, two _contract-ed quadratures of one range, as one
+    contracted quadrature. Interior: plain's points, each with split's
+    weight less its own where split has the same point (whole cells and the
+    adjoint's head strip, in the same order in both) and its own negated in
+    the cells f's splits cut, then split's pieces of those cells, sorted by
+    cell. Edge: per row of the range, split's weights less plain's."""
+    cut = ~split["lattice"] & (split["cell"] >= 0)
+    first = plain["cell"][0]
+    cut_cell = np.zeros(plain["cell"][-1] + 1 - first, dtype=bool)
+    cut_cell[split["cell"][cut] - first] = True
+    sw = -plain["sw"]
+    sw[~cut_cell[plain["cell"] - first]] += split["sw"][~cut]
+    q = {key: np.concatenate([plain[key], split[key][cut]])
+         for key in ("theta", "u", "base", "cell", "lattice", "sidx")}
+    q["sw"] = np.concatenate([sw, split["sw"][cut]])
+    order = np.argsort(q["cell"], kind="stable")
+    q = {key: value[order] for key, value in q.items()}
+    r0 = plain["rows"][0]
+    size = plain["rows"][-1] + 1 - r0
+    q["w"] = (np.bincount(split["rows"] - r0, split["w"][:, 0], size)
+              - np.bincount(plain["rows"] - r0, plain["w"][:, 0], size))[:, None]
+    q["rows"], q["idx"] = np.arange(r0, r0 + size), np.zeros((size, 1), dtype=int)
+    return q
+
+
 def _add_splits(out: np.ndarray, grid: RadialGrid, k: int, d: int, f: RadialProfile,
                 adjoint: bool) -> None:
     """Add to `out`, a dense M0 f (adjoint rows scaled by r^{2-d}), what f's
     splits change: per range of _split_quadratures, its quadrature less the
-    range's plain one, both integrated by the tile loop into one column over
-    the rows that see the range's cells."""
+    range's plain one, folded into one contracted quadrature (_fold) and
+    integrated by one _accumulate into one column over the rows that see
+    the range's cells."""
     for c0, c1, split in _split_quadratures(grid, k, d, f, adjoint):
         plain = _contract(_quadrature(grid, k, d, grid._interp_plain, c0, c1, (), adjoint),
                           f.values)
-        plain["sw"], plain["w"] = -plain["sw"], -plain["w"]
         row0, row1 = ((0 if c0 == 0 else c0 + 1), grid.n) if adjoint else (0, c1 + 1)
         scale = grid.nodes[row0:row1] ** (2.0 - d) if adjoint else None
         col = np.zeros((row1 - row0, 1))
-        for q in (split, plain):
-            _accumulate(col, row0, grid, k, q, adjoint, scale)
+        _accumulate(col, row0, grid, k, _fold(split, plain), adjoint, scale)
         out[row0:row1] += col[:, 0]
 
 
@@ -1043,11 +1163,12 @@ def _apply_T_once(params: Params, f: RadialProfile) -> RadialProfile:
     _quadrature_blocks one block of cells at a time, each block's stencils
     contracted against f (_contract) once planned; _accumulate integrates
     that column into n x 1 row blocks of _TILE_ROWS rows on the build's
-    workers, and _add_splits adds f's splits. It holds one block's stencils,
-    O(n) point weights and sums, never an n x n matrix or the whole grid's
-    stencils, and still refuses a grid over the dense budget. Indicators (a
-    closed form), k = 2 (O(n) prefix sums) and a (grid, k) whose M0 is
-    cached go to apply_T.
+    workers, one fused row-dot per block against the lattice weights, and
+    _add_splits adds f's splits. It holds one block's stencils, O(n) point
+    weights and sums, never an n x n matrix, the whole grid's stencils or a
+    block of sine factors, and still refuses a grid over the dense budget.
+    Indicators (a closed form), k = 2 (O(n) prefix sums) and a (grid, k)
+    whose M0 is cached go to apply_T.
     """
     k, grid = params.k, f.grid
     with _CACHE_LOCK:

@@ -126,6 +126,30 @@ def test_k2_split_apply_plans_each_range_once(monkeypatch, adjoint, grid):
     assert calls == [(c0, c1, kept) for c0, c1 in clusters]
 
 
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("k", [1, 3])
+def test_dense_split_apply_integrates_each_range_once(monkeypatch, k, adjoint):
+    # a range's split quadrature less its plain one is folded into one
+    # contracted quadrature, so M0 f adds each range by one _accumulate
+    T = K.transform
+    grid = K.make_halfline_grid(300)
+    splits = SPLITS["four"]
+    op = T._assemble_adjoint(grid, k, k + 2) if adjoint else T._assemble_forward(grid, k)
+    kept, clusters = T._split_clusters(grid, splits, adjoint)
+    assert len(clusters) > 1
+    f = K.RadialProfile(grid, np.random.default_rng(5).uniform(0.5, 1.5, grid.n), splits=splits)
+    want = op.apply(f)
+    calls, accumulate = [], T._accumulate
+
+    def counting(out, row0, grid, k, quad, *args):
+        calls.append((quad["cell"].min(), quad["cell"].max(), quad["sw"].shape[1]))
+        return accumulate(out, row0, grid, k, quad, *args)
+
+    monkeypatch.setattr(T, "_accumulate", counting)
+    assert np.array_equal(op.apply(f), want)
+    assert calls == [(c0, c1, 1) for c0, c1 in clusters]
+
+
 @pytest.mark.parametrize("k", [1, 3])
 def test_one_shot_plans_the_grid_without_splits(fresh_cache, monkeypatch, k):
     # the whole grid is planned plain, block by block, and f's splits enter

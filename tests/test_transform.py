@@ -652,6 +652,34 @@ class TestSineKernel:
             assert np.array_equal(T._direct_sines(c, u, rows, grid.h, k, adjoint), want)
 
 
+    @pytest.mark.parametrize("hint", [float("inf"), 8.0])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_fused_row_dots_equal_the_sine_blocks(self, k, adjoint, hint):
+        # a one-column pass against lattice weights d, over cell ranges at
+        # both ends of the grid and inside it, against the tile loop's sine
+        # block times d; the rows' rounding shifts are made O(1), so a band
+        # view off by a cell or a row would show
+        T = K.transform
+        grid = K.make_grid(64, hint)
+        tables = T._SineTables(grid, k, adjoint)
+        tables.eps = np.linspace(1.0, 2.0, grid.n)
+        g, cells, band = GL_CELL[0].size, T._cells(grid, adjoint), T._EDGE_BAND
+        rng = np.random.default_rng(k + 2 * adjoint)
+        for c_lo, c_hi, a, b in ((0, cells - 1, 0, grid.n), (0, 3, 0, 20), (30, 34, 20, 50),
+                                 (cells - 4, cells - 1, 40, grid.n), (5, 40, 3, 61)):
+            d0 = c_lo - band
+            d = np.zeros((c_hi + band + 1 - d0) * g)
+            d[(c_lo - d0) * g:(c_hi + 1 - d0) * g] = rng.uniform(0.5, 1.5, (c_hi + 1 - c_lo) * g)
+            # the cells these rows see
+            lo, hi = (c_lo, min(c_hi, b - 3)) if adjoint else (max(c_lo, a + 1), c_hi)
+            A = tables.sines(tables.views(a, b), a, lo, hi, lo * g, (hi + 1) * g,
+                             np.empty((b - a, (hi + 1 - lo) * g)))
+            want = A @ d[(lo - d0) * g:(hi + 1 - d0) * g]
+            got = tables.dot(a, b, lo, hi, d, d0)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def _columns(op, grid, splits):
     # the operator a profile with `splits` sees, one unit vector at a time
     return np.column_stack([op.apply(K.RadialProfile(grid, e, splits=splits))
@@ -805,6 +833,29 @@ class TestOneShotApply:
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(v, got[0]) for v in got[1:])
+
+    @pytest.mark.parametrize("grid", ["half1000", "trunc600"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_one_column_outputs_form_no_sine_block(self, fresh_cache, monkeypatch, k, grid):
+        # the one-shot T f and the split ranges of a dense M0's apply, both
+        # directions, integrate one column each by fused row-dots: with the
+        # tile loop's sine blocks refused, both still give apply_T's values
+        T = fresh_cache
+        params, grid = K.make_params(k, k + 2), self.GRIDS[grid]()
+        f = self._profiles(params, grid)["split"]
+        want = K.apply_T(params, f).values
+        operators = T._forward_matrix(grid, k), T._adjoint_matrix(grid, k, k + 2)
+        applied = [M.apply(f) for M in operators]
+        T._MATRIX_CACHE.clear()         # so _apply_T_once integrates T f itself
+
+        def refused(self, *args):
+            raise AssertionError("a block of sine factors was formed")
+
+        monkeypatch.setattr(T._SineTables, "sines", refused)
+        once = T._apply_T_once(params, f).values
+        assert T.cache_info()["fwd"]["entries"] == 0
+        assert np.abs(once - want).max() <= 1e-13 * np.abs(want).max()
+        assert all(np.array_equal(M.apply(f), v) for M, v in zip(operators, applied))
 
     def test_builds_and_caches_nothing(self, fresh_cache):
         T = fresh_cache
@@ -1182,8 +1233,8 @@ class TestThreadedBuild:
 
     def test_idle_workers_allocate_no_buffers(self, monkeypatch):
         # T f integrated into one n x 1 array, one job: with three workers
-        # more than that, the idle ones take no job and make no sine block
-        # or tile buffer, 256 x 128 doubles each
+        # more than that, the idle ones take no job and allocate nothing
+        # while the calling thread runs its first fused pass
         import threading
         import time
         import tracemalloc
@@ -1193,7 +1244,7 @@ class TestThreadedBuild:
         q = T._contract(q, K.extremizer_profile(params, 1.0, grid).values)
         want = np.zeros((grid.n, 1))
         T._accumulate(want, 0, grid, 1, q, False)      # and the sine tables, kept per grid
-        sines, live, holding = T._SineTables.sines, threading.active_count(), threading.Event()
+        dot, live, holding = T._SineTables.dot, threading.active_count(), threading.Event()
         grown = []
 
         class AfterTheJob(threading.Thread):
@@ -1213,10 +1264,10 @@ class TestThreadedBuild:
                     time.sleep(1e-3)
                 now, peak = tracemalloc.get_traced_memory()
                 grown.append(peak - now)
-            return sines(self, *args)
+            return dot(self, *args)
 
         monkeypatch.setattr(T.threading, "Thread", AfterTheJob)
-        monkeypatch.setattr(T._SineTables, "sines", until_the_others_end)
+        monkeypatch.setattr(T._SineTables, "dot", until_the_others_end)
         monkeypatch.setattr(T, "_workers", lambda jobs: jobs + 3)
         out = np.zeros((grid.n, 1))
         tracemalloc.start()
