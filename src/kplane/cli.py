@@ -139,6 +139,10 @@ def _preset_profile(text: str, params, grid):
 def _cmd_transform(args) -> int:
     params = make_params(args.k, args.d)
     grid = make_halfline_grid(args.grid_n)
+    if not args.rmax >= grid.nodes[0]:
+        raise ParameterError(f"--rmax {args.rmax} keeps no output row: it must be at least "
+                             f"r_0 = {grid.nodes[0]:.3g}, the first node of --grid-n "
+                             f"{args.grid_n}")
     if args.input:
         f = _load_profile(args.input, grid)
         source = args.input

@@ -46,37 +46,41 @@ _operator_bytes). Its interior kernel is evaluated in theta: by tan^2 a -
 tan^2 b = sin(a - b) sin(a + b) / (cos^2 a cos^2 b), at GL point theta_p =
 (c + 1 + u) h of cell c against row theta_i = (i + 1) h it is
 cos(theta_i)^{2-k} cos(theta_p)^{2-k} times one sine power of (c - i + u) h
-and one of (c + i + 2 + u) h. On the lattice of whole cells those two are a
-Toeplitz and a Hankel table of O(n) values, kept per (grid, k, direction),
-so the build fills each tile of rows x whole cells with one multiply of two
-strided views, and multiplies it by a small dense block of the stencils
-scaled by the cos power of each point. A quadrature contracted against f
-has one weight per point, so a pass of rows against it is one fused
-row-dot of the two views and one weight vector, and no tile is formed. The
-row blocks are filled on _workers threads for the one build, each block by
+and one of (c + i + 2 + u) h. On the lattice of whole cells (the adjoint's
+head strip [0, theta_0] is its cell -1) those two are a Toeplitz and a
+Hankel table of O(n) values, kept per (grid, k, direction). A quadrature
+without splits lies on the lattice alone, so a build (_accumulate) fills
+each tile of rows x whole cells with one multiply of two strided views and
+multiplies it by a small dense block of the stencils scaled by the cos power
+of each point. Its row blocks are filled on _workers threads, each block by
 one thread in one operation order, so M0 is bitwise the same for any worker
-count; k = 2 and every apply run on the calling thread.
+count, as is every _integrate (below), whose passes of rows go to the
+workers too; k = 2 runs on the calling thread.
 
 Split radii change only the interpolation stencils within INTERP_DEGREE
 cells of a split and the subdivision of the cell that holds it, so M0 is
 never rebuilt for them and nothing is cached per split set: every apply
 integrates each range of those cells once with the splits, contracted
 against f (_split_quadratures). The prefix sums take its per-cell and
-per-row sums in place of the plain ones; a dense M0 f adds it less the
-range's plain quadrature, folded into one contracted quadrature and
-integrated into one column by fused row-dots (_add_splits).
+per-row sums in place of the plain ones; a dense M0 f adds it and the
+range's plain quadrature contracted against -f (_add_splits).
 A split is inside the grid when its angle lies strictly between the first
 and last node angles, one test for the interpolant and the quadrature
 alike. cache_info() counts the cache's entries, bytes, builds, hits,
 evictions and build seconds per entry kind.
 
-A T f needed once (the sharp constant's T h, the CLI's transform) need not
-form M0: _apply_T_once plans the plain quadrature one block of _BUILD_CELLS
-cells at a time, contracts it against f block by block, integrates it into
-one column by fused row-dots and adds f's splits by _add_splits, holding no
-matrix, no block of sine factors and caching nothing. discretize_T_R,
-uncached, plans its own quadrature at degree 1 and fills views of its n x n
-matrix with the tile loop of a dense build.
+Every quadrature contracted against f, one weight per point, is integrated
+by _integrate: the lattice weights of all of them are one vector, and a
+pass of rows is one fused row-dot of the two views against it, with no
+tile formed; the few points off the lattice, the pieces of the cells a split
+cuts, are evaluated one by one. A T f needed once (the sharp constant's T h,
+the CLI's transform) need not form M0: _apply_T_once plans the plain
+quadrature one block of _BUILD_CELLS cells at a time, contracts it against
+f block by block, integrates it by _integrate on the build's workers and
+adds f's splits by _add_splits, holding no matrix, no block of sine factors
+and caching nothing. discretize_T_R, uncached, plans its own quadrature at
+degree 1 and fills views of its n x n matrix with the tile loop of a dense
+build.
 """
 from __future__ import annotations
 
@@ -257,8 +261,9 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
     sqrt(u^2 - r_row^2), forward and in psi = asin(w / r_row) for the
     adjoint, with the row each one enters (`rows`, ascending), by GL_EDGE
     (GL_EDGE_LAST in the forward operator's last LAST_EDGE_ROWS rows). For
-    the adjoint with c0 == 0 the head strip [0, theta_1] joins the interior
-    as cell -1, and row 0's own range [0, r_0] joins the edge terms.
+    the adjoint with c0 == 0 the head strip [0, theta_0] joins the interior
+    as lattice cell -1, in segment 0, and row 0's own range [0, r_0] joins
+    the edge terms.
 
     The forward operator interpolates g = f sec^{k+1}(theta), not f: each
     stencil weight of node j carries sec^{k+1}(theta_j) and each point weight
@@ -283,10 +288,12 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
     cell = np.repeat(cell, GL_CELL[0].size)
     ug, wg = ug.ravel(), h * wg.ravel()
     if adjoint and c0 == 0:
+        # the head strip [0, theta_0], a whole cell of segment 0: lattice
+        # cell -1 (GL_EDGE is GL_CELL's rule)
         uh, wh = _gl(np.zeros(1), np.ones(1), GL_EDGE)
         ug, wg = np.concatenate([uh[0], ug]), np.concatenate([h * wh[0], wg])
         seg = np.concatenate([np.zeros(GL_EDGE[0].size, dtype=int), seg])
-        lattice = np.concatenate([np.zeros(GL_EDGE[0].size, dtype=bool), lattice])
+        lattice = np.concatenate([np.ones(GL_EDGE[0].size, dtype=bool), lattice])
         cell = np.concatenate([np.full(GL_EDGE[0].size, -1), cell])
     thg = (cell + 1 + ug) * h
     if adjoint:
@@ -467,33 +474,36 @@ class _SineTables:
     """The sine factors of every row against the lattice of every whole cell
     of the grid, GL_CELL points each: the Toeplitz factor and its rounding
     correction tabulated over c - i, the Hankel factor over c + i, (cells +
-    n) GL_CELL values each. views(a, b) gives rows a..b-1 against every
-    lattice point as one strided view of each table, so a tile of sine
-    factors is one multiply (and the rows of its edge band three more), and
-    dot() sums rows of them against one vector without forming the tile."""
+    n) GL_CELL values each. The lattice starts at cell `origin`: -1 for the
+    adjoint, whose head strip [0, theta_0] is cell -1, else 0, so cell c's
+    points are (c - origin) GL_CELL.. of a row. views(a, b) gives rows
+    a..b-1 against every lattice point as one strided view of each table, so
+    a tile of sine factors is one multiply (and the rows of its edge band
+    three more), and dot() sums rows of them against one vector without
+    forming the tile."""
 
     def __init__(self, grid: RadialGrid, k: int, adjoint: bool):
         u = 0.5 + 0.5 * GL_CELL[0]           # a whole cell's offsets, as in _quadrature
-        n, cells = grid.n, _cells(grid, adjoint)
-        self.adjoint, self.g, self.n = adjoint, u.size, n
+        n, cells, o = grid.n, _cells(grid, adjoint), -int(adjoint)
+        self.adjoint, self.g, self.n, self.origin = adjoint, u.size, n, o
         self.eps = _row_rounding(np.arange(1, n + 1), grid.h) if k != 2 else None
-        dc = np.arange(1 - n, cells)[:, None]
+        dc = np.arange(o + 1 - n, cells)[:, None]
         U = _toeplitz_factor(dc, u, grid.h, k, adjoint)
         W = _rounding_factor(U, dc, u, grid.h, k, adjoint)
         # the Hankel table within _EDGE_BAND + 1 cells of zeros each side, so
         # a band of cells next to any row's kernel edge is in it (dot)
         self.pad = _EDGE_BAND + 1
-        V = np.zeros((cells + n - 1 + 2 * self.pad, u.size))
-        V[self.pad:-self.pad] = _hankel_factor(np.arange(cells + n - 1)[:, None], u, grid.h, k)
+        V = np.zeros((cells - o + n - 1 + 2 * self.pad, u.size))
+        V[self.pad:-self.pad] = _hankel_factor(np.arange(o, cells + n - 1)[:, None], u, grid.h, k)
         self.V_flat = V.ravel()
         # the rounding factor of the _EDGE_BAND cells where it is not 0, the
         # same for every row: c - i from 1 forward, from -_EDGE_BAND - 1 adjoint
-        edge = n - _EDGE_BAND - 2 if adjoint else n
+        edge = n - 1 - o + (-_EDGE_BAND - 1 if adjoint else 1)
         self.W_band = W[edge:edge + _EDGE_BAND].ravel()
-        # window j: the table from flat index j on; row i starts at c - i = -i
-        # of U and W, and at c + i = i of V
+        # window j: the table from flat index j on; row i starts at c - i =
+        # origin - i of U and W, and at c + i = origin + i of V
         window = np.lib.stride_tricks.sliding_window_view
-        self.U, self.W, self.V = (window(T.ravel(), cells * u.size)
+        self.U, self.W, self.V = (window(T.ravel(), (cells - o) * u.size)
                                   for T in (U, W, V[self.pad:-self.pad]))
 
     def views(self, a: int, b: int):
@@ -531,10 +541,10 @@ class _SineTables:
         _EDGE_BAND cells next to c_lo..c_hi that the rows see. Only the rows
         within _EDGE_BAND cells of those cells' kernel edge add the rounding
         correction, read from band views of the tables and of d."""
-        g = self.g
+        g, o = self.g, self.origin
         U, _, V = self.views(a, b)
-        p0, p1 = c_lo * g, (c_hi + 1) * g
-        s = np.einsum("ij,ij,j->i", U[:, p0:p1], V[:, p0:p1], d[p0 - d0 * g:p1 - d0 * g])
+        p0, p1, e = (c_lo - o) * g, (c_hi + 1 - o) * g, (c_lo - d0) * g
+        s = np.einsum("ij,ij,j->i", U[:, p0:p1], V[:, p0:p1], d[e:e + p1 - p0])
         if self.eps is not None:
             r0, r1 = self.band_rows(c_lo, c_hi)
             r0, r1 = max(r0, a), min(r1, b)
@@ -545,7 +555,7 @@ class _SineTables:
                 c = r0 - _EDGE_BAND - 1 if self.adjoint else r0 + 1
                 window = functools.partial(np.lib.stride_tricks.sliding_window_view,
                                            window_shape=_EDGE_BAND * g)
-                v0, e0, rows = (r0 + c + self.pad) * g, (c - d0) * g, r1 - r0
+                v0, e0, rows = (r0 + c - o + self.pad) * g, (c - d0) * g, r1 - r0
                 V_band = window(self.V_flat)[v0:v0 + 2 * g * rows:2 * g]
                 d_band = window(d)[e0:e0 + g * rows:g]
                 near = np.einsum("ij,ij,j->i", V_band, d_band, self.W_band)
@@ -565,35 +575,27 @@ def _lattice_tables(grid: RadialGrid, k: int, adjoint: bool) -> _SineTables:
     return tables
 
 
-def _cell_tiles(cell: np.ndarray, lattice: np.ndarray, sj: np.ndarray, sw: np.ndarray):
+def _cell_tiles(cell: np.ndarray, sj: np.ndarray, sw: np.ndarray):
     """The points (sorted by cell) in stencil blocks of _BLOCK_CELLS cells,
-    aligned to multiples of that size and cut where the points leave or join
-    the lattice: (b0, b1, c_lo, c_hi, j0, j1, D) per block, points b0..b1-1
-    in cells c_lo..c_hi with D[p, j - j0] the weight of point b0 + p at
-    column j. Returns the lattice blocks grouped in tiles of _TILE_CELLS
-    cells, (J0, J1, blocks) with J0..J1-1 the columns the tile reaches, and
-    the blocks off the lattice."""
+    aligned to multiples of that size: (b0, b1, c_lo, c_hi, j0, j1, D) per
+    block, points b0..b1-1 in cells c_lo..c_hi with D[p, j - j0] the weight
+    of point b0 + p at column j. Returns them grouped in tiles of
+    _TILE_CELLS cells, (J0, J1, blocks) with J0..J1-1 the columns the tile
+    reaches; the adjoint's head strip, cell -1, is a tile of its own."""
     lo, hi = cell[0], cell[-1] + 1
     edges = unique(np.concatenate([np.arange(lo - lo % size, hi + size, size)
                                    for size in (_TILE_CELLS, _BLOCK_CELLS)]))
-    bounds = unique(np.concatenate([np.searchsorted(cell, edges),
-                                    np.flatnonzero(lattice[1:] != lattice[:-1]) + 1]))
-    tiles, off = {}, []
+    bounds = unique(np.searchsorted(cell, edges))
+    tiles = {}
     for b0, b1 in zip(bounds[:-1], bounds[1:]):
-        if b0 == b1:
-            continue
         js = sj[b0:b1]
         j0, j1 = js.min(), js.max() + 1
         flat = (np.arange(b1 - b0)[:, None] * (j1 - j0) + js - j0).ravel()
         D = np.bincount(flat, sw[b0:b1].ravel(), (b1 - b0) * (j1 - j0)).reshape(b1 - b0, -1)
-        block = (b0, b1, cell[b0], cell[b1 - 1], j0, j1, D)
-        if lattice[b0]:
-            tiles.setdefault(cell[b0] // _TILE_CELLS, []).append(block)
-        else:
-            off.append(block)
-    tiles = [(min(b[4] for b in blocks), max(b[5] for b in blocks), blocks)
-             for blocks in tiles.values()]
-    return tiles, off
+        tiles.setdefault(cell[b0] // _TILE_CELLS, []).append(
+            (b0, b1, cell[b0], cell[b1 - 1], j0, j1, D))
+    return [(min(b[4] for b in blocks), max(b[5] for b in blocks), blocks)
+            for blocks in tiles.values()]
 
 
 def _workers(jobs: int) -> int:
@@ -652,167 +654,158 @@ def _on_workers(work, jobs: list) -> None:
 
 def _accumulate(out, row0: int, grid: RadialGrid, k: int, quad: dict, adjoint: bool,
                 row_scale=None) -> None:
-    """Operator row i at column j, integrated by `quad` (interior points
-    sorted by cell), times row_scale[i - row0] if given, added to `out`: a
-    zeroed array of rows row0.., or a list of row blocks (i0, c0, B), each B
-    taking rows row0 + i0.. in columns c0... The columns are those of the
-    stencil indices: every node on a dense build (the blocks of _RowBlocks,
-    discretize_T_R's views of its n x n matrix), or the one column 0 of a
-    quadrature _contract-ed against f (_apply_T_once's n x 1 row blocks, the
-    column of _add_splits).
+    """Operator row i at column j, integrated by `quad` (points sorted by
+    cell, every one on the lattice: a quadrature without splits), times
+    row_scale[i - row0] if given, added to `out`: a zeroed array of rows
+    row0.., or a list of row blocks (i0, c0, B), each B taking rows row0 +
+    i0.. in columns c0... The columns are those of the stencil indices, every
+    node of the grid: the blocks of _RowBlocks, discretize_T_R's views of its
+    n x n matrix.
 
     Forward row i integrates the interior cells c >= i+1, adjoint row i the
     cells c <= i-2; the edge stencils supply the cell at each row's kernel
     edge. The interior kernel is alpha_i beta_p times its sine factors:
     alpha_i = cos(theta_i)^{2-k} scales rows, beta_p = base_p
-    cos(theta_p)^{2-k} the point weights. On the lattice, rows go in passes
-    of _TILE_ROWS (more when the lattice is narrower than _TILE_CELLS
-    cells, as a split range's is). A matrix `out` takes the tile loop: the
-    sine factors of a pass and a block of cells are one multiply of views of
-    the grid's _lattice_tables and their share of `out` one product with
-    the block's stencils (_cell_tiles) times beta, summed per tile in a
+    cos(theta_p)^{2-k} the point weights. Rows go in passes of _TILE_ROWS;
+    the sine factors of a pass and a block of cells are one multiply of
+    views of the grid's _lattice_tables and their share of `out` one product
+    with the block's stencils (_cell_tiles) times beta, summed per tile in a
     buffer of its own that is added to `out` once; a tile's columns outside
-    a row block's band add exact zeros and are dropped. A contracted
-    quadrature has one weight per point, so its lattice points are one
-    vector d, d[c GL_CELL + m] = beta_p sw_p, and a pass is one fused
-    row-dot of the tables' views against d (_SineTables.dot), with no sine
-    block formed. What a row does not see has a zero Toeplitz factor. The
-    few points off the lattice (the adjoint's head strip, the cells a split
-    cuts) take _direct_sines against each block of rows.
+    a row block's band add exact zeros and are dropped. What a row does not
+    see has a zero Toeplitz factor.
 
-    The quadrature, the stencil blocks or d, alpha, beta and the tables are
-    made here and only read after; the row blocks, largest first, go to
-    _on_workers, each filled by one thread alone, in the order of the
-    single-threaded loop, so `out` is bitwise the same for any worker count
-    (an ndarray `out` is one block, filled by the calling thread). Beyond
-    `out` and the kept tables a call holds `quad` (the caller's: a dense
-    build's stencils, or one contracted column per point), the stencil
-    blocks or d, alpha and beta and, per worker that takes a block, the edge
-    band of the row block it fills and, on a matrix `out`, one block of sine
-    factors and one tile buffer; on a column, a pass's row sums.
+    The stencil blocks, alpha, beta and the tables are made here and only
+    read after; the row blocks, largest first, go to _on_workers, each
+    filled by one thread alone, in the order of the single-threaded loop, so
+    `out` is bitwise the same for any worker count (an ndarray `out` is one
+    block, filled by the calling thread). Beyond `out` and the kept tables a
+    call holds `quad`, the stencil blocks, alpha and beta and, per worker
+    that takes a block, one block of sine factors, one tile buffer and the
+    edge band of the row block it fills.
     """
     blocks = [(0, 0, out)] if isinstance(out, np.ndarray) else out
     rows = np.arange(row0, row0 + max(i0 + B.shape[0] for i0, _, B in blocks))
-    cell, lattice = quad["cell"], quad["lattice"]
+    cell, g = quad["cell"], GL_CELL[0].size
     alpha = np.cos(grid.theta_nodes[rows]) ** (2.0 - k)
     w = quad["w"]
     if row_scale is not None:
         alpha *= row_scale
         w = w * row_scale[quad["rows"] - row0, None]
     beta = quad["base"] * np.cos(quad["theta"]) ** (2.0 - k)
-    # the first and last lattice cell
-    ends = cell[lattice][[0, -1]] if lattice.any() else None
-    column = quad["sw"].shape[1] == 1
-    if column:
-        # one weight per point: the lattice's as d over cells d0.., 0 on
-        # the _EDGE_BAND cells each side (_SineTables.dot), and those off it
-        g, v = GL_CELL[0].size, beta * quad["sw"][:, 0]
-        if ends is not None:
-            d0 = ends[0] - _EDGE_BAND
-            d = np.zeros((ends[1] + _EDGE_BAND + 1 - d0, g))
-            d[cell[lattice][::g] - d0] = v[lattice].reshape(-1, g)
-            d = d.ravel()
-        off_at = np.flatnonzero(~lattice)
-    else:
-        tiles, off = _cell_tiles(cell, lattice, quad["sidx"], beta[:, None] * quad["sw"])
-    if ends is not None:
-        tables = _lattice_tables(grid, k, adjoint)
-        # rows per pass: _TILE_ROWS, or proportionally more over a lattice
-        # of fewer than _TILE_CELLS cells, so a pass covers as many points
-        # as a full tile's
-        R = min(_TILE_ROWS * max(_TILE_CELLS // (ends[1] + 1 - ends[0]), 1), rows.size)
-        if not column:
-            points = max(b[1] - b[0] for _, _, tile_blocks in tiles for b in tile_blocks)
-            width = max(J1 - J0 for J0, J1, _ in tiles)
+    tiles = _cell_tiles(cell, quad["sidx"], beta[:, None] * quad["sw"])
+    tables, R = _lattice_tables(grid, k, adjoint), min(_TILE_ROWS, rows.size)
+    points = max(b[1] - b[0] for _, _, tile_blocks in tiles for b in tile_blocks)
+    width = max(J1 - J0 for J0, J1, _ in tiles)
     edge_rows, edge_cols = quad["rows"] - row0, quad["idx"]
-
-    def seen_cells(rs):
-        # the first and last cell some row of rs sees
-        return (cell[0], rs[-1] - 2) if adjoint else (rs[0] + 1, cell[-1])
-
-    def add_column(i0, col):
-        # rows i0.. of a one-column block: per pass, the lattice cells its
-        # rows see in one row-dot; then the points off the lattice
-        for a in range(i0, i0 + col.size, R) if ends is not None else ():
-            rs = rows[a:min(a + R, i0 + col.size)]
-            first, last = seen_cells(rs)
-            lo, hi = max(first, ends[0]), min(last, ends[1])
-            if lo <= hi:
-                s = tables.dot(rs[0], rs[-1] + 1, lo, hi, d, d0)
-                s *= alpha[a:a + rs.size]
-                col[a - i0:a - i0 + rs.size] += s
-        if off_at.size:
-            rs = rows[i0:i0 + col.size]
-            part = _direct_sines(cell[off_at], quad["u"][off_at], rs, grid.h, k, adjoint)
-            part = part @ v[off_at]
-            part *= alpha[i0:i0 + rs.size]
-            col += part
-
-    def add_tiles(i0, b0, B, buffers):
-        # rows i0.. of a row block in columns b0..: per pass, tile by tile,
-        # the lattice's stencil blocks; then the points off the lattice
-        b1 = b0 + B.shape[1]
-        for a in range(i0, i0 + B.shape[0], R) if tiles else ():
-            rs = rows[a:min(a + R, i0 + B.shape[0])]
-            first, last = seen_cells(rs)
-            views, (buf, acc) = tables.views(rs[0], rs[-1] + 1), buffers
-            for J0, J1, tile_blocks in tiles:
-                lo, hi = max(J0, b0), min(J1, b1)
-                tile_blocks = [b for b in tile_blocks if b[2] <= last and b[3] >= first]
-                if lo >= hi or not tile_blocks:
-                    continue
-                tile = acc[:rs.size, :J1 - J0]
-                tile[:] = 0.0
-                for p0, p1, c_lo, c_hi, j0, j1, D in tile_blocks:
-                    q0 = c_lo * GL_CELL[0].size
-                    A = tables.sines(views, rs[0], c_lo, c_hi, q0, q0 + p1 - p0,
-                                     buf[:rs.size, :p1 - p0])
-                    tile[:, j0 - J0:j1 - J0] += A @ D
-                tile *= alpha[a:a + rs.size, None]
-                B[a - i0:a - i0 + rs.size, lo - b0:hi - b0] += tile[:, lo - J0:hi - J0]
-        rs = rows[i0:i0 + B.shape[0]]
-        first, last = seen_cells(rs)
-        for p0, p1, c_lo, c_hi, j0, j1, D in off:
-            lo, hi = max(j0, b0), min(j1, b1)
-            if lo >= hi or c_lo > last or c_hi < first:
-                continue
-            part = _direct_sines(cell[p0:p1], quad["u"][p0:p1], rs, grid.h, k, adjoint) @ D
-            part *= alpha[i0:i0 + rs.size, None]
-            B[:, lo - b0:hi - b0] += part[:, lo - j0:hi - j0]
 
     def fill(take):
         # one worker: the row blocks it takes, each written by this worker
-        # alone, and on a matrix `out` its own block of sine factors and
-        # tile buffer, made on its first job (a worker that gets none
-        # allocates neither)
-        buffers = None
+        # alone, with its own block of sine factors and tile buffer, made on
+        # its first job (a worker that gets none allocates neither)
+        buf = acc = None
         for i0, b0, B in take:
-            if column:
-                add_column(i0, B[:, 0])
-            else:
-                if tiles and buffers is None:
-                    buffers = np.empty((R, points)), np.empty((R, width))
-                add_tiles(i0, b0, B, buffers)
+            if buf is None:
+                buf, acc = np.empty((R, points)), np.empty((R, width))
+            b1 = b0 + B.shape[1]
+            for a in range(i0, i0 + B.shape[0], R):
+                # per pass of rows, tile by tile, the blocks of the cells
+                # some row of the pass sees
+                rs = rows[a:min(a + R, i0 + B.shape[0])]
+                first, last = (cell[0], rs[-1] - 2) if adjoint else (rs[0] + 1, cell[-1])
+                views = tables.views(rs[0], rs[-1] + 1)
+                for J0, J1, tile_blocks in tiles:
+                    lo, hi = max(J0, b0), min(J1, b1)
+                    tile_blocks = [b for b in tile_blocks if b[2] <= last and b[3] >= first]
+                    if lo >= hi or not tile_blocks:
+                        continue
+                    tile = acc[:rs.size, :J1 - J0]
+                    tile[:] = 0.0
+                    for p0, p1, c_lo, c_hi, j0, j1, D in tile_blocks:
+                        q0 = (c_lo - tables.origin) * g
+                        A = tables.sines(views, rs[0], c_lo, c_hi, q0, q0 + p1 - p0,
+                                         buf[:rs.size, :p1 - p0])
+                        tile[:, j0 - J0:j1 - J0] += A @ D
+                    tile *= alpha[a:a + rs.size, None]
+                    B[a - i0:a - i0 + rs.size, lo - b0:hi - b0] += tile[:, lo - J0:hi - J0]
             # these rows' edge weights (quad["rows"] ascends) summed per entry
-            # in a band indexed by row and column less row, or by row and
-            # column where B is narrower than that band (a one-column B)
+            # in a band indexed by row and column less row
             e0, e1 = np.searchsorted(edge_rows, (i0, i0 + B.shape[0]))
             if e1 > e0:
                 r, c = edge_rows[e0:e1, None] - i0, edge_cols[e0:e1] - b0
                 diag = c - r
                 o0, ow = diag.min(), diag.max() + 1 - diag.min()
-                narrow = B.shape[1] < ow
-                if narrow:
-                    flat, ow = r * B.shape[1] + c, B.shape[1]
-                else:
-                    flat = r * ow + diag - o0
-                S = np.bincount(flat.ravel(), w[e0:e1].ravel(), B.shape[0] * ow)
+                S = np.bincount((r * ow + diag - o0).ravel(), w[e0:e1].ravel(),
+                                B.shape[0] * ow)
                 at = np.flatnonzero(S)
                 i, j = np.divmod(at, ow)
-                B[i, j if narrow else i + j + o0] += S[at]
+                B[i, i + j + o0] += S[at]
 
     # forward blocks shrink along the triangle: the largest go first
     _on_workers(fill, sorted(blocks, key=lambda block: block[2].size, reverse=True))
+
+
+def _integrate(grid: RadialGrid, k: int, quads: list, adjoint: bool, row0: int,
+               row1: int) -> np.ndarray:
+    """Rows row0..row1-1 of the operator integrated by the sum of `quads`,
+    quadratures _contract-ed against f (one weight per point) that may
+    overlap: a split range and its plain quadrature against -f, or the whole
+    grid's plain one.
+
+    The kernel is that of _accumulate. The lattice points of every
+    quadrature go into one weight vector d, d[(c - d0) GL_CELL + m] the sum
+    of beta_p sw_p over the quadratures that hold the point, with
+    _EDGE_BAND cells of zeros each side, and a pass of rows is one fused
+    row-dot of the tables' views against d (_SineTables.dot), no block of
+    sine factors formed. A pass takes _TILE_ROWS rows, proportionally more
+    over a lattice narrower than _TILE_CELLS cells, as a split range's is,
+    so it covers as many points as a full tile. The points off the lattice
+    (the pieces of the cells a split cuts) take _direct_sines against every
+    row. The edge weights are summed per row of each quadrature, then over
+    the quadratures, so a row's split and plain edge weights cancel as two
+    sums, not term by term.
+
+    The passes go to _on_workers, each computed by one thread alone, so the
+    result is bitwise the same for any worker count. Beyond the quadratures
+    and the kept tables a call holds d, alpha, the point weights and the
+    result and, per worker, a pass's row sums.
+    """
+    g, tables = GL_CELL[0].size, _lattice_tables(grid, k, adjoint)
+    alpha = np.cos(grid.theta_nodes[row0:row1]) ** (2.0 - k)
+    out = np.zeros(row1 - row0)
+    v = [q["base"] * np.cos(q["theta"]) ** (2.0 - k) * q["sw"] for q in quads]
+    # the lattice cells of each quadrature, whose GL_CELL points come in turn
+    on = [q["cell"][::g][q["lattice"][::g]] for q in quads]
+    lattice = np.concatenate(on)
+    if lattice.size:
+        c_lo, c_hi = lattice.min(), lattice.max()
+        d0 = c_lo - _EDGE_BAND
+        d = np.zeros((c_hi + _EDGE_BAND + 1 - d0, g))
+        for q, v_q, cells in zip(quads, v, on):
+            d[cells - d0] += v_q[q["lattice"]].reshape(-1, g)
+        d = d.ravel()
+        R = min(_TILE_ROWS * max(_TILE_CELLS // (c_hi + 1 - c_lo), 1), out.size)
+
+        def fill(take):
+            for a in take:
+                # the lattice cells some row of the pass, row0 + a.., sees
+                b = min(a + R, out.size)
+                lo, hi = (c_lo, row0 + b - 3) if adjoint else (row0 + a + 1, c_hi)
+                lo, hi = max(lo, c_lo), min(hi, c_hi)
+                if lo <= hi:
+                    s = tables.dot(row0 + a, row0 + b, lo, hi, d, d0)
+                    s *= alpha[a:b]
+                    out[a:b] = s
+
+        _on_workers(fill, list(range(0, out.size, R)))
+    off = [(q["cell"][m], q["u"][m], v_q[m]) for q, v_q in zip(quads, v) for m in [~q["lattice"]]]
+    cells, u, w = (np.concatenate(x) for x in zip(*off))
+    if cells.size:
+        part = _direct_sines(cells, u, np.arange(row0, row1), grid.h, k, adjoint) @ w
+        part *= alpha
+        out += part
+    # the edge weights of rows row0.. per quadrature, then summed over them
+    out += sum(np.bincount(q["rows"], q["w"], row1)[row0:row1] for q in quads)
+    return out
 
 
 class _RowBlocks:
@@ -896,10 +889,10 @@ def _split_clusters(grid: RadialGrid, splits_r, adjoint: bool):
 def _contract(q: dict, v: np.ndarray) -> dict:
     """The quadrature q with each point's stencil contracted against the
     node values v, in place: sw <- sum sw v[sidx] and w <- sum w v[idx], one
-    weight per point, in column 0."""
+    weight per point, and the stencil indices dropped."""
     for idx, w in (("sidx", "sw"), ("idx", "w")):
-        q[w] = np.einsum("ij,ij->i", q[w], v[q[idx]])[:, None]
-        q[idx] = np.zeros(q[w].shape, dtype=int)
+        q[w] = np.einsum("ij,ij->i", q[w], v[q[idx]])
+        del q[idx]
     return q
 
 
@@ -914,47 +907,21 @@ def _split_quadratures(grid: RadialGrid, k: int, d: int, f: RadialProfile, adjoi
         yield c0, c1, _contract(_quadrature(grid, k, d, interp, c0, c1, kept, adjoint), f.values)
 
 
-def _fold(split: dict, plain: dict) -> dict:
-    """split less plain, two _contract-ed quadratures of one range, as one
-    contracted quadrature. Interior: plain's points, each with split's
-    weight less its own where split has the same point (whole cells and the
-    adjoint's head strip, in the same order in both) and its own negated in
-    the cells f's splits cut, then split's pieces of those cells, sorted by
-    cell. Edge: per row of the range, split's weights less plain's."""
-    cut = ~split["lattice"] & (split["cell"] >= 0)
-    first = plain["cell"][0]
-    cut_cell = np.zeros(plain["cell"][-1] + 1 - first, dtype=bool)
-    cut_cell[split["cell"][cut] - first] = True
-    sw = -plain["sw"]
-    sw[~cut_cell[plain["cell"] - first]] += split["sw"][~cut]
-    q = {key: np.concatenate([plain[key], split[key][cut]])
-         for key in ("theta", "u", "base", "cell", "lattice", "sidx")}
-    q["sw"] = np.concatenate([sw, split["sw"][cut]])
-    order = np.argsort(q["cell"], kind="stable")
-    q = {key: value[order] for key, value in q.items()}
-    r0 = plain["rows"][0]
-    size = plain["rows"][-1] + 1 - r0
-    q["w"] = (np.bincount(split["rows"] - r0, split["w"][:, 0], size)
-              - np.bincount(plain["rows"] - r0, plain["w"][:, 0], size))[:, None]
-    q["rows"], q["idx"] = np.arange(r0, r0 + size), np.zeros((size, 1), dtype=int)
-    return q
-
-
 def _add_splits(out: np.ndarray, grid: RadialGrid, k: int, d: int, f: RadialProfile,
                 adjoint: bool) -> None:
     """Add to `out`, a dense M0 f (adjoint rows scaled by r^{2-d}), what f's
-    splits change: per range of _split_quadratures, its quadrature less the
-    range's plain one, folded into one contracted quadrature (_fold) and
-    integrated by one _accumulate into one column over the rows that see
-    the range's cells."""
+    splits change: per range of _split_quadratures, its quadrature and the
+    range's plain one contracted against -f, integrated together by one
+    _integrate over the rows that see the range's cells, adjoint rows then
+    scaled by r^{2-d}."""
     for c0, c1, split in _split_quadratures(grid, k, d, f, adjoint):
         plain = _contract(_quadrature(grid, k, d, grid._interp_plain, c0, c1, (), adjoint),
-                          f.values)
+                          -f.values)
         row0, row1 = ((0 if c0 == 0 else c0 + 1), grid.n) if adjoint else (0, c1 + 1)
-        scale = grid.nodes[row0:row1] ** (2.0 - d) if adjoint else None
-        col = np.zeros((row1 - row0, 1))
-        _accumulate(col, row0, grid, k, _fold(split, plain), adjoint, scale)
-        out[row0:row1] += col[:, 0]
+        col = _integrate(grid, k, [split, plain], adjoint, row0, row1)
+        if adjoint:
+            col *= grid.nodes[row0:row1] ** (2.0 - d)
+        out[row0:row1] += col
 
 
 def _band(n: int, i0: int, i1: int, adjoint: bool) -> tuple[int, int]:
@@ -1040,8 +1007,8 @@ class _PrefixSums:
         for _, _, q in _split_quadratures(self.grid, 2, self.d, f, self.adjoint):
             # the range's cells and the rows whose edge cell is one of them,
             # each whole in q: its sums replace the plain ones just gathered
-            for sums, keys, w in ((cells, q["cell"] + self.adjoint, q["base"] * q["sw"][:, 0]),
-                                  (edge, q["rows"], q["w"][:, 0])):
+            for sums, keys, w in ((cells, q["cell"] + self.adjoint, q["base"] * q["sw"]),
+                                  (edge, q["rows"], q["w"])):
                 lo, hi = keys[0], keys[-1] + 1
                 sums[lo:hi] = np.bincount(keys - lo, w, hi - lo)
         out = np.zeros(n)
@@ -1161,12 +1128,12 @@ def _apply_T_once(params: Params, f: RadialProfile) -> RadialProfile:
     T f = K (D f), D the Gauss points' interpolation stencils and K their
     kernel weights per row: the plain quadrature of a build is planned by
     _quadrature_blocks one block of cells at a time, each block's stencils
-    contracted against f (_contract) once planned; _accumulate integrates
-    that column into n x 1 row blocks of _TILE_ROWS rows on the build's
-    workers, one fused row-dot per block against the lattice weights, and
-    _add_splits adds f's splits. It holds one block's stencils, O(n) point
-    weights and sums, never an n x n matrix, the whole grid's stencils or a
-    block of sine factors, and still refuses a grid over the dense budget.
+    contracted against f (_contract) once planned; the blocks are joined and
+    one _integrate call integrates every row, its passes of _TILE_ROWS rows
+    on the build's workers, and _add_splits adds f's splits. It holds one
+    block's stencils, O(n) point weights and sums, never an n x n matrix,
+    the whole grid's stencils or a block of sine factors, and still refuses
+    a grid over the dense budget.
     Indicators (a closed form), k = 2 (O(n) prefix sums) and a (grid, k)
     whose M0 is cached go to apply_T.
     """
@@ -1177,11 +1144,9 @@ def _apply_T_once(params: Params, f: RadialProfile) -> RadialProfile:
         return apply_T(params, f)
     _dense(grid.n)
     quad = _concatenate([_contract(q, f.values) for q in _quadrature_blocks(grid, k, 0, False)])
-    out = np.zeros((grid.n, 1))
-    _accumulate([(i0, 0, out[i0:i0 + _TILE_ROWS]) for i0 in range(0, grid.n, _TILE_ROWS)],
-                0, grid, k, quad, adjoint=False)
-    _add_splits(out[:, 0], grid, k, 0, f, adjoint=False)
-    return _forward_result(f, k, out[:, 0])
+    out = _integrate(grid, k, [quad], False, 0, grid.n)
+    _add_splits(out, grid, k, 0, f, adjoint=False)
+    return _forward_result(f, k, out)
 
 
 def apply_T_indicator(params: Params, F: IntervalSet,

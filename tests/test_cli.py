@@ -30,6 +30,18 @@ class TestTransformCommand:
         src.write_text("r,value\n")
         assert run(["transform", "--k", "1", "--d", "3", "--input", str(src)]) == 2
 
+    @pytest.mark.parametrize("rmax", ["-1", "nan", "5e-4"])
+    def test_rmax_keeping_no_node_exits_2(self, tmp_path, capsys, rmax):
+        # r_0 is 7.7e-4 at --grid-n 2048: refused before T f is computed,
+        # where it wrote a CSV with no rows that --input refuses
+        out = tmp_path / "tf.csv"
+        code = run(["transform", "--k", "1", "--d", "3", "--preset", "extremizer",
+                    "--grid-n", "2048", "--rmax", rmax, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--rmax" in err and "r_0 = 0.000767" in err
+        assert not out.exists()
+
     def test_missing_required_flag_exits_2(self):
         assert run(["constant", "--k", "1", "--d", "2"]) == 2
 

@@ -129,8 +129,8 @@ def test_k2_split_apply_plans_each_range_once(monkeypatch, adjoint, grid):
 @pytest.mark.parametrize("adjoint", [False, True])
 @pytest.mark.parametrize("k", [1, 3])
 def test_dense_split_apply_integrates_each_range_once(monkeypatch, k, adjoint):
-    # a range's split quadrature less its plain one is folded into one
-    # contracted quadrature, so M0 f adds each range by one _accumulate
+    # a range's split quadrature and its plain one, contracted against -f,
+    # are integrated together, so M0 f adds each range by one _integrate
     T = K.transform
     grid = K.make_halfline_grid(300)
     splits = SPLITS["four"]
@@ -139,15 +139,16 @@ def test_dense_split_apply_integrates_each_range_once(monkeypatch, k, adjoint):
     assert len(clusters) > 1
     f = K.RadialProfile(grid, np.random.default_rng(5).uniform(0.5, 1.5, grid.n), splits=splits)
     want = op.apply(f)
-    calls, accumulate = [], T._accumulate
+    calls, integrate = [], T._integrate
 
-    def counting(out, row0, grid, k, quad, *args):
-        calls.append((quad["cell"].min(), quad["cell"].max(), quad["sw"].shape[1]))
-        return accumulate(out, row0, grid, k, quad, *args)
+    def counting(grid, k, quads, *args):
+        cells = np.concatenate([q["cell"] for q in quads])
+        calls.append((cells.min(), cells.max(), len(quads)))
+        return integrate(grid, k, quads, *args)
 
-    monkeypatch.setattr(T, "_accumulate", counting)
+    monkeypatch.setattr(T, "_integrate", counting)
     assert np.array_equal(op.apply(f), want)
-    assert calls == [(c0, c1, 1) for c0, c1 in clusters]
+    assert calls == [(c0, c1, 2) for c0, c1 in clusters]
 
 
 @pytest.mark.parametrize("k", [1, 3])

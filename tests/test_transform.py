@@ -35,6 +35,18 @@ class TestForwardClosedForms:
         exact = C_K[k] * (1 + g.nodes ** 2) ** (-0.5)
         assert np.abs(th[-8:] / exact[-8:] - 1).max() < tol
 
+    @pytest.mark.parametrize("step", [2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_last_rows_of_integer_decays(self, k, step):
+        # f = (1 + r^2)^{-a/2}, a = k + step: g = f sec^{k+1} = cos^{a-k-1} is
+        # analytic at pi/2, and T f = B(k/2, (a-k)/2) / 2 (1 + r^2)^{-(a-k)/2};
+        # the last rows' edge cells, wide whatever n is, take GL_EDGE_LAST
+        params, g = K.make_params(k, k + 1), K.make_halfline_grid(512)
+        f = K.RadialProfile(g, (1 + g.nodes ** 2) ** (-(k + step) / 2))
+        tf = K.apply_T(params, f).values
+        exact = beta(k / 2, step / 2) / 2 * (1 + g.nodes ** 2) ** (-step / 2)
+        assert np.abs(tf[-8:] / exact[-8:] - 1).max() <= 1e-10
+
     def test_k1_extremizer_transform_to_the_rounding_floor(self):
         # the cell after each row's kernel edge holds the Toeplitz factor's
         # branch point one cell away; too few Gauss points there leave an
@@ -618,15 +630,16 @@ class TestSineKernel:
     @pytest.mark.parametrize("adjoint", [False, True])
     @pytest.mark.parametrize("k", [1, 3, 4, 5])
     def test_tables_match_direct_evaluation(self, k, adjoint, hint):
-        # every row block of a 200-point grid against the whole lattice: the
-        # strided table views and the point-by-point evaluation agree
+        # every row block of a 200-point grid against the whole lattice, from
+        # its origin (the adjoint's head strip, cell -1): the strided table
+        # views and the point-by-point evaluation agree
         T = K.transform
         grid = K.make_grid(200, hint)
-        g, cells = GL_CELL[0].size, np.arange(grid.n - 1)
-        c, u = np.repeat(cells, g), np.tile(0.5 + 0.5 * GL_CELL[0], cells.size)
         tables = T._SineTables(grid, k, adjoint)
+        g, cells = GL_CELL[0].size, np.arange(tables.origin, grid.n - 1)
+        c, u = np.repeat(cells, g), np.tile(0.5 + 0.5 * GL_CELL[0], cells.size)
         for a, b in ((0, grid.n), (0, 7), (37, 121), (190, 200)):
-            got = tables.sines(tables.views(a, b), a, 0, cells[-1], 0, c.size,
+            got = tables.sines(tables.views(a, b), a, cells[0], cells[-1], 0, c.size,
                                np.empty((b - a, c.size)))
             want = T._direct_sines(c, u, np.arange(a, b), grid.h, k, adjoint)
             assert np.array_equal(got == 0, want == 0)
@@ -639,16 +652,18 @@ class TestSineKernel:
     def test_direct_evaluation_of_few_cells_equals_tables(self, k, adjoint):
         # the points of one or two cells against every row, as a split
         # apply evaluates the cells a split cuts: bitwise the table
-        # values, the rounding correction near the kernel edge included
+        # values, the rounding correction near the kernel edge included;
+        # the lattice's first cell is the adjoint's head strip, cell -1
         T = K.transform
         grid = K.make_halfline_grid(200)
         g, rows = GL_CELL[0].size, np.arange(grid.n)
         tables = T._SineTables(grid, k, adjoint)
-        every = tables.sines(tables.views(0, grid.n), 0, 0, grid.n - 2, 0, (grid.n - 1) * g,
-                             np.empty((grid.n, (grid.n - 1) * g)))
-        for cells in ([0], [5], [100, 101], [197]):
+        o = tables.origin
+        every = tables.sines(tables.views(0, grid.n), 0, o, grid.n - 2, 0, (grid.n - 1 - o) * g,
+                             np.empty((grid.n, (grid.n - 1 - o) * g)))
+        for cells in ([o], [0], [5], [100, 101], [197]):
             c, u = np.repeat(cells, g), np.tile(0.5 + 0.5 * GL_CELL[0], len(cells))
-            want = every[:, cells[0] * g:(cells[-1] + 1) * g]
+            want = every[:, (cells[0] - o) * g:(cells[-1] + 1 - o) * g]
             assert np.array_equal(T._direct_sines(c, u, rows, grid.h, k, adjoint), want)
 
 
@@ -657,27 +672,87 @@ class TestSineKernel:
     @pytest.mark.parametrize("k", [1, 3])
     def test_fused_row_dots_equal_the_sine_blocks(self, k, adjoint, hint):
         # a one-column pass against lattice weights d, over cell ranges at
-        # both ends of the grid and inside it, against the tile loop's sine
-        # block times d; the rows' rounding shifts are made O(1), so a band
-        # view off by a cell or a row would show
+        # both ends of the lattice (from its origin, the adjoint's head
+        # strip) and inside it, against the tile loop's sine block times d;
+        # the rows' rounding shifts are made O(1), so a band view off by a
+        # cell or a row would show
         T = K.transform
         grid = K.make_grid(64, hint)
         tables = T._SineTables(grid, k, adjoint)
         tables.eps = np.linspace(1.0, 2.0, grid.n)
-        g, cells, band = GL_CELL[0].size, T._cells(grid, adjoint), T._EDGE_BAND
+        g, cells, band, o = GL_CELL[0].size, T._cells(grid, adjoint), T._EDGE_BAND, tables.origin
         rng = np.random.default_rng(k + 2 * adjoint)
-        for c_lo, c_hi, a, b in ((0, cells - 1, 0, grid.n), (0, 3, 0, 20), (30, 34, 20, 50),
+        for c_lo, c_hi, a, b in ((o, cells - 1, 0, grid.n), (o, 3, 0, 20), (30, 34, 20, 50),
                                  (cells - 4, cells - 1, 40, grid.n), (5, 40, 3, 61)):
             d0 = c_lo - band
             d = np.zeros((c_hi + band + 1 - d0) * g)
             d[(c_lo - d0) * g:(c_hi + 1 - d0) * g] = rng.uniform(0.5, 1.5, (c_hi + 1 - c_lo) * g)
             # the cells these rows see
             lo, hi = (c_lo, min(c_hi, b - 3)) if adjoint else (max(c_lo, a + 1), c_hi)
-            A = tables.sines(tables.views(a, b), a, lo, hi, lo * g, (hi + 1) * g,
+            A = tables.sines(tables.views(a, b), a, lo, hi, (lo - o) * g, (hi + 1 - o) * g,
                              np.empty((b - a, (hi + 1 - lo) * g)))
             want = A @ d[(lo - d0) * g:(hi + 1 - d0) * g]
             got = tables.dot(a, b, lo, hi, d, d0)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+class TestContractedIntegration:
+    """_integrate, the integrator of every quadrature contracted against f,
+    and the dense builds, which integrate lattice points alone."""
+
+    @pytest.mark.parametrize("hint", [float("inf"), 8.0])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_dense_builds_evaluate_no_point_off_the_lattice(self, monkeypatch, k, adjoint,
+                                                            hint):
+        # a quadrature without splits, the adjoint's head strip (cell -1)
+        # included, lies on the lattice, so M0 reads the sine tables alone
+        T = K.transform
+        grid, d = K.make_grid(300, hint), k + 2
+        want = T._assemble(grid, k, d, adjoint).toarray()
+
+        def refused(*args):
+            raise AssertionError("a point off the lattice was evaluated")
+
+        monkeypatch.setattr(T, "_direct_sines", refused)
+        assert np.array_equal(T._assemble(grid, k, d, adjoint).toarray(), want)
+
+    @staticmethod
+    def _quadratures(grid, k, adjoint, sign=1.0):
+        # a split range of f (its cut cells off the lattice) and the plain
+        # cells from 0 (the adjoint's head strip) into that range, both
+        # contracted against sign f
+        T, d = K.transform, k + 2
+        r = grid.nodes
+        f = K.RadialProfile(grid, sign * np.exp(-0.3 * r) * (1 + np.sin(3 * r)), splits=(0.4,))
+        (c0, c1, split), = T._split_quadratures(grid, k, d, f, adjoint)
+        plain = T._quadrature(grid, k, d, grid._interp_plain, 0, c0 + 5, (), adjoint)
+        assert not split["lattice"].all() and plain["cell"][-1] > c0
+        return split, T._contract(plain, f.values)
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_overlapping_quadratures_add(self, k, adjoint):
+        # to rounding: each row sums hundreds of terms in either order
+        T = K.transform
+        grid = K.make_halfline_grid(300)
+        a, b = self._quadratures(grid, k, adjoint)
+        both = T._integrate(grid, k, [a, b], adjoint, 0, grid.n)
+        apart = (T._integrate(grid, k, [a], adjoint, 0, grid.n)
+                 + T._integrate(grid, k, [b], adjoint, 0, grid.n))
+        assert np.abs(apart).max() > 0
+        assert np.abs(both - apart).max() <= 4e-15 * np.abs(apart).max()
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_a_quadrature_less_itself_integrates_to_zero(self, k, adjoint):
+        T = K.transform
+        grid = K.make_halfline_grid(300)
+        for plus, minus in zip(self._quadratures(grid, k, adjoint),
+                               self._quadratures(grid, k, adjoint, -1.0)):
+            one = T._integrate(grid, k, [plus], adjoint, 0, grid.n)
+            zero = T._integrate(grid, k, [plus, minus], adjoint, 0, grid.n)
+            assert np.abs(zero).max() <= 1e-15 * np.abs(one).max()
 
 
 def _columns(op, grid, splits):
@@ -981,10 +1056,11 @@ class TestQuadratureBlocks:
         assert w.flags.c_contiguous
 
     def test_one_shot_workers_hold_no_edge_band(self, fresh_cache, monkeypatch):
-        # each worker sums its rows' edge weights by row and column of its
-        # one-column block; by row and column less row, 256 x 256 doubles,
-        # it took the peak up by 0.9 MiB per added worker at n = 2048. What
-        # is left is mostly each worker's sine block of 256 x 128 doubles
+        # the edge weights are summed by row once, on the calling thread;
+        # summed per worker by row and column less row, 256 x 256 doubles,
+        # they took the peak up by 0.9 MiB per added worker at n = 2048. A
+        # worker holds one pass's row sums, and at n = 2048 the peak does not
+        # grow with the workers
         import tracemalloc
         T = fresh_cache
         params, grid = K.make_params(1, 3), K.make_halfline_grid(2048)
@@ -1232,9 +1308,9 @@ class TestThreadedBuild:
         assert len(M.blocks) == 4 and started == []
 
     def test_idle_workers_allocate_no_buffers(self, monkeypatch):
-        # T f integrated into one n x 1 array, one job: with three workers
-        # more than that, the idle ones take no job and allocate nothing
-        # while the calling thread runs its first fused pass
+        # T f's first _TILE_ROWS rows integrated in one pass, one job: with
+        # three workers more than that, the idle ones take no job and
+        # allocate nothing while the calling thread runs its fused pass
         import threading
         import time
         import tracemalloc
@@ -1242,8 +1318,8 @@ class TestThreadedBuild:
         params, grid = K.make_params(1, 3), K.make_halfline_grid(1024)
         q = T._quadrature(grid, 1, 0, grid._interp_plain, 0, T._cells(grid, False) - 1, (), False)
         q = T._contract(q, K.extremizer_profile(params, 1.0, grid).values)
-        want = np.zeros((grid.n, 1))
-        T._accumulate(want, 0, grid, 1, q, False)      # and the sine tables, kept per grid
+        rows = 0, T._TILE_ROWS
+        want = T._integrate(grid, 1, [q], False, *rows)     # and the sine tables, kept per grid
         dot, live, holding = T._SineTables.dot, threading.active_count(), threading.Event()
         grown = []
 
@@ -1269,10 +1345,9 @@ class TestThreadedBuild:
         monkeypatch.setattr(T.threading, "Thread", AfterTheJob)
         monkeypatch.setattr(T._SineTables, "dot", until_the_others_end)
         monkeypatch.setattr(T, "_workers", lambda jobs: jobs + 3)
-        out = np.zeros((grid.n, 1))
         tracemalloc.start()
         try:
-            T._accumulate(out, 0, grid, 1, q, False)
+            out = T._integrate(grid, 1, [q], False, *rows)
         finally:
             tracemalloc.stop()
         assert threading.active_count() == live
