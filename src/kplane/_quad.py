@@ -17,8 +17,9 @@ INTERP_DEGREE = 7
 
 GL_CELL = leggauss(8)    # per-cell rule for kernel product integration
 GL_EDGE = leggauss(8)    # singular-edge cells (after desingularizing substitution)
-GL_EDGE_LAST = leggauss(16)  # the edge cells of the forward operator's last rows
-#: rows at the end of the forward operator whose edge cells take GL_EDGE_LAST
+GL_EDGE_LAST = leggauss(16)  # the edge cells of the operators' last rows
+#: rows at the end of the forward operator and of the adjoint whose edge
+#: cells take GL_EDGE_LAST
 LAST_EDGE_ROWS = 8
 GL_TAIL = leggauss(16)   # indicator adjoint pieces, and the region beyond a truncated grid
 

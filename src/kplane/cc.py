@@ -80,12 +80,14 @@ def concentration_function(params: Params, f: RadialProfile, R: float) -> float:
     """sup over centers y >= 0 of int_{|r-y|<=R} |f|^p r^{d-1} dr."""
     if not (R > 0):
         raise ParameterError(f"need R > 0, got {R}")
-    cum = _cumulative_mass(params, f)
-    y = np.concatenate([[0.0], f.grid.nodes])
-    lo = np.maximum(y - R, 0.0)
-    hi = y + R
-    q = cum(hi) - cum(lo)
-    return float(q.max())
+    return _window_max(_cumulative_mass(params, f), f.grid.nodes, R)
+
+
+def _window_max(cum, nodes: np.ndarray, R: float) -> float:
+    """The largest mass cum(y + R) - cum(y - R) of a window of radius R
+    centred at 0 or at a node y (cut at 0), cum a _cumulative_mass."""
+    y = np.concatenate([[0.0], nodes])
+    return float((cum(y + R) - cum(np.maximum(y - R, 0.0))).max())
 
 
 def dichotomy_split(params: Params, f: RadialProfile, floor: float):
@@ -155,7 +157,10 @@ def classify_trichotomy(params: Params, seq: list[RadialProfile], eps: float,
         if abs(m - 1.0) > 100 * _NORMALIZATION_TOL:
             raise DomainError(f"profiles must satisfy ||f||_p^p = 1, got {m:.6g}")
     radii = [R for R in R_EVIDENCE if R < r_max]
-    Q = np.array([[concentration_function(params, f, R) for R in radii] for f in seq])
+    # one running integral per profile, read at every radius
+    cums = [_cumulative_mass(params, f) for f in seq]
+    Q = np.array([[_window_max(cum, f.grid.nodes, R) for R in radii]
+                  for f, cum in zip(seq, cums)])
     evidence = {"R": list(map(float, radii)), "Q": Q.tolist()}
 
     splits = [dichotomy_split(params, f, mass_floor) for f in seq]

@@ -69,8 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="stop once a step started from an Euler-Lagrange "
                         "residual <= TOL, checked after each Anderson-"
                         "accelerated step; the residual has a floor, at "
-                        "--grid-n 512 about 5e-15 for (3,4), 1.7e-13 for "
-                        "(1,3) and 4.4e-13 for (1,2), below which the search "
+                        "--grid-n 512 about 4e-15 for (3,4), 1.2e-15 for "
+                        "(1,3) and 1.1e-15 for (1,2), below which the search "
                         "runs to --max-iter and exits 3")
     p.add_argument("--grid-n", type=int, default=2048)
     p.add_argument("--out-prefix", default="search",

@@ -177,8 +177,8 @@ def search_extremizer(params: Params, init: RadialProfile, max_iter: int = 500,
     Checked after each step, so step 1 always runs: the search stops, with
     converged set and stop "residual", when the residual that step started
     from is <= tol. The residual has a floor that depends on n: from the
-    ball, (1,3) reaches 1.7e-13 at n = 512 and 1e-14 at 2048, (1,2) 4.4e-13
-    and 2.6e-14, and (3,4) 5e-15 and 4e-16. A tol below the floor ends at
+    ball, (1,3) reaches 1.2e-15 at n = 512 and 7e-16 at 2048, (1,2) 1.1e-15
+    and 7e-16, and (3,4) 4e-15 and 4e-16. A tol below the floor ends at
     max_iter with converged False. At the default tol the searches from the
     ball at n = 2048 take 12 steps for (1,3) and (1,2), 9 for (2,4) and 8
     for (3,4), ending at residuals of 5e-10 to 1.4e-9. The trace's rate and

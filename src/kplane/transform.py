@@ -16,13 +16,15 @@ integrated cell-by-cell with Gauss-Legendre rules; the cell adjacent to the
 kernel edge uses the substitution s = sqrt(u^2-r^2) forward, integrated in
 phi = atan(s / sqrt(1+r^2)), and w = u sin(psi) for the adjoint, which remove
 the k = 1 singularity exactly, with GL_EDGE points (GL_EDGE_LAST in the
-forward operator's last LAST_EDGE_ROWS rows).
+last LAST_EDGE_ROWS rows of either direction).
 The forward operator interpolates g = f sec^{k+1}(theta), not f: its weight
 grows like (pi/2 - theta)^{-(k+1)} near pi/2, the extremizer's exact decay,
 so g is smooth there wherever f decays like r^{-(k+1)} times a smooth
-function of theta. The scaling lives in the quadrature (_quadrature): each
-stencil weight of node j carries sec^{k+1}(theta_j) and each point weight
-cos^{k+1}(theta_p), so every M0 and every apply reads f. On
+function of theta; the adjoint, whose weight w^{d-k-1} dw grows like
+(pi/2 - theta)^{-(d-k+1)}, interpolates its argument times sec^{d-k+1}.
+The scaling lives in the quadrature (_quadrature): each stencil weight of
+node j carries sec^m(theta_j) and each point weight cos^m(theta_p), so
+every M0 and every apply reads the profile itself. On
 half-line grids the last cell [theta_{n-1}, pi/2] is integrated as one more
 lattice cell, where g is the degree-7 extrapolation through the last 8
 nodes; apply_T's tail metadata reads that cell's share of row 0.
@@ -260,17 +262,18 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
     row's kernel edge, integrated in phi = atan(s / sqrt(1 + r_row^2)), s =
     sqrt(u^2 - r_row^2), forward and in psi = asin(w / r_row) for the
     adjoint, with the row each one enters (`rows`, ascending), by GL_EDGE
-    (GL_EDGE_LAST in the forward operator's last LAST_EDGE_ROWS rows). For
-    the adjoint with c0 == 0 the head strip [0, theta_0] joins the interior
-    as lattice cell -1, in segment 0, and row 0's own range [0, r_0] joins
-    the edge terms.
+    (GL_EDGE_LAST in the last LAST_EDGE_ROWS rows). For the adjoint with
+    c0 == 0 the head strip [0, theta_0] joins the interior as lattice cell
+    -1, in segment 0, and row 0's own range [0, r_0] joins the edge terms.
 
-    The forward operator interpolates g = f sec^{k+1}(theta), not f: each
-    stencil weight of node j carries sec^{k+1}(theta_j) and each point weight
-    cos^{k+1}(theta_p), so M0 still reads f. On half-line grids its last cell
-    [theta_{n-1}, pi/2] is a lattice cell like any other, where g is the
-    degree-7 extrapolation through the last 8 nodes, and the last row's edge
-    cell, in phi, ends at pi/2.
+    Both directions interpolate the profile times sec^m(theta), m = k + 1
+    forward and d - k + 1 adjoint, the power their weight grows like near
+    pi/2: each stencil weight of node j carries sec^m(theta_j) and each
+    point weight cos^m(theta_p), so M0 still reads the profile. On half-line
+    grids the forward operator's last cell [theta_{n-1}, pi/2] is a lattice
+    cell like any other, where the interpolant is the degree-7 extrapolation
+    through the last 8 nodes, and the last row's edge cell, in phi, ends at
+    pi/2.
     """
     th, r, h = grid.theta_nodes, grid.nodes, grid.h
     if c1 == grid.n - 1:
@@ -296,9 +299,11 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
         lattice = np.concatenate([np.ones(GL_EDGE[0].size, dtype=bool), lattice])
         cell = np.concatenate([np.full(GL_EDGE[0].size, -1), cell])
     thg = (cell + 1 + ug) * h
+    # the power of sec(theta) the weight grows like, out of the interpolant
+    m = d - k + 1 if adjoint else k + 1
     if adjoint:
-        tg = np.tan(thg)
-        base = tg ** (d - k - 1) * (1.0 + tg * tg) * wg
+        # w^{d-k-1} dw cos^{d-k+1}(theta) = sin^{d-k-1}(theta) dtheta
+        base = np.sin(thg) ** (d - k - 1) * wg
     else:
         # u du cos^{k+1}(theta) = sin(theta) cos^{k-2}(theta) dtheta
         base = np.sin(thg) * np.cos(thg) ** (k - 2.0) * wg
@@ -311,43 +316,42 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
         lo, hi = np.concatenate([[0.0], lo]), np.concatenate([[r[0]], hi])
         rows = np.concatenate([[0], rows])
     seg_r = interp.segment_of(np.arctan(0.5 * (lo + hi)))
-    # forward, a piece of row i spans s in [0, sqrt(r_{i+1}^2 - r_i^2)]; in
-    # the last rows, where r_{i+1} / r_i nears 2 whatever n is, that is phi
-    # up to about pi/3 (pi/2 in the last row), too wide for GL_EDGE, so they
-    # take GL_EDGE_LAST
-    last = (rows >= grid.n - LAST_EDGE_ROWS) & (not adjoint)
+    # in the last rows r_{i+1} / r_i nears 2 whatever n is: a forward piece
+    # spans phi up to about pi/3 (pi/2 in the last row), an adjoint one psi
+    # from about pi/6, too wide for GL_EDGE, so both take GL_EDGE_LAST
+    last = rows >= grid.n - LAST_EDGE_ROWS
     thq, wts, segq, rows_q = [], [], [], []
-    for m, rule in ((~last, GL_EDGE), (last, GL_EDGE_LAST)):
-        ri = r[rows[m]]
+    for sel, rule in ((~last, GL_EDGE), (last, GL_EDGE_LAST)):
+        ri = r[rows[sel]]
         if adjoint:
             # w = r_i sin(psi): the weight r_i^{d-2} cos^{k-1} sin^{d-k-1} dpsi is
             # analytic, where in s = sqrt(r_i^2 - w^2) w^{d-k-2} has a branch
             # point at s = r_i, near rows 0 and 1's pieces, which end at 0.87 r_i
-            p_lo = np.arcsin(np.minimum(lo[m] / ri, 1.0))
-            p_hi = np.arcsin(np.minimum(hi[m] / ri, 1.0))
+            p_lo = np.arcsin(np.minimum(lo[sel] / ri, 1.0))
+            p_hi = np.arcsin(np.minimum(hi[sel] / ri, 1.0))
             pg, wpg = _gl(p_lo, p_hi, rule)
             ri = ri[:, None]
             xq = ri * np.sin(pg)
             wq = wpg * ri ** (d - 2) * np.cos(pg) ** (k - 1) * np.sin(pg) ** (d - k - 1)
+            wq *= (1.0 + xq * xq) ** (-0.5 * m)
         else:
             # s = rho tan(phi), rho = sqrt(1 + r_i^2): 1 + u^2 = rho^2 sec^2(phi),
             # so cos^{k+1}(theta) s^{k-1} ds is sin^{k-1}(phi) dphi / rho, bounded
             # up to the last row's phi = pi/2 (u = inf)
             rho = np.sqrt(1.0 + ri * ri)
-            p_lo = np.arctan(np.sqrt(np.maximum(lo[m] * lo[m] - ri * ri, 0.0)) / rho)
-            p_hi = np.arctan(np.sqrt(np.maximum(hi[m] * hi[m] - ri * ri, 0.0)) / rho)
+            p_lo = np.arctan(np.sqrt(np.maximum(lo[sel] * lo[sel] - ri * ri, 0.0)) / rho)
+            p_hi = np.arctan(np.sqrt(np.maximum(hi[sel] * hi[sel] - ri * ri, 0.0)) / rho)
             pg, wpg = _gl(p_lo, p_hi, rule)
             s = rho[:, None] * np.tan(pg)
             xq = np.sqrt(np.maximum((ri * ri)[:, None] + s * s, 1e-300))
             wq = wpg * np.sin(pg) ** (k - 1) / rho[:, None]
         thq.append(np.arctan(xq).ravel())
         wts.append(wq.ravel())
-        segq.append(np.repeat(seg_r[m], rule[0].size))
-        rows_q.append(np.repeat(rows[m], rule[0].size))
+        segq.append(np.repeat(seg_r[sel], rule[0].size))
+        rows_q.append(np.repeat(rows[sel], rule[0].size))
     # one plan for the interior points and the edge points
     idx, w = interp.plan(np.concatenate([thg, *thq]), np.concatenate([seg, *segq]))
-    if not adjoint:
-        w *= _sec_power(grid, k)[idx]
+    w *= _sec_power(grid, m)[idx]
     g = thg.size
     w[g:] *= np.concatenate(wts)[:, None]
     rows = np.concatenate(rows_q)
@@ -356,11 +360,11 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
 
 
 @functools.lru_cache(maxsize=16)
-def _sec_power(grid: RadialGrid, k: int) -> np.ndarray:
-    """sec^{k+1}(theta_j) = (1 + r_j^2)^{(k+1)/2} at every node, from the
-    radii the profile is sampled at, so g_j = f_j sec^{k+1}(theta_j) is
-    exactly 1 to rounding for f = (1 + r^2)^{-(k+1)/2}."""
-    sec = (1.0 + grid.nodes * grid.nodes) ** ((k + 1) / 2.0)
+def _sec_power(grid: RadialGrid, m: int) -> np.ndarray:
+    """sec^m(theta_j) = (1 + r_j^2)^{m/2} at every node, from the radii the
+    profile is sampled at, so g_j = f_j sec^m(theta_j) is exactly 1 to
+    rounding for f = (1 + r^2)^{-m/2}."""
+    sec = (1.0 + grid.nodes * grid.nodes) ** (m / 2.0)
     sec.setflags(write=False)
     return sec
 
@@ -1057,7 +1061,7 @@ def _tail_weights(grid: RadialGrid, k: int, cuts: tuple) -> tuple:
     and the same share through the degree-5 extrapolation. Truncated grid:
     the share that the region beyond r_max would add to row 0 were g to keep
     its last value there (f decaying like r^{-(k+1)}), and None."""
-    th, h, n, sec = grid.theta_nodes, grid.h, grid.n, _sec_power(grid, k)
+    th, h, n, sec = grid.theta_nodes, grid.h, grid.n, _sec_power(grid, k + 1)
     if not grid.halfline:
         x, w = _gl(th[-1:], np.array([math.pi / 2]), GL_TAIL)
         return np.eye(8)[-1] * sec[-1] * _row0_weight(grid, k, x[0], w[0]).sum(), None

@@ -340,6 +340,16 @@ class TestAndersonSearch:
         assert trace.iterations_used == 30
         assert min(trace.residuals) <= 5e-13
 
+    @pytest.mark.parametrize("k,d", [(1, 3), (1, 2)])
+    def test_k1_residual_floor_at_rounding(self, k, d):
+        # T* takes T's edge rule in its last rows and factors out its
+        # weight's decay: the floor is then at rounding
+        params = K.make_params(k, d)
+        g = K.make_halfline_grid(512)
+        ball = K.indicator_profile(g, K.IntervalSet(((0.0, 1.0),)))
+        trace = K.search_extremizer(params, ball, max_iter=30, tol=0.0)
+        assert min(trace.residuals) <= 1e-14
+
     def test_rate_and_error_bound(self):
         params = K.make_params(2, 4)
         g = K.make_halfline_grid(512)

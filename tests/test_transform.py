@@ -176,6 +176,25 @@ class TestAdjoint:
         want = mu * (1 + g.nodes ** 2) ** (-(k + 1) / 2 * (p - 1))
         assert np.abs(out[:4] / want[:4] - 1).max() < 1e-10
 
+    @pytest.mark.parametrize("lam,tol", [(1 / 8, 2e-11), (1.0, 2e-11), (8.0, 1e-8)])
+    @pytest.mark.parametrize("k,d", [(1, 3), (2, 4), (3, 4), (4, 5), (1, 2), (2, 3)])
+    def test_euler_lagrange_identity_in_every_row(self, k, d, lam, tol):
+        # the same identity for the dilate h_lam, from exact samples of
+        # T h_lam = lam^{d/p-k} c_k (1 + lam^2 r^2)^{-1/2}; T* commutes with
+        # dilation, so mu_lam = mu lam^{(d/p-k)(q-1) - (d/p)(p-1)}. The last
+        # rows' edge pieces span psi from about pi/6 whatever n is; at
+        # lam = 8 row 0 sets the bound
+        params = K.make_params(k, d)
+        g = K.make_halfline_grid(512)
+        p, q, s = params.pf, params.qf, params.scale_exp_f
+        c_k = beta(k / 2, 0.5) / 2
+        mu = c_k ** q * beta((d - k) / 2, (k + 1) / 2) / beta(d / 2, 0.5)
+        mu *= lam ** ((s - k) * (q - 1) - s * (p - 1))
+        th = lam ** (s - k) * c_k / np.sqrt(1 + (lam * g.nodes) ** 2)
+        out = K.apply_T_adjoint(params, K.RadialProfile(g, th ** (q - 1))).values
+        want = mu * K.extremizer_profile(params, lam, g).values ** (p - 1)
+        assert np.abs(out / want - 1).max() <= tol
+
     @pytest.mark.parametrize("k,d", [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4)])
     def test_adjoint_residual_at_the_rounding_floor(self, k, d):
         params = K.make_params(k, d)
