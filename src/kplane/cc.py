@@ -20,8 +20,9 @@ import numpy as np
 
 from .core import (DomainError, IntervalSet, ParameterError, Params,
                    PreconditionError, RadialProfile, _running_integral, _window_integral,
-                   restricted_mass, weighted_integral, weighted_lp_norm)
-from .transform import apply_T, pairing
+                   restricted_mass, weighted_integral, weighted_lp_norm,
+                   weighted_signed_integral)
+from .transform import apply_T
 
 #: nodes contributing less than this fraction of total mass are not support
 NEGLIGIBLE_MASS = 1e-9
@@ -203,7 +204,7 @@ def interaction_term(params: Params, f1: RadialProfile, f2: RadialProfile,
 def _interaction_term(params: Params, t1: np.ndarray, t2: np.ndarray, m: int, grid) -> float:
     """interaction_term from the transforms t1 = T f1 and t2 = T f2."""
     q = int(params.q)
-    return pairing(t1 ** (q - m), t2 ** m, grid, params.a_target)
+    return weighted_signed_integral(t1 ** (q - m) * t2 ** m, grid, params.a_target)
 
 
 def interaction_bound_check(params: Params, R: float, delta: float,

@@ -34,24 +34,27 @@ weights, with no basis matrix formed.
 
 Every cached operator interpolates at INTERP_DEGREE. One operator M0 per
 (grid, k) for the forward operator, and per (grid, k, d) for the adjoint, is
-built without splits and memoized. For k = 2 the kernel (u^2 - r^2)^0 is 1:
+built without splits and memoized by _operator, the one entry point of both
+directions, under the key _key gives. For k = 2 the kernel (u^2 - r^2)^0 is 1:
 T f(r) = int_r^inf f(u) u du is a suffix integral and T* g(u) = u^{2-d}
 int_0^u g(w) w^{d-3} dw a prefix integral, so M0 is kept as _PrefixSums:
 per-cell and per-row node weights and one cumulative sum, O(n) memory and an
 O(n) apply. For every other k M0 is dense, but one-sided: T f(r) reads only
 u >= r and T* g(u) only w <= u, so M0 is triangular but for a band of
 INTERP_DEGREE columns (upper forward, lower adjoint). It is held as
-_RowBlocks: per _TILE_ROWS rows one contiguous array over the columns _band
-gives them, about 18 MiB at n = 2048 and 68 MiB at 4096, and no n x n array
-is allocated. The byte budget still counts it as n x n entries (_dense,
+_RowBlocks, which builds itself: per _TILE_ROWS rows one contiguous array
+over the columns _band gives them, about 18 MiB at n = 2048 and 68 MiB at
+4096, and no n x n array is allocated. The byte budget still counts it as n x n entries (_dense,
 _operator_bytes). Its interior kernel is evaluated in theta: by tan^2 a -
 tan^2 b = sin(a - b) sin(a + b) / (cos^2 a cos^2 b), at GL point theta_p =
 (c + 1 + u) h of cell c against row theta_i = (i + 1) h it is
 cos(theta_i)^{2-k} cos(theta_p)^{2-k} times one sine power of (c - i + u) h
 and one of (c + i + 2 + u) h. On the lattice of whole cells (the adjoint's
 head strip [0, theta_0] is its cell -1) those two are a Toeplitz and a
-Hankel table of O(n) values, kept per (grid, k, direction). A quadrature
-without splits lies on the lattice alone, so a build (_accumulate) fills
+Hankel table of O(n) values, kept per (grid, k, direction), every k alike:
+for k = 2 the sine powers are 1 and the rounding correction of a row's
+angle, a multiple of k/2 - 1, is exactly 0. A quadrature without splits
+lies on the lattice alone, so a build (_accumulate, into row blocks) fills
 each tile of rows x whole cells with one multiply of two strided views and
 multiplies it by a small dense block of the stencils scaled by the cos power
 of each point. Its row blocks are filled on _workers threads, each block by
@@ -100,8 +103,7 @@ from . import _quad
 from ._quad import (GL_CELL, GL_EDGE, GL_EDGE_LAST, GL_TAIL, LAST_EDGE_ROWS,
                     SegmentedInterp, scaled_kernel_power, unique)
 from .core import (ConfigurationError, IntervalSet, NumericalError, ParameterError,
-                   Params, RadialGrid, RadialProfile, make_grid,
-                   weighted_signed_integral)
+                   Params, RadialGrid, RadialProfile, make_grid)
 
 #: share of max|T f| above which a truncated grid's estimate of what lies
 #: beyond r_max raises tail_warning
@@ -464,13 +466,11 @@ def _direct_sines(c: np.ndarray, u: np.ndarray, rows: np.ndarray, h: float, k: i
     S = _toeplitz_factor(dc, u, h, k, adjoint)
     H = _hankel_factor(c + rows[:, None], u, h, k)
     A = S * H
-    if k != 2:
-        # the rounding correction is 0 but on the rows within _EDGE_BAND
-        # cells of some point's cell
-        near = slice(*np.searchsorted(rows, [c.min() - _EDGE_BAND - 1,
-                                             c.max() + _EDGE_BAND + 2]))
-        dS = _rounding_factor(S[near], dc[near], u, h, k, adjoint)
-        A[near] += _row_rounding(rows[near] + 1, h)[:, None] * (dS * H[near])
+    # the rounding correction is 0 but on the rows within _EDGE_BAND cells
+    # of some point's cell
+    near = slice(*np.searchsorted(rows, [c.min() - _EDGE_BAND - 1, c.max() + _EDGE_BAND + 2]))
+    dS = _rounding_factor(S[near], dc[near], u, h, k, adjoint)
+    A[near] += _row_rounding(rows[near] + 1, h)[:, None] * (dS * H[near])
     return A
 
 
@@ -490,7 +490,7 @@ class _SineTables:
         u = 0.5 + 0.5 * GL_CELL[0]           # a whole cell's offsets, as in _quadrature
         n, cells, o = grid.n, _cells(grid, adjoint), -int(adjoint)
         self.adjoint, self.g, self.n, self.origin = adjoint, u.size, n, o
-        self.eps = _row_rounding(np.arange(1, n + 1), grid.h) if k != 2 else None
+        self.eps = _row_rounding(np.arange(1, n + 1), grid.h)
         dc = np.arange(o + 1 - n, cells)[:, None]
         U = _toeplitz_factor(dc, u, grid.h, k, adjoint)
         W = _rounding_factor(U, dc, u, grid.h, k, adjoint)
@@ -529,13 +529,12 @@ class _SineTables:
         p0..p1-1, which lie in cells c_lo..c_hi, into `out`."""
         U, W, V = (t[:, p0:p1] for t in views)
         A = np.multiply(U, V, out=out)
-        if self.eps is not None:
-            r0, r1 = self.band_rows(c_lo, c_hi)
-            r0, r1 = max(r0 - a, 0), min(r1 - a, A.shape[0])
-            if r0 < r1:
-                near = W[r0:r1] * V[r0:r1]
-                near *= self.eps[a + r0:a + r1, None]
-                A[r0:r1] += near
+        r0, r1 = self.band_rows(c_lo, c_hi)
+        r0, r1 = max(r0 - a, 0), min(r1 - a, A.shape[0])
+        if r0 < r1:
+            near = W[r0:r1] * V[r0:r1]
+            near *= self.eps[a + r0:a + r1, None]
+            A[r0:r1] += near
         return A
 
     def dot(self, a: int, b: int, c_lo: int, c_hi: int, d: np.ndarray, d0: int) -> np.ndarray:
@@ -549,22 +548,21 @@ class _SineTables:
         U, _, V = self.views(a, b)
         p0, p1, e = (c_lo - o) * g, (c_hi + 1 - o) * g, (c_lo - d0) * g
         s = np.einsum("ij,ij,j->i", U[:, p0:p1], V[:, p0:p1], d[e:e + p1 - p0])
-        if self.eps is not None:
-            r0, r1 = self.band_rows(c_lo, c_hi)
-            r0, r1 = max(r0, a), min(r1, b)
-            if r0 < r1:
-                # row i's band is the _EDGE_BAND cells from i - _EDGE_BAND - 1
-                # (adjoint) or i + 1 (forward) on: each row of it starts 2
-                # cells on in the Hankel table and 1 cell on in d
-                c = r0 - _EDGE_BAND - 1 if self.adjoint else r0 + 1
-                window = functools.partial(np.lib.stride_tricks.sliding_window_view,
-                                           window_shape=_EDGE_BAND * g)
-                v0, e0, rows = (r0 + c - o + self.pad) * g, (c - d0) * g, r1 - r0
-                V_band = window(self.V_flat)[v0:v0 + 2 * g * rows:2 * g]
-                d_band = window(d)[e0:e0 + g * rows:g]
-                near = np.einsum("ij,ij,j->i", V_band, d_band, self.W_band)
-                near *= self.eps[r0:r1]
-                s[r0 - a:r1 - a] += near
+        r0, r1 = self.band_rows(c_lo, c_hi)
+        r0, r1 = max(r0, a), min(r1, b)
+        if r0 < r1:
+            # row i's band is the _EDGE_BAND cells from i - _EDGE_BAND - 1
+            # (adjoint) or i + 1 (forward) on: each row of it starts 2 cells
+            # on in the Hankel table and 1 cell on in d
+            c = r0 - _EDGE_BAND - 1 if self.adjoint else r0 + 1
+            window = functools.partial(np.lib.stride_tricks.sliding_window_view,
+                                       window_shape=_EDGE_BAND * g)
+            v0, e0, rows = (r0 + c - o + self.pad) * g, (c - d0) * g, r1 - r0
+            V_band = window(self.V_flat)[v0:v0 + 2 * g * rows:2 * g]
+            d_band = window(d)[e0:e0 + g * rows:g]
+            near = np.einsum("ij,ij,j->i", V_band, d_band, self.W_band)
+            near *= self.eps[r0:r1]
+            s[r0 - a:r1 - a] += near
         return s
 
 
@@ -574,8 +572,7 @@ def _lattice_tables(grid: RadialGrid, k: int, adjoint: bool) -> _SineTables:
     every split apply and every one-shot T f, which read the rows and cells
     they need from them."""
     tables = _SineTables(grid, k, adjoint)
-    if tables.eps is not None:
-        tables.eps.setflags(write=False)
+    tables.eps.setflags(write=False)
     return tables
 
 
@@ -605,14 +602,14 @@ def _cell_tiles(cell: np.ndarray, sj: np.ndarray, sw: np.ndarray):
 def _workers(jobs: int) -> int:
     """Threads for a build of `jobs` row blocks: the CPUs this process may
     run on (os.cpu_count() where the platform keeps no affinity mask), at
-    most KPLANE_THREADS when that is a positive integer, and at most one per
-    block."""
+    most KPLANE_THREADS when that is a positive integer in ASCII digits (one
+    int() can read), and at most one per block."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
     cap = os.environ.get("KPLANE_THREADS", "").strip()
-    if cap.isdigit() and int(cap) > 0:
+    if cap.isascii() and cap.isdigit() and int(cap) > 0:
         cpus = min(cpus, int(cap))
     return max(1, min(cpus, jobs))
 
@@ -656,15 +653,14 @@ def _on_workers(work, jobs: list) -> None:
         raise errors[0]
 
 
-def _accumulate(out, row0: int, grid: RadialGrid, k: int, quad: dict, adjoint: bool,
+def _accumulate(blocks: list, grid: RadialGrid, k: int, quad: dict, adjoint: bool,
                 row_scale=None) -> None:
     """Operator row i at column j, integrated by `quad` (points sorted by
     cell, every one on the lattice: a quadrature without splits), times
-    row_scale[i - row0] if given, added to `out`: a zeroed array of rows
-    row0.., or a list of row blocks (i0, c0, B), each B taking rows row0 +
-    i0.. in columns c0... The columns are those of the stencil indices, every
-    node of the grid: the blocks of _RowBlocks, discretize_T_R's views of its
-    n x n matrix.
+    row_scale[i] if given, added to the row blocks (i0, c0, B), each B
+    zeroed and taking rows i0.. in columns c0..: the blocks of _RowBlocks,
+    or discretize_T_R's views of its n x n matrix. The columns are those of
+    the stencil indices, every node of the grid.
 
     Forward row i integrates the interior cells c >= i+1, adjoint row i the
     cells c <= i-2; the edge stencils supply the cell at each row's kernel
@@ -672,35 +668,33 @@ def _accumulate(out, row0: int, grid: RadialGrid, k: int, quad: dict, adjoint: b
     alpha_i = cos(theta_i)^{2-k} scales rows, beta_p = base_p
     cos(theta_p)^{2-k} the point weights. Rows go in passes of _TILE_ROWS;
     the sine factors of a pass and a block of cells are one multiply of
-    views of the grid's _lattice_tables and their share of `out` one product
-    with the block's stencils (_cell_tiles) times beta, summed per tile in a
-    buffer of its own that is added to `out` once; a tile's columns outside
-    a row block's band add exact zeros and are dropped. What a row does not
-    see has a zero Toeplitz factor.
+    views of the grid's _lattice_tables and their share of a row block one
+    product with the block's stencils (_cell_tiles) times beta, summed per
+    tile in a buffer of its own that is added to the row block once; a
+    tile's columns outside the block's band add exact zeros and are
+    dropped. What a row does not see has a zero Toeplitz factor.
 
     The stencil blocks, alpha, beta and the tables are made here and only
     read after; the row blocks, largest first, go to _on_workers, each
     filled by one thread alone, in the order of the single-threaded loop, so
-    `out` is bitwise the same for any worker count (an ndarray `out` is one
-    block, filled by the calling thread). Beyond `out` and the kept tables a
-    call holds `quad`, the stencil blocks, alpha and beta and, per worker
-    that takes a block, one block of sine factors, one tile buffer and the
-    edge band of the row block it fills.
+    the blocks are bitwise the same for any worker count. Beyond the blocks
+    and the kept tables a call holds `quad`, the stencil blocks, alpha and
+    beta and, per worker that takes a block, one block of sine factors, one
+    tile buffer and the edge band of the row block it fills.
     """
-    blocks = [(0, 0, out)] if isinstance(out, np.ndarray) else out
-    rows = np.arange(row0, row0 + max(i0 + B.shape[0] for i0, _, B in blocks))
+    rows = np.arange(max(i0 + B.shape[0] for i0, _, B in blocks))
     cell, g = quad["cell"], GL_CELL[0].size
     alpha = np.cos(grid.theta_nodes[rows]) ** (2.0 - k)
     w = quad["w"]
     if row_scale is not None:
         alpha *= row_scale
-        w = w * row_scale[quad["rows"] - row0, None]
+        w = w * row_scale[quad["rows"], None]
     beta = quad["base"] * np.cos(quad["theta"]) ** (2.0 - k)
     tiles = _cell_tiles(cell, quad["sidx"], beta[:, None] * quad["sw"])
     tables, R = _lattice_tables(grid, k, adjoint), min(_TILE_ROWS, rows.size)
     points = max(b[1] - b[0] for _, _, tile_blocks in tiles for b in tile_blocks)
     width = max(J1 - J0 for J0, J1, _ in tiles)
-    edge_rows, edge_cols = quad["rows"] - row0, quad["idx"]
+    edge_rows, edge_cols = quad["rows"], quad["idx"]
 
     def fill(take):
         # one worker: the row blocks it takes, each written by this worker
@@ -818,10 +812,17 @@ class _RowBlocks:
     columns `_band` gives those rows. The triangle outside the band is zero
     and not stored, so a forward or adjoint M0 holds about (n + 2
     INTERP_DEGREE + _TILE_ROWS) / 2n of its n x n entries. apply() reads
-    each block once against its columns and adds f's splits (_add_splits)."""
+    each block once against its columns and adds f's splits (_add_splits).
+
+    The build refuses a grid over the dense budget (_dense) before anything
+    is allocated, plans the quadrature without splits by _quadrature_blocks
+    and joins it, so the plan's temporaries are one block's, and fills the
+    zeroed blocks by _accumulate, adjoint rows scaled by r^{2-d}."""
 
     def __init__(self, grid: RadialGrid, k: int, d: int, adjoint: bool):
         n = grid.n
+        _dense(n)
+        quad = _concatenate(list(_quadrature_blocks(grid, k, d, adjoint)))
         self.grid, self.k, self.d, self.adjoint = grid, k, d, adjoint
         bands = [(i0, min(i0 + _TILE_ROWS, n)) for i0 in range(0, n, _TILE_ROWS)]
         bands = [(i0, i1, *_band(n, i0, i1, adjoint)) for i0, i1 in bands]
@@ -834,6 +835,8 @@ class _RowBlocks:
             size = (i1 - i0) * (c1 - c0)
             self.blocks.append((i0, c0, flat[at:at + size].reshape(i1 - i0, c1 - c0)))
             at += size
+        _accumulate(self.blocks, grid, k, quad, adjoint,
+                    grid.nodes ** (2.0 - d) if adjoint else None)
 
     @property
     def nbytes(self) -> int:
@@ -853,18 +856,6 @@ class _RowBlocks:
         for i0, c0, B in self.blocks:
             M[i0:i0 + B.shape[0], c0:c0 + B.shape[1]] = B
         return M
-
-
-def _assemble(grid: RadialGrid, k: int, d: int, adjoint: bool) -> _RowBlocks:
-    """Dense operator without splits as _RowBlocks (adjoint rows scaled by
-    r^{2-d}). Its quadrature is planned by _quadrature_blocks and joined, so
-    the plan's temporaries are one block's."""
-    _dense(grid.n)
-    quad = _concatenate(list(_quadrature_blocks(grid, k, d, adjoint)))
-    M = _RowBlocks(grid, k, d, adjoint)
-    _accumulate(M.blocks, 0, grid, k, quad, adjoint,
-                grid.nodes ** (2.0 - d) if adjoint else None)
-    return M
 
 
 def _split_clusters(grid: RadialGrid, splits_r, adjoint: bool):
@@ -1027,20 +1018,28 @@ class _PrefixSums:
 
 
 # ---------------------------------------------------------------------------
-# forward operator
+# the cached operator
 
-def _assemble_forward(grid: RadialGrid, k: int):
-    """Forward M0: prefix sums for k = 2, else dense row blocks."""
+def _key(grid: RadialGrid, k: int, d: int, adjoint: bool) -> tuple:
+    """The cache key of M0: ("fwd", fingerprint, k) forward, whose M0 does
+    not depend on d, and ("adj", fingerprint, k, d) for the adjoint."""
+    if adjoint:
+        return "adj", grid.fingerprint(), k, d
+    return "fwd", grid.fingerprint(), k
+
+
+def _operator(grid: RadialGrid, k: int, d: int, adjoint: bool):
+    """Memoized M0 of the forward operator (d = 0) or of the adjoint:
+    _PrefixSums for k = 2, else _RowBlocks."""
     if k == 2:
-        return _PrefixSums(grid, 0, adjoint=False)
-    return _assemble(grid, k, 0, adjoint=False)
+        build = functools.partial(_PrefixSums, grid, d, adjoint)
+    else:
+        build = functools.partial(_RowBlocks, grid, k, d, adjoint)
+    return _cached(_key(grid, k, d, adjoint), build, _operator_bytes(grid.n, k))
 
 
-def _forward_matrix(grid: RadialGrid, k: int):
-    """Memoized forward M0 of (grid, k)."""
-    return _cached(("fwd", grid.fingerprint(), k), lambda: _assemble_forward(grid, k),
-                   _operator_bytes(grid.n, k))
-
+# ---------------------------------------------------------------------------
+# forward operator
 
 def _row0_weight(grid: RadialGrid, k: int, theta: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Row 0's forward weight on g = f sec^{k+1} at angles theta beyond its
@@ -1112,8 +1111,7 @@ def apply_T(params: Params, f: RadialProfile) -> RadialProfile:
         F, amp = f.indicator
         out = apply_T_indicator(params, F, f.grid)
         return out.scaled(amp) if amp != 1.0 else out
-    M = _forward_matrix(f.grid, k)
-    return _forward_result(f, k, M.apply(f))
+    return _forward_result(f, k, _operator(f.grid, k, 0, adjoint=False).apply(f))
 
 
 def _forward_result(f: RadialProfile, k: int, out: np.ndarray) -> RadialProfile:
@@ -1139,11 +1137,12 @@ def _apply_T_once(params: Params, f: RadialProfile) -> RadialProfile:
     the whole grid's stencils or a block of sine factors, and still refuses
     a grid over the dense budget.
     Indicators (a closed form), k = 2 (O(n) prefix sums) and a (grid, k)
-    whose M0 is cached go to apply_T.
+    whose M0 is cached, by the key _operator memoizes it under, go to
+    apply_T.
     """
     k, grid = params.k, f.grid
     with _CACHE_LOCK:
-        cached = ("fwd", grid.fingerprint(), k) in _MATRIX_CACHE
+        cached = _key(grid, k, 0, adjoint=False) in _MATRIX_CACHE
     if f.indicator is not None or k == 2 or cached:
         return apply_T(params, f)
     _dense(grid.n)
@@ -1173,19 +1172,6 @@ def apply_T_indicator(params: Params, F: IntervalSet,
 # ---------------------------------------------------------------------------
 # adjoint
 
-def _assemble_adjoint(grid: RadialGrid, k: int, d: int):
-    """Adjoint M0: prefix sums for k = 2, else dense row blocks."""
-    if k == 2:
-        return _PrefixSums(grid, d, adjoint=True)
-    return _assemble(grid, k, d, adjoint=True)
-
-
-def _adjoint_matrix(grid: RadialGrid, k: int, d: int):
-    """Memoized adjoint M0 of (grid, k, d)."""
-    return _cached(("adj", grid.fingerprint(), k, d), lambda: _assemble_adjoint(grid, k, d),
-                   _operator_bytes(grid.n, k))
-
-
 def apply_T_adjoint(params: Params, g: RadialProfile) -> RadialProfile:
     """Adjoint transform T* g on g's grid.
 
@@ -1197,7 +1183,7 @@ def apply_T_adjoint(params: Params, g: RadialProfile) -> RadialProfile:
     if g.indicator is not None:
         F, amp = g.indicator
         return _adjoint_indicator(params, F, grid).scaled(amp)
-    out = _adjoint_matrix(grid, k, d).apply(g)
+    out = _operator(grid, k, d, adjoint=True).apply(g)
     if g.nonnegative:
         out = np.maximum(out, 0.0)
     return RadialProfile(grid, out)
@@ -1262,7 +1248,7 @@ def discretize_T_R(params: Params, R: float, n: int) -> OperatorMatrix:
     quad = _quadrature(grid, k, 0, hat, 0, _cells(grid, False) - 1, (), adjoint=False)
     M = np.zeros((n, n))
     _accumulate([(i0, 0, M[i0:i0 + _TILE_ROWS]) for i0 in range(0, n, _TILE_ROWS)],
-                0, grid, k, quad, adjoint=False)
+                grid, k, quad, adjoint=False)
     np.maximum(M, 0.0, out=M)
     return OperatorMatrix(entries=M, R=float(R), grid=grid, params=params)
 
@@ -1304,12 +1290,3 @@ def equicontinuity_modulus(params: Params, R: float, h_step: float,
                - (R * R - r ** 2) ** (k / 2.0)
                + (rh ** 2 - r ** 2) ** (k / 2.0)) / k
     return float((A + B).max())
-
-
-# ---------------------------------------------------------------------------
-# pairing helper shared by extremal / cc
-
-def pairing(values_a: np.ndarray, values_b: np.ndarray, grid: RadialGrid,
-            a_exp: int) -> float:
-    """<a, b> against r^{a_exp} dr on a shared grid."""
-    return weighted_signed_integral(values_a * values_b, grid, a_exp)

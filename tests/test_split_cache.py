@@ -17,9 +17,8 @@ SPLITS = {"two": (2.0, 7.9), "four": (0.4, 1.7, 1.7001, 6.0), "beyond": None}
 
 
 def _operator(T, grid, k, adjoint, cached):
-    if adjoint:
-        return (T._adjoint_matrix if cached else T._assemble_adjoint)(grid, k, k + 2)
-    return (T._forward_matrix if cached else T._assemble_forward)(grid, k)
+    d = k + 2 if adjoint else 0
+    return (T._operator if cached else T._RowBlocks)(grid, k, d, adjoint)
 
 
 @pytest.mark.parametrize("splits", sorted(SPLITS))
@@ -53,7 +52,7 @@ def test_build_reserves_at_least_what_it_holds(adjoint):
     T = K.transform
     for grid in (K.make_halfline_grid(64), K.make_grid(40, 2.0), K.make_halfline_grid(300)):
         for k in (1, 3):
-            M = T._assemble_adjoint(grid, k, k + 2) if adjoint else T._assemble_forward(grid, k)
+            M = T._RowBlocks(grid, k, k + 2 if adjoint else 0, adjoint)
             assert 0 < M.nbytes <= T._operator_bytes(grid.n, k)
 
 
@@ -65,7 +64,7 @@ def test_split_outside_in_theta_is_dropped(fresh_cache):
     grid = K.make_grid(64, 4.0)
     assert math.atan(4.0) >= grid.theta_nodes[-1] and 4.0 < grid.nodes[-1]
     near_end = 0.5 * (grid.nodes[-3] + grid.nodes[-2])
-    M = T._forward_matrix(grid, 1)
+    M = T._operator(grid, 1, 0, False)
     v = np.random.default_rng(4).uniform(0.5, 1.5, grid.n)
     outs = [M.apply(K.RadialProfile(grid, v, splits=splits))
             for splits in ((near_end,), (near_end, 4.0), (near_end, 8.0))]
@@ -118,7 +117,7 @@ def test_k2_split_apply_plans_each_range_once(monkeypatch, adjoint, grid):
     grid = {"half300": lambda: K.make_halfline_grid(300),
             "trunc200": lambda: K.make_grid(200, 8.0)}[grid]()
     splits = SPLITS["four"]
-    op = T._assemble_adjoint(grid, 2, 4) if adjoint else T._assemble_forward(grid, 2)
+    op = T._PrefixSums(grid, 4 if adjoint else 0, adjoint)
     kept, clusters = T._split_clusters(grid, splits, adjoint)
     assert len(clusters) > 1
     calls = _counting_quadrature(monkeypatch, T)
@@ -134,7 +133,7 @@ def test_dense_split_apply_integrates_each_range_once(monkeypatch, k, adjoint):
     T = K.transform
     grid = K.make_halfline_grid(300)
     splits = SPLITS["four"]
-    op = T._assemble_adjoint(grid, k, k + 2) if adjoint else T._assemble_forward(grid, k)
+    op = T._RowBlocks(grid, k, k + 2 if adjoint else 0, adjoint)
     kept, clusters = T._split_clusters(grid, splits, adjoint)
     assert len(clusters) > 1
     f = K.RadialProfile(grid, np.random.default_rng(5).uniform(0.5, 1.5, grid.n), splits=splits)

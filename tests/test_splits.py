@@ -8,8 +8,8 @@ import pytest
 
 import kplane as K
 from kplane import verify
+from kplane.core import weighted_signed_integral
 from kplane.extremal import _constant_B_cached
-from kplane.transform import pairing
 
 from conftest import smooth_decaying
 
@@ -117,8 +117,9 @@ def test_adjoint_identity_with_splits(grids, k, d):
     gg = smooth_decaying(params, g, rng, decay_boost=1)
     f = K.RadialProfile(g, f.values, splits=(0.3, 0.3 + 1e-9, 2.0, 7.5))
     gg = K.RadialProfile(g, gg.values, splits=(0.9, 4.0, 4.05))
-    lhs = pairing(K.apply_T(params, f).values, gg.values, g, params.a_target)
-    rhs = pairing(f.values, K.apply_T_adjoint(params, gg).values, g, params.a_domain)
+    lhs = weighted_signed_integral(K.apply_T(params, f).values * gg.values, g, params.a_target)
+    rhs = weighted_signed_integral(f.values * K.apply_T_adjoint(params, gg).values, g,
+                                   params.a_domain)
     assert abs(lhs - rhs) / abs(lhs) < 1e-8
 
 
@@ -127,18 +128,22 @@ def test_suite_builds_one_operator_per_grid_and_k(fresh_cache, monkeypatch, suit
     T = fresh_cache
     _constant_B_cached.cache_clear()
     requested, built = set(), Counter()
-    forward_matrix, assemble = T._forward_matrix, T._assemble_forward
+    operator, cached = T._operator, T._cached
 
-    def counting_forward_matrix(grid, k):
-        requested.add((grid.fingerprint(), k))
-        return forward_matrix(grid, k)
+    def counting_operator(grid, k, d, adjoint):
+        if not adjoint:
+            requested.add((grid.fingerprint(), k))
+        return operator(grid, k, d, adjoint)
 
-    def counting_assemble(grid, k):
-        built[(grid.fingerprint(), k)] += 1
-        return assemble(grid, k)
+    def counting_cached(key, build, need):
+        def counting_build():
+            if key[0] == "fwd":
+                built[key[1:]] += 1
+            return build()
+        return cached(key, counting_build, need)
 
-    monkeypatch.setattr(T, "_forward_matrix", counting_forward_matrix)
-    monkeypatch.setattr(T, "_assemble_forward", counting_assemble)
+    monkeypatch.setattr(T, "_operator", counting_operator)
+    monkeypatch.setattr(T, "_cached", counting_cached)
     assert all(rep.passed for rep in verify.run_suite(suite, seed=5))
     assert requested
     assert built == Counter(dict.fromkeys(requested, 1))

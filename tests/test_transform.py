@@ -6,7 +6,7 @@ import pytest
 
 import kplane as K
 from kplane._quad import GL_CELL, INTERP_DEGREE, SegmentedInterp
-from kplane.transform import pairing
+from kplane.core import weighted_signed_integral
 
 from conftest import beta, smooth_decaying
 
@@ -156,8 +156,8 @@ class TestAdjoint:
         gg = smooth_decaying(params, g, rng, decay_boost=1)
         tf = K.apply_T(params, f)
         tsg = K.apply_T_adjoint(params, gg)
-        lhs = pairing(tf.values, gg.values, g, params.a_target)
-        rhs = pairing(f.values, tsg.values, g, params.a_domain)
+        lhs = weighted_signed_integral(tf.values * gg.values, g, params.a_target)
+        rhs = weighted_signed_integral(f.values * tsg.values, g, params.a_domain)
         assert abs(lhs - rhs) / abs(lhs) < 1e-8
 
     @pytest.mark.parametrize("n", [512, 2048])
@@ -203,8 +203,9 @@ class TestAdjoint:
         f = K.RadialProfile(g, np.exp(-r * r))
         gg = K.RadialProfile(g, np.exp(-(r - 1.0) ** 2))
         tf = K.apply_T(params, f)
-        lhs = pairing(tf.values, gg.values, g, params.a_target)
-        rhs = pairing(f.values, K.apply_T_adjoint(params, gg).values, g, params.a_domain)
+        lhs = weighted_signed_integral(tf.values * gg.values, g, params.a_target)
+        rhs = weighted_signed_integral(f.values * K.apply_T_adjoint(params, gg).values, g,
+                                       params.a_domain)
         assert abs(lhs - rhs) <= 1e-13 * (K.weighted_lp_norm(tf, params.a_target, 2)
                                           * K.weighted_lp_norm(gg, params.a_target, 2))
 
@@ -321,14 +322,14 @@ class TestOperatorCache:
         import time
         T = fresh_cache
         builds = []
-        assemble = T._assemble_forward
+        assemble = T._RowBlocks
 
-        def slow_assemble(grid, k):
+        def slow_assemble(grid, k, d, adjoint):
             builds.append((grid.n, k))
             time.sleep(0.05)   # hold the build open while the others arrive
-            return assemble(grid, k)
+            return assemble(grid, k, d, adjoint)
 
-        monkeypatch.setattr(T, "_assemble_forward", slow_assemble)
+        monkeypatch.setattr(T, "_RowBlocks", slow_assemble)
         params = K.make_params(1, 3)
         f = K.extremizer_profile(params, 1.0, K.make_halfline_grid(256))
         barrier = threading.Barrier(4)
@@ -355,23 +356,40 @@ class TestOperatorCache:
     def test_build_seconds_count_builds_not_hits(self, fresh_cache, monkeypatch):
         import time
         T = fresh_cache
-        assemble = T._assemble_forward
+        assemble = T._RowBlocks
 
-        def slow_assemble(grid, k):
+        def slow_assemble(grid, k, d, adjoint):
             time.sleep(0.05)
-            return assemble(grid, k)
+            return assemble(grid, k, d, adjoint)
 
-        monkeypatch.setattr(T, "_assemble_forward", slow_assemble)
+        monkeypatch.setattr(T, "_RowBlocks", slow_assemble)
         grid = K.make_halfline_grid(128)
-        T._forward_matrix(grid, 1)
+        T._operator(grid, 1, 0, False)
         spent = T.cache_info()["fwd"]["build_s"]
         assert spent >= 0.05
-        T._forward_matrix(grid, 1)        # a hit adds no build time
+        T._operator(grid, 1, 0, False)    # a hit adds no build time
         info = T.cache_info()
         assert info["fwd"]["hits"] == 1 and info["fwd"]["build_s"] == spent
         assert info["adj"]["build_s"] == 0.0
-        T._adjoint_matrix(grid, 1, 3)
+        T._operator(grid, 1, 3, True)
         assert T.cache_info()["adj"]["build_s"] > 0.0
+
+    def test_one_operator_per_k_forward_and_per_k_and_d_adjoint(self, fresh_cache):
+        # the forward M0 does not depend on d, so (1, 3) and (1, 4) share
+        # one, as (2, 4) and (2, 5) do; the adjoint's is built per (k, d)
+        T = fresh_cache
+        grid = K.make_halfline_grid(128)
+        for k, d in ((1, 3), (1, 4), (2, 4), (2, 5)):
+            params = K.make_params(k, d)
+            f = K.extremizer_profile(params, 1.0, grid)
+            K.apply_T(params, f)
+            K.apply_T_adjoint(params, f)
+        info = T.cache_info()
+        assert (info["fwd"]["builds"], info["fwd"]["hits"], info["fwd"]["entries"]) == (2, 2, 2)
+        assert (info["adj"]["builds"], info["adj"]["hits"], info["adj"]["entries"]) == (4, 0, 4)
+        fp = grid.fingerprint()
+        assert set(T._MATRIX_CACHE) == {("fwd", fp, 1), ("fwd", fp, 2), ("adj", fp, 1, 3),
+                                        ("adj", fp, 1, 4), ("adj", fp, 2, 4), ("adj", fp, 2, 5)}
 
     def test_dense_size_guard_refuses_before_building(self, fresh_cache, monkeypatch):
         T = fresh_cache
@@ -388,33 +406,33 @@ class TestOperatorCache:
     def test_cache_bounded_by_bytes_in_lru_order(self, fresh_cache, monkeypatch):
         T = fresh_cache
         a, b, c, d = (K.make_halfline_grid(n) for n in (100, 110, 120, 130))
-        size = {g.n: T._assemble_forward(g, 1).nbytes for g in (a, b, c, d)}
+        size = {g.n: T._RowBlocks(g, 1, 0, False).nbytes for g in (a, b, c, d)}
 
         def held():
             return [key[1] for key in T._MATRIX_CACHE]
 
         monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", size[100] + size[120])
-        T._forward_matrix(a, 1)
-        T._forward_matrix(b, 1)
-        T._forward_matrix(a, 1)           # a becomes the most recently used
+        T._operator(a, 1, 0, False)
+        T._operator(b, 1, 0, False)
+        T._operator(a, 1, 0, False)       # a becomes the most recently used
         assert held() == [b.fingerprint(), a.fingerprint()]
-        T._forward_matrix(c, 1)           # evicts b, the least recently used
+        T._operator(c, 1, 0, False)       # evicts b, the least recently used
         assert held() == [a.fingerprint(), c.fingerprint()]
         assert sum(v.nbytes for v in T._MATRIX_CACHE.values()) == size[100] + size[120]
         monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", size[130])
-        T._forward_matrix(d, 1)           # over budget with anything else held
+        T._operator(d, 1, 0, False)       # over budget with anything else held
         assert held() == [d.fingerprint()]
         # the entry just built is never evicted, even alone over the budget:
         # k = 2's prefix sums, which the dense budget does not refuse
-        monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", T._assemble_forward(d, 2).nbytes - 1)
+        monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", T._PrefixSums(d, 0, False).nbytes - 1)
         T._MATRIX_CACHE.clear()
-        M = T._forward_matrix(d, 2)
-        assert held() == [d.fingerprint()] and T._forward_matrix(d, 2) is M
+        M = T._operator(d, 2, 0, False)
+        assert held() == [d.fingerprint()] and T._operator(d, 2, 0, False) is M
 
     def test_cache_evicts_before_allocating(self, fresh_cache, monkeypatch):
         T = fresh_cache
         grids = [K.make_halfline_grid(n) for n in (100, 110, 120, 130)]
-        size = {g.n: T._assemble_forward(g, 1).nbytes for g in grids}
+        size = {g.n: T._RowBlocks(g, 1, 0, False).nbytes for g in grids}
         budget = size[100] + size[120]
         monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", budget)
         allocations = []
@@ -427,8 +445,8 @@ class TestOperatorCache:
 
         monkeypatch.setattr(T, "_dense", recording_dense)
         for g in grids:
-            T._forward_matrix(g, 1)
-        T._adjoint_matrix(grids[0], 1, 3)
+            T._operator(g, 1, 0, False)
+        T._operator(grids[0], 1, 3, True)
         assert [n for n, _ in allocations] == [100, 110, 120, 130, 100]
         # the cache and the matrix being allocated fit the budget together
         assert all(held + 8 * n * n <= budget for n, held in allocations)
@@ -475,7 +493,7 @@ class TestBlockedAssembly:
         grid = K.make_grid(64, hint)
         ref, q = self._reference(grid, k, k + 2, adjoint)
         M = np.zeros((64, 64))
-        K.transform._accumulate(M, 0, grid, k, q, adjoint)
+        K.transform._accumulate([(0, 0, M)], grid, k, q, adjoint)
         assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("adjoint", [False, True])
@@ -486,7 +504,7 @@ class TestBlockedAssembly:
         T = K.transform
         grid, d, splits = K.make_grid(64, 8.0), k + 2, (2.0, 7.9)
         ref = self._reference(grid, k, d, adjoint, splits)[0]
-        op = T._assemble(grid, k, d, adjoint)
+        op = T._RowBlocks(grid, k, d, adjoint)
         if adjoint:
             ref *= (grid.nodes ** (2.0 - d))[:, None]
         got = _columns(op, grid, splits)
@@ -506,7 +524,7 @@ class TestBlockedAssembly:
         def build():
             # the operator without splits, and with them applied to V, which
             # the reference's split part takes from the one to the other
-            op = T._assemble(grid, k, d, adjoint)
+            op = T._RowBlocks(grid, k, d, adjoint)
             plain = op.toarray()
             split = np.column_stack([op.apply(K.RadialProfile(grid, v, splits=splits))
                                      for v in V.T])
@@ -526,8 +544,8 @@ class TestBlockedAssembly:
         import tracemalloc
         T = fresh_cache
         grid = K.make_halfline_grid(2048)
-        for build in (lambda: T._forward_matrix(grid, k),
-                      lambda: T._adjoint_matrix(grid, k, k + 2)):
+        for build in (lambda: T._operator(grid, k, 0, False),
+                      lambda: T._operator(grid, k, k + 2, True)):
             tracemalloc.start()
             try:
                 M = build()
@@ -546,7 +564,7 @@ class TestBlockedAssembly:
         # the n x n accumulation is zero wherever the row blocks store nothing,
         # and bitwise equal to them wherever they do: to full-width blocks of
         # _TILE_ROWS rows, the views discretize_T_R fills with its degree-1
-        # quadrature, and at INTERP_DEGREE to the banded blocks of _assemble
+        # quadrature, and at INTERP_DEGREE to the banded blocks of _RowBlocks
         T = K.transform
         if rows is not None:
             monkeypatch.setattr(T, "_TILE_ROWS", rows)
@@ -556,13 +574,13 @@ class TestBlockedAssembly:
         q = T._quadrature(grid, k, d, interp, 0, T._cells(grid, adjoint) - 1, (), adjoint)
         scale = grid.nodes ** (2.0 - d) if adjoint else None
         full = np.zeros((grid.n, grid.n))
-        T._accumulate(full, 0, grid, k, q, adjoint, scale)
+        T._accumulate([(0, 0, full)], grid, k, q, adjoint, scale)
         views = np.zeros((grid.n, grid.n))
         T._accumulate([(i0, 0, views[i0:i0 + T._TILE_ROWS])
-                       for i0 in range(0, grid.n, T._TILE_ROWS)], 0, grid, k, q, adjoint, scale)
+                       for i0 in range(0, grid.n, T._TILE_ROWS)], grid, k, q, adjoint, scale)
         assert np.array_equal(views, full)
         if degree == INTERP_DEGREE:
-            M = T._assemble(grid, k, d, adjoint)
+            M = T._RowBlocks(grid, k, d, adjoint)
             assert len(M.blocks) == -(-grid.n // T._TILE_ROWS)
             assert np.array_equal(M.toarray(), full)
 
@@ -572,8 +590,8 @@ class TestBlockedAssembly:
         T = fresh_cache
         n = 2048
         grid = K.make_halfline_grid(n)
-        held = {"fwd": T._forward_matrix(grid, k).nbytes,
-                "adj": T._adjoint_matrix(grid, k, k + 2).nbytes}
+        held = {"fwd": T._operator(grid, k, 0, False).nbytes,
+                "adj": T._operator(grid, k, k + 2, True).nbytes}
         info = T.cache_info()
         for kind, nbytes in held.items():
             assert nbytes <= 0.6 * 8 * n * n, (kind, nbytes / (8 * n * n))
@@ -585,7 +603,8 @@ class TestBlockedAssembly:
         T = fresh_cache
         n = 2048
         grid = K.make_halfline_grid(n)
-        for build in (lambda: T._forward_matrix(grid, 1), lambda: T._adjoint_matrix(grid, 1, 3)):
+        for build in (lambda: T._operator(grid, 1, 0, False),
+                      lambda: T._operator(grid, 1, 3, True)):
             tracemalloc.start()
             try:
                 build()
@@ -601,7 +620,7 @@ class TestBlockedAssembly:
         grid = K.make_halfline_grid(2048)
         tracemalloc.start()
         try:
-            ops = [T._forward_matrix(grid, 2), T._adjoint_matrix(grid, 2, 4)]
+            ops = [T._operator(grid, 2, 0, False), T._operator(grid, 2, 4, True)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -633,7 +652,7 @@ class TestSineKernel:
         grid = K.make_grid(64, hint)
         ref, q = TestBlockedAssembly._reference(grid, k, k + 2, adjoint)
         M = np.zeros((64, 64))
-        K.transform._accumulate(M, 0, grid, k, q, adjoint)
+        K.transform._accumulate([(0, 0, M)], grid, k, q, adjoint)
         assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("tiles", TILES.values(), ids=TILES.keys())
@@ -647,7 +666,7 @@ class TestSineKernel:
 
     @pytest.mark.parametrize("hint", [float("inf"), 8.0])
     @pytest.mark.parametrize("adjoint", [False, True])
-    @pytest.mark.parametrize("k", [1, 3, 4, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_tables_match_direct_evaluation(self, k, adjoint, hint):
         # every row block of a 200-point grid against the whole lattice, from
         # its origin (the adjoint's head strip, cell -1): the strided table
@@ -667,7 +686,7 @@ class TestSineKernel:
             assert np.abs(got[seen] / want[seen] - 1.0).max() <= 1e-15
 
     @pytest.mark.parametrize("adjoint", [False, True])
-    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_direct_evaluation_of_few_cells_equals_tables(self, k, adjoint):
         # the points of one or two cells against every row, as a split
         # apply evaluates the cells a split cuts: bitwise the table
@@ -688,7 +707,7 @@ class TestSineKernel:
 
     @pytest.mark.parametrize("hint", [float("inf"), 8.0])
     @pytest.mark.parametrize("adjoint", [False, True])
-    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_fused_row_dots_equal_the_sine_blocks(self, k, adjoint, hint):
         # a one-column pass against lattice weights d, over cell ranges at
         # both ends of the lattice (from its origin, the adjoint's head
@@ -728,13 +747,13 @@ class TestContractedIntegration:
         # included, lies on the lattice, so M0 reads the sine tables alone
         T = K.transform
         grid, d = K.make_grid(300, hint), k + 2
-        want = T._assemble(grid, k, d, adjoint).toarray()
+        want = T._RowBlocks(grid, k, d, adjoint).toarray()
 
         def refused(*args):
             raise AssertionError("a point off the lattice was evaluated")
 
         monkeypatch.setattr(T, "_direct_sines", refused)
-        assert np.array_equal(T._assemble(grid, k, d, adjoint).toarray(), want)
+        assert np.array_equal(T._RowBlocks(grid, k, d, adjoint).toarray(), want)
 
     @staticmethod
     def _quadratures(grid, k, adjoint, sign=1.0):
@@ -792,10 +811,10 @@ class TestPrefixSums:
         grid, d = K.make_grid(64, hint), 4
         ref = TestBlockedAssembly._reference(grid, 2, d, adjoint, splits, degree)[0]
         if adjoint:
-            op = T._adjoint_matrix(grid, 2, d)
+            op = T._operator(grid, 2, d, True)
             ref *= (grid.nodes ** (2.0 - d))[:, None]
         else:
-            op = T._forward_matrix(grid, 2)
+            op = T._operator(grid, 2, 0, False)
         assert isinstance(op, T._PrefixSums)
         got = _columns(op, grid, splits)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -810,7 +829,7 @@ class TestPrefixSums:
         params = K.make_params(2, 4)
         f = K.RadialProfile(grid, smooth_decaying(params, grid, np.random.default_rng(2)).values,
                             splits=splits)
-        op = T._assemble_adjoint(grid, 2, 4) if adjoint else T._assemble_forward(grid, 2)
+        op = T._PrefixSums(grid, 4 if adjoint else 0, adjoint)
         want = TestBandedApply._matrix(grid, 2, adjoint) @ f.values
         if splits:
             want += TestBlockedAssembly._split_part(grid, 2, 4, adjoint, splits) @ f.values
@@ -938,7 +957,7 @@ class TestOneShotApply:
         params, grid = K.make_params(k, k + 2), self.GRIDS[grid]()
         f = self._profiles(params, grid)["split"]
         want = K.apply_T(params, f).values
-        operators = T._forward_matrix(grid, k), T._adjoint_matrix(grid, k, k + 2)
+        operators = T._operator(grid, k, 0, False), T._operator(grid, k, k + 2, True)
         applied = [M.apply(f) for M in operators]
         T._MATRIX_CACHE.clear()         # so _apply_T_once integrates T f itself
 
@@ -1058,7 +1077,7 @@ class TestQuadratureBlocks:
         got = []
         for cells in (128, grid.n):
             monkeypatch.setattr(T, "_BUILD_CELLS", cells)
-            got.append(T._assemble(grid, k, k + 2, adjoint).toarray())
+            got.append(T._RowBlocks(grid, k, k + 2, adjoint).toarray())
         assert np.array_equal(got[0], got[1])
 
     def test_plan_of_whole_stencils_equals_the_per_length_plan(self):
@@ -1142,7 +1161,7 @@ class TestTailMetadata:
             # the last cell alone, integrated into row 0 as the operator does
             q = T._quadrature(grid, k, 0, grid._interp_plain, n - 1, n - 1, (), False)
             row0 = np.zeros((1, n))
-            T._accumulate(row0, 0, grid, k, q, False)
+            T._accumulate([(0, 0, row0)], grid, k, q, False)
             share = abs(row0[0] @ f.values) / np.abs(tf.values).max()
             assert tf.meta["tail_fraction"] == pytest.approx(share, rel=1e-12), a
 
@@ -1187,11 +1206,12 @@ class TestBandedApply:
         # quadrature whose stencils span degree + 1 nodes
         T, d = K.transform, k + 2 if adjoint else 0
         if degree == INTERP_DEGREE:
-            return T._assemble(grid, k, d, adjoint).toarray()
+            return T._RowBlocks(grid, k, d, adjoint).toarray()
         interp = SegmentedInterp(grid.theta_nodes, grid.h, degree=degree)
         q = T._quadrature(grid, k, d, interp, 0, T._cells(grid, adjoint) - 1, (), adjoint)
         M = np.zeros((grid.n, grid.n))
-        T._accumulate(M, 0, grid, k, q, adjoint, grid.nodes ** (2.0 - d) if adjoint else None)
+        T._accumulate([(0, 0, M)], grid, k, q, adjoint,
+                      grid.nodes ** (2.0 - d) if adjoint else None)
         return M
 
     @pytest.mark.parametrize("hint", [float("inf"), 8.0])
@@ -1231,7 +1251,7 @@ class TestBandedApply:
         want = M @ f.values
         if splits:
             want += TestBlockedAssembly._split_part(grid, k, k + 2, adjoint, splits) @ f.values
-        op = T._assemble(grid, k, k + 2 if adjoint else 0, adjoint)
+        op = T._RowBlocks(grid, k, k + 2 if adjoint else 0, adjoint)
         got = op.apply(f)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
@@ -1270,8 +1290,7 @@ class TestThreadedBuild:
             for workers in (1, 2, 3):
                 monkeypatch.setattr(T, "_workers", lambda jobs, w=workers: min(w, jobs))
                 del started[:]
-                M = (T._assemble_adjoint(grid, k, k + 2) if adjoint
-                     else T._assemble_forward(grid, k))
+                M = T._RowBlocks(grid, k, k + 2 if adjoint else 0, adjoint)
                 assert len(started) == min(workers, len(M.blocks)) - 1
                 assert not any(thread.is_alive() for thread in started)
                 built.append(M.toarray())
@@ -1311,19 +1330,19 @@ class TestThreadedBuild:
         grid = K.make_halfline_grid(1024)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"{raising} failed"):
-            T._forward_matrix(grid, 1)
+            T._operator(grid, 1, 0, False)
         assert threading.active_count() == before
         info = T.cache_info()["fwd"]
         assert info["entries"] == 0 and info["builds"] == 0
         monkeypatch.setattr(T._SineTables, "sines", sines)
-        M = T._forward_matrix(grid, 1)
+        M = T._operator(grid, 1, 0, False)
         assert T.cache_info()["fwd"]["builds"] == 1
-        assert np.array_equal(M.toarray(), T._assemble_forward(grid, 1).toarray())
+        assert np.array_equal(M.toarray(), T._RowBlocks(grid, 1, 0, False).toarray())
 
     def test_one_worker_starts_no_thread(self, monkeypatch):
         monkeypatch.setenv("KPLANE_THREADS", "1")
         started = self._counting_threads(monkeypatch)
-        M = K.transform._assemble_forward(K.make_halfline_grid(1000), 1)
+        M = K.transform._RowBlocks(K.make_halfline_grid(1000), 1, 0, False)
         assert len(M.blocks) == 4 and started == []
 
     def test_idle_workers_allocate_no_buffers(self, monkeypatch):
@@ -1377,7 +1396,7 @@ class TestThreadedBuild:
         import threading
         T = K.transform
         grid = K.make_halfline_grid(1000)
-        want = T._assemble_forward(grid, 1).toarray()
+        want = T._RowBlocks(grid, 1, 0, False).toarray()
 
         class Unstartable(threading.Thread):
             def start(self):
@@ -1385,7 +1404,7 @@ class TestThreadedBuild:
 
         monkeypatch.setattr(T, "_workers", lambda jobs: min(3, jobs))
         monkeypatch.setattr(T.threading, "Thread", Unstartable)
-        assert np.array_equal(T._assemble_forward(grid, 1).toarray(), want)
+        assert np.array_equal(T._RowBlocks(grid, 1, 0, False).toarray(), want)
 
     def test_worker_count(self, monkeypatch):
         import os
@@ -1393,7 +1412,8 @@ class TestThreadedBuild:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         monkeypatch.delenv("KPLANE_THREADS", raising=False)
         assert [T._workers(jobs) for jobs in (1, 3, 8)] == [1, 3, 4]
-        for cap, want in (("2", 2), ("1", 1), ("0", 4), ("many", 4)):
+        # a digit outside ASCII, which int() refuses, is no cap
+        for cap, want in (("2", 2), ("1", 1), ("0", 4), ("many", 4), ("²", 4)):
             monkeypatch.setenv("KPLANE_THREADS", cap)
             assert T._workers(8) == want, cap
         # without an affinity mask, the CPUs os.cpu_count gives
