@@ -123,31 +123,34 @@ _BLOCK_CELLS = 16
 _BUILD_CELLS = 256
 _MATRIX_CACHE: OrderedDict = OrderedDict()
 _CACHE_LOCK = threading.Lock()
-_BUILD_LOCKS: dict = {}
+#: held by the one build in flight; no build calls _cached, so it cannot deadlock
+_BUILD_LOCK = threading.Lock()
 #: (entry kind, "builds" | "hits" | "evictions") -> count, and (entry kind,
 #: "build_s") -> wall seconds in build(), under _CACHE_LOCK
 _CACHE_COUNTS: Counter = Counter()
 
 
-def _evict(need: int, keep: int) -> None:
-    """Drop least recently used entries, all but the `keep` newest, while the
-    held bytes plus `need` exceed DENSE_BUDGET_BYTES (caller holds the lock)."""
+def _evict(need: int) -> None:
+    """Drop least recently used entries while the held bytes plus `need`
+    exceed DENSE_BUDGET_BYTES (caller holds _CACHE_LOCK)."""
     held = sum(v.nbytes for v in _MATRIX_CACHE.values())
-    while held + need > DENSE_BUDGET_BYTES and len(_MATRIX_CACHE) > keep:
+    while held + need > DENSE_BUDGET_BYTES and _MATRIX_CACHE:
         key, value = _MATRIX_CACHE.popitem(last=False)
         held -= value.nbytes
         _CACHE_COUNTS[key[0], "evictions"] += 1
 
 
 def _cached(key, build, need: int):
-    """Memoized build() of an entry that holds at most `need` bytes;
-    concurrent callers with one key wait for one build.
+    """Memoized build() of an entry that holds at most `need` bytes.
 
-    Before the build, least recently used entries are evicted until `need`
-    fits in DENSE_BUDGET_BYTES beside what stays; after the build the cache
-    is trimmed to the budget again, never evicting the entry just built. A
-    build that raises stores nothing, and the next caller builds again. The
-    wall seconds of a build that stores its entry count in "build_s".
+    A hit takes _CACHE_LOCK alone and never waits for a build. Builds run
+    one at a time under _BUILD_LOCK: a caller that missed checks the cache
+    again, evicts least recently used entries until `need` fits in
+    DENSE_BUDGET_BYTES beside what stays, and builds. So the held entries
+    and the build in flight fit the budget for any number of callers, and
+    callers that miss on one key get one build. A build that raises stores
+    nothing, and the next caller builds again. The wall seconds of a build
+    that stores its entry count in "build_s".
     """
     kind = key[0]
     with _CACHE_LOCK:
@@ -155,26 +158,19 @@ def _cached(key, build, need: int):
             _MATRIX_CACHE.move_to_end(key)
             _CACHE_COUNTS[kind, "hits"] += 1
             return _MATRIX_CACHE[key]
-        key_lock = _BUILD_LOCKS.setdefault(key, threading.Lock())
-    with key_lock:
-        try:
-            with _CACHE_LOCK:
-                if key in _MATRIX_CACHE:
-                    _CACHE_COUNTS[kind, "hits"] += 1
-                    return _MATRIX_CACHE[key]
-                _evict(need, 0)
-            start = time.perf_counter()
-            value = build()
-            elapsed = time.perf_counter() - start
-            with _CACHE_LOCK:
-                _MATRIX_CACHE[key] = value
-                _CACHE_COUNTS[kind, "builds"] += 1
-                _CACHE_COUNTS[kind, "build_s"] += elapsed
-                _evict(0, 1)
-        finally:
-            with _CACHE_LOCK:
-                if _BUILD_LOCKS.get(key) is key_lock:
-                    del _BUILD_LOCKS[key]
+    with _BUILD_LOCK:
+        with _CACHE_LOCK:
+            if key in _MATRIX_CACHE:
+                _CACHE_COUNTS[kind, "hits"] += 1
+                return _MATRIX_CACHE[key]
+            _evict(need)
+        start = time.perf_counter()
+        value = build()
+        elapsed = time.perf_counter() - start
+        with _CACHE_LOCK:
+            _MATRIX_CACHE[key] = value
+            _CACHE_COUNTS[kind, "builds"] += 1
+            _CACHE_COUNTS[kind, "build_s"] += elapsed
     return value
 
 
@@ -1229,17 +1225,14 @@ class OperatorMatrix:
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self.entries @ values
 
-    def to_csv(self, path):
-        np.savetxt(path, self.entries, delimiter=",")
-
 
 def discretize_T_R(params: Params, R: float, n: int) -> OperatorMatrix:
     """Dense matrix M with M f_samples ~ (T 1_{[0,R]} f) on an n-point grid over [0, R],
     built on every call and not cached: its own quadrature at interpolation
     degree 1 (hat functions), integrated by _accumulate into row blocks that
     are views of M, then clamped at 0."""
-    if not (R > 0):
-        raise ParameterError(f"need R > 0, got {R}")
+    if not 0 < R < math.inf:
+        raise ParameterError(f"need finite R > 0, got {R}")
     if n < 16:
         raise ParameterError(f"need n >= 16, got {n}")
     k, grid = params.k, make_grid(n, R)
@@ -1274,8 +1267,8 @@ def equicontinuity_modulus(params: Params, R: float, h_step: float,
                           - 1_{u>=r}(u^2-r^2)^{k/2-1}| u du,
 
     evaluated in closed form via v = u^2 (both pieces have fixed sign)."""
-    if not (R > 0):
-        raise ParameterError(f"need R > 0, got R={R}")
+    if not 0 < R < math.inf:
+        raise ParameterError(f"need finite R > 0, got R={R}")
     if n_scan < 2:
         raise ParameterError(f"need n_scan >= 2, got n_scan={n_scan}")
     if h_step == 0:

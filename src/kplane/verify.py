@@ -183,8 +183,9 @@ def check_compactness(params: Params, R: float, n_list) -> BoundReport:
     sigma_{n/4}/sigma_1 decreases as n doubles, and the equicontinuity modulus
     decreases as the step shrinks."""
     n_list = list(n_list)
-    if any(n < 64 for n in n_list) or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ParameterError("n_list must be increasing with every entry >= 64")
+    if (len(n_list) < 2 or any(n < 64 for n in n_list)
+            or any(b <= a for a, b in zip(n_list, n_list[1:]))):
+        raise ParameterError("n_list must hold two or more increasing sizes, each >= 64")
     ratios = []
     for n in n_list:
         op = discretize_T_R(params, R, n)
@@ -194,7 +195,7 @@ def check_compactness(params: Params, R: float, n_list) -> BoundReport:
     moduli = [equicontinuity_modulus(params, R, h) for h in steps]
     ratio_ok = all(b < a for a, b in zip(ratios, ratios[1:]))
     mod_ok = all(b < a for a, b in zip(moduli, moduli[1:]))
-    worst_ratio_growth = max((b / a for a, b in zip(ratios, ratios[1:])), default=0.0)
+    worst_ratio_growth = max(b / a for a, b in zip(ratios, ratios[1:]))
     return BoundReport("compactness", lhs=worst_ratio_growth, rhs=1.0,
                        passed=ratio_ok and mod_ok, tol=0.0,
                        inputs={"k": params.k, "d": params.d, "R": R,

@@ -205,12 +205,12 @@ class TestFailedBuild:
         f = K.extremizer_profile(params, 1.0, K.make_halfline_grid(101))
         with pytest.raises(K.ConfigurationError, match="budget"):
             K.apply_T(params, f)
-        assert T._BUILD_LOCKS == {}
+        assert not T._BUILD_LOCK.locked()
         assert T.cache_info()["fwd"]["builds"] == 0
         monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", 8 * 101 * 101)
         assert K.apply_T(params, f).values.shape == (101,)
         assert T.cache_info()["fwd"]["builds"] == 1
-        assert T._BUILD_LOCKS == {}
+        assert not T._BUILD_LOCK.locked()
 
     @pytest.mark.parametrize("n,budget", [(16385, 2 * 1024 ** 3), (513, 8 * 512 * 512),
                                           (101, 8 * 100 * 100)])

@@ -255,6 +255,12 @@ class TestDiscretized:
         ref = K.apply_T(params, f).values
         assert np.abs(got - ref).max() < 1e-6
 
+    @pytest.mark.parametrize("R", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_refuses_a_radius_not_finite_and_positive(self, R):
+        # R = inf would build on a half-line grid and record R = inf
+        with pytest.raises(K.ParameterError, match="finite R > 0"):
+            K.discretize_T_R(K.make_params(1, 3), R, 64)
+
     def test_singular_values_zero_matrix(self):
         params = K.make_params(1, 3)
         op = K.discretize_T_R(params, 1.0, 64)
@@ -294,6 +300,12 @@ class TestEquicontinuity:
     def test_zero_step_still_checks_R(self):
         with pytest.raises(K.ParameterError, match="R > 0"):
             K.equicontinuity_modulus(K.make_params(1, 3), -1.0, 0.0)
+
+    @pytest.mark.parametrize("h_step", [0.0, 0.1])
+    def test_infinite_R_refused(self, h_step):
+        # the closed form at R = inf is inf - inf, NaN
+        with pytest.raises(K.ParameterError, match="finite R > 0"):
+            K.equicontinuity_modulus(K.make_params(1, 3), float("inf"), h_step)
 
     @pytest.mark.parametrize("h_step", [0.0, 0.1])
     def test_too_few_scan_points(self, h_step):
@@ -352,6 +364,90 @@ class TestOperatorCache:
         assert not any(t.is_alive() for t in threads)
         assert builds == [(256, 1)]
         assert all(np.array_equal(v, results[0]) for v in results)
+
+    def test_concurrent_builds_of_distinct_keys_hold_the_budget(self, fresh_cache,
+                                                                 monkeypatch):
+        # one forward M0 held, two callers build k = 3 and k = 4 at once: the
+        # held entries and the reservations of the builds in flight never
+        # exceed the budget, as builds run one at a time
+        import sys
+        import threading
+        import time
+        T = fresh_cache
+        grid = K.make_halfline_grid(300)
+        monkeypatch.setattr(T, "DENSE_BUDGET_BYTES", int(2.5 * 8 * grid.n ** 2))
+        expected = {k: T._RowBlocks(grid, k, 0, False).toarray() for k in (3, 4)}
+        T._operator(grid, 1, 0, False)
+        assemble, guard, in_flight, peaks = T._RowBlocks, threading.Lock(), [], []
+
+        def slow_assemble(grid, k, d, adjoint):
+            need = T._operator_bytes(grid.n, k)
+            with T._CACHE_LOCK, guard:
+                in_flight.append(need)
+                held = sum(v.nbytes for v in T._MATRIX_CACHE.values())
+                peaks.append(held + sum(in_flight))
+            time.sleep(0.2)   # hold the build open while the other caller arrives
+            try:
+                return assemble(grid, k, d, adjoint)
+            finally:
+                with guard:
+                    in_flight.remove(need)
+
+        monkeypatch.setattr(T, "_RowBlocks", slow_assemble)
+        barrier = threading.Barrier(2)
+        results = {}
+
+        def worker(k):
+            barrier.wait(timeout=30)
+            results[k] = T._operator(grid, k, 0, False).toarray()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in (3, 4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(peaks) == 2
+        assert max(peaks) <= T.DENSE_BUDGET_BYTES, (peaks, T.DENSE_BUDGET_BYTES)
+        assert all(np.array_equal(results[k], expected[k]) for k in (3, 4))
+        assert T.cache_info()["fwd"]["builds"] == 3
+
+    def test_concurrent_hit_returns_during_another_build(self, fresh_cache, monkeypatch):
+        # a caller whose M0 is cached never waits for another key's build
+        import threading
+        T = fresh_cache
+        grid = K.make_halfline_grid(128)
+        held = T._operator(grid, 1, 0, False)
+        assemble, started, release = T._RowBlocks, threading.Event(), threading.Event()
+
+        def held_open(grid, k, d, adjoint):
+            started.set()
+            release.wait(timeout=30)
+            return assemble(grid, k, d, adjoint)
+
+        monkeypatch.setattr(T, "_RowBlocks", held_open)
+        builder = threading.Thread(target=T._operator, args=(grid, 3, 0, False))
+        got = []
+        hit = threading.Thread(target=lambda: got.append(T._operator(grid, 1, 0, False)))
+        builder.start()
+        try:
+            assert started.wait(timeout=30)
+            hit.start()
+            hit.join(timeout=10)
+            assert not hit.is_alive() and got[0] is held
+            assert builder.is_alive() and not release.is_set()
+        finally:
+            release.set()
+            builder.join(timeout=60)
+            hit.join(timeout=60)
+        assert not builder.is_alive()
+        info = T.cache_info()["fwd"]
+        assert (info["entries"], info["builds"], info["hits"]) == (2, 2, 1)
 
     def test_build_seconds_count_builds_not_hits(self, fresh_cache, monkeypatch):
         import time

@@ -130,6 +130,16 @@ class TestCompactness:
         with pytest.raises(K.ParameterError):
             K.check_compactness(params, 1.0, (32, 64))
 
+    @pytest.mark.parametrize("n_list", [(), (64,)])
+    def test_fewer_than_two_sizes_rejected(self, n_list):
+        # one size has no trend to check
+        with pytest.raises(K.ParameterError, match="two or more"):
+            K.check_compactness(K.make_params(1, 3), 1.0, n_list)
+
+    def test_infinite_R_rejected(self):
+        with pytest.raises(K.ParameterError, match="finite R > 0"):
+            K.check_compactness(K.make_params(1, 3), float("inf"), (64, 128))
+
 
 class TestTruncationPipeline:
     def test_randomized(self):
