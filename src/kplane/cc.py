@@ -22,7 +22,7 @@ from .core import (DomainError, IntervalSet, ParameterError, Params,
                    PreconditionError, RadialProfile, _running_integral, _window_integral,
                    restricted_mass, weighted_integral, weighted_lp_norm,
                    weighted_signed_integral)
-from .transform import apply_T
+from .transform import _apply_T_once
 
 #: nodes contributing less than this fraction of total mass are not support
 NEGLIGIBLE_MASS = 1e-9
@@ -191,14 +191,15 @@ def classify_trichotomy(params: Params, seq: list[RadialProfile], eps: float,
 
 def interaction_term(params: Params, f1: RadialProfile, f2: RadialProfile,
                      m: int) -> float:
-    """< (T f1)^{q-m}, (T f2)^m > against r^{d-k-1} dr."""
+    """< (T f1)^{q-m}, (T f2)^m > against r^{d-k-1} dr, each T f integrated
+    once, with no M0 formed unless it is cached (_apply_T_once)."""
     q = int(params.q)
     if not (1 <= m <= q - 1):
         raise ParameterError(f"need 1 <= m <= q-1 = {q - 1}, got {m}")
     if not (f1.nonnegative and f2.nonnegative):
         raise DomainError("interaction term requires nonnegative profiles")
-    return _interaction_term(params, apply_T(params, f1).values, apply_T(params, f2).values,
-                             m, f1.grid)
+    return _interaction_term(params, _apply_T_once(params, f1).values,
+                             _apply_T_once(params, f2).values, m, f1.grid)
 
 
 def _interaction_term(params: Params, t1: np.ndarray, t2: np.ndarray, m: int, grid) -> float:
@@ -210,7 +211,8 @@ def _interaction_term(params: Params, t1: np.ndarray, t2: np.ndarray, m: int, gr
 def interaction_bound_check(params: Params, R: float, delta: float,
                             psi: RadialProfile, m: int) -> tuple[float, float]:
     """Left side <1_{[0,R]}, (T psi)^m> and the bound's shape
-    R^{d-k} (R+delta)^{-m/p'} ||psi||_p^m, without the implied constant."""
+    R^{d-k} (R+delta)^{-m/p'} ||psi||_p^m, without the implied constant;
+    T psi is integrated once, over psi's support (_apply_T_once)."""
     q = int(params.q)
     if not (1 <= m <= q - 1):
         raise ParameterError(f"need 1 <= m <= q-1 = {q - 1}, got {m}")
@@ -222,7 +224,7 @@ def interaction_bound_check(params: Params, R: float, delta: float,
     if support_lo < (R + delta) * (1 - 1e-9):
         raise PreconditionError(
             f"psi must be supported in [R+delta, inf); support starts at {support_lo:.6g}")
-    return _interaction_bound(params, R, delta, psi, apply_T(params, psi).values, m)
+    return _interaction_bound(params, R, delta, psi, _apply_T_once(params, psi).values, m)
 
 
 def _interaction_bound(params: Params, R: float, delta: float, psi: RadialProfile,

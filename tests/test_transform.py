@@ -320,6 +320,27 @@ class TestEquicontinuity:
             got = K.equicontinuity_modulus(params, R, h)
             assert got == pytest.approx((2 * R * h - h * h) / 2, rel=1e-6)
 
+    def test_k1_at_huge_R(self):
+        # R * R overflows, but the modulus does not: for h << R it is
+        # 2 sqrt(2 R h) to leading order, and I is homogeneous of degree k
+        params = K.make_params(1, 3)
+        got = K.equicontinuity_modulus(params, 1e200, 0.1)
+        assert got == pytest.approx(2 * math.sqrt(2e199), rel=1e-3)
+        assert K.equicontinuity_modulus(params, 1e200, 1e199) == pytest.approx(
+            1e200 * K.equicontinuity_modulus(params, 1.0, 0.1), rel=1e-12)
+
+    def test_k3_at_huge_R(self):
+        # for h << R the modulus is R^2 h / 2 to leading order, past a double
+        # at R = 1e200 and h = 0.1, and the difference of (R^2 - r^2)^{3/2}
+        # terms that gives it does not cancel to 0
+        params = K.make_params(3, 4)
+        with pytest.raises(K.ParameterError, match="overflows"):
+            K.equicontinuity_modulus(params, 1e200, 0.1)
+        assert K.equicontinuity_modulus(params, 1e130, 1e-100) == pytest.approx(5e159,
+                                                                                rel=1e-6)
+        assert K.equicontinuity_modulus(params, 1e100, 1e99) == pytest.approx(
+            1e300 * K.equicontinuity_modulus(params, 1.0, 0.1), rel=1e-12)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_vanishes_with_step(self, k):
         params = K.make_params(k, 4)
@@ -1093,6 +1114,72 @@ class TestOneShotApply:
         params = K.make_params(1, 3)
         with pytest.raises(K.ConfigurationError, match="budget"):
             T._apply_T_once(params, K.extremizer_profile(params, 1.0, K.make_halfline_grid(101)))
+
+    TRIM_GRIDS = {"half600": lambda: K.make_halfline_grid(600),
+                  "trunc600": lambda: K.make_grid(600, 5.0)}
+
+    @staticmethod
+    def _supports(n):
+        # the node range [j0, j1] of each profile's nonzero samples
+        return {"tail": (n // 3, n - 1), "head": (0, n // 2), "window": (n // 4, n // 2),
+                "node": (n // 2, n // 2), "near_start": (3, n // 2),
+                "near_end": (n // 2, n - 4), "node_at_start": (5, 5),
+                "node_at_end": (n - 8, n - 8), "full": (8, n - 9), "zero": None}
+
+    @classmethod
+    def _trim_profiles(cls, grid, split):
+        # a smooth decay cut to each support; with `split`, split at the
+        # radii halfway to the nodes beyond the support's ends
+        r = grid.nodes
+        out = {}
+        for name, support in cls._supports(grid.n).items():
+            vals, splits = np.zeros(grid.n), ()
+            if support is not None:
+                j0, j1 = support
+                vals[j0:j1 + 1] = (1.5 + np.sin(r[j0:j1 + 1])) / (1.0 + r[j0:j1 + 1] ** 2)
+                if split:
+                    splits = tuple(0.5 * (r[j] + r[j + 1]) for j in (j0 - 1, j1)
+                                   if 0 <= j < grid.n - 1)
+            out[name] = K.RadialProfile(grid, vals, splits=splits)
+        return out
+
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("grid", TRIM_GRIDS)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_trimmed_to_the_support_matches_apply_T(self, fresh_cache, monkeypatch, k, grid,
+                                                    split):
+        # only the cells whose stencils can read a nonzero sample are
+        # planned, through the last cell when the samples come within a
+        # stencil's reach of the end, and all of them for samples that near
+        # both ends; the rows past them stay exactly 0
+        T = fresh_cache
+        params, grid = K.make_params(k, k + 2), self.TRIM_GRIDS[grid]()
+        profiles = self._trim_profiles(grid, split)
+        spans, blocks = [], T._quadrature_blocks
+
+        def spying(grid, k, d, adjoint, c0=0, c1=None):
+            spans.append((c0, c1))
+            return blocks(grid, k, d, adjoint, c0, c1)
+
+        monkeypatch.setattr(T, "_quadrature_blocks", spying)
+        once = {name: T._apply_T_once(params, f) for name, f in profiles.items()}
+        monkeypatch.setattr(T, "_quadrature_blocks", blocks)
+        reach, last = INTERP_DEGREE + 1, T._cells(grid, False) - 1
+        want_spans = [(max(j0 - reach, 0), min(j1 + reach, last))
+                      for j0, j1 in filter(None, self._supports(grid.n).values())]
+        assert spans == want_spans and spans[-1] == (0, last)    # "full"
+        assert T.cache_info()["fwd"]["builds"] == 0
+        for (name, f), support in zip(profiles.items(), self._supports(grid.n).values()):
+            want, got = K.apply_T(params, f), once[name]
+            if support is None:
+                assert not got.values.any() and not want.values.any(), name
+                continue
+            scale = np.abs(want.values).max()
+            assert np.abs(got.values - want.values).max() <= 1e-13 * scale, name
+            assert not got.values[support[1] + reach + 1:].any(), name
+            assert got.meta["tail_warning"] == want.meta["tail_warning"], name
+            assert got.meta["tail_fraction"] == pytest.approx(want.meta["tail_fraction"],
+                                                              rel=1e-12, abs=0.0), name
 
 
 class TestQuadratureBlocks:

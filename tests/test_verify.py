@@ -164,16 +164,17 @@ class TestInteractionSuite:
 
     def test_one_transform_per_far_profile(self, monkeypatch):
         # the sweep against the public functions, each of which transforms
-        # psi for every m; the suite transforms each psi once per (pair, delta)
+        # psi for every m; the suite transforms each psi once per (pair, delta),
+        # by the one-shot path those functions take too
         import kplane.verify as V
         deltas, n, transformed = (2.0, 4.0, 8.0), 512, []
-        apply_T = V.apply_T
+        apply_T_once = V._apply_T_once
 
         def counting(params, f):
             transformed.append(f)
-            return apply_T(params, f)
+            return apply_T_once(params, f)
 
-        monkeypatch.setattr(V, "apply_T", counting)
+        monkeypatch.setattr(V, "_apply_T_once", counting)
         reps = V.suite_interaction(deltas=deltas, n=n)
         monkeypatch.undo()
         far = [f for f in transformed if f.indicator is None]
@@ -194,6 +195,16 @@ class TestInteractionSuite:
                 decreasing &= all(b < a for a, b in zip(terms, terms[1:]))
             assert rep.inputs["sweep_rows"] == rows
             assert rep.inputs["decreasing"] == decreasing
+
+    def test_builds_no_dense_forward_operator(self, fresh_cache):
+        # every far profile is transformed once, over its support, with no
+        # dense M0 built; k = 2's O(n) prefix sums are the one forward entry
+        T = fresh_cache
+        grid = K.make_halfline_grid(512)
+        suite_interaction(deltas=(2.0, 4.0), n=grid.n)
+        info = T.cache_info()
+        assert info["fwd"]["builds"] == info["fwd"]["entries"] == 1
+        assert list(T._MATRIX_CACHE) == [("fwd", grid.fingerprint(), 2)]
 
 
 def test_run_suite_unknown_name():
