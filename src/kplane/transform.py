@@ -65,10 +65,10 @@ workers too; k = 2 runs on the calling thread.
 Split radii change only the interpolation stencils within INTERP_DEGREE
 cells of a split and the subdivision of the cell that holds it, so M0 is
 never rebuilt for them and nothing is cached per split set: every apply
-integrates each range of those cells once with the splits, contracted
-against f (_split_quadratures). The prefix sums take its per-cell and
-per-row sums in place of the plain ones; a dense M0 f adds it and the
-range's plain quadrature contracted against -f (_add_splits).
+of M0 integrates each range of those cells once with the splits,
+contracted against f (_split_quadratures). The prefix sums take its
+per-cell and per-row sums in place of the plain ones; a dense M0 f adds it
+and the range's plain quadrature contracted against -f (_RowBlocks.apply).
 A split is inside the grid when its angle lies strictly between the first
 and last node angles, one test for the interpolant and the quadrature
 alike. cache_info() counts the cache's entries, bytes, builds, hits,
@@ -79,14 +79,16 @@ by _integrate: the lattice weights of all of them are one vector, and a
 pass of rows is one fused row-dot of the two views against it, with no
 tile formed; the few points off the lattice, the pieces of the cells a split
 cuts, are evaluated one by one. A T f needed once (the sharp constant's T h,
-the CLI's transform, the cross terms of cc and the interaction suite's far
-profiles) need not form M0: _apply_T_once plans the plain quadrature of the
-cells whose stencils can read a nonzero sample of f, one block of
-_BUILD_CELLS cells at a time, contracts it against f block by block,
-integrates it by _integrate on the build's workers and adds f's splits by
-_add_splits, holding no matrix, no block of sine factors and caching
-nothing. discretize_T_R, uncached, plans its own quadrature at degree 1 and
-fills views of its n x n matrix with the tile loop of a dense build.
+the CLI's transform, the cross terms of cc, the interaction suite's far
+profiles and the superadd suite's f and 2f) need not form M0:
+_apply_T_once plans the quadrature of the cells whose stencils can read a
+nonzero sample of f with f's own interpolant and splits, one block of
+_BUILD_CELLS cells at a time, contracts it against f block by block and
+integrates it by one _integrate on the build's workers, holding no matrix,
+no block of sine factors and caching nothing. With no M0 f to correct, it
+plans no split range plain. discretize_T_R, uncached, plans its own
+quadrature at degree 1 and fills views of its n x n matrix with the tile
+loop of a dense build.
 """
 from __future__ import annotations
 
@@ -120,7 +122,7 @@ DENSE_BUDGET_BYTES = 2 * 1024 ** 3
 _TILE_ROWS, _TILE_CELLS = 256, 128
 #: cells per dense stencil block within a tile (128 GL points)
 _BLOCK_CELLS = 16
-#: cells per block of a whole-grid quadrature (_quadrature_blocks)
+#: cells per block of a planned quadrature (_quadrature_blocks, _apply_T_once)
 _BUILD_CELLS = 256
 _MATRIX_CACHE: OrderedDict = OrderedDict()
 _CACHE_LOCK = threading.Lock()
@@ -249,7 +251,8 @@ def _cells(grid: RadialGrid, adjoint: bool) -> int:
 
 def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
                 c0: int, c1: int, splits_r, adjoint: bool) -> dict:
-    """Product-integration nodes of the operator over grid cells c0..c1.
+    """Product-integration nodes of the operator over grid cells c0..c1, cut
+    at the split radii `splits_r`, each inside the grid (_split_clusters).
 
     Interior: GL points at angles `theta` = (cell + 1 + u) h, u in [0, 1]
     their offset in the owning cell, with a kernel-free weight and their
@@ -278,25 +281,21 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
     if c1 == grid.n - 1:
         # the last cell of a half-line grid ends at pi/2, r = inf
         th, r = np.append(th, (grid.n + 1) * h), np.append(r, np.inf)
-    split_t = [math.atan(s) for s in splits_r]
-    lo, hi, cell = _refine(th, c0, c1, split_t)
+    # the adjoint's head strip [0, theta_0] is cell -1 of the lattice
+    # extended by theta = 0 (r = 0), whose pieces at index j are cell j - 1
+    head = int(adjoint and c0 == 0)
+    th_x, r_x = (np.insert(th, 0, 0.0), np.insert(r, 0, 0.0)) if head else (th, r)
+    lo, hi, at = _refine(th_x, c0, c1 + head, [math.atan(s) for s in splits_r])
+    cell = at - head
     # the pieces in units of h from their cell's first node: a whole cell is
     # exactly [0, 1], so its GL points fall on the offsets of every other cell
-    ulo = np.where(lo == th[cell], 0.0, lo / h - (cell + 1))
-    uhi = np.where(hi == th[cell + 1], 1.0, hi / h - (cell + 1))
+    ulo = np.where(lo == th_x[at], 0.0, lo / h - (cell + 1))
+    uhi = np.where(hi == th_x[at + 1], 1.0, hi / h - (cell + 1))
     ug, wg = _gl(ulo, uhi, GL_CELL)
     seg = np.repeat(interp.segment_of(0.5 * (lo + hi)), GL_CELL[0].size)
     lattice = np.repeat((ulo == 0.0) & (uhi == 1.0), GL_CELL[0].size)
     cell = np.repeat(cell, GL_CELL[0].size)
     ug, wg = ug.ravel(), h * wg.ravel()
-    if adjoint and c0 == 0:
-        # the head strip [0, theta_0], a whole cell of segment 0: lattice
-        # cell -1 (GL_EDGE is GL_CELL's rule)
-        uh, wh = _gl(np.zeros(1), np.ones(1), GL_EDGE)
-        ug, wg = np.concatenate([uh[0], ug]), np.concatenate([h * wh[0], wg])
-        seg = np.concatenate([np.zeros(GL_EDGE[0].size, dtype=int), seg])
-        lattice = np.concatenate([np.ones(GL_EDGE[0].size, dtype=bool), lattice])
-        cell = np.concatenate([np.full(GL_EDGE[0].size, -1), cell])
     thg = (cell + 1 + ug) * h
     # the power of sec(theta) the weight grows like, out of the interpolant
     m = d - k + 1 if adjoint else k + 1
@@ -307,13 +306,9 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
         # u du cos^{k+1}(theta) = sin(theta) cos^{k-2}(theta) dtheta
         base = np.sin(thg) * np.cos(thg) ** (k - 2.0) * wg
 
-    lo, hi, cell_r = _refine(r, c0, c1, splits_r)
-    rows = cell_r + 1 if adjoint else cell_r
-    head = adjoint and c0 == 0
-    if head:
-        # row 0's own range [0, r_0]
-        lo, hi = np.concatenate([[0.0], lo]), np.concatenate([[r[0]], hi])
-        rows = np.concatenate([[0], rows])
+    # an adjoint row's edge piece is the cell before it: row 0's is [0, r_0]
+    lo, hi, at = _refine(r_x, c0, c1 + head, splits_r)
+    rows = at - head + adjoint
     seg_r = interp.segment_of(np.arctan(0.5 * (lo + hi)))
     # in the last rows r_{i+1} / r_i nears 2 whatever n is: a forward piece
     # spans phi up to about pi/3 (pi/2 in the last row), an adjoint one psi
@@ -368,18 +363,15 @@ def _sec_power(grid: RadialGrid, m: int) -> np.ndarray:
     return sec
 
 
-def _quadrature_blocks(grid: RadialGrid, k: int, d: int, adjoint: bool, c0: int = 0,
-                       c1: int | None = None):
-    """_quadrature of cells c0..c1 (by default the whole grid, its _cells)
-    without splits, as one dict per block of _BUILD_CELLS cells in turn, so
-    a caller that reduces each block holds one block's stencils at a time.
-    Concatenated (_concatenate), the blocks are _quadrature of c0..c1 point
-    for point: interior points go by cell and edge points by row, and the
-    LAST_EDGE_ROWS rows whose points _quadrature puts after the others are
-    the grid's last."""
-    if c1 is None:
-        c1 = _cells(grid, adjoint) - 1
-    for b0 in range(c0, c1 + 1, _BUILD_CELLS):
+def _quadrature_blocks(grid: RadialGrid, k: int, d: int, adjoint: bool):
+    """The whole grid's _quadrature (its _cells) without splits, as one dict
+    per block of _BUILD_CELLS cells in turn, so a build that reduces each
+    block holds one block's stencils at a time. Concatenated (_concatenate),
+    the blocks are the whole grid's _quadrature point for point: interior
+    points go by cell and edge points by row, and the LAST_EDGE_ROWS rows
+    whose points _quadrature puts after the others are the grid's last."""
+    c1 = _cells(grid, adjoint) - 1
+    for b0 in range(0, c1 + 1, _BUILD_CELLS):
         yield _quadrature(grid, k, d, grid._interp_plain, b0, min(b0 + _BUILD_CELLS - 1, c1),
                           (), adjoint)
 
@@ -746,8 +738,8 @@ def _integrate(grid: RadialGrid, k: int, quads: list, adjoint: bool, row0: int,
                row1: int) -> np.ndarray:
     """Rows row0..row1-1 of the operator integrated by the sum of `quads`,
     quadratures _contract-ed against f (one weight per point) that may
-    overlap: a split range and its plain quadrature against -f, or the whole
-    grid's plain one.
+    overlap: a split range and its plain quadrature against -f (a dense M0's
+    split apply), or a one-shot's quadrature of f's support with f's splits.
 
     The kernel is that of _accumulate. The lattice points of every
     quadrature go into one weight vector d, d[(c - d0) GL_CELL + m] the sum
@@ -812,7 +804,7 @@ class _RowBlocks:
     columns `_band` gives those rows. The triangle outside the band is zero
     and not stored, so a forward or adjoint M0 holds about (n + 2
     INTERP_DEGREE + _TILE_ROWS) / 2n of its n x n entries. apply() reads
-    each block once against its columns and adds f's splits (_add_splits).
+    each block once against its columns and adds what f's splits change.
 
     The build refuses a grid over the dense budget (_dense) before anything
     is allocated, plans the quadrature without splits by _quadrature_blocks
@@ -843,11 +835,21 @@ class _RowBlocks:
         return sum(B.nbytes for _, _, B in self.blocks)
 
     def apply(self, f: RadialProfile) -> np.ndarray:
-        """M0 f, one product per row block, with f's splits added."""
+        """M0 f, one product per row block, plus what f's splits change: per
+        range of _split_quadratures, its quadrature and the range's plain one
+        contracted against -f, integrated together by one _integrate over the
+        rows that see the range's cells, adjoint rows then scaled by r^{2-d}."""
+        grid, k, d, adjoint = self.grid, self.k, self.d, self.adjoint
         v, out = f.values, np.empty(self.n)
         for i0, c0, B in self.blocks:
             out[i0:i0 + B.shape[0]] = B @ v[c0:c0 + B.shape[1]]
-        _add_splits(out, self.grid, self.k, self.d, f, self.adjoint)
+        for c0, c1, split in _split_quadratures(grid, k, d, f, adjoint):
+            plain = _contract(_quadrature(grid, k, d, grid._interp_plain, c0, c1, (), adjoint), -v)
+            row0, row1 = ((0 if c0 == 0 else c0 + 1), self.n) if adjoint else (0, c1 + 1)
+            col = _integrate(grid, k, [split, plain], adjoint, row0, row1)
+            if adjoint:
+                col *= grid.nodes[row0:row1] ** (2.0 - d)
+            out[row0:row1] += col
         return out
 
     def toarray(self) -> np.ndarray:
@@ -900,23 +902,6 @@ def _split_quadratures(grid: RadialGrid, k: int, d: int, f: RadialProfile, adjoi
     interp = f.interpolator()
     for c0, c1 in clusters:
         yield c0, c1, _contract(_quadrature(grid, k, d, interp, c0, c1, kept, adjoint), f.values)
-
-
-def _add_splits(out: np.ndarray, grid: RadialGrid, k: int, d: int, f: RadialProfile,
-                adjoint: bool) -> None:
-    """Add to `out`, a dense M0 f (adjoint rows scaled by r^{2-d}), what f's
-    splits change: per range of _split_quadratures, its quadrature and the
-    range's plain one contracted against -f, integrated together by one
-    _integrate over the rows that see the range's cells, adjoint rows then
-    scaled by r^{2-d}."""
-    for c0, c1, split in _split_quadratures(grid, k, d, f, adjoint):
-        plain = _contract(_quadrature(grid, k, d, grid._interp_plain, c0, c1, (), adjoint),
-                          -f.values)
-        row0, row1 = ((0 if c0 == 0 else c0 + 1), grid.n) if adjoint else (0, c1 + 1)
-        col = _integrate(grid, k, [split, plain], adjoint, row0, row1)
-        if adjoint:
-            col *= grid.nodes[row0:row1] ** (2.0 - d)
-        out[row0:row1] += col
 
 
 def _band(n: int, i0: int, i1: int, adjoint: bool) -> tuple[int, int]:
@@ -1127,25 +1112,27 @@ def _apply_T_once(params: Params, f: RadialProfile) -> RadialProfile:
     """apply_T(params, f) for a profile transformed once: T f integrated
     directly, with no M0 formed and nothing cached. Its users are
     constant_B, the CLI's transform, cc.interaction_term,
-    cc.interaction_bound_check and the interaction suite.
+    cc.interaction_bound_check and the interaction and superadd suites.
 
     T f = K (D f), D the Gauss points' interpolation stencils and K their
-    kernel weights per row. Only the cells whose plain stencils can read a
+    kernel weights per row. Only the cells whose stencils can read a
     nonzero sample of f are planned: the node range of those samples
-    widened by INTERP_DEGREE + 1 cells each side, so through the last cell
-    when it comes that near the end, where the stencils are clamped and the
-    half-line last cell extrapolates; a profile with nonzero samples that
-    near both ends plans the whole grid, in the blocks of a build. Their
-    quadrature is planned by _quadrature_blocks one block of cells at a
-    time, each block's stencils contracted against f (_contract) once
+    widened by INTERP_DEGREE + 1 cells each side (a stencil, split or not,
+    is at most INTERP_DEGREE + 1 consecutive nodes, one its cell's), so
+    through the last cell when it comes that near the end, where the
+    stencils are clamped and the half-line last cell extrapolates; a
+    profile with nonzero samples that near both ends plans the whole grid.
+    That span is planned one block of _BUILD_CELLS cells at
+    a time by _quadrature with f's interpolant and its splits inside the
+    grid, each block's stencils contracted against f (_contract) once
     planned; the blocks are joined and one _integrate call integrates every
     row, its passes on the build's workers shrunk to the narrower lattice,
-    the rows past the planned cells left exactly 0, and _add_splits adds
-    f's splits. It holds one block's stencils, O(n) point weights and sums,
-    never an n x n matrix, the whole grid's stencils or a block of sine
-    factors, and still refuses a grid over the dense budget. The five far
-    profiles of the interaction suite's (1,3) at n = 2048 take about a
-    third of the time of a dense build and five applies.
+    the pieces of the cells a split cuts evaluated off the lattice, and the
+    rows past the planned cells left exactly 0. No plain quadrature of a
+    split range is planned: there is no M0 f to correct. It holds one
+    block's stencils, O(n) point weights and sums, never an n x n matrix,
+    the whole grid's stencils or a block of sine factors, and still refuses
+    a grid over the dense budget.
     Indicators (a closed form), k = 2 (O(n) prefix sums) and a (grid, k)
     whose M0 is cached, by the key _operator memoizes it under, go to
     apply_T.
@@ -1163,10 +1150,12 @@ def _apply_T_once(params: Params, f: RadialProfile) -> RadialProfile:
         reach = _quad.INTERP_DEGREE + 1
         c0 = max(int(nonzero[0]) - reach, 0)
         c1 = min(int(nonzero[-1]) + reach, _cells(grid, False) - 1)
-        quad = _concatenate([_contract(q, f.values)
-                             for q in _quadrature_blocks(grid, k, 0, False, c0, c1)])
+        kept, interp = _split_clusters(grid, f.splits, False)[0], f.interpolator()
+        quad = _concatenate([_contract(_quadrature(grid, k, 0, interp, b0,
+                                                   min(b0 + _BUILD_CELLS - 1, c1), kept, False),
+                                       f.values)
+                             for b0 in range(c0, c1 + 1, _BUILD_CELLS)])
         out = _integrate(grid, k, [quad], False, 0, grid.n)
-    _add_splits(out, grid, k, 0, f, adjoint=False)
     return _forward_result(f, k, out)
 
 

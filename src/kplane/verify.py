@@ -155,7 +155,8 @@ def check_slide_monotonicity(params: Params, E_sup: float, I: tuple[float, float
 def check_superadditivity(params: Params, alpha_grid) -> BoundReport:
     """Strict superadditivity backing S_1 > S_alpha + S_{1-alpha}:
     alpha^{k+1} + (1-alpha)^{k+1} < 1 in exact rational arithmetic, plus the
-    q-homogeneity ||T(c f)||_q^q = c^q ||T f||_q^q that reduces S_alpha to it."""
+    q-homogeneity ||T(c f)||_q^q = c^q ||T f||_q^q that reduces S_alpha to it,
+    f and c f each transformed once (_apply_T_once), with no dense M0 built."""
     alpha_grid = list(alpha_grid)
     worst = Fraction(0)
     for alpha in alpha_grid:
@@ -168,8 +169,9 @@ def check_superadditivity(params: Params, alpha_grid) -> BoundReport:
     grid = make_halfline_grid(512)
     f = extremizer_profile(params, 1.0, grid)
     c = 2.0
-    t1 = weighted_lp_norm(apply_T(params, f.scaled(c)), params.a_target, params.qf) ** params.qf
-    t0 = weighted_lp_norm(apply_T(params, f), params.a_target, params.qf) ** params.qf
+    t1 = weighted_lp_norm(_apply_T_once(params, f.scaled(c)), params.a_target,
+                          params.qf) ** params.qf
+    t0 = weighted_lp_norm(_apply_T_once(params, f), params.a_target, params.qf) ** params.qf
     hom_err = abs(t1 - c ** params.qf * t0) / t1
     passed = worst < 1 and hom_err < 1e-10
     return BoundReport("superadditivity", lhs=float(worst), rhs=1.0,

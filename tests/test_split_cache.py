@@ -150,20 +150,24 @@ def test_dense_split_apply_integrates_each_range_once(monkeypatch, k, adjoint):
     assert calls == [(c0, c1, 2) for c0, c1 in clusters]
 
 
+@pytest.mark.parametrize("grid", sorted(GRIDS))
 @pytest.mark.parametrize("k", [1, 3])
-def test_one_shot_plans_the_grid_without_splits(fresh_cache, monkeypatch, k):
-    # the whole grid is planned plain, block by block, and f's splits enter
-    # only through their ranges, as in a cached M0's apply
+def test_one_shot_plans_its_blocks_with_the_splits(fresh_cache, monkeypatch, k, grid):
+    # no M0 is formed, so no plain quadrature is subtracted: every block of
+    # the span is planned once, with f's splits inside the grid, and no
+    # split range is planned plain
     T = fresh_cache
-    grid = K.make_halfline_grid(300)
+    monkeypatch.setattr(T, "_BUILD_CELLS", 32)
+    grid = GRIDS[grid]()
     splits = SPLITS["four"]
     kept, clusters = T._split_clusters(grid, splits, adjoint=False)
+    assert len(clusters) > 1
     calls = _counting_quadrature(monkeypatch, T)
     f = K.RadialProfile(grid, np.ones(grid.n), splits=splits)
     T._apply_T_once(K.make_params(k, k + 2), f)
-    assert [call for call in calls if call[2]] == [(c0, c1, kept) for c0, c1 in clusters]
-    plain = [(c0, c1) for c0, c1, cut in calls if not cut]
-    assert plain[:2] == [(0, 255), (256, grid.n - 1)]
+    last = T._cells(grid, False) - 1
+    assert calls == [(b0, min(b0 + 31, last), kept) for b0 in range(0, last + 1, 32)]
+    assert T.cache_info()["fwd"]["builds"] == 0
 
 
 def test_concurrent_split_applies_build_once(fresh_cache):

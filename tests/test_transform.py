@@ -1155,15 +1155,21 @@ class TestOneShotApply:
         T = fresh_cache
         params, grid = K.make_params(k, k + 2), self.TRIM_GRIDS[grid]()
         profiles = self._trim_profiles(grid, split)
-        spans, blocks = [], T._quadrature_blocks
+        planned, quadrature = [], T._quadrature
 
-        def spying(grid, k, d, adjoint, c0=0, c1=None):
-            spans.append((c0, c1))
-            return blocks(grid, k, d, adjoint, c0, c1)
+        def spying(grid, k, d, interp, c0, c1, splits_r, adjoint):
+            planned[-1].append((c0, c1))
+            return quadrature(grid, k, d, interp, c0, c1, splits_r, adjoint)
 
-        monkeypatch.setattr(T, "_quadrature_blocks", spying)
-        once = {name: T._apply_T_once(params, f) for name, f in profiles.items()}
-        monkeypatch.setattr(T, "_quadrature_blocks", blocks)
+        monkeypatch.setattr(T, "_quadrature", spying)
+        once = {}
+        for name, f in profiles.items():
+            planned.append([])
+            once[name] = T._apply_T_once(params, f)
+        monkeypatch.setattr(T, "_quadrature", quadrature)
+        # each profile's blocks follow one another over its span
+        assert all(b[0] == a[1] + 1 for blocks in planned for a, b in zip(blocks, blocks[1:]))
+        spans = [(blocks[0][0], blocks[-1][1]) for blocks in planned if blocks]
         reach, last = INTERP_DEGREE + 1, T._cells(grid, False) - 1
         want_spans = [(max(j0 - reach, 0), min(j1 + reach, last))
                       for j0, j1 in filter(None, self._supports(grid.n).values())]
@@ -1180,6 +1186,20 @@ class TestOneShotApply:
             assert got.meta["tail_warning"] == want.meta["tail_warning"], name
             assert got.meta["tail_fraction"] == pytest.approx(want.meta["tail_fraction"],
                                                               rel=1e-12, abs=0.0), name
+
+    @pytest.mark.parametrize("n", [512, 2048])
+    def test_far_profile_matches_its_closed_form(self, fresh_cache, n):
+        # (1,3): psi_c = u^-2 1_{u >= c}, split at c, has T psi_c(r) =
+        # int_{max(r, c)}^inf du / (u sqrt(u^2 - r^2)) = arcsin(min(r / c, 1)) / r
+        T = fresh_cache
+        params, grid = K.make_params(1, 3), K.make_halfline_grid(n)
+        r = grid.nodes
+        for c in (1.5, 3.0, 5.0, 9.0, 17.0, 33.0):
+            psi = K.RadialProfile(grid, np.where(r >= c, r ** -2.0, 0.0), splits=(c,))
+            want = np.arcsin(np.minimum(r / c, 1.0)) / r
+            got = T._apply_T_once(params, psi).values
+            assert np.abs(got - want).max() <= 5e-14 * want.max(), c
+        assert T.cache_info()["fwd"]["builds"] == 0
 
 
 class TestQuadratureBlocks:

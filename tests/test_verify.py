@@ -103,6 +103,14 @@ class TestSuperadditivity:
         reps = run_suite("superadd", seed=0)
         assert all(r.passed for r in reps)
 
+    def test_builds_no_dense_operator(self, fresh_cache):
+        # f and 2f are transformed once each: k = 1 and k = 3 by the one-shot
+        # path, k = 2 by its O(n) prefix sums
+        T = fresh_cache
+        assert all(r.passed for r in run_suite("superadd", seed=0))
+        assert not any(isinstance(M, T._RowBlocks) for M in T._MATRIX_CACHE.values())
+        assert T.cache_info()["fwd"]["builds"] == 1
+
     def test_endpoint_rejected(self):
         params = K.make_params(1, 3)
         with pytest.raises(K.ParameterError):
