@@ -177,11 +177,26 @@ class IntervalSet:
 # ---------------------------------------------------------------------------
 # grids
 
+#: grid sizes from here on are refused: past them m h_hi in _row_rounding is
+#: inexact, and so are the nodes
+_MAX_POINTS = 2 ** 26
+
+
+def _row_rounding(m: np.ndarray, h: float) -> np.ndarray:
+    """fl(m h) - m h for integers 0 < m < 2^26: h splits into two halves of
+    26 bits (Veltkamp) whose products with m are exact, so one rounding
+    remains."""
+    hi = 134217729.0 * h
+    hi -= hi - h
+    return (m * h - m * hi) - m * (h - hi)
+
+
 class RadialGrid:
     """Tan-substitution quadrature grid on (0, r_max].
 
-    nodes            increasing radii tan(theta_i)
-    theta_nodes      the underlying uniform angles i*h
+    nodes            increasing radii, node i at tan((i + 1) h) of the exact
+                     lattice angle (i + 1) h, to about 1 ulp
+    theta_nodes      the rounded lattice angles fl((i + 1) h)
     r_max            effective truncation radius (the last node)
     base_weights     positive weights w_i with sum w_i f(r_i) ~ int_0^{r_max} f dr
                      (int_0^inf on half-line grids), each >= 0.257 h sec^2(theta_i)
@@ -192,6 +207,8 @@ class RadialGrid:
     def __init__(self, n_points: int, r_max_hint: float):
         if n_points < 16:
             raise ConfigurationError(f"need n_points >= 16, got {n_points}")
+        if n_points >= _MAX_POINTS:
+            raise ConfigurationError(f"need n_points < 2**26 = {_MAX_POINTS}, got {n_points}")
         if not (r_max_hint > 0):
             raise ConfigurationError(f"need r_max_hint > 0, got {r_max_hint}")
         self.n = int(n_points)
@@ -200,8 +217,19 @@ class RadialGrid:
             self.h = (math.pi / 2) / (self.n + 1)
         else:
             self.h = math.atan(r_max_hint) / self.n
-        self.theta_nodes = self.h * np.arange(1, self.n + 1)
-        self.nodes = np.tan(self.theta_nodes)
+            # atan(hint) is at most fl(pi/2) < pi/2, but n h may round past
+            # it: keep the last angle n h, exactly, at or below fl(pi/2)
+            while (self.h * self.n > math.pi / 2
+                   or (self.h * self.n == math.pi / 2 and _row_rounding(self.n, self.h) < 0)):
+                self.h = math.nextafter(self.h, 0.0)
+        m = np.arange(1, self.n + 1)
+        self.theta_nodes = self.h * m
+        # tan of the exact angle m h = fl(m h) - eps: tan(a - eps) = t - eps
+        # (1 + t^2) / (1 + eps t) with t = tan(a) and tan(eps) = eps to
+        # rounding, which holds even where eps t is not small, next to pi/2
+        t = np.tan(self.theta_nodes)
+        eps = _row_rounding(m, self.h)
+        self.nodes = t - eps * (1.0 + t * t) / (1.0 + eps * t)
         self.r_max = float(self.nodes[-1])
         sec2 = 1.0 + self.nodes ** 2
         # Gregory weights of the lattice j h, j = 0..n+1 on half-line grids

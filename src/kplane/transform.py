@@ -49,18 +49,19 @@ _operator_bytes). Its interior kernel is evaluated in theta: by tan^2 a -
 tan^2 b = sin(a - b) sin(a + b) / (cos^2 a cos^2 b), at GL point theta_p =
 (c + 1 + u) h of cell c against row theta_i = (i + 1) h it is
 cos(theta_i)^{2-k} cos(theta_p)^{2-k} times one sine power of (c - i + u) h
-and one of (c + i + 2 + u) h. On the lattice of whole cells (the adjoint's
-head strip [0, theta_0] is its cell -1) those two are a Toeplitz and a
-Hankel table of O(n) values, kept per (grid, k, direction), every k alike:
-for k = 2 the sine powers are 1 and the rounding correction of a row's
-angle, a multiple of k/2 - 1, is exactly 0. A quadrature without splits
-lies on the lattice alone, so a build (_accumulate, into row blocks) fills
-each tile of rows x whole cells with one multiply of two strided views and
-multiplies it by a small dense block of the stencils scaled by the cos power
-of each point. Its row blocks are filled on _workers threads, each block by
-one thread in one operation order, so M0 is bitwise the same for any worker
-count, as is every _integrate (below), whose passes of rows go to the
-workers too; k = 2 runs on the calling thread.
+and one of (c + i + 2 + u) h. Node i is tan of the exact angle (i + 1) h
+(RadialGrid), so every row lies on the lattice, and its cos(theta_i)^{2-k}
+is read from its radius. On the lattice of whole cells (the adjoint's head
+strip [0, theta_0] is its cell -1) those two are a Toeplitz and a Hankel
+table of O(n) values, kept per (grid, k, direction), every k alike (for
+k = 2 both are 1). A quadrature without splits lies on the lattice alone,
+so a build (_accumulate, into row blocks) fills each tile of rows x whole
+cells with one multiply of two strided views and multiplies it by a small
+dense block of the stencils scaled by the cos power of each point. Its row
+blocks are filled on _workers threads, each block by one thread in one
+operation order, so M0 is bitwise the same for any worker count, as is
+every _integrate (below), whose passes of rows go to the workers too; k = 2
+runs on the calling thread.
 
 Split radii change only the interpolation stencils within INTERP_DEGREE
 cells of a split and the subdivision of the cell that holds it, so M0 is
@@ -393,30 +394,15 @@ def _concatenate(blocks: list) -> dict:
 #
 # S(x) = sin(x)^{k/2-1}, with no cancellation near the diagonal. The Toeplitz
 # factor S(|c - i + u| h) depends on c - i and the Hankel factor on c + i, so on
-# the lattice of whole cells each is a table of O(n GL_CELL) values. A row sits
-# at the grid's rounded angle fl((i + 1) h), off the lattice by about an ulp;
-# within _EDGE_BAND cells of its kernel edge, where that shift is largest
-# against |theta_p - theta_i|, the Toeplitz factor takes its first-order
-# correction, so the kernel there is that of the row's own radius.
-
-#: cells past a row's kernel edge whose Toeplitz factor is corrected for the
-#: rounding of the row's angle; further out the correction is below
-#: 2^-53 |k/2 - 1| theta_i / (_EDGE_BAND h) relative
-_EDGE_BAND = 8
+# the lattice of whole cells each is a table of O(n GL_CELL) values. Node i
+# is tan of the exact angle (i + 1) h (RadialGrid), so every row lies on the
+# lattice and the tables give the kernel of the row's own radius; its
+# cos(theta_i)^{2-k} is sec^{k-2} of that radius (_sec_power).
 
 
 def _sine_power(x: np.ndarray, k: int) -> np.ndarray:
     """S(x) = sin(x)^{k/2-1} for 0 < x < pi."""
     return scaled_kernel_power(np.sin(x), k, 1.0)
-
-
-def _row_rounding(m: np.ndarray, h: float) -> np.ndarray:
-    """fl(m h) - m h for integers 0 < m < 2^26: h splits into two halves of
-    26 bits (Veltkamp) whose products with m are exact, so one rounding
-    remains."""
-    hi = 134217729.0 * h
-    hi -= hi - h
-    return (m * h - m * hi) - m * (h - hi)
 
 
 def _toeplitz_factor(dc, u, h: float, k: int, adjoint: bool) -> np.ndarray:
@@ -430,20 +416,6 @@ def _toeplitz_factor(dc, u, h: float, k: int, adjoint: bool) -> np.ndarray:
     return S
 
 
-def _rounding_factor(S: np.ndarray, dc, u, h: float, k: int, adjoint: bool) -> np.ndarray:
-    """The change of the Toeplitz factor S (of _toeplitz_factor) per unit of
-    rounding in the row's angle, within _EDGE_BAND cells of the edge (0
-    beyond and where the row does not see the cell)."""
-    # the row's angle moves theta_p - theta_i by -eps (forward) or
-    # theta_i - theta_p by +eps (adjoint); dS/dx = (k/2 - 1) S cot(x)
-    seen = dc <= -2 if adjoint else dc >= 1
-    near = np.broadcast_to(seen & (np.abs(dc) <= _EDGE_BAND + adjoint), S.shape)
-    x = np.broadcast_to(np.abs(dc + u) * h, S.shape)[near]
-    dS = np.zeros(S.shape)
-    dS[near] = (1 if adjoint else -1) * (k / 2 - 1) * S[near] / np.tan(x)
-    return dS
-
-
 def _hankel_factor(sc, u, h: float, k: int) -> np.ndarray:
     """S((sc + 2 + u) h) of points at offset u in cell c against row i,
     sc = c + i (arrays that broadcast)."""
@@ -453,119 +425,62 @@ def _hankel_factor(sc, u, h: float, k: int) -> np.ndarray:
 def _direct_sines(c: np.ndarray, u: np.ndarray, rows: np.ndarray, h: float, k: int,
                   adjoint: bool) -> np.ndarray:
     """The kernel's sine factors, rows x points, of points anywhere in their
-    cells c (offsets u), each evaluated on its own; `rows` ascending."""
-    dc = c - rows[:, None]
-    S = _toeplitz_factor(dc, u, h, k, adjoint)
-    H = _hankel_factor(c + rows[:, None], u, h, k)
-    A = S * H
-    # the rounding correction is 0 but on the rows within _EDGE_BAND cells
-    # of some point's cell
-    near = slice(*np.searchsorted(rows, [c.min() - _EDGE_BAND - 1, c.max() + _EDGE_BAND + 2]))
-    dS = _rounding_factor(S[near], dc[near], u, h, k, adjoint)
-    A[near] += _row_rounding(rows[near] + 1, h)[:, None] * (dS * H[near])
-    return A
+    cells c (offsets u), each evaluated on its own: at the lattice offsets
+    they are the tables' values bit for bit."""
+    return (_toeplitz_factor(c - rows[:, None], u, h, k, adjoint)
+            * _hankel_factor(c + rows[:, None], u, h, k))
 
 
 class _SineTables:
     """The sine factors of every row against the lattice of every whole cell
-    of the grid, GL_CELL points each: the Toeplitz factor and its rounding
-    correction tabulated over c - i, the Hankel factor over c + i, (cells +
-    n) GL_CELL values each. The lattice starts at cell `origin`: -1 for the
-    adjoint, whose head strip [0, theta_0] is cell -1, else 0, so cell c's
-    points are (c - origin) GL_CELL.. of a row. views(a, b) gives rows
-    a..b-1 against every lattice point as one strided view of each table, so
-    a tile of sine factors is one multiply (and the rows of its edge band
-    three more), and dot() sums rows of them against one vector without
-    forming the tile."""
+    of the grid, GL_CELL points each: the Toeplitz factor tabulated over
+    c - i, the Hankel factor over c + i, (cells + n) GL_CELL values each.
+    The lattice starts at cell `origin`: -1 for the adjoint, whose head
+    strip [0, theta_0] is cell -1, else 0, so cell c's points are (c -
+    origin) GL_CELL.. of a row. views(a, b) gives rows a..b-1 against every
+    lattice point as one strided view of each table, so a tile of sine
+    factors is one multiply, and dot() sums rows of them against one vector
+    without forming the tile."""
 
     def __init__(self, grid: RadialGrid, k: int, adjoint: bool):
         u = 0.5 + 0.5 * GL_CELL[0]           # a whole cell's offsets, as in _quadrature
         n, cells, o = grid.n, _cells(grid, adjoint), -int(adjoint)
-        self.adjoint, self.g, self.n, self.origin = adjoint, u.size, n, o
-        self.eps = _row_rounding(np.arange(1, n + 1), grid.h)
-        dc = np.arange(o + 1 - n, cells)[:, None]
-        U = _toeplitz_factor(dc, u, grid.h, k, adjoint)
-        W = _rounding_factor(U, dc, u, grid.h, k, adjoint)
-        # the Hankel table within _EDGE_BAND + 1 cells of zeros each side, so
-        # a band of cells next to any row's kernel edge is in it (dot)
-        self.pad = _EDGE_BAND + 1
-        V = np.zeros((cells - o + n - 1 + 2 * self.pad, u.size))
-        V[self.pad:-self.pad] = _hankel_factor(np.arange(o, cells + n - 1)[:, None], u, grid.h, k)
-        self.V_flat = V.ravel()
-        # the rounding factor of the _EDGE_BAND cells where it is not 0, the
-        # same for every row: c - i from 1 forward, from -_EDGE_BAND - 1 adjoint
-        edge = n - 1 - o + (-_EDGE_BAND - 1 if adjoint else 1)
-        self.W_band = W[edge:edge + _EDGE_BAND].ravel()
+        self.g, self.n, self.origin = u.size, n, o
+        U = _toeplitz_factor(np.arange(o + 1 - n, cells)[:, None], u, grid.h, k, adjoint)
+        V = _hankel_factor(np.arange(o, cells + n - 1)[:, None], u, grid.h, k)
         # window j: the table from flat index j on; row i starts at c - i =
-        # origin - i of U and W, and at c + i = origin + i of V
+        # origin - i of U, and at c + i = origin + i of V
         window = np.lib.stride_tricks.sliding_window_view
-        self.U, self.W, self.V = (window(T.ravel(), (cells - o) * u.size)
-                                  for T in (U, W, V[self.pad:-self.pad]))
+        self.U, self.V = (window(T.ravel(), (cells - o) * u.size) for T in (U, V))
 
     def views(self, a: int, b: int):
-        """U, W and V of rows a..b-1 against every lattice point."""
+        """U and V of rows a..b-1 against every lattice point."""
         g, last = self.g, self.n - 1
         toeplitz = slice((last - b + 1) * g, (last - a) * g + 1, g)
-        return (self.U[toeplitz][::-1], self.W[toeplitz][::-1], self.V[a * g:(b - 1) * g + 1:g])
+        return self.U[toeplitz][::-1], self.V[a * g:(b - 1) * g + 1:g]
 
-    def band_rows(self, c_lo: int, c_hi: int) -> tuple[int, int]:
-        """The rows [r0, r1) within _EDGE_BAND cells of the kernel edge of
-        cells c_lo..c_hi: those whose rounding correction is not 0 there."""
-        if self.adjoint:
-            return c_lo + 2, c_hi + _EDGE_BAND + 2
-        return c_lo - _EDGE_BAND, c_hi
-
-    def sines(self, views, a: int, c_lo: int, c_hi: int, p0: int, p1: int,
-              out: np.ndarray) -> np.ndarray:
-        """Sine factors of rows a.. (those of `views`) against lattice points
-        p0..p1-1, which lie in cells c_lo..c_hi, into `out`."""
-        U, W, V = (t[:, p0:p1] for t in views)
-        A = np.multiply(U, V, out=out)
-        r0, r1 = self.band_rows(c_lo, c_hi)
-        r0, r1 = max(r0 - a, 0), min(r1 - a, A.shape[0])
-        if r0 < r1:
-            near = W[r0:r1] * V[r0:r1]
-            near *= self.eps[a + r0:a + r1, None]
-            A[r0:r1] += near
-        return A
+    def sines(self, views, p0: int, p1: int, out: np.ndarray) -> np.ndarray:
+        """Sine factors of the rows of `views` against lattice points
+        p0..p1-1, into `out`."""
+        U, V = views
+        return np.multiply(U[:, p0:p1], V[:, p0:p1], out=out)
 
     def dot(self, a: int, b: int, c_lo: int, c_hi: int, d: np.ndarray, d0: int) -> np.ndarray:
         """The sine factors of rows a..b-1 against the lattice points of
         cells c_lo..c_hi times d, d[(c - d0) GL_CELL + m] the weight of point
-        m of cell c, summed per row in one fused pass; d is 0 on the
-        _EDGE_BAND cells next to c_lo..c_hi that the rows see. Only the rows
-        within _EDGE_BAND cells of those cells' kernel edge add the rounding
-        correction, read from band views of the tables and of d."""
+        m of cell c, summed per row in one fused pass."""
         g, o = self.g, self.origin
-        U, _, V = self.views(a, b)
+        U, V = self.views(a, b)
         p0, p1, e = (c_lo - o) * g, (c_hi + 1 - o) * g, (c_lo - d0) * g
-        s = np.einsum("ij,ij,j->i", U[:, p0:p1], V[:, p0:p1], d[e:e + p1 - p0])
-        r0, r1 = self.band_rows(c_lo, c_hi)
-        r0, r1 = max(r0, a), min(r1, b)
-        if r0 < r1:
-            # row i's band is the _EDGE_BAND cells from i - _EDGE_BAND - 1
-            # (adjoint) or i + 1 (forward) on: each row of it starts 2 cells
-            # on in the Hankel table and 1 cell on in d
-            c = r0 - _EDGE_BAND - 1 if self.adjoint else r0 + 1
-            window = functools.partial(np.lib.stride_tricks.sliding_window_view,
-                                       window_shape=_EDGE_BAND * g)
-            v0, e0, rows = (r0 + c - o + self.pad) * g, (c - d0) * g, r1 - r0
-            V_band = window(self.V_flat)[v0:v0 + 2 * g * rows:2 * g]
-            d_band = window(d)[e0:e0 + g * rows:g]
-            near = np.einsum("ij,ij,j->i", V_band, d_band, self.W_band)
-            near *= self.eps[r0:r1]
-            s[r0 - a:r1 - a] += near
-        return s
+        return np.einsum("ij,ij,j->i", U[:, p0:p1], V[:, p0:p1], d[e:e + p1 - p0])
 
 
 @functools.lru_cache(maxsize=8)
 def _lattice_tables(grid: RadialGrid, k: int, adjoint: bool) -> _SineTables:
-    """_SineTables of the grid, about 48 n doubles, shared by M0's build,
+    """_SineTables of the grid, about 32 n doubles, shared by M0's build,
     every split apply and every one-shot T f, which read the rows and cells
     they need from them."""
-    tables = _SineTables(grid, k, adjoint)
-    tables.eps.setflags(write=False)
-    return tables
+    return _SineTables(grid, k, adjoint)
 
 
 def _cell_tiles(cell: np.ndarray, sj: np.ndarray, sw: np.ndarray):
@@ -657,14 +572,14 @@ def _accumulate(blocks: list, grid: RadialGrid, k: int, quad: dict, adjoint: boo
     Forward row i integrates the interior cells c >= i+1, adjoint row i the
     cells c <= i-2; the edge stencils supply the cell at each row's kernel
     edge. The interior kernel is alpha_i beta_p times its sine factors:
-    alpha_i = cos(theta_i)^{2-k} scales rows, beta_p = base_p
-    cos(theta_p)^{2-k} the point weights. Rows go in passes of _TILE_ROWS;
-    the sine factors of a pass and a block of cells are one multiply of
-    views of the grid's _lattice_tables and their share of a row block one
-    product with the block's stencils (_cell_tiles) times beta, summed per
-    tile in a buffer of its own that is added to the row block once; a
-    tile's columns outside the block's band add exact zeros and are
-    dropped. What a row does not see has a zero Toeplitz factor.
+    alpha_i = cos(theta_i)^{2-k}, sec^{k-2} of row i's radius, scales rows,
+    beta_p = base_p cos(theta_p)^{2-k} the point weights. Rows go in passes
+    of _TILE_ROWS; the sine factors of a pass and a block of cells are one
+    multiply of views of the grid's _lattice_tables and their share of a
+    row block one product with the block's stencils (_cell_tiles) times
+    beta, summed per tile in a buffer of its own that is added to the row
+    block once; a tile's columns outside the block's band add exact zeros
+    and are dropped. What a row does not see has a zero Toeplitz factor.
 
     The stencil blocks, alpha, beta and the tables are made here and only
     read after; the row blocks, largest first, go to _on_workers, each
@@ -676,7 +591,7 @@ def _accumulate(blocks: list, grid: RadialGrid, k: int, quad: dict, adjoint: boo
     """
     rows = np.arange(max(i0 + B.shape[0] for i0, _, B in blocks))
     cell, g = quad["cell"], GL_CELL[0].size
-    alpha = np.cos(grid.theta_nodes[rows]) ** (2.0 - k)
+    alpha = _sec_power(grid, k - 2)[rows]
     w = quad["w"]
     if row_scale is not None:
         alpha *= row_scale
@@ -712,8 +627,7 @@ def _accumulate(blocks: list, grid: RadialGrid, k: int, quad: dict, adjoint: boo
                     tile[:] = 0.0
                     for p0, p1, c_lo, c_hi, j0, j1, D in tile_blocks:
                         q0 = (c_lo - tables.origin) * g
-                        A = tables.sines(views, rs[0], c_lo, c_hi, q0, q0 + p1 - p0,
-                                         buf[:rs.size, :p1 - p0])
+                        A = tables.sines(views, q0, q0 + p1 - p0, buf[:rs.size, :p1 - p0])
                         tile[:, j0 - J0:j1 - J0] += A @ D
                     tile *= alpha[a:a + rs.size, None]
                     B[a - i0:a - i0 + rs.size, lo - b0:hi - b0] += tile[:, lo - J0:hi - J0]
@@ -742,11 +656,11 @@ def _integrate(grid: RadialGrid, k: int, quads: list, adjoint: bool, row0: int,
     split apply), or a one-shot's quadrature of f's support with f's splits.
 
     The kernel is that of _accumulate. The lattice points of every
-    quadrature go into one weight vector d, d[(c - d0) GL_CELL + m] the sum
-    of beta_p sw_p over the quadratures that hold the point, with
-    _EDGE_BAND cells of zeros each side, and a pass of rows is one fused
-    row-dot of the tables' views against d (_SineTables.dot), no block of
-    sine factors formed. A pass takes _TILE_ROWS rows, proportionally more
+    quadrature go into one weight vector d over the cells c_lo..c_hi they
+    span, d[(c - c_lo) GL_CELL + m] the sum of beta_p sw_p over the
+    quadratures that hold the point, and a pass of rows is one fused row-dot
+    of the tables' views against d (_SineTables.dot), no block of sine
+    factors formed. A pass takes _TILE_ROWS rows, proportionally more
     over a lattice narrower than _TILE_CELLS cells, as a split range's is,
     so it covers as many points as a full tile. The points off the lattice
     (the pieces of the cells a split cuts) take _direct_sines against every
@@ -760,7 +674,7 @@ def _integrate(grid: RadialGrid, k: int, quads: list, adjoint: bool, row0: int,
     result and, per worker, a pass's row sums.
     """
     g, tables = GL_CELL[0].size, _lattice_tables(grid, k, adjoint)
-    alpha = np.cos(grid.theta_nodes[row0:row1]) ** (2.0 - k)
+    alpha = _sec_power(grid, k - 2)[row0:row1]
     out = np.zeros(row1 - row0)
     v = [q["base"] * np.cos(q["theta"]) ** (2.0 - k) * q["sw"] for q in quads]
     # the lattice cells of each quadrature, whose GL_CELL points come in turn
@@ -768,10 +682,9 @@ def _integrate(grid: RadialGrid, k: int, quads: list, adjoint: bool, row0: int,
     lattice = np.concatenate(on)
     if lattice.size:
         c_lo, c_hi = lattice.min(), lattice.max()
-        d0 = c_lo - _EDGE_BAND
-        d = np.zeros((c_hi + _EDGE_BAND + 1 - d0, g))
+        d = np.zeros((c_hi + 1 - c_lo, g))
         for q, v_q, cells in zip(quads, v, on):
-            d[cells - d0] += v_q[q["lattice"]].reshape(-1, g)
+            d[cells - c_lo] += v_q[q["lattice"]].reshape(-1, g)
         d = d.ravel()
         R = min(_TILE_ROWS * max(_TILE_CELLS // (c_hi + 1 - c_lo), 1), out.size)
 
@@ -782,7 +695,7 @@ def _integrate(grid: RadialGrid, k: int, quads: list, adjoint: bool, row0: int,
                 lo, hi = (c_lo, row0 + b - 3) if adjoint else (row0 + a + 1, c_hi)
                 lo, hi = max(lo, c_lo), min(hi, c_hi)
                 if lo <= hi:
-                    s = tables.dot(row0 + a, row0 + b, lo, hi, d, d0)
+                    s = tables.dot(row0 + a, row0 + b, lo, hi, d, c_lo)
                     s *= alpha[a:b]
                     out[a:b] = s
 

@@ -48,6 +48,38 @@ class TestGrid:
         with pytest.raises(K.ConfigurationError):
             K.make_grid(2, 1.0)
 
+    def test_too_large_rejected_before_any_allocation(self):
+        # from 2**26 nodes on the split of h would no longer put them on
+        # their lattice angles; the refusal comes before the node arrays
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            with pytest.raises(K.ConfigurationError, match=r"2\*\*26"):
+                K.make_grid(2 ** 26, math.inf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is plain double here")
+    @pytest.mark.parametrize("n,hint", [(300, math.inf), (2048, math.inf), (4096, math.inf),
+                                        (600, 8.0)])
+    def test_nodes_on_exact_lattice_angles(self, n, hint):
+        # node i is tan((i + 1) h) of the exact angle, not of fl((i + 1) h)
+        g = K.make_grid(n, hint)
+        exact = np.tan(np.arange(1, n + 1, dtype=np.longdouble) * np.longdouble(g.h))
+        ulps = np.abs((g.nodes - exact) / np.spacing(g.nodes)).astype(float)
+        assert ulps.max() <= 2.0, ulps.max()
+
+    @pytest.mark.parametrize("n", [24, 25, 41, 50, 1001, 4096])
+    def test_last_angle_stays_below_a_right_angle(self, n):
+        # atan(1e300) is fl(pi/2), and n h can round past it, where tan has
+        # changed sign: the last angle is kept at or below fl(pi/2)
+        g = K.make_grid(n, 1e300)
+        assert g.nodes[0] > 0 and (np.diff(g.nodes) > 0).all()
+        assert g.theta_nodes[-1] <= math.pi / 2
+
     def test_indicator_weighted_integral_exact(self):
         # int_0^1 1 * r^2 dr = 1/3
         g = K.make_grid(4096, 50.0)

@@ -794,8 +794,7 @@ class TestSineKernel:
         g, cells = GL_CELL[0].size, np.arange(tables.origin, grid.n - 1)
         c, u = np.repeat(cells, g), np.tile(0.5 + 0.5 * GL_CELL[0], cells.size)
         for a, b in ((0, grid.n), (0, 7), (37, 121), (190, 200)):
-            got = tables.sines(tables.views(a, b), a, cells[0], cells[-1], 0, c.size,
-                               np.empty((b - a, c.size)))
+            got = tables.sines(tables.views(a, b), 0, c.size, np.empty((b - a, c.size)))
             want = T._direct_sines(c, u, np.arange(a, b), grid.h, k, adjoint)
             assert np.array_equal(got == 0, want == 0)
             seen = want != 0
@@ -807,14 +806,14 @@ class TestSineKernel:
     def test_direct_evaluation_of_few_cells_equals_tables(self, k, adjoint):
         # the points of one or two cells against every row, as a split
         # apply evaluates the cells a split cuts: bitwise the table
-        # values, the rounding correction near the kernel edge included;
-        # the lattice's first cell is the adjoint's head strip, cell -1
+        # values; the lattice's first cell is the adjoint's head strip,
+        # cell -1
         T = K.transform
         grid = K.make_halfline_grid(200)
         g, rows = GL_CELL[0].size, np.arange(grid.n)
         tables = T._SineTables(grid, k, adjoint)
         o = tables.origin
-        every = tables.sines(tables.views(0, grid.n), 0, o, grid.n - 2, 0, (grid.n - 1 - o) * g,
+        every = tables.sines(tables.views(0, grid.n), 0, (grid.n - 1 - o) * g,
                              np.empty((grid.n, (grid.n - 1 - o) * g)))
         for cells in ([o], [0], [5], [100, 101], [197]):
             c, u = np.repeat(cells, g), np.tile(0.5 + 0.5 * GL_CELL[0], len(cells))
@@ -828,23 +827,19 @@ class TestSineKernel:
     def test_fused_row_dots_equal_the_sine_blocks(self, k, adjoint, hint):
         # a one-column pass against lattice weights d, over cell ranges at
         # both ends of the lattice (from its origin, the adjoint's head
-        # strip) and inside it, against the tile loop's sine block times d;
-        # the rows' rounding shifts are made O(1), so a band view off by a
-        # cell or a row would show
+        # strip) and inside it, against the tile loop's sine block times d
         T = K.transform
         grid = K.make_grid(64, hint)
         tables = T._SineTables(grid, k, adjoint)
-        tables.eps = np.linspace(1.0, 2.0, grid.n)
-        g, cells, band, o = GL_CELL[0].size, T._cells(grid, adjoint), T._EDGE_BAND, tables.origin
+        g, cells, o = GL_CELL[0].size, T._cells(grid, adjoint), tables.origin
         rng = np.random.default_rng(k + 2 * adjoint)
         for c_lo, c_hi, a, b in ((o, cells - 1, 0, grid.n), (o, 3, 0, 20), (30, 34, 20, 50),
                                  (cells - 4, cells - 1, 40, grid.n), (5, 40, 3, 61)):
-            d0 = c_lo - band
-            d = np.zeros((c_hi + band + 1 - d0) * g)
-            d[(c_lo - d0) * g:(c_hi + 1 - d0) * g] = rng.uniform(0.5, 1.5, (c_hi + 1 - c_lo) * g)
+            d0 = c_lo
+            d = rng.uniform(0.5, 1.5, (c_hi + 1 - c_lo) * g)
             # the cells these rows see
             lo, hi = (c_lo, min(c_hi, b - 3)) if adjoint else (max(c_lo, a + 1), c_hi)
-            A = tables.sines(tables.views(a, b), a, lo, hi, (lo - o) * g, (hi + 1 - o) * g,
+            A = tables.sines(tables.views(a, b), (lo - o) * g, (hi + 1 - o) * g,
                              np.empty((b - a, (hi + 1 - lo) * g)))
             want = A @ d[(lo - d0) * g:(hi + 1 - d0) * g]
             got = tables.dot(a, b, lo, hi, d, d0)
