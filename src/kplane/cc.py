@@ -2,9 +2,11 @@
 function, trichotomy classification of profile sequences, dichotomy splitting,
 and interaction terms between separated profiles.
 
-Every mass here is the norms' lattice rule's: windows and the concentration
-scan read its running integral (core._running_integral), the dichotomy split
-its node masses, so a window over the whole half-line holds the norm.
+Every mass of a sampled profile here is the norms' lattice rule's: windows
+and the concentration scan read its running integral
+(core._running_integral), the dichotomy split its node masses, so a window
+over the whole half-line holds the norm. An indicator's window and scan
+masses are exact, IntervalSet.weighted_measure over the window.
 
 A finite sequence can only exhibit trends, so the classifier works on trend
 statistics of the concentration function across the sequence plus the split
@@ -54,24 +56,15 @@ class TrichotomyReport:
 
 
 def _cumulative_mass(params: Params, f: RadialProfile):
-    """Callable r -> int_0^r |f|^p r^{d-1} dr: the running integral of the
-    norms' rule (core._running_integral), linear in theta between lattice
-    points, which at r = inf is the norm; exact for indicator-backed
-    profiles."""
+    """Callable taking an array of radii r to int_0^r |f|^p r^{d-1} dr. An
+    indicator-backed amp 1_F gives |amp|^p F.weighted_measure up to each r,
+    exactly; a sampled profile the running integral of the norms' rule
+    (core._running_integral), linear in theta between lattice points, which
+    at r = inf is the norm."""
     if f.indicator is not None:
         F, amp = f.indicator
         scale = abs(amp) ** params.pf
-
-        def at_exact(r):
-            r = np.asarray(r, dtype=float)
-            out = np.zeros(r.shape)
-            d = params.d
-            for a, b in F.intervals:
-                hi = np.clip(r, a, b)
-                out += (hi ** d - a ** d) / d
-            return scale * out
-
-        return at_exact
+        return lambda r: scale * F.weighted_measure(params.a_domain, 0.0, r)
     C = _running_integral(f, params.a_domain, params.pf)
     lattice = np.arange(C.size)
     return lambda r: np.interp(np.arctan(r) / f.grid.h, lattice, C)
@@ -216,6 +209,8 @@ def interaction_bound_check(params: Params, R: float, delta: float,
     q = int(params.q)
     if not (1 <= m <= q - 1):
         raise ParameterError(f"need 1 <= m <= q-1 = {q - 1}, got {m}")
+    if not (R >= 0 and delta >= 0):
+        raise ParameterError(f"need R >= 0 and delta >= 0, got R={R}, delta={delta}")
     if R < 1:
         raise PreconditionError(f"the far-field bound requires R >= 1, got {R}")
     if delta < R:

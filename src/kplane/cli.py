@@ -22,7 +22,7 @@ from .core import (DataError, DomainError, IntervalSet, KplaneError, ParameterEr
                    weighted_lp_norm, write_profile_csv)
 from .extremal import (constant_A, constant_B_with_error, extremizer_profile,
                        search_extremizer)
-from .transform import _apply_T_once
+from .transform import _apply_T_once, _dense_for
 from .verify import UNSEEDED_SUITES, run_suite
 
 
@@ -138,6 +138,9 @@ def _preset_profile(text: str, params, grid):
 
 def _cmd_transform(args) -> int:
     params = make_params(args.k, args.d)
+    # every profile but an indicator preset (a closed form) needs the operator
+    if args.input or args.preset.partition(":")[0] != "indicator":
+        _dense_for(args.k, args.grid_n)
     grid = make_halfline_grid(args.grid_n)
     if not args.rmax >= grid.nodes[0]:
         raise ParameterError(f"--rmax {args.rmax} keeps no output row: it must be at least "
@@ -175,6 +178,7 @@ def _cmd_constant(args) -> int:
 
 def _cmd_search(args) -> int:
     params = make_params(args.k, args.d)
+    _dense_for(args.k, args.grid_n)
     grid = make_halfline_grid(args.grid_n)
     kind, _, rest = args.init.partition(":")
     seed = None

@@ -148,26 +148,24 @@ class IntervalSet:
     def lebesgue(self) -> float:
         return sum(b - a for a, b in self.intervals)
 
-    def weighted_measure(self, a_exp: int) -> float:
-        """Exact measure against r^{a_exp} dr: sum (b^{a+1}-a^{a+1})/(a+1)."""
+    def weighted_measure(self, a_exp: int, lo: float = 0.0, hi=math.inf):
+        """Exact measure of the set within [lo, hi] against r^{a_exp} dr: the
+        sum of (min(b, hi)^m - max(a, lo)^m)/m, m = a_exp + 1, over the
+        intervals (a, b) that the window meets; 0 when it meets none or
+        lo >= hi. hi may also be an array of radii, for one measure per
+        radius."""
         m = a_exp + 1
-        return sum((b ** m - a ** m) / m for a, b in self.intervals)
+        if np.ndim(hi):
+            return sum(((np.clip(hi, max(a, lo), b) ** m - max(a, lo) ** m) / m
+                        for a, b in self.intervals if b > lo), np.zeros(np.shape(hi)))
+        return sum((min(b, hi) ** m - max(a, lo) ** m) / m
+                   for a, b in self.intervals if max(a, lo) < min(b, hi))
 
     def inf(self) -> float:
         return self.intervals[0][0] if self.intervals else math.inf
 
     def sup(self) -> float:
         return self.intervals[-1][1] if self.intervals else 0.0
-
-    def clip_left(self, r0: float) -> "IntervalSet":
-        """Intersection with [r0, inf)."""
-        out = [(max(a, r0), b) for a, b in self.intervals if b > r0]
-        return IntervalSet(tuple(out))
-
-    def clip_right(self, r1: float) -> "IntervalSet":
-        """Intersection with [0, r1]."""
-        out = [(a, min(b, r1)) for a, b in self.intervals if a < r1]
-        return IntervalSet(tuple(out))
 
     def covered_length(self, lo: float, hi: float) -> float:
         """Lebesgue measure of the intersection with [lo, hi]."""
@@ -307,6 +305,8 @@ class RadialProfile:
             raise DataError(f"expected {self.grid.n} samples, got shape {v.shape}")
         if not np.isfinite(v).all():
             raise DataError("profile contains non-finite samples")
+        if not np.isfinite(self.splits).all():
+            raise DataError(f"profile splits must be finite, got {self.splits}")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -548,28 +548,28 @@ def weighted_lp_norm(f: RadialProfile, a: int, p: float) -> float:
 
 
 def restricted_mass(params: Params, f: RadialProfile, r_lo: float, r_hi: float) -> float:
-    """int_{r_lo}^{r_hi} |f|^p r^{d-1} dr, read off the running integral of
-    the norms' rule (exact for indicator-backed profiles); a window end next
-    to a jump is first order."""
+    """int_{r_lo}^{r_hi} |f|^p r^{d-1} dr, 0 when r_lo >= r_hi. An
+    indicator-backed amp 1_F gives |amp|^p F.weighted_measure over the
+    window, exactly; a sampled profile reads the running integral of the
+    norms' rule, where a window end next to a jump is first order."""
+    if not (r_lo >= 0 and r_hi >= 0):
+        raise ParameterError(f"need window ends >= 0, got [{r_lo}, {r_hi}]")
     if f.indicator is not None:
         F, amp = f.indicator
-        clipped = F.clip_left(r_lo)
-        if not math.isinf(r_hi):
-            clipped = clipped.clip_right(r_hi)
-        return abs(amp) ** params.pf * clipped.weighted_measure(params.a_domain)
+        return abs(amp) ** params.pf * F.weighted_measure(params.a_domain, r_lo, r_hi)
     return _window_integral(f, params.a_domain, params.pf, r_lo, r_hi)
 
 
 def mass_tail(params: Params, f: RadialProfile, R: float) -> float:
     """int_R^inf |f|^p r^{d-1} dr; equals the full p-mass at R = 0."""
-    if R < 0:
+    if not R >= 0:
         raise ParameterError(f"need R >= 0, got {R}")
     return restricted_mass(params, f, R, math.inf)
 
 
 def mass_above_level(params: Params, f: RadialProfile, m: float) -> float:
     """int_{|f| > m} |f|^p r^{d-1} dr at cell granularity."""
-    if m < 0:
+    if not m >= 0:
         raise ParameterError(f"need level m >= 0, got {m}")
     if f.indicator is not None:
         F, amp = f.indicator

@@ -12,7 +12,7 @@ from .core import (DomainError, ParameterError, Params, RadialGrid, RadialProfil
                    IterationAnomalyError, make_halfline_grid, make_params,
                    weighted_lp_norm)
 from .symmetry import _median_radius, dilate_profile
-from .transform import _apply_T_once, apply_T, apply_T_adjoint
+from .transform import _apply_T_once, _dense_for, apply_T, apply_T_adjoint
 
 #: relative per-step tolerance for monotone ascent of the search functional
 ASCENT_TOL = 1e-9
@@ -70,6 +70,7 @@ def _constant_B_cached(k: int, d: int, resolution: int) -> tuple[float, float]:
                              f"{resolution // 2} points, and a grid needs 16 at least")
     # one T h per grid: integrated directly, with no operator built and cached
     params = make_params(k, d)
+    _dense_for(k, resolution)
     vals = []
     for n in (resolution // 2, resolution):
         grid = make_halfline_grid(n)
@@ -188,6 +189,8 @@ def search_extremizer(params: Params, init: RadialProfile, max_iter: int = 500,
         raise DomainError("search requires a nonnegative initial profile")
     if max_iter < 1:
         raise ParameterError(f"need max_iter >= 1, got {max_iter}")
+    if not tol >= 0:
+        raise ParameterError(f"need tol >= 0, got {tol}")
     qf, pf = params.qf, params.pf
     exp_update = 1.0 / (pf - 1.0)
     f = _normalized(params, init)

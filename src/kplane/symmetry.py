@@ -63,25 +63,22 @@ def rearrange(params: Params, f: RadialProfile) -> RadialProfile:
 def _median_radius(params: Params, f: RadialProfile) -> float:
     """Radius splitting the p-mass in half (mu-mass median).
 
+    For an indicator-backed amp 1_F it is exact: with m(r) the mu-mass of F
+    below r (F.weighted_measure up to r) and (a, b) the first interval of F
+    with m(b) >= m(inf) / 2, the r with r^d = a^d + d (m(inf) / 2 - m(a)).
     The sampled branch reads it off the running p-mass of the norms' rule
     (core._running_integral), whose last value is weighted_integral's, at
     the lattice position core._running_median gives. Splits take no special
     path; across a jump the total C halves is itself first order."""
     if f.indicator is not None:
         F, amp = f.indicator
-        d = params.d
-        total = F.weighted_measure(params.a_domain)
+        d, a_exp = params.d, params.a_domain
+        total = F.weighted_measure(a_exp)
         if total <= 0 or amp == 0.0:
             raise DomainError("zero profile has no dilation normalization")
         half = total / 2
-        acc = 0.0
-        for a, b in F.intervals:
-            m = (b ** d - a ** d) / d
-            if acc + m >= half:
-                need = half - acc
-                return (a ** d + need * d) ** (1.0 / d)
-            acc += m
-        return F.sup()
+        a = next(a for a, b in F.intervals if F.weighted_measure(a_exp, 0.0, b) >= half)
+        return (a ** d + (half - F.weighted_measure(a_exp, 0.0, a)) * d) ** (1.0 / d)
     C = _running_integral(f, params.a_domain, params.pf)
     if not C[-1] > 0:
         raise DomainError("zero profile has no dilation normalization")
@@ -101,7 +98,10 @@ def dilate_profile(params: Params, f: RadialProfile, lam: float) -> RadialProfil
     if not (lam > 0):
         raise ParameterError(f"need lam > 0, got {lam}")
     grid = f.grid
-    scale = lam ** params.scale_exp_f
+    try:
+        scale = lam ** params.scale_exp_f
+    except OverflowError:
+        raise ParameterError(f"lam = {lam} overflows the scale lam^(d/p)") from None
     if f.indicator is not None:
         F, amp = f.indicator
         moved = IntervalSet(tuple((a / lam, b / lam) for a, b in F.intervals))

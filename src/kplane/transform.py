@@ -79,9 +79,7 @@ Every quadrature contracted against f, one weight per point, is integrated
 by _integrate: the lattice weights of all of them are one vector, and a
 pass of rows is one fused row-dot of the two views against it, with no
 tile formed; the few points off the lattice, the pieces of the cells a split
-cuts, are evaluated one by one. A T f needed once (the sharp constant's T h,
-the CLI's transform, the cross terms of cc, the interaction suite's far
-profiles and the superadd suite's f and 2f) need not form M0:
+cuts, are evaluated one by one. A T f needed once need not form M0:
 _apply_T_once plans the quadrature of the cells whose stencils can read a
 nonzero sample of f with f's own interpolant and splits, one block of
 _BUILD_CELLS cells at a time, contracts it against f block by block and
@@ -220,6 +218,13 @@ def _dense(n: int) -> None:
         raise ConfigurationError(
             f"a dense operator on {n} grid points needs {need:.{digits}f} MiB, "
             f"above the {budget:.{digits}f} MiB budget; use a smaller grid")
+
+
+def _dense_for(k: int, n: int) -> None:
+    """_dense(n) where the operators of k are dense, every k but 2 (whose M0
+    is _PrefixSums): a caller refuses an n-node grid before building it."""
+    if k != 2:
+        _dense(n)
 
 
 # ---------------------------------------------------------------------------
@@ -1023,9 +1028,7 @@ def _forward_result(f: RadialProfile, k: int, out: np.ndarray) -> RadialProfile:
 
 def _apply_T_once(params: Params, f: RadialProfile) -> RadialProfile:
     """apply_T(params, f) for a profile transformed once: T f integrated
-    directly, with no M0 formed and nothing cached. Its users are
-    constant_B, the CLI's transform, cc.interaction_term,
-    cc.interaction_bound_check and the interaction and superadd suites.
+    directly, with no M0 formed and nothing cached.
 
     T f = K (D f), D the Gauss points' interpolation stencils and K their
     kernel weights per row. Only the cells whose stencils can read a

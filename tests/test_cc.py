@@ -206,3 +206,10 @@ class TestInteraction:
             K.interaction_bound_check(params, 1.0, 2.0, psi_far, int(params.q))
         lhs, shape = K.interaction_bound_check(params, 1.0, 2.0, psi_far, 1)
         assert lhs >= 0 and shape > 0
+
+    @pytest.mark.parametrize("R,delta", [(math.nan, 2.0), (1.0, math.nan)])
+    def test_bound_check_nan_rejected(self, grids, R, delta):
+        params = K.make_params(1, 3)
+        psi_far = K.indicator_profile(grids["half1024"], K.IntervalSet(((3.0, 4.0),)))
+        with pytest.raises(K.ParameterError):
+            K.interaction_bound_check(params, R, delta, psi_far, 1)

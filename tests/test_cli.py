@@ -54,6 +54,25 @@ class TestTransformCommand:
         assert not (tmp_path / "tf.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["transform", "--k", "1", "--d", "3", "--preset", "extremizer", "--out", "OUT"],
+    ["constant", "--k", "1", "--d", "3", "--which", "B"],
+    ["search", "--k", "1", "--d", "3", "--out-prefix", "OUT"]])
+def test_grid_over_dense_budget_refused_before_it_is_built(tmp_path, capsys, argv):
+    # the grid of 2 million nodes alone would take over 100 MiB
+    import tracemalloc
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    tracemalloc.start()
+    try:
+        code = run(argv + ["--grid-n", "2000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "on 2000000 grid points" in capsys.readouterr().err
+    assert peak < 2 ** 20, peak
+
+
 class TestConstantCommand:
     def test_b24(self, capsys):
         assert run(["constant", "--k", "2", "--d", "4", "--which", "B",

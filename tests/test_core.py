@@ -160,6 +160,12 @@ class TestNorms:
         with pytest.raises(K.DataError):
             K.RadialProfile(g, vals)
 
+    def test_nonfinite_split_rejected(self, grids):
+        # a NaN split would break the sorted order of the splits
+        g = grids["half1024"]
+        with pytest.raises(K.DataError, match="splits"):
+            K.RadialProfile(g, np.zeros(g.n), splits=(2.0, math.nan, 1.0))
+
 
 class TestMassTail:
     def test_indicator_closed_form(self, grids):
@@ -193,6 +199,12 @@ class TestMassTail:
         assert K.mass_tail(params, h, R) == pytest.approx(e / 2 + math.sin(2 * e) / 4,
                                                           rel=1e-11, abs=0)
 
+    def test_nan_radius_rejected(self, grids):
+        params = K.make_params(1, 3)
+        h = K.extremizer_profile(params, 1.0, grids["half1024"])
+        with pytest.raises(K.ParameterError):
+            K.mass_tail(params, h, math.nan)
+
 
 class TestWindowMass:
     @staticmethod
@@ -223,6 +235,16 @@ class TestWindowMass:
                     got = restricted_mass(params, h, a, b)
                     assert abs(got - exact) <= tol, (k, d, lam, a, b, got - exact)
 
+    @pytest.mark.parametrize("window", [(math.nan, 1.0), (0.5, math.nan), (-1.0, 2.0)])
+    def test_nan_or_negative_end_rejected(self, grids, window):
+        from kplane.core import restricted_mass
+        params = K.make_params(1, 3)
+        g = grids["half1024"]
+        for f in (K.extremizer_profile(params, 1.0, g),
+                  K.indicator_profile(g, K.IntervalSet(((0.0, 1.0),)))):
+            with pytest.raises(K.ParameterError):
+                restricted_mass(params, f, *window)
+
 
 class TestMassAboveLevel:
     def test_level_zero_full_mass(self, grids):
@@ -248,6 +270,12 @@ class TestMassAboveLevel:
         vals = [K.mass_above_level(params, h, m) for m in np.linspace(0, 2, 25)]
         assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
+    def test_nan_level_rejected(self, grids):
+        params = K.make_params(1, 3)
+        h = K.extremizer_profile(params, 1.0, grids["half1024"])
+        with pytest.raises(K.ParameterError):
+            K.mass_above_level(params, h, math.nan)
+
 
 class TestIntervalSet:
     def test_validation(self):
@@ -264,6 +292,54 @@ class TestIntervalSet:
         s = K.IntervalSet(((1.0, 2.0),))
         assert s.lebesgue() == 1.0
         assert s.weighted_measure(2) == pytest.approx(7 / 3, rel=1e-15)
+
+    @staticmethod
+    def _clipped_measure(F, a_exp, lo, hi):
+        """The measure of F within [lo, hi] by clipping F on the left, then
+        on the right, then summing over the whole clipped set."""
+        left = [(max(a, lo), b) for a, b in F.intervals if b > lo]
+        right = [(a, min(b, hi)) for a, b in left if a < hi]
+        m = a_exp + 1
+        return sum((b ** m - a ** m) / m for a, b in right)
+
+    @staticmethod
+    def _random_sets(rng, count):
+        for _ in range(count):
+            ends = np.sort(rng.choice(np.r_[0.0, rng.uniform(0, 20, 12)],
+                                      size=2 * int(rng.integers(1, 5)), replace=False))
+            yield K.IntervalSet(tuple(zip(ends[::2].tolist(), ends[1::2].tolist())))
+
+    def test_weighted_measure_window_equals_clipped_set(self):
+        # bitwise, over windows that start and end on interval ends, inside
+        # and outside the set, with lo < hi, lo = hi and lo > hi
+        rng = np.random.default_rng(3)
+        for F in self._random_sets(rng, 60):
+            a_exp = int(rng.integers(0, 5))
+            ends = [x for ab in F.intervals for x in ab]
+            radii = ends + rng.uniform(0, 25, 6).tolist() + [0.0, math.inf]
+            for lo in radii[:-1]:
+                for hi in radii:
+                    want = self._clipped_measure(F, a_exp, lo, hi)
+                    assert F.weighted_measure(a_exp, lo, hi) == want, (F, a_exp, lo, hi)
+                    if lo >= hi:
+                        assert want == 0
+            assert F.weighted_measure(a_exp) == self._clipped_measure(F, a_exp, 0.0, math.inf)
+
+    def test_weighted_measure_at_an_array_of_radii(self):
+        # from lo = 0 to each radius of an array: numpy's powers may differ
+        # from Python's in the last bit, so the bound is a few ulps of the
+        # largest power
+        rng = np.random.default_rng(4)
+        for F in self._random_sets(rng, 60):
+            a_exp = int(rng.integers(0, 5))
+            hi = np.r_[[x for ab in F.intervals for x in ab], rng.uniform(0, 25, 20), 0.0]
+            got = F.weighted_measure(a_exp, 0.0, hi)
+            want = [self._clipped_measure(F, a_exp, 0.0, r) for r in hi.tolist()]
+            ulp = np.finfo(float).eps * F.sup() ** (a_exp + 1)
+            assert got.shape == hi.shape
+            assert np.abs(got - want).max() <= 4 * len(F.intervals) * ulp, F
+        empty = K.IntervalSet(())
+        assert empty.weighted_measure(2, 0.0, np.array([1.0, 2.0])).tolist() == [0.0, 0.0]
 
 
     @pytest.mark.parametrize("pairs", [((0.0, 1.0),), ((0.2, 0.9), (1.3, 4.0)),

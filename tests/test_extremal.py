@@ -186,6 +186,14 @@ class TestConstantB:
             constant(K.make_params(1, 3), resolution=31)
         assert constant(K.make_params(1, 3), resolution=32)
 
+    def test_resolution_over_the_dense_budget_refused_before_any_grid(self, monkeypatch):
+        # the refusal names the resolution passed, not the half-size grid
+        # of the error estimate, and comes before either grid is built
+        from kplane import extremal
+        monkeypatch.setattr(extremal, "make_halfline_grid", None)
+        with pytest.raises(K.ConfigurationError, match="on 20000 grid points"):
+            K.constant_B(K.make_params(1, 3), 20000)
+
 
 class TestSearch:
     def test_extremizer_is_stationary(self, grids):
@@ -225,6 +233,13 @@ class TestSearch:
         vals[10] = -0.5
         with pytest.raises(K.DomainError):
             K.search_extremizer(params, K.RadialProfile(g, vals))
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-8])
+    def test_nan_or_negative_tol_rejected(self, grids, tol):
+        params = K.make_params(1, 3)
+        init = K.indicator_profile(grids["half1024"], K.IntervalSet(((0.0, 1.0),)))
+        with pytest.raises(K.ParameterError, match="tol"):
+            K.search_extremizer(params, init, max_iter=2, tol=tol)
 
     def test_ascent_guard_raises_on_broken_adjoint(self, grids, monkeypatch):
         # a corrupted gradient must trip the monotone-ascent anomaly guard,

@@ -101,6 +101,12 @@ class TestNormalizeDilation:
 
 
 class TestDilateProfile:
+    def test_overflowing_scale_rejected(self, grids):
+        params = K.make_params(1, 3)
+        h = K.extremizer_profile(params, 1.0, grids["half1024"])
+        with pytest.raises(K.ParameterError, match="overflows"):
+            K.dilate_profile(params, h, 1e300)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_beyond_the_last_node_extrapolates_g(self, k):
         # f = (1 + r^2)^{-a/2} has g = f sec^{k+1} = cos^{a-k-1}: smooth at
