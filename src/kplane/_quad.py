@@ -5,7 +5,6 @@ where profiles with critical power-law decay become smooth bounded functions.
 """
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -43,14 +42,11 @@ GREGORY_END = _gregory_end()
 EXTRAPOLATE_END = np.array([8.0, -28.0, 56.0, -70.0, 56.0, -28.0, 8.0, -1.0])
 
 
-@functools.lru_cache(maxsize=32)
 def _denominators(length: int, ndim: int) -> np.ndarray:
     """D[m, j] = j - m for nodes 0..length-1, exact small integers, each
     shaped (1,) * ndim to broadcast against a weight W[j] of an ndim-d x."""
     j = np.arange(length, dtype=float)
-    D = (j - j[:, None]).reshape((length, length) + (1,) * ndim)
-    D.setflags(write=False)
-    return D
+    return (j - j[:, None]).reshape((length, length) + (1,) * ndim)
 
 
 def lagrange_weights(x: np.ndarray, length: int) -> np.ndarray:

@@ -97,6 +97,18 @@ class Params:
         """Weight exponent of the target measure r^{d-k-1} dr."""
         return self.d - self.k - 1
 
+    def dilation_scale(self, lam: float) -> float:
+        """lam^{d/p}, the amplitude of the dilation lam^{d/p} f(lam r): a lam
+        that is not finite and > 0, or whose scale overflows a double, raises
+        ParameterError."""
+        if not 0 < lam < math.inf:
+            raise ParameterError(f"need finite lam > 0, got {lam}")
+        try:
+            # Python's power, which raises on overflow for a numpy lam too
+            return float(lam) ** self.scale_exp_f
+        except OverflowError:
+            raise ParameterError(f"lam = {lam} overflows the scale lam^(d/p)") from None
+
 
 def make_params(k: int, d: int) -> Params:
     """Build Params for plane dimension k and ambient dimension d."""
@@ -153,13 +165,18 @@ class IntervalSet:
         sum of (min(b, hi)^m - max(a, lo)^m)/m, m = a_exp + 1, over the
         intervals (a, b) that the window meets; 0 when it meets none or
         lo >= hi. hi may also be an array of radii, for one measure per
-        radius."""
+        radius. A power past the largest double raises DataError."""
         m = a_exp + 1
-        if np.ndim(hi):
-            return sum(((np.clip(hi, max(a, lo), b) ** m - max(a, lo) ** m) / m
-                        for a, b in self.intervals if b > lo), np.zeros(np.shape(hi)))
-        return sum((min(b, hi) ** m - max(a, lo) ** m) / m
-                   for a, b in self.intervals if max(a, lo) < min(b, hi))
+        try:
+            with np.errstate(over="raise"):
+                if np.ndim(hi):
+                    return sum(((np.clip(hi, max(a, lo), b) ** m - max(a, lo) ** m) / m
+                                for a, b in self.intervals if b > lo), np.zeros(np.shape(hi)))
+                return sum((min(b, hi) ** m - max(a, lo) ** m) / m
+                           for a, b in self.intervals if max(a, lo) < min(b, hi))
+        except (OverflowError, FloatingPointError):
+            raise DataError(f"the measure of {self.intervals} against r^{a_exp} dr "
+                            f"overflows a double") from None
 
     def inf(self) -> float:
         return self.intervals[0][0] if self.intervals else math.inf
@@ -540,9 +557,9 @@ def weighted_signed_integral(f_values: np.ndarray, grid: RadialGrid, a_exp: int)
 
 def weighted_lp_norm(f: RadialProfile, a: int, p: float) -> float:
     """(int_0^inf |f(r)|^p r^a dr)^{1/p} on the profile's grid."""
-    if p < 1:
+    if not p >= 1:
         raise ParameterError(f"need p >= 1, got p = {p}")
-    if a < 0:
+    if not a >= 0:
         raise ParameterError(f"need weight exponent a >= 0, got {a}")
     return weighted_integral(f, a, p) ** (1.0 / p)
 

@@ -40,10 +40,8 @@ def constant_A(params: Params) -> float:
 
 def extremizer_profile(params: Params, lam: float, grid: RadialGrid) -> RadialProfile:
     """Samples of the dilated extremizer lam^{d/p} (1 + (lam r)^2)^{-(k+1)/2}."""
-    if not (lam > 0):
-        raise ParameterError(f"need lam > 0, got {lam}")
-    r = grid.nodes
-    vals = lam ** params.scale_exp_f * (1.0 + (lam * r) ** 2) ** (-(params.k + 1) / 2.0)
+    scale = params.dilation_scale(lam)
+    vals = scale * (1.0 + (lam * grid.nodes) ** 2) ** (-(params.k + 1) / 2.0)
     return RadialProfile(grid, vals)
 
 

@@ -95,13 +95,7 @@ def dilate_profile(params: Params, f: RadialProfile, lam: float) -> RadialProfil
     g cos^{k+1}(theta) there, so no tail mass is dropped.
     Indicator-backed profiles stay exact.
     """
-    if not (lam > 0):
-        raise ParameterError(f"need lam > 0, got {lam}")
-    grid = f.grid
-    try:
-        scale = lam ** params.scale_exp_f
-    except OverflowError:
-        raise ParameterError(f"lam = {lam} overflows the scale lam^(d/p)") from None
+    grid, scale = f.grid, params.dilation_scale(lam)
     if f.indicator is not None:
         F, amp = f.indicator
         moved = IntervalSet(tuple((a / lam, b / lam) for a, b in F.intervals))

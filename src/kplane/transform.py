@@ -55,13 +55,14 @@ is read from its radius. On the lattice of whole cells (the adjoint's head
 strip [0, theta_0] is its cell -1) those two are a Toeplitz and a Hankel
 table of O(n) values, kept per (grid, k, direction), every k alike (for
 k = 2 both are 1). A quadrature without splits lies on the lattice alone,
-so a build (_accumulate, into row blocks) fills each tile of rows x whole
-cells with one multiply of two strided views and multiplies it by a small
-dense block of the stencils scaled by the cos power of each point. Its row
-blocks are filled on _workers threads, each block by one thread in one
-operation order, so M0 is bitwise the same for any worker count, as is
-every _integrate (below), whose passes of rows go to the workers too; k = 2
-runs on the calling thread.
+so a build (_accumulate, into row blocks) forms the sine factors of a
+pass of rows against a block of whole cells with one multiply of two
+strided views and adds their product with a small dense block of the
+stencils, scaled by the cos power of each point, straight into the row
+block. Its row blocks are filled on _workers threads, each block by one
+thread in one operation order, so M0 is bitwise the same for any worker
+count, as is every _integrate (below), whose passes of rows go to the
+workers too; k = 2 runs on the calling thread.
 
 Split radii change only the interpolation stencils within INTERP_DEGREE
 cells of a split and the subdivision of the cell that holds it, so M0 is
@@ -78,16 +79,16 @@ evictions and build seconds per entry kind.
 Every quadrature contracted against f, one weight per point, is integrated
 by _integrate: the lattice weights of all of them are one vector, and a
 pass of rows is one fused row-dot of the two views against it, with no
-tile formed; the few points off the lattice, the pieces of the cells a split
-cuts, are evaluated one by one. A T f needed once need not form M0:
+block of sine factors formed; the few points off the lattice, the pieces
+of the cells a split cuts, are evaluated one by one. A T f needed once need not form M0:
 _apply_T_once plans the quadrature of the cells whose stencils can read a
 nonzero sample of f with f's own interpolant and splits, one block of
 _BUILD_CELLS cells at a time, contracts it against f block by block and
 integrates it by one _integrate on the build's workers, holding no matrix,
 no block of sine factors and caching nothing. With no M0 f to correct, it
 plans no split range plain. discretize_T_R, uncached, plans its own
-quadrature at degree 1 and fills views of its n x n matrix with the tile
-loop of a dense build.
+quadrature at degree 1 and fills views of its n x n matrix as a dense
+build fills its row blocks.
 """
 from __future__ import annotations
 
@@ -115,11 +116,11 @@ _TAIL_TOL = 1e-6
 _EXTRAPOLATION_TOL = 1e-9
 #: largest dense operator matrix, in bytes, that a build may allocate
 DENSE_BUDGET_BYTES = 2 * 1024 ** 3
-#: tile of a dense build, rows x whole cells (256 x 1024 GL points), whose
-#: share of the matrix is summed in a buffer of its own; _TILE_ROWS is also
-#: the height of a stored row block of a dense M0
+#: _TILE_ROWS: rows of a stored row block of a dense M0 and of a pass of
+#: its build. _integrate's passes take _TILE_ROWS rows, and _TILE_CELLS // w
+#: times as many over a lattice of w < _TILE_CELLS cells
 _TILE_ROWS, _TILE_CELLS = 256, 128
-#: cells per dense stencil block within a tile (128 GL points)
+#: cells per stencil block of a dense build (128 GL points)
 _BLOCK_CELLS = 16
 #: cells per block of a planned quadrature (_quadrature_blocks, _apply_T_once)
 _BUILD_CELLS = 256
@@ -359,14 +360,11 @@ def _quadrature(grid: RadialGrid, k: int, d: int, interp: SegmentedInterp,
             "sidx": idx[:g], "sw": w[:g], "rows": rows, "idx": idx[g:], "w": w[g:]}
 
 
-@functools.lru_cache(maxsize=16)
 def _sec_power(grid: RadialGrid, m: int) -> np.ndarray:
     """sec^m(theta_j) = (1 + r_j^2)^{m/2} at every node, from the radii the
     profile is sampled at, so g_j = f_j sec^m(theta_j) is exactly 1 to
     rounding for f = (1 + r^2)^{-m/2}."""
-    sec = (1.0 + grid.nodes * grid.nodes) ** (m / 2.0)
-    sec.setflags(write=False)
-    return sec
+    return (1.0 + grid.nodes * grid.nodes) ** (m / 2.0)
 
 
 def _quadrature_blocks(grid: RadialGrid, k: int, d: int, adjoint: bool):
@@ -443,9 +441,9 @@ class _SineTables:
     The lattice starts at cell `origin`: -1 for the adjoint, whose head
     strip [0, theta_0] is cell -1, else 0, so cell c's points are (c -
     origin) GL_CELL.. of a row. views(a, b) gives rows a..b-1 against every
-    lattice point as one strided view of each table, so a tile of sine
-    factors is one multiply, and dot() sums rows of them against one vector
-    without forming the tile."""
+    lattice point as one strided view of each table, so the sine factors
+    of a pass of rows and a block of cells are one multiply (sines()), and
+    dot() sums rows of them against one vector without forming the block."""
 
     def __init__(self, grid: RadialGrid, k: int, adjoint: bool):
         u = 0.5 + 0.5 * GL_CELL[0]           # a whole cell's offsets, as in _quadrature
@@ -488,27 +486,23 @@ def _lattice_tables(grid: RadialGrid, k: int, adjoint: bool) -> _SineTables:
     return _SineTables(grid, k, adjoint)
 
 
-def _cell_tiles(cell: np.ndarray, sj: np.ndarray, sw: np.ndarray):
+def _cell_tiles(cell: np.ndarray, sj: np.ndarray, sw: np.ndarray) -> list:
     """The points (sorted by cell) in stencil blocks of _BLOCK_CELLS cells,
     aligned to multiples of that size: (b0, b1, c_lo, c_hi, j0, j1, D) per
     block, points b0..b1-1 in cells c_lo..c_hi with D[p, j - j0] the weight
-    of point b0 + p at column j. Returns them grouped in tiles of
-    _TILE_CELLS cells, (J0, J1, blocks) with J0..J1-1 the columns the tile
-    reaches; the adjoint's head strip, cell -1, is a tile of its own."""
+    of point b0 + p at column j. The adjoint's head strip, cell -1, is a
+    block of its own."""
     lo, hi = cell[0], cell[-1] + 1
-    edges = unique(np.concatenate([np.arange(lo - lo % size, hi + size, size)
-                                   for size in (_TILE_CELLS, _BLOCK_CELLS)]))
+    edges = np.arange(lo - lo % _BLOCK_CELLS, hi + _BLOCK_CELLS, _BLOCK_CELLS)
     bounds = unique(np.searchsorted(cell, edges))
-    tiles = {}
+    blocks = []
     for b0, b1 in zip(bounds[:-1], bounds[1:]):
         js = sj[b0:b1]
         j0, j1 = js.min(), js.max() + 1
         flat = (np.arange(b1 - b0)[:, None] * (j1 - j0) + js - j0).ravel()
         D = np.bincount(flat, sw[b0:b1].ravel(), (b1 - b0) * (j1 - j0)).reshape(b1 - b0, -1)
-        tiles.setdefault(cell[b0] // _TILE_CELLS, []).append(
-            (b0, b1, cell[b0], cell[b1 - 1], j0, j1, D))
-    return [(min(b[4] for b in blocks), max(b[5] for b in blocks), blocks)
-            for blocks in tiles.values()]
+        blocks.append((b0, b1, cell[b0], cell[b1 - 1], j0, j1, D))
+    return blocks
 
 
 def _workers(jobs: int) -> int:
@@ -580,11 +574,11 @@ def _accumulate(blocks: list, grid: RadialGrid, k: int, quad: dict, adjoint: boo
     alpha_i = cos(theta_i)^{2-k}, sec^{k-2} of row i's radius, scales rows,
     beta_p = base_p cos(theta_p)^{2-k} the point weights. Rows go in passes
     of _TILE_ROWS; the sine factors of a pass and a block of cells are one
-    multiply of views of the grid's _lattice_tables and their share of a
-    row block one product with the block's stencils (_cell_tiles) times
-    beta, summed per tile in a buffer of its own that is added to the row
-    block once; a tile's columns outside the block's band add exact zeros
-    and are dropped. What a row does not see has a zero Toeplitz factor.
+    multiply of views of the grid's _lattice_tables, and their product with
+    the block's stencils times beta (_cell_tiles) is added straight into the
+    band columns of the row block: its columns outside the band add exact
+    zeros and are dropped. A pass's rows are scaled by alpha once, after its
+    last block. What a row does not see has a zero Toeplitz factor.
 
     The stencil blocks, alpha, beta and the tables are made here and only
     read after; the row blocks, largest first, go to _on_workers, each
@@ -592,7 +586,8 @@ def _accumulate(blocks: list, grid: RadialGrid, k: int, quad: dict, adjoint: boo
     the blocks are bitwise the same for any worker count. Beyond the blocks
     and the kept tables a call holds `quad`, the stencil blocks, alpha and
     beta and, per worker that takes a block, one block of sine factors, one
-    tile buffer and the edge band of the row block it fills.
+    block's product with its stencils and the edge band of the row block it
+    fills.
     """
     rows = np.arange(max(i0 + B.shape[0] for i0, _, B in blocks))
     cell, g = quad["cell"], GL_CELL[0].size
@@ -602,40 +597,34 @@ def _accumulate(blocks: list, grid: RadialGrid, k: int, quad: dict, adjoint: boo
         alpha *= row_scale
         w = w * row_scale[quad["rows"], None]
     beta = quad["base"] * np.cos(quad["theta"]) ** (2.0 - k)
-    tiles = _cell_tiles(cell, quad["sidx"], beta[:, None] * quad["sw"])
+    stencils = _cell_tiles(cell, quad["sidx"], beta[:, None] * quad["sw"])
     tables, R = _lattice_tables(grid, k, adjoint), min(_TILE_ROWS, rows.size)
-    points = max(b[1] - b[0] for _, _, tile_blocks in tiles for b in tile_blocks)
-    width = max(J1 - J0 for J0, J1, _ in tiles)
+    points = max(p1 - p0 for p0, p1, *_ in stencils)
     edge_rows, edge_cols = quad["rows"], quad["idx"]
 
     def fill(take):
         # one worker: the row blocks it takes, each written by this worker
-        # alone, with its own block of sine factors and tile buffer, made on
-        # its first job (a worker that gets none allocates neither)
-        buf = acc = None
+        # alone, with its own block of sine factors, made on its first job
+        # (a worker that gets none allocates none)
+        buf = None
         for i0, b0, B in take:
             if buf is None:
-                buf, acc = np.empty((R, points)), np.empty((R, width))
+                buf = np.empty((R, points))
             b1 = b0 + B.shape[1]
             for a in range(i0, i0 + B.shape[0], R):
-                # per pass of rows, tile by tile, the blocks of the cells
-                # some row of the pass sees
+                # per pass of rows, the blocks of the cells some row of it sees
                 rs = rows[a:min(a + R, i0 + B.shape[0])]
                 first, last = (cell[0], rs[-1] - 2) if adjoint else (rs[0] + 1, cell[-1])
                 views = tables.views(rs[0], rs[-1] + 1)
-                for J0, J1, tile_blocks in tiles:
-                    lo, hi = max(J0, b0), min(J1, b1)
-                    tile_blocks = [b for b in tile_blocks if b[2] <= last and b[3] >= first]
-                    if lo >= hi or not tile_blocks:
+                P = B[a - i0:a - i0 + rs.size]
+                for p0, p1, c_lo, c_hi, j0, j1, D in stencils:
+                    if c_lo > last or c_hi < first:
                         continue
-                    tile = acc[:rs.size, :J1 - J0]
-                    tile[:] = 0.0
-                    for p0, p1, c_lo, c_hi, j0, j1, D in tile_blocks:
-                        q0 = (c_lo - tables.origin) * g
-                        A = tables.sines(views, q0, q0 + p1 - p0, buf[:rs.size, :p1 - p0])
-                        tile[:, j0 - J0:j1 - J0] += A @ D
-                    tile *= alpha[a:a + rs.size, None]
-                    B[a - i0:a - i0 + rs.size, lo - b0:hi - b0] += tile[:, lo - J0:hi - J0]
+                    q0 = (c_lo - tables.origin) * g
+                    A = tables.sines(views, q0, q0 + p1 - p0, buf[:rs.size, :p1 - p0])
+                    lo, hi = max(j0, b0), min(j1, b1)
+                    P[:, lo - b0:hi - b0] += (A @ D)[:, lo - j0:hi - j0]
+                P *= alpha[a:a + rs.size, None]
             # these rows' edge weights (quad["rows"] ascends) summed per entry
             # in a band indexed by row and column less row
             e0, e1 = np.searchsorted(edge_rows, (i0, i0 + B.shape[0]))
@@ -665,9 +654,9 @@ def _integrate(grid: RadialGrid, k: int, quads: list, adjoint: bool, row0: int,
     span, d[(c - c_lo) GL_CELL + m] the sum of beta_p sw_p over the
     quadratures that hold the point, and a pass of rows is one fused row-dot
     of the tables' views against d (_SineTables.dot), no block of sine
-    factors formed. A pass takes _TILE_ROWS rows, proportionally more
-    over a lattice narrower than _TILE_CELLS cells, as a split range's is,
-    so it covers as many points as a full tile. The points off the lattice
+    factors formed. A pass takes _TILE_ROWS rows, and _TILE_CELLS // w
+    times as many over a lattice of w < _TILE_CELLS cells, as a split
+    range's is. The points off the lattice
     (the pieces of the cells a split cuts) take _direct_sines against every
     row. The edge weights are summed per row of each quadrature, then over
     the quadratures, so a row's split and plain edge weights cancel as two

@@ -160,6 +160,14 @@ class TestNorms:
         with pytest.raises(K.DataError):
             K.RadialProfile(g, vals)
 
+    @pytest.mark.parametrize("a,p", [(2, math.nan), (math.nan, 2.0)], ids=["p", "a"])
+    def test_nan_exponent_rejected(self, grids, a, p):
+        # p < 1 and a < 0 are both false for NaN
+        g = K.make_halfline_grid(256)
+        h = K.extremizer_profile(K.make_params(1, 3), 1.0, g)
+        with pytest.raises(K.ParameterError):
+            K.weighted_lp_norm(h, a, p)
+
     def test_nonfinite_split_rejected(self, grids):
         # a NaN split would break the sorted order of the splits
         g = grids["half1024"]
@@ -340,6 +348,22 @@ class TestIntervalSet:
             assert np.abs(got - want).max() <= 4 * len(F.intervals) * ulp, F
         empty = K.IntervalSet(())
         assert empty.weighted_measure(2, 0.0, np.array([1.0, 2.0])).tolist() == [0.0, 0.0]
+
+    def test_overflowing_measure_rejected(self, grids):
+        # (1e200)^3 passes the largest double: the scalar branch (Python's
+        # powers), read by the norm and the tail mass, and the array branch
+        # (numpy's), read by the concentration scan, both raise DataError
+        params = K.make_params(1, 3)
+        F = K.IntervalSet(((0.0, 1e200),))
+        f = K.indicator_profile(grids["half1024"], F)
+        with pytest.raises(K.DataError, match=r"r\^2 dr overflows"):
+            K.weighted_lp_norm(f, params.a_domain, params.pf)
+        with pytest.raises(K.DataError, match="overflows"):
+            K.mass_tail(params, f, 1.0)
+        with pytest.raises(K.DataError, match=r"\(0\.0, 1e\+200\)"):
+            F.weighted_measure(params.a_domain, 0.0, np.array([1.0, 1e200]))
+        with pytest.raises(K.DataError, match="overflows"):
+            K.concentration_function(params, f, 1e200)
 
 
     @pytest.mark.parametrize("pairs", [((0.0, 1.0),), ((0.2, 0.9), (1.3, 4.0)),

@@ -64,6 +64,15 @@ class TestExtremizerProfile:
         assert h(np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-10)
         assert h(np.array([1.0]))[0] == pytest.approx(0.5, rel=1e-8)
 
+    def test_overflowing_scale_rejected(self, grids):
+        # (1e300)^{d/p} = (1e300)^{3/2} passes the largest double
+        with pytest.raises(K.ParameterError, match="overflows"):
+            K.extremizer_profile(K.make_params(1, 3), 1e300, grids["half1024"])
+
+    def test_infinite_lam_rejected(self, grids):
+        with pytest.raises(K.ParameterError, match="finite"):
+            K.extremizer_profile(K.make_params(1, 3), math.inf, grids["half1024"])
+
     def test_norm_dilation_invariant(self, grids):
         params = K.make_params(2, 4)
         g = grids["half4096"]

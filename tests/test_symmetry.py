@@ -107,6 +107,18 @@ class TestDilateProfile:
         with pytest.raises(K.ParameterError, match="overflows"):
             K.dilate_profile(params, h, 1e300)
 
+    def test_infinite_lam_rejected_for_a_sampled_profile(self, grids):
+        params = K.make_params(1, 3)
+        h = K.extremizer_profile(params, 1.0, grids["half1024"])
+        with pytest.raises(K.ParameterError, match="finite"):
+            K.dilate_profile(params, h, math.inf)
+
+    def test_infinite_lam_rejected_for_an_indicator(self, grids):
+        params = K.make_params(1, 3)
+        f = K.indicator_profile(grids["half1024"], K.IntervalSet(((0.5, 2.0),)))
+        with pytest.raises(K.ParameterError, match="finite"):
+            K.dilate_profile(params, f, math.inf)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_beyond_the_last_node_extrapolates_g(self, k):
         # f = (1 + r^2)^{-a/2} has g = f sec^{k+1} = cos^{a-k-1}: smooth at

@@ -571,8 +571,8 @@ class TestOperatorCache:
 
 
 class TestBlockedAssembly:
-    """The tiled assembly against a dense reference, across tile boundaries,
-    and within its memory bound."""
+    """The blocked assembly against a dense reference, across block
+    boundaries, and within its memory bound."""
 
     @staticmethod
     def _reference(grid, k, d, adjoint, splits=(), degree=7):
@@ -613,6 +613,37 @@ class TestBlockedAssembly:
         K.transform._accumulate([(0, 0, M)], grid, k, q, adjoint)
         assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("cells", [None, 3])
+    @pytest.mark.parametrize("hint", [float("inf"), 8.0])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_stencil_blocks_partition_the_points(self, monkeypatch, k, adjoint, hint, cells):
+        # the stencil blocks of a build take the quadrature's points in
+        # order, each block the points of one run of _BLOCK_CELLS cells
+        # aligned to a multiple of that size, and their D scattered back is
+        # the dense stencil matrix, beta sw at sidx
+        T = K.transform
+        if cells is not None:
+            monkeypatch.setattr(T, "_BLOCK_CELLS", cells)
+        grid = K.make_grid(300, hint)
+        q = T._quadrature(grid, k, k + 2 if adjoint else 0, grid._interp_plain, 0,
+                          T._cells(grid, adjoint) - 1, (), adjoint)
+        points, size = q["cell"].size, T._BLOCK_CELLS
+        sw = (q["base"] * np.cos(q["theta"]) ** (2.0 - k))[:, None] * q["sw"]
+        want = np.zeros((points, grid.n))
+        np.add.at(want, (np.arange(points)[:, None], q["sidx"]), sw)
+        got, at, runs = np.zeros_like(want), 0, []
+        for b0, b1, c_lo, c_hi, j0, j1, D in T._cell_tiles(q["cell"], q["sidx"], sw):
+            assert b0 == at < b1
+            assert (c_lo, c_hi) == (q["cell"][b0], q["cell"][b1 - 1])
+            assert c_lo // size == c_hi // size
+            runs.append(c_lo // size)
+            got[b0:b1, j0:j1] = D
+            at = b1
+        assert at == points
+        assert runs == sorted(set(runs))
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("adjoint", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_split_apply_matches_dense_reference(self, k, adjoint):
@@ -650,7 +681,8 @@ class TestBlockedAssembly:
             return plain
 
         default = build()
-        # row blocks and cell tiles that end inside a row's staircase
+        # row blocks, and passes of the split applies over few cells, that
+        # end inside a row's staircase
         monkeypatch.setattr(T, "_TILE_ROWS", 5)
         if cells is not None:
             monkeypatch.setattr(T, "_TILE_CELLS", cells)
@@ -749,8 +781,10 @@ class TestBlockedAssembly:
 
 class TestSineKernel:
     """The interior kernel from theta-lattice sine tables against the dense
-    t^2 - r^2 reference, with the default tiles and with tiles that split
-    row blocks and cells unevenly."""
+    t^2 - r^2 reference, with the default blocks and passes and with ones
+    that split rows and cells unevenly: _TILE_ROWS the row blocks and the
+    passes of a build, _TILE_CELLS the passes of _integrate, _BLOCK_CELLS
+    the stencil blocks."""
 
     TILES = {"default-tiles": None, "uneven-tiles": (5, 7, 3)}
 
@@ -827,7 +861,7 @@ class TestSineKernel:
     def test_fused_row_dots_equal_the_sine_blocks(self, k, adjoint, hint):
         # a one-column pass against lattice weights d, over cell ranges at
         # both ends of the lattice (from its origin, the adjoint's head
-        # strip) and inside it, against the tile loop's sine block times d
+        # strip) and inside it, against a dense build's sine block times d
         T = K.transform
         grid = K.make_grid(64, hint)
         tables = T._SineTables(grid, k, adjoint)
@@ -1064,7 +1098,7 @@ class TestOneShotApply:
     def test_one_column_outputs_form_no_sine_block(self, fresh_cache, monkeypatch, k, grid):
         # the one-shot T f and the split ranges of a dense M0's apply, both
         # directions, integrate one column each by fused row-dots: with the
-        # tile loop's sine blocks refused, both still give apply_T's values
+        # dense build's sine blocks refused, both still give apply_T's values
         T = fresh_cache
         params, grid = K.make_params(k, k + 2), self.GRIDS[grid]()
         f = self._profiles(params, grid)["split"]
