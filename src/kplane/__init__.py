@@ -21,9 +21,9 @@ from .core import (ConfigurationError, DataError, DomainError, IntervalSet,
                    make_halfline_grid, make_params, mass_above_level, mass_tail,
                    read_profile_csv, resample_values, sample_profile,
                    weighted_integral, weighted_lp_norm, write_profile_csv)
-from .transform import (OperatorMatrix, apply_T, apply_T_adjoint,
-                        apply_T_indicator, discretize_T_R,
-                        equicontinuity_modulus, singular_value_profile)
+from .transform import (apply_T, apply_T_adjoint, apply_T_indicator,
+                        discretize_T_R, equicontinuity_modulus,
+                        singular_value_profile)
 from .extremal import (SearchTrace, constant_A, constant_B,
                        constant_B_with_error, extremizer_profile,
                        functional_ratio, search_extremizer, sphere_area)

@@ -51,7 +51,8 @@ class PreconditionError(KplaneError, ValueError):
 
 
 class NumericalError(KplaneError, RuntimeError):
-    """A numerical subroutine (SVD, root find) failed."""
+    """A numerical subroutine failed (kept for callers that catch it: no
+    routine raises it at present)."""
 
 
 class IterationAnomalyError(KplaneError, RuntimeError):
@@ -122,6 +123,26 @@ def make_params(k: int, d: int) -> Params:
     q = Fraction(d + 1)
     return Params(k=int(k), d=int(d), p=p, q=q,
                   p_conj=p / (p - 1), scale_exp=Fraction(d, 1) / p)
+
+
+#: the smallest normal double
+_TINY = np.finfo(float).tiny
+
+
+def scaled_decay(x: np.ndarray, m: int, scale: float, g=1.0) -> np.ndarray:
+    """scale g (1 + x^2)^{-m/2} at x >= 0 for m >= 2, g a scalar or one
+    value per x, with no intermediate overflow or underflow: as (g w) scale
+    where w = (1 + x^2)^{-m/2} is a normal double, else as g (scale^{1/m} /
+    hypot(1, x))^m, the scale inside the power, which is representable
+    wherever the product is. x is capped at 1e154 in w, whose square fits a
+    double and leaves w below the normal range there for every m >= 2."""
+    w = (1.0 + np.minimum(x, 1e154) ** 2) ** (-m / 2.0)
+    far = w < _TINY
+    out = g * w * scale
+    if far.any():
+        out[far] = (np.broadcast_to(g, x.shape)[far]
+                    * (scale ** (1.0 / m) / np.hypot(1.0, x[far])) ** m)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import (DomainError, ParameterError, Params, RadialGrid, RadialProfile,
                    IterationAnomalyError, make_halfline_grid, make_params,
-                   weighted_lp_norm)
+                   scaled_decay, weighted_lp_norm)
 from .symmetry import _median_radius, dilate_profile
 from .transform import _apply_T_once, _dense_for, apply_T, apply_T_adjoint
 
@@ -41,8 +41,7 @@ def constant_A(params: Params) -> float:
 def extremizer_profile(params: Params, lam: float, grid: RadialGrid) -> RadialProfile:
     """Samples of the dilated extremizer lam^{d/p} (1 + (lam r)^2)^{-(k+1)/2}."""
     scale = params.dilation_scale(lam)
-    vals = scale * (1.0 + (lam * grid.nodes) ** 2) ** (-(params.k + 1) / 2.0)
-    return RadialProfile(grid, vals)
+    return RadialProfile(grid, scaled_decay(lam * grid.nodes, params.k + 1, scale))
 
 
 def functional_ratio(params: Params, f: RadialProfile) -> float:

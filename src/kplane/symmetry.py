@@ -7,7 +7,8 @@ import math
 import numpy as np
 
 from .core import (DomainError, IntervalSet, ParameterError, Params, RadialProfile,
-                   _running_integral, _running_median, indicator_profile, weighted_lp_norm)
+                   _running_integral, _running_median, indicator_profile, scaled_decay,
+                   weighted_lp_norm)
 
 
 def rearrange(params: Params, f: RadialProfile) -> RadialProfile:
@@ -104,17 +105,16 @@ def dilate_profile(params: Params, f: RadialProfile, lam: float) -> RadialProfil
         return f
     u = lam * grid.nodes
     interp = f.interpolator()
-    vals = interp.eval(f.values, u)
+    vals = interp.eval(f.values, u) * scale
     beyond = u > grid.r_max
     if beyond.any():
-        power = (params.k + 1) / 2.0
+        m = params.k + 1
         ub = u[beyond]
-        g = interp.eval(f.values * (1.0 + grid.nodes ** 2) ** power, ub)
-        vals[beyond] = g * (1.0 + ub * ub) ** -power
+        g = interp.eval(f.values * (1.0 + grid.nodes ** 2) ** (m / 2.0), ub)
+        vals[beyond] = scaled_decay(ub, m, scale, g)
     vals = np.nan_to_num(vals, nan=0.0)
     if f.nonnegative:
         vals = np.maximum(vals, 0.0)
-    vals = vals * scale
     splits = tuple(s / lam for s in f.splits if s / lam < grid.r_max)
     return RadialProfile(grid, vals, splits=splits)
 

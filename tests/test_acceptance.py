@@ -139,9 +139,12 @@ def test_11_compactness():
     reps = run_suite("compactness", seed=0)
     ok = all(r.passed for r in reps)
     detail = "; ".join(
-        f"k={r.inputs['k']}: sigma ratios {np.round(r.inputs['sigma_ratios'], 4)}, "
-        f"moduli {np.round(r.inputs['moduli'], 5)}" for r in reps)
-    report("11 truncated-operator compactness trends", ok, detail)
+        f"k={r.inputs['k']}: sigma_1..8 {np.round(r.inputs['sigma'], 4)}, "
+        f"decay exponent {r.inputs['decay_exponent']:.3f}, "
+        + (f"Volterra closed-form error {r.inputs['closed_form_err']:.1e}, "
+           if r.inputs["closed_form_err"] is not None else "")
+        + f"moduli {np.round(r.inputs['moduli'], 5)}" for r in reps)
+    report("11 truncated-operator singular values and moduli", ok, detail)
 
 
 def test_12_trichotomy_classifier():

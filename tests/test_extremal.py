@@ -73,6 +73,19 @@ class TestExtremizerProfile:
         with pytest.raises(K.ParameterError, match="finite"):
             K.extremizer_profile(K.make_params(1, 3), math.inf, grids["half1024"])
 
+    @pytest.mark.parametrize("lam", [1e200, 1e-200])
+    def test_a_scale_that_fits_samples_without_overflow(self, lam):
+        # at lam = 1e200 the scale lam^{3/2} fits a double but (lam r)^2 does
+        # not: every sample matches the closed form taken in logs
+        grid = K.make_halfline_grid(256)
+        h = K.extremizer_profile(K.make_params(1, 3), lam, grid)
+        x = lam * grid.nodes
+        log_bracket = np.where(x > 1, 2 * np.log(x) + np.log1p(np.maximum(x, 1) ** -2.0),
+                               np.log1p(np.minimum(x, 1) ** 2))
+        want = np.exp(1.5 * math.log(lam) - log_bracket)
+        assert np.all(want > 0)
+        assert np.abs(h.values / want - 1).max() <= 1e-11
+
     def test_norm_dilation_invariant(self, grids):
         params = K.make_params(2, 4)
         g = grids["half4096"]

@@ -107,6 +107,17 @@ class TestDilateProfile:
         with pytest.raises(K.ParameterError, match="overflows"):
             K.dilate_profile(params, h, 1e300)
 
+    def test_a_scale_that_fits_dilates_without_overflow(self):
+        # lam = 1e200 throws every node beyond the last, where (lam r)^2 does
+        # not fit a double though the scale does; the extremizer's g = f
+        # sec^2 is 1 there, so its dilate is the dilated extremizer
+        params = K.make_params(1, 3)
+        grid = K.make_halfline_grid(256)
+        got = K.dilate_profile(params, K.extremizer_profile(params, 1.0, grid), 1e200)
+        want = K.extremizer_profile(params, 1e200, grid)
+        assert np.all(want.values > 0)
+        assert np.abs(got.values / want.values - 1).max() <= 1e-12
+
     def test_infinite_lam_rejected_for_a_sampled_profile(self, grids):
         params = K.make_params(1, 3)
         h = K.extremizer_profile(params, 1.0, grids["half1024"])

@@ -220,63 +220,94 @@ class TestAdjoint:
 
 
 class TestDiscretized:
-    def test_matches_indicator_transform(self):
-        # away from the jump cell: a sampled representation cannot resolve
-        # the transform pointwise inside the cell containing the cut
-        params = K.make_params(2, 3)
-        op = K.discretize_T_R(params, 2.0, 1024)
-        f = K.indicator_profile(op.grid, K.IntervalSet(((0.0, 1.0),)))
-        got = op.apply(f.values)
-        exact = np.maximum(1.0 - op.grid.nodes ** 2, 0.0) / 2
-        cut_cell = np.searchsorted(op.grid.nodes, 1.0)
-        away = np.abs(np.arange(op.grid.n) - cut_cell) > 3
-        assert np.abs(got - exact)[away].max() < 1e-6
+    """discretize_T_R: the M0 that apply_T applies on make_grid(n, R), as
+    an n x n array."""
 
-    def test_entries_nonnegative(self):
-        params = K.make_params(1, 3)
-        op = K.discretize_T_R(params, 1.0, 128)
-        assert (op.entries >= 0.0).all()
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_apply_T(self, k):
+        # k = 2 densifies the same _RowBlocks build as every other k, where
+        # apply_T reads _PrefixSums
+        params = K.make_params(k, k + 1)
+        M = K.discretize_T_R(params, 2.0, 256)
+        grid = K.make_grid(256, 2.0)
+        v = np.random.default_rng(k).standard_normal(grid.n)
+        want = K.apply_T(params, K.RadialProfile(grid, v)).values
+        assert isinstance(M, np.ndarray) and M.shape == (256, 256)
+        assert np.abs(M @ v - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_lower_triangular_like(self):
-        params = K.make_params(2, 3)
-        op = K.discretize_T_R(params, 1.0, 128)
-        # kernel support u >= r: columns left of the diagonal vanish beyond
-        # the interpolation stencil width
-        for i in range(3, 128):
-            assert np.all(op.entries[i, :i - 1] == 0.0)
+        # kernel support u >= r: a row reads no node more than a stencil
+        # width left of its own
+        for k in (1, 2, 3):
+            M = K.discretize_T_R(K.make_params(k, k + 1), 1.0, 128)
+            for i in range(INTERP_DEGREE, 128):
+                assert np.all(M[i, :i - INTERP_DEGREE] == 0.0)
 
     def test_matrix_continuous_agreement(self):
-        # smooth gentle profile on [0, R]; n = 512 per the contract
+        # a smooth profile on [0, R], n = 512: the matrix is apply_T's
         params = K.make_params(2, 3)
-        op = K.discretize_T_R(params, 1.0, 512)
-        lam = 0.5
-        f = K.extremizer_profile(params, lam, op.grid)
-        got = op.apply(f.values)
+        M = K.discretize_T_R(params, 1.0, 512)
+        f = K.extremizer_profile(params, 0.5, K.make_grid(512, 1.0))
         ref = K.apply_T(params, f).values
-        assert np.abs(got - ref).max() < 1e-6
+        assert np.abs(M @ f.values - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("R", [float("inf"), float("nan"), 0.0, -1.0])
     def test_refuses_a_radius_not_finite_and_positive(self, R):
-        # R = inf would build on a half-line grid and record R = inf
+        # R = inf would build on a half-line grid
         with pytest.raises(K.ParameterError, match="finite R > 0"):
             K.discretize_T_R(K.make_params(1, 3), R, 64)
 
-    def test_singular_values_zero_matrix(self):
-        params = K.make_params(1, 3)
-        op = K.discretize_T_R(params, 1.0, 64)
-        zero_op = K.OperatorMatrix(entries=np.zeros_like(op.entries), R=op.R,
-                                   grid=op.grid, params=params)
-        s = K.singular_value_profile(zero_op)
-        assert np.all(s == 0.0)
+    def test_refuses_fewer_than_16_nodes(self):
+        with pytest.raises(K.ParameterError, match="n >= 16"):
+            K.discretize_T_R(K.make_params(1, 3), 1.0, 15)
+
+
+class TestSingularValues:
+    """singular_value_profile: sigma_1..8 of T_R by Lanczos on T* T through
+    apply_T and apply_T_adjoint."""
 
     def test_singular_values_nonincreasing_and_decay(self):
-        params = K.make_params(2, 3)
-        ratios = []
-        for n in (64, 128, 256):
-            s = K.singular_value_profile(K.discretize_T_R(params, 1.0, n))
-            assert (np.diff(s) <= 1e-12).all()
-            ratios.append(s[n // 4] / s[0])
-        assert ratios[0] > ratios[1] > ratios[2]
+        # (2,3): with g = u f, T_R is the adjoint of the Volterra operator on
+        # L^2[0, R], whose singular values are 2R / ((2j - 1) pi)
+        s = K.singular_value_profile(K.make_params(2, 3), 1.0, 256)
+        exact = 2 / ((2 * np.arange(1, 9) - 1) * math.pi)
+        assert s.shape == (8,) and (np.diff(s) < 0).all()
+        assert np.abs(s - exact).max() <= 1e-11
+
+    def test_converged_in_n(self):
+        # (1,3) has no closed form: n = 256 against n = 512
+        params = K.make_params(1, 3)
+        coarse, fine = (K.singular_value_profile(params, 1.0, n) for n in (256, 512))
+        assert np.abs(coarse - fine).max() <= 1e-4
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_dilation_scaling(self, k):
+        # T_{lam R} is unitarily T_R times lam^{k/2}
+        params = K.make_params(k, 3)
+        ratio = (K.singular_value_profile(params, 2.5, 256)
+                 / K.singular_value_profile(params, 1.0, 256))
+        assert np.abs(ratio / 2.5 ** (k / 2) - 1).max() <= 1e-4
+
+    def test_bitwise_equal_for_any_worker_count(self, fresh_cache, monkeypatch):
+        # the (1,3) operators on 600 nodes are built in three row blocks
+        from collections import OrderedDict
+        T = fresh_cache
+        params = K.make_params(1, 3)
+        got = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(T, "_MATRIX_CACHE", OrderedDict())
+            monkeypatch.setattr(T, "_workers", lambda jobs, w=workers: min(w, jobs))
+            got.append(K.singular_value_profile(params, 1.0, 600))
+        assert all(np.array_equal(s, got[0]) for s in got[1:])
+
+    @pytest.mark.parametrize("R", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_refuses_a_radius_not_finite_and_positive(self, R):
+        with pytest.raises(K.ParameterError, match="finite R > 0"):
+            K.singular_value_profile(K.make_params(1, 3), R, 256)
+
+    def test_refuses_fewer_than_64_nodes(self):
+        with pytest.raises(K.ParameterError, match="n >= 64"):
+            K.singular_value_profile(K.make_params(1, 3), 1.0, 63)
 
 
 class TestSmallGrids:
@@ -712,8 +743,8 @@ class TestBlockedAssembly:
                                                 rows):
         # the n x n accumulation is zero wherever the row blocks store nothing,
         # and bitwise equal to them wherever they do: to full-width blocks of
-        # _TILE_ROWS rows, the views discretize_T_R fills with its degree-1
-        # quadrature, and at INTERP_DEGREE to the banded blocks of _RowBlocks
+        # _TILE_ROWS rows at any stencil degree, and at INTERP_DEGREE to the
+        # banded blocks of _RowBlocks
         T = K.transform
         if rows is not None:
             monkeypatch.setattr(T, "_TILE_ROWS", rows)
@@ -809,11 +840,11 @@ class TestSineKernel:
     @pytest.mark.parametrize("tiles", TILES.values(), ids=TILES.keys())
     @pytest.mark.parametrize("k", [1, 3, 4, 5])
     def test_discretized_matches_dense_reference(self, monkeypatch, k, tiles):
-        # the degree-1 matrix of discretize_T_R, clamped at 0
+        # the matrix of discretize_T_R, the truncated grid's forward M0
         self._tiles(monkeypatch, tiles)
-        op = K.discretize_T_R(K.make_params(k, k + 1), 2.0, 64)
-        ref = np.maximum(TestBlockedAssembly._reference(op.grid, k, 0, False, (), 1)[0], 0.0)
-        assert np.abs(op.entries - ref).max() <= 1e-14 * np.abs(ref).max()
+        M = K.discretize_T_R(K.make_params(k, k + 1), 2.0, 64)
+        ref = TestBlockedAssembly._reference(K.make_grid(64, 2.0), k, 0, False)[0]
+        assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("hint", [float("inf"), 8.0])
     @pytest.mark.parametrize("adjoint", [False, True])
@@ -984,11 +1015,12 @@ class TestPrefixSums:
 
     @pytest.mark.parametrize("n", [64, 512])
     def test_discretized_matches_dense_assembly(self, n):
-        # every k against the independent reference at degree 1, clamped at 0
+        # every k against the independent reference: k = 2 densifies a
+        # _RowBlocks build, the same operator as its prefix sums
         for k in (1, 2, 3):
-            op = K.discretize_T_R(K.make_params(k, k + 1), 2.0, n)
-            ref = np.maximum(TestBlockedAssembly._reference(op.grid, k, 0, False, (), 1)[0], 0.0)
-            assert np.abs(op.entries - ref).max() <= 1e-14 * np.abs(ref).max(), k
+            M = K.discretize_T_R(K.make_params(k, k + 1), 2.0, n)
+            ref = TestBlockedAssembly._reference(K.make_grid(n, 2.0), k, 0, False)[0]
+            assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max(), k
 
     def test_discretized_builds_no_cache_entry(self, fresh_cache):
         T = fresh_cache
@@ -1536,7 +1568,7 @@ class TestThreadedBuild:
         built = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(T, "_workers", lambda jobs, w=workers: min(w, jobs))
-            built.append(K.discretize_T_R(params, 2.0, 600).entries)
+            built.append(K.discretize_T_R(params, 2.0, 600))
         assert all(np.array_equal(M, built[0]) for M in built[1:])
 
     @pytest.mark.parametrize("raising", ["worker", "caller"])

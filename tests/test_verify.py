@@ -63,6 +63,17 @@ class TestConcentrationK1:
             # weighted measure far from 1
             K.check_concentration_k1(params, K.IntervalSet(((10.0, 20.0),)), 2.0)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_nan_radius_refused_before_any_grid(self, monkeypatch, k):
+        # a NaN R passes every comparison: it is refused as a parameter
+        # before a grid is built, where k = 1 once returned lhs = nan
+        from kplane import verify
+        monkeypatch.setattr(verify, "make_grid", lambda *args: pytest.fail("grid built"))
+        F = K.IntervalSet(((4.0, 4.0 + ((4.0 ** 3 + 3) ** (1 / 3) - 4.0)),))
+        check = K.check_concentration_k1 if k == 1 else K.check_concentration_k2
+        with pytest.raises(K.ParameterError, match="R > 0"):
+            check(K.make_params(k, 3), F, math.nan)
+
 
 class TestSlide:
     def test_delta_zero_no_change(self):
@@ -128,25 +139,44 @@ class TestCompactness:
         reps = run_suite("compactness", seed=0)
         assert all(r.passed for r in reps)
         for r in reps:
-            ratios = r.inputs["sigma_ratios"]
+            sigma = r.inputs["sigma"]
             moduli = r.inputs["moduli"]
-            assert ratios[0] > ratios[1] > ratios[2]
+            assert r.inputs["n"] == 256 and len(sigma) == 8
+            assert all(b < a for a, b in zip(sigma, sigma[1:])) and sigma[-1] > 0
+            assert r.lhs == max(b / a for a, b in zip(sigma, sigma[1:])) < 1.0
             assert moduli[0] > moduli[1] > moduli[2]
+
+    def test_volterra_closed_form(self):
+        # (2,3): T_R with g = u f is the adjoint of the Volterra operator
+        reps = {(r.inputs["k"], r.inputs["d"]): r for r in run_suite("compactness")}
+        sigma = np.array(reps[2, 3].inputs["sigma"])
+        exact = 2 / ((2 * np.arange(1, 9) - 1) * math.pi)
+        assert np.abs(sigma - exact).max() <= 1e-11
+        assert reps[2, 3].inputs["closed_form_err"] == np.abs(sigma - exact).max()
+        assert reps[1, 3].inputs["closed_form_err"] is None
+
+    def test_decay_exponents(self):
+        reps = {(r.inputs["k"], r.inputs["d"]): r for r in run_suite("compactness")}
+        assert reps[1, 3].inputs["decay_exponent"] == pytest.approx(-0.590, abs=2e-3)
+        assert reps[2, 3].inputs["decay_exponent"] == pytest.approx(-1.280, abs=2e-3)
+
+    def test_closed_form_gate_fails_a_wrong_sigma(self, monkeypatch):
+        # sigma_1 of (2,3) moved by 1e-10 fails the report; (1,3) has no gate
+        from kplane import verify
+        true = verify.singular_value_profile
+        monkeypatch.setattr(verify, "singular_value_profile",
+                            lambda params, R, n: true(params, R, n) + np.eye(8)[0] * 1e-10)
+        assert not K.check_compactness(K.make_params(2, 3), 1.0, 256).passed
+        assert K.check_compactness(K.make_params(1, 3), 1.0, 256).passed
 
     def test_bad_nlist_rejected(self):
         params = K.make_params(1, 3)
-        with pytest.raises(K.ParameterError):
-            K.check_compactness(params, 1.0, (32, 64))
-
-    @pytest.mark.parametrize("n_list", [(), (64,)])
-    def test_fewer_than_two_sizes_rejected(self, n_list):
-        # one size has no trend to check
-        with pytest.raises(K.ParameterError, match="two or more"):
-            K.check_compactness(K.make_params(1, 3), 1.0, n_list)
+        with pytest.raises(K.ParameterError, match="n >= 64"):
+            K.check_compactness(params, 1.0, 32)
 
     def test_infinite_R_rejected(self):
         with pytest.raises(K.ParameterError, match="finite R > 0"):
-            K.check_compactness(K.make_params(1, 3), float("inf"), (64, 128))
+            K.check_compactness(K.make_params(1, 3), float("inf"), 256)
 
 
 class TestTruncationPipeline:
